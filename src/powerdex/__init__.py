@@ -23,7 +23,7 @@ from .indices import (BoundaryAverages, PowerVector, boundary_averages,
                       jk_ssi_marginal, jk_ssi_pivot, phi_two_player,
                       psi_exact, psi_mc, psi_point, psi_product_oracle,
                       ssi_coalition, ssi_roll_call)
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .stepfun import (Discretization, StepGame, ValidationReport, coarsen,
                       evaluate_step, join_meet, make_regular_step,
                       permute_axes, pointwise_equal, refine, uniform_grid,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -263,10 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="powerdex",
         description="Exact power indices for committee decisions on {0,1}, "
                     "graded and interval scales.")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("POWERDEX_THREADS", "1")),
-                        help="cap on worker threads (results are identical "
-                             "for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ssi", help="index of a coalition function")
@@ -286,9 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="index of a step game")
     p.add_argument("game")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--mc", action="store_true")
+    p.add_argument("--mc", action="store_true",
+                   help="Monte-Carlo estimate instead of the exact index")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--with-c", action="store_true",
@@ -303,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="embed a finite game as a step game")
     p.add_argument("game")
     kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--natural", action="store_true", default=True)
     kind.add_argument("--tau", default=None,
                       help="skewed two-level embedding at this breakpoint")
     kind.add_argument("--semiregular", action="store_true",
@@ -366,9 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(json.dumps({"error": "threads must be >= 1"}), file=sys.stderr)
-        return 2
     try:
         args.func(args)
     except (ValueError, KeyError, TypeError) as exc:

@@ -32,12 +32,7 @@ class Coalition:
 
     @classmethod
     def of(cls, players: Iterable[int], n: int) -> "Coalition":
-        mask = 0
-        for i in players:
-            if not 1 <= i <= n:
-                raise ValueError(f"player {i} outside 1..{n}")
-            mask |= 1 << (i - 1)
-        return cls(mask, n)
+        return cls(mask_of(players, n), n)
 
     def players(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
@@ -50,7 +45,16 @@ class Coalition:
 
 
 def mask_of(players: Iterable[int], n: int) -> int:
-    return Coalition.of(players, n).mask
+    """Bitmask of a set of players; each must lie in 1..n and appear once."""
+    mask = 0
+    for i in players:
+        if not 1 <= i <= n:
+            raise ValueError(f"player {i} outside 1..{n}")
+        bit = 1 << (i - 1)
+        if mask & bit:
+            raise ValueError(f"player {i} listed twice")
+        mask |= bit
+    return mask
 
 
 def players_of(mask: int, n: int) -> tuple[int, ...]:

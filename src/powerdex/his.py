@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .indices import PowerVector, psi_exact
-from .rational import gain_constant, loss_constant
+from .rational import loss_constant, ordering_weight
 from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
                       TAG_SEMI_REGULAR, adjacent_boxes, evaluate_step,
                       face_center, make_regular_step, refine, validate,
@@ -119,7 +119,7 @@ def his_delta(inc: LocalIncrement, n: int | None = None) -> PowerVector:
         return PowerVector((Fraction(0),) * n, "exact")
     s = len(inc.coalition)
     scale = inc.epsilon * inc.domain.volume()
-    gain = gain_constant(s, n) * scale
+    gain = ordering_weight(s, n) * scale
     loss = loss_constant(s, n) * scale
     return PowerVector(tuple(gain if i in inc.coalition else -loss
                              for i in range(1, n + 1)), "exact")
@@ -355,7 +355,7 @@ def corner_increase(L: Sequence[int], U: Sequence[int], eps, l: int,
                 t = len(team)
                 scale = eps / Fraction(l) ** (n - t)
                 if i in team:
-                    total += side * scale * gain_constant(t, n)
+                    total += side * scale * ordering_weight(t, n)
                 else:
                     total -= side * scale * loss_constant(t, n)
     return total

@@ -10,12 +10,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from typing import Sequence
+from math import factorial, lcm
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coalitions import CoalitionFunction, JKGame, SimpleGame
+from .coalitions import CoalitionFunction, JKGame, SimpleGame, mask_of
 from .evaluables import EvaluableGame, step_game_evaluable
 from .rational import ordering_weight
 from .stepfun import StepGame
@@ -59,25 +59,44 @@ class BoundaryAverages:
     table: dict[int, Fraction]
 
     def get(self, players) -> Fraction:
-        mask = sum(1 << (i - 1) for i in players)
-        return self.table[mask]
+        return self.table[mask_of(players, self.n)]
 
 
 def _exact(shares) -> PowerVector:
     return PowerVector(tuple(Fraction(s) for s in shares), "exact")
 
 
-def psi_from_c(c: dict[int, Fraction], n: int) -> PowerVector:
-    """Combine a C-table with the ordering weights (s-1)!(n-s)!/n!."""
+def psi_from_c(c: Mapping[int, Fraction] | Sequence[Fraction],
+               n: int) -> PowerVector:
+    """Combine a C-table with the ordering weights (s-1)!(n-s)!/n!.
+
+    ``c`` holds a rational for every coalition bitmask 0..2^n-1.  The sum
+    runs in integers: the table goes on one common denominator, the
+    numerator differences are summed per coalition size and the n weights
+    are applied once at the end.
+    """
+    full = 1 << n
+    table = [c[m] for m in range(full)]
+    den = lcm(*{x.denominator for x in table})
+    nums = [x.numerator * (den // x.denominator) for x in table]
+    sizes = [m.bit_count() for m in range(full)]
+    # by_size[s]: sum of the numerators of all coalitions of size s
+    by_size = [0] * (n + 1)
+    for x, s in zip(nums, sizes):
+        by_size[s] += x
+    weights = [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)]
     shares = []
     for i in range(n):
         bit = 1 << i
-        acc = Fraction(0)
-        for s_mask in range(1 << n):
-            if s_mask & bit:
-                s = s_mask.bit_count()
-                acc += ordering_weight(s, n) * (c[s_mask] - c[s_mask ^ bit])
-        shares.append(acc)
+        # with_i[s]: the same sum over the coalitions of size s containing i
+        with_i = [0] * (n + 1)
+        for lo in range(bit, full, bit << 1):
+            for x, s in zip(nums[lo:lo + bit], sizes[lo:lo + bit]):
+                with_i[s] += x
+        # sum over S containing i of c[S] - c[S - i], by size s = |S|
+        acc = sum(w * (with_i[s] - (by_size[s - 1] - with_i[s - 1]))
+                  for s, w in enumerate(weights, 1))
+        shares.append(Fraction(acc, factorial(n) * den))
     return _exact(shares)
 
 
@@ -88,18 +107,7 @@ def ssi_coalition(v: CoalitionFunction | SimpleGame) -> PowerVector:
     """Ordering-based index from the coalition table; monotonicity is not
     required, so negative shares are possible for non-monotone inputs."""
     cf = v.inner if isinstance(v, SimpleGame) else v
-    n = cf.n
-    shares = [Fraction(0)] * n
-    for mask in range(1, 1 << n):
-        s = mask.bit_count()
-        w = ordering_weight(s, n)
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                diff = cf.values[mask] - cf.values[mask ^ bit]
-                if diff:
-                    shares[i] += w * diff
-    return _exact(shares)
+    return psi_from_c(cf.values, cf.n)
 
 
 def ssi_roll_call(v: SimpleGame, vote_model: str = "all_yes") -> PowerVector:
@@ -245,8 +253,9 @@ def _as_evaluable(v: EvaluableGame | StepGame) -> EvaluableGame:
 
 
 def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
-    """The single-profile variant: the roll-call sum evaluated at the
-    constant profile (alpha, ..., alpha) instead of integrating."""
+    """The single-profile variant: the ordering-weight sum over the pinned
+    table c(T) = v(1_T, a) - v(0_T, a) at the constant profile a = alpha,
+    instead of integrating over profiles."""
     game = _as_evaluable(v)
     n = game.n
     if n > MAX_POINT_PLAYERS:
@@ -256,24 +265,15 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
         raise ValueError("alpha must lie in [0, 1]")
     memo: dict[tuple, Fraction] = {}
 
-    def val(ones: int, zeros: int) -> Fraction:
-        pt = tuple(Fraction(1) if ones >> i & 1 else
-                   Fraction(0) if zeros >> i & 1 else a for i in range(n))
+    def val(t_mask: int, pin: Fraction) -> Fraction:
+        pt = tuple(pin if t_mask >> i & 1 else a for i in range(n))
         if pt not in memo:
             memo[pt] = game.eval_exact(pt)
         return memo[pt]
 
-    shares = [Fraction(0)] * n
-    for pi in itertools.permutations(range(n)):
-        rest = (1 << n) - 1
-        for pos in pi:
-            bit = 1 << pos
-            after = rest ^ bit
-            shares[pos] += (val(rest, 0) - val(0, rest)) - \
-                           (val(after, 0) - val(0, after))
-            rest = after
-    nf = factorial(n)
-    return _exact(s / nf for s in shares)
+    # the pinned table c(T) = v(1_T, a) - v(0_T, a)
+    c = {t: val(t, Fraction(1)) - val(t, Fraction(0)) for t in range(1 << n)}
+    return psi_from_c(c, n)
 
 
 def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
@@ -300,13 +300,14 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
         hi[:, cols] = 1.0
         lo[:, cols] = 0.0
         deltas[t_mask] = game.eval_array(hi) - game.eval_array(lo)
+    weights = {s: float(ordering_weight(s, n)) for s in range(1, n + 1)}
     estimates, errors = [], []
     for i in range(n):
         bit = 1 << i
         g_i = np.zeros(samples)
         for s_mask in range(1 << n):
             if s_mask & bit:
-                w = float(ordering_weight(s_mask.bit_count(), n))
+                w = weights[s_mask.bit_count()]
                 g_i += w * (deltas[s_mask] - deltas[s_mask ^ bit])
         estimates.append(float(g_i.mean()))
         spread = float(g_i.std(ddof=1)) if samples > 1 else 0.0

@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-Rational = Fraction
-
 MAX_PLAYERS = 20
 
 _FACTORIALS = [factorial(k) for k in range(MAX_PLAYERS + 1)]
@@ -38,11 +36,6 @@ def ordering_weight(s: int, n: int) -> Fraction:
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
     return Fraction(_FACTORIALS[s - 1] * _FACTORIALS[n - s], _FACTORIALS[n])
-
-
-def gain_constant(s: int, n: int) -> Fraction:
-    """(s-1)!(n-s)!/n!: per-member gain rate of a coalition of size s."""
-    return ordering_weight(s, n)
 
 
 def loss_constant(s: int, n: int) -> Fraction:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .coalitions import CoalitionFunction, JKGame, SimpleGame, players_of
+from .coalitions import (CoalitionFunction, JKGame, SimpleGame, mask_of,
+                         players_of)
 from .indices import PowerVector
 from .rational import format_rational, parse_rational
 from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
@@ -46,8 +47,12 @@ def parse_coalition_input(obj: dict) -> CoalitionFunction:
         table = [Fraction(0)] * (1 << n)
         seen = set()
         for key, val in obj["values"].items():
-            players = _parse_key(key)
-            mask = sum(1 << (i - 1) for i in players)
+            try:
+                mask = mask_of(_parse_key(key), n)
+            except ValueError as exc:
+                raise ValueError(f"coalition key {key!r}: {exc}") from None
+            if mask in seen:
+                raise ValueError(f"coalition key {key!r} repeats an earlier key")
             table[mask] = parse_rational(val)
             seen.add(mask)
         if len(seen) != 1 << n:

@@ -22,7 +22,7 @@ from powerdex.indices import (boundary_averages, jk_boundary_averages,
                               jk_ssi_marginal, jk_ssi_pivot, psi_exact,
                               psi_mc, psi_point, psi_product_oracle,
                               ssi_coalition)
-from powerdex.rational import gain_constant, loss_constant
+from powerdex.rational import loss_constant, ordering_weight
 from powerdex.sampling import random_regular_game
 from powerdex.stepfun import make_regular_step, uniform_grid, validate
 
@@ -142,7 +142,7 @@ def test_criterion_06_table1_and_corner_increase():
                 u = len(U)
                 for i in sorted(players):
                     got = corner_increase(sorted(L), sorted(U), 1, 2, i)
-                    expected = gain_constant(u, n) if i in U \
+                    expected = ordering_weight(u, n) if i in U \
                         else -loss_constant(u, n)
                     assert got == expected
     for l in (2, 3):
@@ -177,7 +177,7 @@ def test_criterion_07_single_coalition_deltas():
         for i in range(1, n + 1):
             diff = after[i - 1] - before[i - 1]
             if mask >> (i - 1) & 1:
-                assert diff == gain_constant(s, n)
+                assert diff == ordering_weight(s, n)
             else:
                 assert diff == -loss_constant(s, n)
         done += 1

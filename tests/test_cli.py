@@ -40,11 +40,31 @@ def test_ssi_non_monotone_game(tmp_path, capsys):
     assert "-1/3" in json.loads(out)["shares"]
 
 
+def test_ssi_rejects_repeated_player_in_key(tmp_path, capsys):
+    # "1,1" used to be read as player 2 and gave shares ["0", "1"]
+    path = write(tmp_path, "game.json",
+                 {"n": 2, "values": {"": "0", "1": "0", "2": "0",
+                                     "1,1": "1", "1,2": "1"}})
+    code, out, err = run_cli(["ssi", path], capsys)
+    assert code == 2 and out == ""
+    assert "'1,1'" in json.loads(err)["error"]
+
+
+def test_ssi_rejects_player_out_of_range_in_key(tmp_path, capsys):
+    # "5" with n=2 used to end in an IndexError traceback
+    path = write(tmp_path, "game.json",
+                 {"n": 2, "values": {"": "0", "1": "0", "2": "0",
+                                     "5": "1", "1,2": "1"}})
+    code, out, err = run_cli(["ssi", path], capsys)
+    assert code == 2 and out == ""
+    assert "'5'" in json.loads(err)["error"]
+
+
 def test_psi_exact_zero_game(tmp_path, capsys):
     path = write(tmp_path, "zero.json",
                  {"n": 4, "alpha": ["0", "1"], "tag": "regular",
                   "boxes": {"1,1,1,1": "0"}})
-    code, out, _ = run_cli(["psi", path, "--exact"], capsys)
+    code, out, _ = run_cli(["psi", path], capsys)
     assert code == 0
     assert json.loads(out)["shares"] == ["1/4", "1/4", "1/4", "1/4"]
 
@@ -83,7 +103,7 @@ def test_embed_and_round_trip(tmp_path, capsys):
     jk = {"n": 2, "j": 2, "k": 2,
           "values": {"0,0": 0, "0,1": 0, "1,0": 0, "1,1": 1}}
     path = write(tmp_path, "jk.json", jk)
-    code, out, _ = run_cli(["embed", path, "--natural"], capsys)
+    code, out, _ = run_cli(["embed", path], capsys)
     assert code == 0
     emitted = json.loads(out)
     path2 = write(tmp_path, "emb.json", emitted)

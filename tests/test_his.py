@@ -11,7 +11,7 @@ from powerdex.his import (Domain, IncrementError, LocalIncrement,
                           implied_increment, potential_influence,
                           replay_appendix, table1_rows)
 from powerdex.indices import psi_exact
-from powerdex.rational import gain_constant, loss_constant
+from powerdex.rational import loss_constant, ordering_weight
 from powerdex.sampling import random_regular_game
 from powerdex.stepfun import (Discretization, coarsen, make_regular_step,
                               pointwise_equal, refine, uniform_grid,
@@ -202,7 +202,7 @@ def test_corner_increase_closed_form_all_partitions():
                 for i in sorted(players):
                     got = corner_increase(sorted(L), sorted(U), 1, 2, i)
                     if i in U:
-                        assert got == gain_constant(u, n)
+                        assert got == ordering_weight(u, n)
                     else:
                         assert got == -loss_constant(u, n)
 

@@ -94,6 +94,9 @@ def test_boundary_averages_appendix(appendix):
     assert c.get([2]) == F(3, 8)
     assert c.get([]) == 0
     assert c.get([1, 2]) == 1
+    for bad in ([1, 1], [3], [0]):
+        with pytest.raises(ValueError):
+            c.get(bad)
 
 
 def test_boundary_averages_monotone_in_coalition(rng):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from powerdex.rational import (format_rational, gain_constant, loss_constant,
-                               ordering_weight, parse_rational)
+from powerdex.rational import (format_rational, loss_constant, ordering_weight,
+                               parse_rational)
 
 
 def test_parse_and_format_round_trip():
@@ -52,7 +52,7 @@ def test_gain_loss_constants_balance():
     # s members gain what n-s outsiders lose
     for n in range(2, 9):
         for s in range(1, n):
-            assert s * gain_constant(s, n) == (n - s) * loss_constant(s, n)
+            assert s * ordering_weight(s, n) == (n - s) * loss_constant(s, n)
 
 
 def test_constant_domain_errors():

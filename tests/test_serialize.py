@@ -63,6 +63,13 @@ def test_step_game_json_is_deterministic(appendix):
     assert a == b
 
 
+def test_coalition_table_rejects_two_keys_for_one_coalition():
+    # "1,2" and "2,1" name the same coalition; the later value used to win
+    with pytest.raises(ValueError, match="'2,1'"):
+        parse_coalition_input({"n": 2, "values": {"": "0", "1": "0", "2": "0",
+                                                  "1,2": "1", "2,1": "0"}})
+
+
 def test_parse_step_game_rejects_partial_tables():
     with pytest.raises(ValueError):
         parse_step_game({"n": 2, "alpha": ["0", "1/2", "1"], "tag": "regular",
