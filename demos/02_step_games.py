@@ -28,7 +28,7 @@ assert evaluate_step(fine, (F(1, 16), F(1, 16))) == F(1, 10)
 
 # Coarsening takes minima over the covered boxes and re-averages the faces.
 half = coarsen(v, Discretization((F(0), F(1, 4), F(1))))
-print("coarse box values:", {b: str(half.values[b]) for b in half.boxes()})
+print("coarse box values:", {b: str(v) for b, v in half.boxes.items()})
 print("coarse shares:", psi_exact(half).shares)
 
 # Pointwise max/min of two games (here: against the all-or-nothing game).

@@ -32,7 +32,7 @@ class IndexHandle:
 
 def square_game(g: StepGame) -> StepGame:
     """Pointwise square of a step game (still a step game on the same grid)."""
-    return StepGame(g.disc, g.n, {d: v * v for d, v in g.values.items()}, g.tag)
+    return g.with_values({d: v * v for d, v in g.values.items()})
 
 
 def make_handles(alpha=Fraction(1, 4), two_player_a=None) -> dict[str, IndexHandle]:
@@ -94,12 +94,16 @@ def null_extension(g: StepGame, position: int) -> StepGame:
     """Insert a null player at the given 1-based position.  The result is
     raw: copying values breaks the box-averaging identity near the old
     extreme corners."""
+    def lift(d: Face, c: int) -> Face:
+        return d[:position - 1] + (c,) + d[position - 1:]
+
+    # the regular completion of the lifted boxes agrees with the old value
+    # away from the lifts of the old overrides and the old corners
     side = 2 * g.p + 1
-    values = {}
-    for d in itertools.product(range(side), repeat=g.n + 1):
-        reduced = d[:position - 1] + d[position:]
-        values[d] = g.values[reduced]
-    return StepGame(g.disc, g.n + 1, values, "raw")
+    boxes = {lift(b, c): v for b, v in g.boxes.items() for c in range(1, side, 2)}
+    pinned = set(g.faces) | {(0,) * g.n, (side - 1,) * g.n}
+    faces = {lift(d, c): g.values[d] for d in pinned for c in range(side)}
+    return StepGame(g.disc, g.n + 1, boxes, faces, "raw")
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +124,7 @@ def boundary_face_witness(g: StepGame, player: int, face: Face,
     if any(fi % 2 == 0 for k, fi in enumerate(face) if k != player - 1):
         raise ValueError("remaining coordinates must be intervals")
     sign = 1 if d == 2 * p else -1
-    values = dict(g.values)
-    values[face] = values[face] + sign * delta
-    out = StepGame(g.disc, g.n, values, "raw")
+    out = g.with_values({face: g.values[face] + sign * delta}).with_tag("raw")
     mapping = {}
     for k, fi in enumerate(face):
         if k == player - 1:

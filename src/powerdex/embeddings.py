@@ -52,7 +52,7 @@ def embed_coalition_semiregular(cf: CoalitionFunction) -> StepGame:
     for d in itertools.product((0, 1, 2), repeat=n):
         mask = sum(1 << i for i in range(n) if d[i] == 2)
         values[d] = cf.values[mask]
-    return StepGame(disc, n, values, TAG_SEMI_REGULAR)
+    return StepGame(disc, n, {(1,) * n: cf.values[0]}, values, TAG_SEMI_REGULAR)
 
 
 def embed_simple_semiregular(v: SimpleGame) -> StepGame:

@@ -139,12 +139,8 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
     alpha = np.array([float(a) for a in g.disc.alpha])
     p = g.p
     side = 2 * p + 1
-    flat = np.empty(side ** g.n)
-    for d, val in g.values.items():
-        idx = 0
-        for di in d:
-            idx = idx * side + di
-        flat[idx] = float(val)
+    # the face view iterates in row-major order of the doubled coordinates
+    flat = np.array([float(val) for val in g.values.values()])
 
     def exact(x):
         return evaluate_step(g, x)

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 from .indices import PowerVector, psi_exact
 from .rational import loss_constant, ordering_weight
 from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
-                      TAG_SEMI_REGULAR, adjacent_boxes, evaluate_step,
-                      face_center, make_regular_step, refine, validate,
-                      zero_game)
+                      TAG_SEMI_REGULAR, adjacent_boxes, box_faces,
+                      evaluate_step, face_center, make_regular_step, refine,
+                      validate, zero_game)
 
 
 class IncrementError(ValueError):
@@ -172,12 +172,7 @@ def classify_face(e: Face, e_bar: Face, disc: Discretization) -> FaceClassificat
         for i in range(1, len(e) + 1):
             if i in coalition:
                 continue
-            d = e[i - 1]
-            if d % 2 == 0:
-                a = disc.alpha[d // 2]
-                mapping[i] = (a, a)
-            else:
-                mapping[i] = (disc.alpha[(d - 1) // 2], disc.alpha[(d + 1) // 2])
+            mapping[i] = disc.coord_region(e[i - 1])[:2]
         domain = Domain.of(mapping)
     return FaceClassification(lower, upper, lbar, ubar, inner, matters,
                               sign, coalition, domain)
@@ -290,20 +285,15 @@ def check_local_increment(u: StepGame, v: StepGame,
 # ---------------------------------------------------------------------------
 # box increments
 
-def box_faces(e_bar: Face) -> list[Face]:
-    """All 3^n faces of a box, in descending lexicographic order."""
-    return [tuple(f) for f in itertools.product(
-        *((b + 1, b, b - 1) for b in e_bar))]
-
-
 def apply_box_increment(u: StepGame, e_bar: Face,
                         eps) -> tuple[StepGame, PowerVector]:
     """Raise the game by eps on one open box, re-averaging its faces.
 
     Every face of the box gains eps divided by its number of adjacent boxes
     (the two extreme cube corners stay pinned to 0 and 1), so regularity is
-    preserved.  The returned delta accumulates the implied per-face local
-    increments and equals the exact index difference.
+    preserved; overrides on the box's faces shift with it.  The returned
+    delta accumulates the implied per-face local increments and equals the
+    exact index difference.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -313,20 +303,21 @@ def apply_box_increment(u: StepGame, e_bar: Face,
     if any(b % 2 == 0 or not 1 <= b <= 2 * p - 1 for b in e_bar):
         raise IncrementError(f"{e_bar} is not a full-dimensional box")
     corners = {(0,) * u.n, (2 * p,) * u.n}
-    values = dict(u.values)
+    boxes = {**u.boxes, e_bar: u.boxes[e_bar] + eps}
+    faces = dict(u.faces)
     delta = [Fraction(0)] * u.n
     for e in box_faces(e_bar):
         if e in corners:
             continue
         count = len(adjacent_boxes(e, p))
-        values[e] = values[e] + eps / count
+        if e in faces:
+            faces[e] += eps / count
         cls = classify_face(e, e_bar, u.disc)
         inc = implied_increment(cls, eps / count, u.n)
         if inc is not None:
             shift = his_delta(inc)
             delta = [d + s for d, s in zip(delta, shift.shares)]
-    out = StepGame(u.disc, u.n, values,
-                   TAG_REGULAR if u.tag == TAG_REGULAR else u.tag)
+    out = StepGame(u.disc, u.n, boxes, faces, u.tag)
     report = validate(out)
     if not report.monotone:
         raise IncrementError("increment breaks monotonicity: "
@@ -522,10 +513,9 @@ def replay_appendix() -> ReplayResult:
             eps = evaluate_step(target, center) - evaluate_step(game, center)
             for inc, faces in _submoves_for_box(n, phase, box, eps):
                 prev = game
-                values = dict(game.values)
-                for e in faces:
-                    values[e] = values[e] + eps / len(adjacent_boxes(e, phase.p))
-                game = StepGame(phase, n, values, TAG_SEMI_REGULAR)
+                game = game.with_values({
+                    e: game.values[e] + eps / len(adjacent_boxes(e, phase.p))
+                    for e in faces})
                 shift = his_delta(inc)
                 psi = [a + b for a, b in zip(psi, shift.shares)]
                 ok, _ = check_local_increment(prev, game, inc)

@@ -7,14 +7,14 @@ tables) so identical inputs serialize byte-identically.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .coalitions import (CoalitionFunction, JKGame, SimpleGame, mask_of,
                          players_of)
 from .indices import PowerVector
 from .rational import format_rational, parse_rational
-from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
+# perfbench/layers.py times the completion rule through this name
+from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,  # noqa: F401
                       regular_completion)
 
 
@@ -46,6 +46,7 @@ def parse_coalition_input(obj: dict) -> CoalitionFunction:
     if "values" in obj:
         table = [Fraction(0)] * (1 << n)
         seen = set()
+        parsed: dict = {}
         for key, val in obj["values"].items():
             try:
                 mask = mask_of(_parse_key(key), n)
@@ -53,7 +54,9 @@ def parse_coalition_input(obj: dict) -> CoalitionFunction:
                 raise ValueError(f"coalition key {key!r}: {exc}") from None
             if mask in seen:
                 raise ValueError(f"coalition key {key!r} repeats an earlier key")
-            table[mask] = parse_rational(val)
+            if val not in parsed:  # tables repeat a few values, such as "1"
+                parsed[val] = parse_rational(val)
+            table[mask] = parsed[val]
             seen.add(mask)
         if len(seen) != 1 << n:
             raise ValueError("values table must be total over 2^N")
@@ -94,44 +97,39 @@ def step_game_to_json(g: StepGame) -> dict:
     """Boxes are keyed by 1-based box indices; for raw and semi-regular
     games a "faces" table lists the values that differ from the regular
     completion of the same boxes (keys are doubled face coordinates)."""
-    boxes = {}
-    box_table = {}
-    for b in g.boxes():
-        boxes[_key((d + 1) // 2 for d in b)] = format_rational(g.values[b])
-        box_table[b] = g.values[b]
+    boxes = {_key((d + 1) // 2 for d in b): format_rational(g.boxes[b])
+             for b in sorted(g.boxes)}
     out = {"n": g.n, "alpha": [format_rational(a) for a in g.disc.alpha],
            "tag": g.tag, "boxes": boxes}
-    if g.tag != TAG_REGULAR:
-        completion = regular_completion(g.disc, g.n, box_table)
-        overrides = {}
-        for d in g.faces():
-            if g.values[d] != completion[d]:
-                overrides[_key(d)] = format_rational(g.values[d])
-        if overrides:
-            out["faces"] = overrides
+    if g.tag != TAG_REGULAR and g.faces:
+        out["faces"] = {_key(d): format_rational(g.faces[d])
+                        for d in sorted(g.faces)}
     return out
 
 
 def parse_step_game(obj: dict) -> StepGame:
+    # nothing grid-sized is built here: StepGame checks the caps first
     disc = Discretization(tuple(parse_rational(a) for a in obj["alpha"]))
     n = int(obj["n"])
     tag = obj.get("tag", TAG_REGULAR)
-    box_table: dict[Face, Fraction] = {}
+    boxes: dict[Face, Fraction] = {}
     for key, val in obj["boxes"].items():
         idx = _parse_key(key)
         if len(idx) != n or any(not 1 <= i <= disc.p for i in idx):
             raise ValueError(f"box key {key!r} invalid for this grid")
-        box_table[tuple(2 * i - 1 for i in idx)] = parse_rational(val)
-    expected = set(itertools.product(range(1, 2 * disc.p, 2), repeat=n))
-    if set(box_table) != expected:
-        raise ValueError("boxes table must cover every full-dimensional box")
-    values = regular_completion(disc, n, box_table)
+        b = tuple(2 * i - 1 for i in idx)
+        if b in boxes:
+            raise ValueError(f"box key {key!r} repeats an earlier key")
+        boxes[b] = parse_rational(val)
+    faces: dict[Face, Fraction] = {}
     for key, val in obj.get("faces", {}).items():
         d = _parse_key(key)
         if len(d) != n or any(not 0 <= di <= 2 * disc.p for di in d):
             raise ValueError(f"face key {key!r} invalid for this grid")
-        values[d] = parse_rational(val)
-    return StepGame(disc, n, values, tag)
+        if d in faces:
+            raise ValueError(f"face key {key!r} repeats an earlier key")
+        faces[d] = parse_rational(val)
+    return StepGame(disc, n, boxes, faces, tag)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,20 @@ The doubled encoding makes the "exists x <= y" comparability between two
 faces coincide with componentwise <= on the encodings (points are closed,
 intervals open), so monotonicity reduces to cover relations d -> d + e_i.
 
-A step game stores one rational value per face of the grid, densely; desk
-scale is capped at n <= 6 players and ~2M table entries.
+A step game stores its JSON form: every box value, plus the faces whose
+value differs from the regular completion of the boxes; every other face
+value is derived on access.  Desk scale is capped at n <= 6 players and ~2M
+faces.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 Face = tuple[int, ...]
@@ -81,73 +85,130 @@ def uniform_grid(l: int) -> Discretization:
 
 
 def face_center(disc: Discretization, d: Face) -> tuple[Fraction, ...]:
-    out = []
-    for di in d:
-        lo, hi, _ = disc.coord_region(di)
-        out.append((lo + hi) / 2)
-    return tuple(out)
+    return tuple((lo + hi) / 2 for lo, hi, _ in map(disc.coord_region, d))
 
 
 def adjacent_boxes(d: Face, p: int) -> list[Face]:
     """E(d): the full-dimensional boxes whose closure contains face d."""
-    choices = []
-    for di in d:
-        if di % 2 == 1:
-            choices.append((di,))
-        else:
-            opts = tuple(c for c in (di - 1, di + 1) if 1 <= c <= 2 * p - 1)
-            choices.append(opts)
-    return [tuple(c) for c in itertools.product(*choices)]
+    return list(itertools.product(*(
+        (di,) if di % 2 else (1,) if di == 0 else
+        (di - 1,) if di == 2 * p else (di - 1, di + 1) for di in d)))
+
+
+def box_faces(e_bar: Face) -> list[Face]:
+    """All 3^n faces of a box, in descending lexicographic order."""
+    return [tuple(f) for f in itertools.product(
+        *((b + 1, b, b - 1) for b in e_bar))]
+
+
+def regular_completion(boxes: Mapping[Face, Fraction], p: int,
+                       d: Face) -> Fraction:
+    """The value the regular completion gives face d: 0 at the all-zeros
+    corner, 1 at the all-ones corner, the mean of the adjacent boxes
+    elsewhere."""
+    if not any(d):
+        return Fraction(0)
+    if all(di == 2 * p for di in d):
+        return Fraction(1)
+    vals = [boxes[b] for b in adjacent_boxes(d, p)]
+    if len(vals) == 1:
+        return vals[0]
+    # one integer sum over a common denominator, not one Fraction per term
+    den = lcm(*(v.denominator for v in vals))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in vals),
+                    den * len(vals))
+
+
+class FaceValues(Mapping):
+    """Read-only value of a step game at every face, derived on access."""
+
+    def __init__(self, g: "StepGame"):
+        self._g = g
+
+    def __getitem__(self, d: Face) -> Fraction:
+        g = self._g
+        val = g.faces.get(d)
+        if val is None:
+            val = g.boxes.get(d)
+        if val is None:
+            if d not in self:
+                raise KeyError(d)
+            val = regular_completion(g.boxes, g.p, d)
+        return val
+
+    def __contains__(self, d: object) -> bool:
+        return (isinstance(d, tuple) and len(d) == self._g.n
+                and min(d) >= 0 and max(d) <= 2 * self._g.p)
+
+    def __iter__(self) -> Iterator[Face]:
+        return itertools.product(range(2 * self._g.p + 1), repeat=self._g.n)
+
+    def __len__(self) -> int:
+        return (2 * self._g.p + 1) ** self._g.n
+
+    def __eq__(self, other: object) -> bool:
+        # the stored form is canonical: equal tables store equal dicts
+        u = self._g
+        if isinstance(other, FaceValues) and (u.n, u.p) == (other._g.n, other._g.p):
+            return (u.boxes, u.faces) == (other._g.boxes, other._g.faces)
+        return super().__eq__(other)
 
 
 class StepGame:
-    """A step function given by a total face-value table on a shared grid."""
+    """A step function stored as ``boxes`` (every full-dimensional box) and
+    ``faces`` (only the faces whose value differs from the regular completion
+    of the boxes, so equal functions store equal dicts).  A ``faces`` entry
+    on a box key moves that box; the box's other faces keep their values.
+    """
 
     def __init__(self, disc: Discretization, n: int,
-                 values: dict[Face, Fraction], tag: str = TAG_RAW):
+                 boxes: Mapping[Face, Fraction],
+                 faces: Mapping[Face, Fraction] | None = None,
+                 tag: str = TAG_RAW):
         if not 1 <= n <= MAX_STEP_PLAYERS:
             raise ValueError(f"player count must be in 1..{MAX_STEP_PLAYERS}")
         if tag not in _TAGS:
             raise ValueError(f"unknown tag {tag!r}")
-        size = (2 * disc.p + 1) ** n
+        p = disc.p
+        size = (2 * p + 1) ** n
         if size > MAX_TABLE_ENTRIES:
             raise ValueError(f"face table with {size} entries exceeds desk scale")
-        if len(values) != size:
-            raise ValueError(f"face table must be total ({size} entries)")
-        self.disc = disc
-        self.n = n
-        self.values = values
-        self.tag = tag
+        if len(boxes) != p ** n or not all(
+                len(b) == n and all(bi % 2 == 1 and 0 < bi < 2 * p for bi in b)
+                for b in boxes):
+            raise ValueError("boxes table must cover every full-dimensional box")
+        self.disc, self.n, self.tag = disc, n, tag
+        self.boxes, self.faces = dict(boxes), {}
+        self.values = FaceValues(self)
+        overrides = dict(faces or {})
+        for d in overrides:
+            if d not in self.values:
+                raise ValueError(f"face {d} invalid for this grid")
+        moved = {b: v for b, v in overrides.items()
+                 if b in self.boxes and v != self.boxes[b]}
+        for f in {f for b in moved for f in box_faces(b)} - overrides.keys():
+            overrides[f] = self.values[f]
+        self.boxes.update(moved)
+        self.faces = {d: v for d, v in overrides.items()
+                      if d not in self.boxes and v != self.values[d]}
 
     @property
     def p(self) -> int:
         return self.disc.p
 
-    def faces(self) -> Iterator[Face]:
-        return itertools.product(range(2 * self.p + 1), repeat=self.n)
-
-    def boxes(self) -> Iterator[Face]:
-        return itertools.product(range(1, 2 * self.p, 2), repeat=self.n)
-
-    def value(self, d: Face) -> Fraction:
-        return self.values[tuple(d)]
-
-    def box_volume(self, d: Face) -> Fraction:
-        vol = Fraction(1)
-        for di in d:
-            lo, hi, is_point = self.disc.coord_region(di)
-            if is_point:
-                return Fraction(0)
-            vol *= hi - lo
-        return vol
-
     def with_tag(self, tag: str) -> "StepGame":
-        return StepGame(self.disc, self.n, self.values, tag)
+        return StepGame(self.disc, self.n, self.boxes, self.faces, tag)
+
+    def with_values(self, updates: Mapping[Face, Fraction]) -> "StepGame":
+        """The same game with the given face values; every other face keeps
+        its value."""
+        return StepGame(self.disc, self.n, self.boxes,
+                        {**self.faces, **updates}, self.tag)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, StepGame) and self.n == other.n
                 and self.disc == other.disc and self.tag == other.tag
-                and self.values == other.values)
+                and self.boxes == other.boxes and self.faces == other.faces)
 
 
 def locate_face(disc: Discretization, x: Sequence) -> Face:
@@ -172,42 +233,18 @@ def evaluate_step(g: StepGame, x: Sequence) -> Fraction:
     return g.values[locate_face(g.disc, x)]
 
 
-def regular_completion(disc: Discretization, n: int,
-                       box_values: dict[Face, Fraction]) -> dict[Face, Fraction]:
-    """Total face table from box values: boundary faces take the mean of
-    their adjacent boxes, the all-zeros/all-ones corners are pinned to 0/1."""
-    p = disc.p
-    values: dict[Face, Fraction] = {}
-    for d in itertools.product(range(2 * p + 1), repeat=n):
-        if all(di % 2 == 1 for di in d):
-            values[d] = box_values[d]
-            continue
-        adj = adjacent_boxes(d, p)
-        values[d] = sum(box_values[b] for b in adj) / len(adj)
-    values[(0,) * n] = Fraction(0)
-    values[(2 * p,) * n] = Fraction(1)
-    return values
-
-
 def make_regular_step(disc: Discretization, box_values: dict[Face, Fraction],
-                      n: int | None = None) -> StepGame:
+                      n: int) -> StepGame:
     """Regular step game from values on the full-dimensional boxes."""
     if disc.p > MAX_GRID_P:
         raise ValueError(f"desk scale caps the grid at p <= {MAX_GRID_P}")
-    if n is None:
-        if not box_values:
-            raise ValueError("empty box table")
-        n = len(next(iter(box_values)))
-    boxes = list(itertools.product(range(1, 2 * disc.p, 2), repeat=n))
     table: dict[Face, Fraction] = {}
-    for b in boxes:
-        if b not in box_values:
-            raise ValueError(f"missing value for box {b}")
-        v = Fraction(box_values[b])
+    for b, v in box_values.items():
+        v = Fraction(v)
         if v < 0 or v > 1:
             raise ValueError(f"box value {v} outside [0, 1]")
         table[b] = v
-    return StepGame(disc, n, regular_completion(disc, n, table), TAG_REGULAR)
+    return StepGame(disc, n, table, tag=TAG_REGULAR)
 
 
 def zero_game(n: int, disc: Discretization | None = None) -> StepGame:
@@ -223,26 +260,17 @@ def refine(g: StepGame, disc2: Discretization) -> StepGame:
     """The same function re-indexed on a finer grid (raw tag)."""
     if not disc2.is_refinement_of(g.disc):
         raise ValueError("target grid must contain all breakpoints of the source")
-    old_alpha = g.disc.alpha
-    coord_map = []
-    for d2 in range(2 * disc2.p + 1):
-        if d2 % 2 == 0:
-            a = disc2.alpha[d2 // 2]
-            h = bisect_left(old_alpha, a)
-            if h < len(old_alpha) and old_alpha[h] == a:
-                coord_map.append(2 * h)
-            else:
-                coord_map.append(2 * h - 1)
-        else:
-            a = disc2.alpha[(d2 - 1) // 2]
-            h = bisect_left(old_alpha, a)
-            if h < len(old_alpha) and old_alpha[h] != a:
-                h -= 1
-            coord_map.append(2 * h + 1)
-    values = {}
-    for d in itertools.product(range(2 * disc2.p + 1), repeat=g.n):
-        values[d] = g.values[tuple(coord_map[di] for di in d)]
-    return StepGame(disc2, g.n, values, TAG_RAW)
+    # each fine coordinate lies in the coarse face holding its center
+    coord_map = locate_face(g.disc, face_center(disc2, range(2 * disc2.p + 1)))
+    # the completion of the re-indexed boxes agrees with the old completion
+    # on every fine face, so only the fine faces inside an override carry it
+    inside = [[d2 for d2, d in enumerate(coord_map) if d == d1]
+              for d1 in range(2 * g.p + 1)]
+    boxes = {b: g.boxes[tuple(coord_map[di] for di in b)]
+             for b in itertools.product(range(1, 2 * disc2.p, 2), repeat=g.n)}
+    faces = {d2: val for d, val in g.faces.items()
+             for d2 in itertools.product(*(inside[di] for di in d))}
+    return StepGame(disc2, g.n, boxes, faces, TAG_RAW)
 
 
 def pointwise_equal(u: StepGame, v: StepGame) -> bool:
@@ -258,10 +286,9 @@ def join_meet(u: StepGame, v: StepGame) -> tuple[StepGame, StepGame]:
         raise ValueError("player counts differ")
     merged = u.disc.merge(v.disc)
     ru, rv = refine(u, merged), refine(v, merged)
-    hi = {d: max(ru.values[d], rv.values[d]) for d in ru.faces()}
-    lo = {d: min(ru.values[d], rv.values[d]) for d in ru.faces()}
-    return (StepGame(merged, u.n, hi, TAG_RAW),
-            StepGame(merged, u.n, lo, TAG_RAW))
+    pairs = [(d, a, rv.values[d]) for d, a in ru.values.items()]
+    return (ru.with_values({d: max(a, b) for d, a, b in pairs}),
+            ru.with_values({d: min(a, b) for d, a, b in pairs}))
 
 
 def coarsen(v: StepGame, disc2: Discretization) -> StepGame:
@@ -278,7 +305,7 @@ def coarsen(v: StepGame, disc2: Discretization) -> StepGame:
     box_values = {}
     for cb in itertools.product(range(1, 2 * disc2.p, 2), repeat=v.n):
         covered = itertools.product(*(spans[(c - 1) // 2] for c in cb))
-        box_values[cb] = min(v.values[b] for b in covered)
+        box_values[cb] = min(v.boxes[b] for b in covered)
     return make_regular_step(disc2, box_values, v.n)
 
 
@@ -286,10 +313,12 @@ def permute_axes(g: StepGame, pi: Sequence[int]) -> StepGame:
     """(pi g)(x) = g(pi(x)) with pi(x)_i = x_{pi(i)}; pi is 1-based."""
     if sorted(pi) != list(range(1, g.n + 1)):
         raise ValueError("pi must be a permutation of 1..n")
-    values = {}
-    for d in g.faces():
-        values[d] = g.values[tuple(d[pi[i] - 1] for i in range(g.n))]
-    return StepGame(g.disc, g.n, values, g.tag)
+    inverse = sorted(range(g.n), key=lambda i: pi[i])
+
+    def image(d: Face) -> Face:
+        return tuple(d[i] for i in inverse)
+    return StepGame(g.disc, g.n, {image(b): val for b, val in g.boxes.items()},
+                    {image(d): val for d, val in g.faces.items()}, g.tag)
 
 
 @dataclass
@@ -309,49 +338,34 @@ class ValidationReport:
 def validate(g: StepGame) -> ValidationReport:
     """Check monotonicity, the claimed regularity tag and the value range.
 
-    Monotonicity is checked over all comparable face pairs; with the doubled
-    encoding comparability is componentwise <=, so cover pairs d -> d + e_i
-    suffice.
+    Cover pairs d -> d + e_i suffice.  Faces that follow the regular
+    completion take means of box values and keep every cover pair between
+    them once the box covers b -> b + 2e_i hold, so only boxes, box covers
+    and pairs touching a pinned face (override or corner) are checked.
     """
-    violations: list[str] = []
-    p = g.p
-    in_range = True
-    for d, val in g.values.items():
-        if val < 0 or val > 1:
-            in_range = False
-            violations.append(f"value {val} at face {d} outside [0, 1]")
-    monotone = True
-    for d in g.faces():
-        val = g.values[d]
-        for i in range(g.n):
-            if d[i] < 2 * p:
-                up = d[:i] + (d[i] + 1,) + d[i + 1:]
-                if val > g.values[up]:
-                    monotone = False
-                    violations.append(
-                        f"monotonicity: value {val} at {d} exceeds "
-                        f"{g.values[up]} at {up}")
-    tag_ok = True
-    if g.tag in (TAG_REGULAR, TAG_SEMI_REGULAR):
-        corners = {(0,) * g.n, (2 * p,) * g.n}
-        for d in g.faces():
-            if all(di % 2 == 1 for di in d):
-                continue
-            if g.tag == TAG_REGULAR and d in corners:
-                continue
-            if g.tag == TAG_SEMI_REGULAR and any(di in (0, 2 * p) for di in d):
-                continue
-            adj = adjacent_boxes(d, p)
-            mean = sum(g.values[b] for b in adj) / len(adj)
-            if g.values[d] != mean:
-                tag_ok = False
-                violations.append(
-                    f"{g.tag}: face {d} has {g.values[d]}, box mean is {mean}")
-        if g.tag == TAG_REGULAR:
-            if g.values[(0,) * g.n] != 0:
-                tag_ok = False
-                violations.append("regular: all-zeros corner must be 0")
-            if g.values[(2 * p,) * g.n] != 1:
-                tag_ok = False
-                violations.append("regular: all-ones corner must be 1")
-    return ValidationReport(monotone, tag_ok, in_range, violations)
+    n, top, values = g.n, 2 * g.p, g.values
+    stored = itertools.chain(g.boxes.items(), g.faces.items())
+    violations = [f"value {val} at face {d} outside [0, 1]"
+                  for d, val in stored if not 0 <= val <= 1]
+    in_range = not violations
+
+    def step(d: Face, i: int, by: int) -> Face:
+        return d[:i] + (d[i] + by,) + d[i + 1:]
+
+    covers = [(b, step(b, i, 2)) for b in g.boxes for i in range(n)
+              if b[i] + 2 < top]
+    pinned = set(g.faces) | {(0,) * n, (top,) * n}
+    for d in sorted(pinned):
+        covers += [(d, step(d, i, 1)) for i in range(n) if d[i] < top]
+        covers += [(step(d, i, -1), d) for i in range(n)
+                   if d[i] > 0 and step(d, i, -1) not in pinned]
+    broken = [f"monotonicity: value {values[lo]} at {lo} exceeds {values[hi]} at {hi}"
+              for lo, hi in covers if values[lo] > values[hi]]
+    # regular games follow the completion on every face, semi-regular ones
+    # on every face off the cube boundary
+    off_tag = [d for d in sorted(g.faces) if g.tag == TAG_REGULAR or (
+        g.tag == TAG_SEMI_REGULAR and not any(di in (0, top) for di in d))]
+    violations += broken + [
+        f"{g.tag}: face {d} has {g.faces[d]}, the regular completion gives "
+        f"{regular_completion(g.boxes, g.p, d)}" for d in off_tag]
+    return ValidationReport(not broken, not off_tag, in_range, violations)

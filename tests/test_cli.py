@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from powerdex.cli import main
 
@@ -191,6 +192,19 @@ def test_invalid_game_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["psi", path], capsys)
     assert code == 2
     assert "monoton" in json.loads(err)["error"]
+
+
+def test_oversized_step_game_exits_2_before_allocating(tmp_path, capsys):
+    # 41 grid intervals on 5 axes: the parser used to build the set of all
+    # 41^5 boxes before any size check and died with a MemoryError
+    alpha = ["0"] + [f"{h}/41" for h in range(1, 41)] + ["1"]
+    path = write(tmp_path, "big.json",
+                 {"n": 5, "alpha": alpha, "tag": "regular", "boxes": {}})
+    start = time.perf_counter()
+    code, out, err = run_cli(["psi", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "desk scale" in json.loads(err)["error"]
 
 
 def test_incomplete_jk_table_exits_2(tmp_path, capsys):

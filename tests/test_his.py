@@ -95,11 +95,8 @@ def test_check_local_increment_appendix_move(appendix):
     u2 = refine(coarsen(appendix, Discretization((F(0), F(1, 4), F(1)))),
                 Discretization((F(0), F(1, 4), F(1))))
     # rebuild u2 -> u3: +0.1 on the x2=1 edge over (0, 1/4)
-    values = dict(u2.values)
-    values[(1, 4)] = values[(1, 4)] + F(1, 10)
-    values[(2, 4)] = values[(2, 4)] + F(1, 20)
-    u3 = u2.with_tag("raw")
-    u3 = type(u2)(u2.disc, 2, values, "raw")
+    u3 = u2.with_values({(1, 4): u2.values[(1, 4)] + F(1, 10),
+                         (2, 4): u2.values[(2, 4)] + F(1, 20)})
     inc = LocalIncrement(2, frozenset({2}), F(1, 10), Domain.of({1: (0, F(1, 4))}))
     ok, witness = check_local_increment(u2, u3, inc)
     assert ok, witness

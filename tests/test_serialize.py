@@ -76,6 +76,13 @@ def test_parse_step_game_rejects_partial_tables():
                          "boxes": {"1,1": "0"}})
 
 
+def test_parse_step_game_rejects_two_keys_for_one_box():
+    # "1, 1" and "1,1" name the same box
+    with pytest.raises(ValueError, match="'1,1'"):
+        parse_step_game({"n": 2, "alpha": ["0", "1"], "tag": "regular",
+                         "boxes": {"1, 1": "0", "1,1": "0"}})
+
+
 def test_power_vector_serialization(appendix):
     pv = psi_exact(appendix)
     blob = power_vector_to_json(pv, "psi", with_c=True)

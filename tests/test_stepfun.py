@@ -95,7 +95,7 @@ def test_join_meet_identities(appendix, rng):
     hi, lo = join_meet(u, v)
     ru = refine(u, hi.disc)
     rv = refine(v, hi.disc)
-    for d in hi.faces():
+    for d in hi.values:
         assert hi.values[d] >= max(ru.values[d], rv.values[d]) - 0  # max
         assert hi.values[d] + lo.values[d] == ru.values[d] + rv.values[d]
         assert lo.values[d] <= min(ru.values[d], rv.values[d])
@@ -131,7 +131,7 @@ def test_regular_averaging_invariant(rng):
     for _ in range(20):
         g = random_regular_game(rng, rng.randrange(1, 4), rng.randrange(1, 4))
         corners = {(0,) * g.n, (2 * g.p,) * g.n}
-        for d in g.faces():
+        for d in g.values:
             if all(di % 2 == 1 for di in d) or d in corners:
                 continue
             adj = adjacent_boxes(d, g.p)
