@@ -361,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError,
+            MemoryError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__},
                          sort_keys=True), file=sys.stderr)
         return 2

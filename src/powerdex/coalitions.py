@@ -25,8 +25,7 @@ class Coalition:
     n: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_PLAYERS:
-            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
+        check_players(self.n)
         if self.mask < 0 or self.mask >= (1 << self.n):
             raise ValueError("coalition members outside 1..n")
 
@@ -42,6 +41,13 @@ class Coalition:
 
     def __contains__(self, player: int) -> bool:
         return 1 <= player <= self.n and bool(self.mask >> (player - 1) & 1)
+
+
+def check_players(n: int) -> None:
+    """Reject a player count outside 1..MAX_PLAYERS, before any table over
+    2^N is allocated."""
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
 
 
 def mask_of(players: Iterable[int], n: int) -> int:
@@ -65,8 +71,7 @@ class CoalitionFunction:
     """A total map 2^N -> Q.  Not required to be monotone or 0/1-valued."""
 
     def __init__(self, n: int, values: Sequence[Fraction | int]):
-        if not 1 <= n <= MAX_PLAYERS:
-            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
+        check_players(n)
         if len(values) != 1 << n:
             raise ValueError(f"need a total table with {1 << n} entries")
         self.n = n
@@ -80,6 +85,7 @@ class CoalitionFunction:
         With ``closure`` the list is treated as generators and closed upward;
         without it the list is exhaustive, which permits non-monotone games.
         """
+        check_players(n)
         table = [Fraction(0)] * (1 << n)
         masks = [mask_of(c, n) for c in winning]
         if closure:
@@ -134,6 +140,7 @@ class SimpleGame:
     def weighted(cls, quota, weights: Sequence) -> "SimpleGame":
         """[q; w_1, ..., w_n]: S wins iff sum of its weights reaches the quota."""
         n = len(weights)
+        check_players(n)
         q = Fraction(quota)
         w = [Fraction(x) for x in weights]
         table = [Fraction(1) if sum(w[i] for i in range(n) if m >> i & 1) >= q

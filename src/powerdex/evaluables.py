@@ -8,6 +8,7 @@ v(0)=0 and v(1)=1 by construction.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -139,8 +140,12 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
     alpha = np.array([float(a) for a in g.disc.alpha])
     p = g.p
     side = 2 * p + 1
-    # the face view iterates in row-major order of the doubled coordinates
-    flat = np.array([float(val) for val in g.values.values()])
+
+    @functools.cache
+    def flat() -> np.ndarray:
+        # built on the first float call: the exact path never needs it.  The
+        # face view iterates in row-major order of the doubled coordinates
+        return np.array([float(val) for val in g.values.values()])
 
     def exact(x):
         return evaluate_step(g, x)
@@ -155,6 +160,6 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
             on_point = alpha[np.minimum(h, p)] == col
             d = np.where(on_point, 2 * h, 2 * h - 1)
             idx = idx * side + d
-        return flat[idx]
+        return flat()[idx]
 
     return EvaluableGame(g.n, exact, array, True, "step_game")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,10 +20,11 @@ from .evaluables import EvaluableGame, step_game_evaluable
 from .rational import ordering_weight
 from .stepfun import StepGame
 
-MAX_EXACT_PSI_PLAYERS = 6
 MAX_ROLL_CALL_PLAYERS = 8
 MAX_POINT_PLAYERS = 8
 MAX_ORACLE_PLAYERS = 12
+# psi_mc holds one float64 per sample and coalition: 2^27 cells are 1 GiB
+MAX_MC_CELLS = 1 << 27
 
 
 @dataclass
@@ -100,6 +101,35 @@ def psi_from_c(c: Mapping[int, Fraction] | Sequence[Fraction],
     return _exact(shares)
 
 
+def c_table(value, n: int, lo, hi, atoms) -> dict[int, Fraction]:
+    """The C-table of a game under a product measure on profiles.
+
+    C(T) = sum over the free players' atoms x of prod weight(x) *
+    (value(T at ``hi``, rest at x) - value(T at ``lo``, rest at x)), for
+    every coalition bitmask T.  ``atoms`` lists (weight, coordinate) pairs,
+    the same for every player, and ``value`` maps a profile tuple to a
+    rational.  Each coalition's sum runs in integers over one common
+    denominator, like ``psi_from_c``.
+    """
+    wden = lcm(*(Fraction(w).denominator for w, _ in atoms))
+    wnums = [int(Fraction(w) * wden) for w, _ in atoms]
+    coords = [x for _, x in atoms]
+    table = {0: Fraction(0)}
+    for t in range(1, 1 << n):
+        free = n - t.bit_count()
+        ups = [value(x) for x in itertools.product(
+            *([hi] if t >> i & 1 else coords for i in range(n)))]
+        downs = [value(x) for x in itertools.product(
+            *([lo] if t >> i & 1 else coords for i in range(n)))]
+        den = lcm(*(x.denominator for x in ups), *(x.denominator for x in downs))
+        total = sum(prod(w) * (a.numerator * (den // a.denominator)
+                               - b.numerator * (den // b.denominator))
+                    for w, a, b in zip(itertools.product(wnums, repeat=free),
+                                       ups, downs))
+        table[t] = Fraction(total, den * wden ** free)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # finite games
 
@@ -174,20 +204,8 @@ def jk_ssi_pivot(v: JKGame) -> PowerVector:
 
 def jk_boundary_averages(v: JKGame) -> dict[int, Fraction]:
     """Discrete C(v,T): mean gap between full and zero approval of T."""
-    n, j, k = v.n, v.j, v.k
-    c: dict[int, Fraction] = {0: Fraction(0)}
-    for t_mask in range(1, 1 << n):
-        free = [i for i in range(n) if not t_mask >> i & 1]
-        total = 0
-        for xf in itertools.product(range(j), repeat=len(free)):
-            hi = [j - 1] * n
-            lo = [0] * n
-            for i, xi in zip(free, xf):
-                hi[i] = xi
-                lo[i] = xi
-            total += v.values[tuple(hi)] - v.values[tuple(lo)]
-        c[t_mask] = Fraction(total, j ** len(free) * (k - 1))
-    return c
+    return c_table(lambda x: Fraction(v.values[x], v.k - 1), v.n, 0, v.j - 1,
+                   [(Fraction(1, v.j), x) for x in range(v.j)])
 
 
 def jk_ssi_marginal(v: JKGame) -> PowerVector:
@@ -202,31 +220,16 @@ def boundary_averages(g: StepGame) -> BoundaryAverages:
     """Exact C(v,T) for a step game: for each box of the grid restricted to
     the free coordinates, its volume times the gap between the face with T
     pinned to 1 and the face with T pinned to 0."""
-    n, p = g.n, g.p
-    table: dict[int, Fraction] = {0: Fraction(0)}
-    widths = [g.disc.alpha[h + 1] - g.disc.alpha[h] for h in range(p)]
-    for t_mask in range(1, 1 << n):
-        free = [i for i in range(n) if not t_mask >> i & 1]
-        acc = Fraction(0)
-        for box in itertools.product(range(1, 2 * p, 2), repeat=len(free)):
-            hi = [2 * p] * n
-            lo = [0] * n
-            vol = Fraction(1)
-            for i, b in zip(free, box):
-                hi[i] = b
-                lo[i] = b
-                vol *= widths[(b - 1) // 2]
-            acc += vol * (g.values[tuple(hi)] - g.values[tuple(lo)])
-        table[t_mask] = acc
-    return BoundaryAverages(n, table)
+    alpha = g.disc.alpha
+    atoms = [(alpha[h + 1] - alpha[h], 2 * h + 1) for h in range(g.p)]
+    return BoundaryAverages(g.n, c_table(g.values.__getitem__, g.n, 0,
+                                         2 * g.p, atoms))
 
 
 def psi_exact(g: StepGame) -> PowerVector:
     """Exact index of a step game via its boundary averages.  Only values on
     faces touching the cube boundary enter, so raw and semi-regular tables
     are accepted as-is."""
-    if g.n > MAX_EXACT_PSI_PLAYERS:
-        raise ValueError(f"exact index capped at n <= {MAX_EXACT_PSI_PLAYERS}")
     c = boundary_averages(g).table
     out = psi_from_c(c, g.n)
     out.c_table = c
@@ -263,17 +266,7 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
     a = Fraction(alpha)
     if a < 0 or a > 1:
         raise ValueError("alpha must lie in [0, 1]")
-    memo: dict[tuple, Fraction] = {}
-
-    def val(t_mask: int, pin: Fraction) -> Fraction:
-        pt = tuple(pin if t_mask >> i & 1 else a for i in range(n))
-        if pt not in memo:
-            memo[pt] = game.eval_exact(pt)
-        return memo[pt]
-
-    # the pinned table c(T) = v(1_T, a) - v(0_T, a)
-    c = {t: val(t, Fraction(1)) - val(t, Fraction(0)) for t in range(1 << n)}
-    return psi_from_c(c, n)
+    return psi_from_c(c_table(game.eval_exact, n, 0, 1, [(1, a)]), n)
 
 
 def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
@@ -289,6 +282,9 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
     n = game.n
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples << n > MAX_MC_CELLS:
+        raise ValueError(f"samples * 2^n = {samples << n} exceeds the "
+                         f"Monte-Carlo cap of {MAX_MC_CELLS} cells")
     rng = np.random.default_rng(seed)
     pts = rng.random((samples, n)) if sampler is None else \
         np.asarray(sampler(rng, samples, n), dtype=np.float64)

@@ -8,21 +8,34 @@ Monte-Carlo estimator.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import factorial
 
 MAX_PLAYERS = 20
 
 _FACTORIALS = [factorial(k) for k in range(MAX_PLAYERS + 1)]
+_RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse a rational from a "p/q" (or plain integer / decimal) string."""
+    """Parse a rational from a "p/q" (or plain integer / decimal) string.
+
+    No other form is read: ``Fraction`` would also take exponent notation,
+    and "1e999999999" makes it compute a billion-digit power of ten.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    text = str(text).strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not a rational: write p/q, an integer "
+                         "or a plain decimal")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 def format_rational(value: Fraction) -> str:

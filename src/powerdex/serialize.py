@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coalitions import (CoalitionFunction, JKGame, SimpleGame, mask_of,
-                         players_of)
+from .coalitions import (CoalitionFunction, JKGame, SimpleGame, check_players,
+                         mask_of, players_of)
 from .indices import PowerVector
 from .rational import format_rational, parse_rational
 # perfbench/layers.py times the completion rule through this name
@@ -44,6 +44,7 @@ def parse_coalition_input(obj: dict) -> CoalitionFunction:
     false) or {"n", "values": {"players": "p/q"}} with a total table."""
     n = int(obj["n"])
     if "values" in obj:
+        check_players(n)
         table = [Fraction(0)] * (1 << n)
         seen = set()
         parsed: dict = {}

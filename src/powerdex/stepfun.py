@@ -31,7 +31,6 @@ Face = tuple[int, ...]
 
 MAX_STEP_PLAYERS = 6
 MAX_TABLE_ENTRIES = 2_000_000
-MAX_GRID_P = 5
 
 TAG_RAW = "raw"
 TAG_SEMI_REGULAR = "semi_regular"
@@ -236,8 +235,6 @@ def evaluate_step(g: StepGame, x: Sequence) -> Fraction:
 def make_regular_step(disc: Discretization, box_values: dict[Face, Fraction],
                       n: int) -> StepGame:
     """Regular step game from values on the full-dimensional boxes."""
-    if disc.p > MAX_GRID_P:
-        raise ValueError(f"desk scale caps the grid at p <= {MAX_GRID_P}")
     table: dict[Face, Fraction] = {}
     for b, v in box_values.items():
         v = Fraction(v)

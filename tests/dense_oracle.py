@@ -1,6 +1,6 @@
 """Dense reference for step games, used only as a test oracle: the full face
-table of a box table, and a validator that checks every face and every cover
-pair."""
+table of a box table, a validator that checks every face and every cover
+pair, and the boundary averages read off the full table."""
 
 import itertools
 from fractions import Fraction
@@ -42,3 +42,27 @@ def dense_validate(p: int, n: int, values: dict, tag: str) -> tuple[bool, bool, 
         if tag == "regular":
             tag_ok = tag_ok and values[(0,) * n] == 0 and values[(2 * p,) * n] == 1
     return monotone, tag_ok, in_range
+
+
+def dense_boundary_averages(disc, n: int, values: dict) -> dict:
+    """C(v,T) for every coalition bitmask T from the dense face table: for
+    each box of the grid restricted to the free coordinates, its volume times
+    the gap between the face with T pinned to 1 and the face with T pinned
+    to 0."""
+    p = disc.p
+    widths = [disc.alpha[h + 1] - disc.alpha[h] for h in range(p)]
+    table = {0: Fraction(0)}
+    for t_mask in range(1, 1 << n):
+        free = [i for i in range(n) if not t_mask >> i & 1]
+        acc = Fraction(0)
+        for box in itertools.product(range(1, 2 * p, 2), repeat=len(free)):
+            hi = [2 * p] * n
+            lo = [0] * n
+            vol = Fraction(1)
+            for i, b in zip(free, box):
+                hi[i] = b
+                lo[i] = b
+                vol *= widths[(b - 1) // 2]
+            acc += vol * (values[tuple(hi)] - values[tuple(lo)])
+        table[t_mask] = acc
+    return table

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from powerdex.cli import main
 
 
@@ -211,3 +213,59 @@ def test_incomplete_jk_table_exits_2(tmp_path, capsys):
     path = write(tmp_path, "big.json", {"n": 9, "j": 2, "k": 2, "values": {}})
     code, _, err = run_cli(["jk-ssi", path], capsys)
     assert code == 2
+
+
+def test_coarsen_accepts_grids_beyond_five_intervals(tmp_path, capsys):
+    # psi accepted this 8-interval game, but coarsen used to exit 2 with
+    # "desk scale caps the grid at p <= 5" on the way to a 6-interval grid
+    alpha = ["0"] + [f"{h}/8" for h in range(1, 8)] + ["1"]
+    path = write(tmp_path, "g.json",
+                 {"n": 1, "alpha": alpha, "tag": "regular",
+                  "boxes": {str(h + 1): f"{h}/8" for h in range(8)}})
+    code, out, _ = run_cli(["coarsen", path, "--alpha",
+                            "0,1/8,1/4,3/8,1/2,5/8,1"], capsys)
+    assert code == 0
+    boxes = json.loads(out)["boxes"]
+    assert len(boxes) == 6 and boxes["6"] == "5/8"
+
+
+# A child process limited to 1.5 GB of address space runs the CLI and
+# reports on its last stderr line how long ``main`` took; a traceback never
+# reaches that line.
+_CAPPED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+from powerdex.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, game, extra, needle", [
+    # each used to end in a traceback with exit 1, or (the exponent) in a
+    # parse of more than 20 s
+    ("psi", {"n": 1, "alpha": ["0", "1"], "tag": "regular",
+             "boxes": {"1": "1/0"}}, [], "zero denominator"),
+    ("psi", {"n": 1, "alpha": ["0", "1/0", "1"], "tag": "regular",
+             "boxes": {"1": "0", "2": "1"}}, [], "zero denominator"),
+    ("ssi", {"n": 1, "values": {"": "0", "1": "1/0"}}, [], "zero denominator"),
+    ("psi", {"n": 1, "alpha": ["0", "1"], "tag": "regular",
+             "boxes": {"1": "1e999999999"}}, [], "'1e999999999'"),
+    ("ssi", {"n": 40, "values": {}}, [], "player count"),
+    ("ssi", {"n": 30, "winning": [[1]]}, [], "player count"),
+    ("ssi", {"n": 100000, "values": {}}, [], "player count"),
+    ("psi", {"n": 6, "alpha": ["0", "1"], "tag": "regular",
+             "boxes": {"1,1,1,1,1,1": "0"}},
+     ["--mc", "--samples", "20000000"], "Monte-Carlo cap"),
+])
+def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
+                                                   extra, needle):
+    path = write(tmp_path, "game.json", game)
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, command, path,
+                           *extra], capture_output=True, text=True, timeout=60)
+    diagnostic, took = proc.stderr.strip().split("\n")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert needle in json.loads(diagnostic)["error"]
+    assert float(took) < 1

@@ -103,3 +103,13 @@ def test_semiregular_embedding_of_non_monotone_is_flagged():
     g = embed_coalition_semiregular(cf)
     report = validate(g)
     assert not report.monotone
+
+
+def test_embedding_of_six_level_games(rng):
+    # the natural embedding of a j=6 game has 6 intervals per axis, which
+    # make_regular_step used to reject although jk_ssi_marginal works
+    for _ in range(5):
+        v = random_monotone_jk(rng, 2, 6, 3)
+        g = embed_jk(v)
+        assert g.p == 6 and validate(g).ok
+        assert psi_exact(g) == jk_ssi_marginal(v)

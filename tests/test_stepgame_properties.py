@@ -7,9 +7,10 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_completion, dense_validate
+from dense_oracle import (dense_boundary_averages, dense_completion,
+                          dense_validate)
 from powerdex.his import apply_box_increment
-from powerdex.indices import psi_exact
+from powerdex.indices import boundary_averages, psi_exact
 from powerdex.sampling import random_discretization, random_regular_game
 from powerdex.serialize import parse_step_game, step_game_to_json
 from powerdex.stepfun import StepGame, validate
@@ -75,3 +76,18 @@ def test_box_increment_delta_is_exact_share_difference(seed, n, p, scale):
     assert validate(out).ok
     assert delta.shares == tuple(a - b for a, b in
                                  zip(psi_exact(out).shares, psi_exact(g).shares))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_games(), st.data())
+def test_boundary_averages_match_dense_table(case, data):
+    # overrides on faces touching the cube boundary are the ones C reads
+    g, table = case
+    top = 2 * g.p
+    boundary = [d for d in table if any(di in (0, top) for di in d)]
+    updates = {d: data.draw(values) for d in
+               data.draw(st.lists(st.sampled_from(boundary), max_size=6))}
+    g = g.with_values(updates)
+    table.update(updates)
+    assert boundary_averages(g).table == dense_boundary_averages(g.disc, g.n,
+                                                                 table)
