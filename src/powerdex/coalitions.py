@@ -16,6 +16,9 @@ from .rational import MAX_PLAYERS
 
 Level = tuple[int, ...]
 
+# 0/1 tables share these two values instead of building one per coalition
+ZERO, ONE = Fraction(0), Fraction(1)
+
 
 @dataclass(frozen=True)
 class Coalition:
@@ -75,7 +78,8 @@ class CoalitionFunction:
         if len(values) != 1 << n:
             raise ValueError(f"need a total table with {1 << n} entries")
         self.n = n
-        self.values = [Fraction(v) for v in values]
+        self.values = [v if isinstance(v, Fraction) else Fraction(v)
+                       for v in values]
 
     @classmethod
     def from_winning(cls, n: int, winning: Iterable[Iterable[int]],
@@ -86,15 +90,15 @@ class CoalitionFunction:
         without it the list is exhaustive, which permits non-monotone games.
         """
         check_players(n)
-        table = [Fraction(0)] * (1 << n)
+        table = [ZERO] * (1 << n)
         masks = [mask_of(c, n) for c in winning]
         if closure:
             for m in range(1 << n):
                 if any(m & w == w for w in masks):
-                    table[m] = Fraction(1)
+                    table[m] = ONE
         else:
             for w in masks:
-                table[w] = Fraction(1)
+                table[w] = ONE
         return cls(n, table)
 
     def value(self, coalition: Iterable[int] | int) -> Fraction:
@@ -143,8 +147,8 @@ class SimpleGame:
         check_players(n)
         q = Fraction(quota)
         w = [Fraction(x) for x in weights]
-        table = [Fraction(1) if sum(w[i] for i in range(n) if m >> i & 1) >= q
-                 else Fraction(0) for m in range(1 << n)]
+        table = [ONE if sum(w[i] for i in range(n) if m >> i & 1) >= q
+                 else ZERO for m in range(1 << n)]
         return cls(CoalitionFunction(n, table))
 
     def value(self, coalition: Iterable[int] | int) -> Fraction:

@@ -18,14 +18,21 @@ from .stepfun import StepGame, evaluate_step
 
 
 class EvaluableGame:
-    """A function [0,1]^n -> [0,1], monotone when the flag says so."""
+    """A function [0,1]^n -> [0,1], monotone when the flag says so.
+
+    ``cells(points)`` may group points on which the game agrees after any
+    coordinates are pinned to 0 or 1; it returns one representative point
+    per cell and, for each point, the index of its cell.
+    """
 
     def __init__(self, n: int, exact: Callable | None,
                  array: Callable[[np.ndarray], np.ndarray],
-                 monotone: bool = True, name: str = "custom"):
+                 monotone: bool = True, name: str = "custom",
+                 cells: Callable | None = None):
         self.n = n
         self._exact = exact
         self._array = array
+        self._cells = cells
         self.monotone = monotone
         self.name = name
 
@@ -39,12 +46,22 @@ class EvaluableGame:
             raise ValueError("point outside the unit cube")
         return Fraction(self._exact(pt))
 
-    def eval_array(self, points: np.ndarray) -> np.ndarray:
-        """Values at an (m, n) array of points, as float64."""
+    def _points(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"expected an (m, {self.n}) array")
-        return np.asarray(self._array(pts), dtype=np.float64)
+        return pts
+
+    def eval_array(self, points: np.ndarray) -> np.ndarray:
+        """Values at an (m, n) array of points, as float64."""
+        return np.asarray(self._array(self._points(points)), dtype=np.float64)
+
+    def cells(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(representatives, inverse) with ``points[k]`` in the cell of
+        ``representatives[inverse[k]]``; inverse None when each point is its
+        own cell."""
+        pts = self._points(points)
+        return (pts, None) if self._cells is None else self._cells(pts)
 
 
 def weighted_mean_game(weights: Sequence,
@@ -136,22 +153,22 @@ def counterexample_game(n: int = 2) -> EvaluableGame:
 
 def step_game_evaluable(g: StepGame) -> EvaluableGame:
     """Wrap a step game; the float path resolves faces by binary search, with
-    exact breakpoint hits (the forced 0/1 coordinates) landing on point faces."""
+    exact breakpoint hits (the forced 0/1 coordinates) landing on point faces.
+    A point's face fixes the faces of its pinned copies, so faces are cells.
+    """
     alpha = np.array([float(a) for a in g.disc.alpha])
     p = g.p
-    side = 2 * p + 1
+    shape = (2 * p + 1,) * g.n
 
     @functools.cache
-    def flat() -> np.ndarray:
-        # built on the first float call: the exact path never needs it.  The
-        # face view iterates in row-major order of the doubled coordinates
-        return np.array([float(val) for val in g.values.values()])
+    def table() -> np.ndarray:
+        # float value of each face in row-major order, NaN until first read;
+        # allocated on the first float call: the exact path never needs it
+        return np.full((2 * p + 1) ** g.n, np.nan)
 
-    def exact(x):
-        return evaluate_step(g, x)
-
-    def array(pts):
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
+    def face_index(pts: np.ndarray) -> np.ndarray:
+        # NaN fails both comparisons, so it is rejected too
+        if not (np.all(pts >= 0.0) and np.all(pts <= 1.0)):
             raise ValueError("point outside the unit cube")
         idx = np.zeros(pts.shape[0], dtype=np.int64)
         for i in range(g.n):
@@ -159,7 +176,23 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
             h = np.searchsorted(alpha, col, side="left")
             on_point = alpha[np.minimum(h, p)] == col
             d = np.where(on_point, 2 * h, 2 * h - 1)
-            idx = idx * side + d
-        return flat()[idx]
+            idx = idx * shape[i] + d
+        return idx
 
-    return EvaluableGame(g.n, exact, array, True, "step_game")
+    def exact(x):
+        return evaluate_step(g, x)
+
+    def array(pts):
+        idx, values = face_index(pts), table()
+        new = np.unique(idx[np.isnan(values[idx])])
+        for k, d in zip(new.tolist(),
+                        np.transpose(np.unravel_index(new, shape)).tolist()):
+            values[k] = float(g.values[tuple(d)])
+        return values[idx]
+
+    def cells(pts):
+        _, first, inverse = np.unique(face_index(pts), return_index=True,
+                                      return_inverse=True)
+        return pts[first], inverse
+
+    return EvaluableGame(g.n, exact, array, True, "step_game", cells)

@@ -277,6 +277,11 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
     the C-differences strongly correlated and the estimator variance low.
     ``sampler(rng, m, n)`` may supply points from an exchangeable density
     instead of the uniform default.  Deterministic for a given seed.
+
+    The game is evaluated once per cell of ``game.cells``, and the per-cell
+    arrays are expanded to one entry per sample only where they are
+    averaged, so every per-sample float and every mean is the same as when
+    each sample is evaluated on its own.
     """
     game = _as_evaluable(v)
     n = game.n
@@ -288,11 +293,18 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     pts = rng.random((samples, n)) if sampler is None else \
         np.asarray(sampler(rng, samples, n), dtype=np.float64)
-    deltas: dict[int, np.ndarray] = {0: np.zeros(samples)}
+    if len(pts) != samples:
+        raise ValueError(f"sampler returned {len(pts)} points, not {samples}")
+    reps, inverse = game.cells(pts)
+
+    def per_sample(a: np.ndarray) -> np.ndarray:
+        return a if inverse is None else a[inverse]
+
+    deltas: dict[int, np.ndarray] = {0: np.zeros(len(reps))}
     for t_mask in range(1, 1 << n):
         cols = [i for i in range(n) if t_mask >> i & 1]
-        hi = pts.copy()
-        lo = pts.copy()
+        hi = reps.copy()
+        lo = reps.copy()
         hi[:, cols] = 1.0
         lo[:, cols] = 0.0
         deltas[t_mask] = game.eval_array(hi) - game.eval_array(lo)
@@ -300,15 +312,16 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
     estimates, errors = [], []
     for i in range(n):
         bit = 1 << i
-        g_i = np.zeros(samples)
+        g_i = np.zeros(len(reps))
         for s_mask in range(1 << n):
             if s_mask & bit:
                 w = weights[s_mask.bit_count()]
                 g_i += w * (deltas[s_mask] - deltas[s_mask ^ bit])
+        g_i = per_sample(g_i)
         estimates.append(float(g_i.mean()))
         spread = float(g_i.std(ddof=1)) if samples > 1 else 0.0
         errors.append(spread / samples ** 0.5)
-    c_est = {m: float(d.mean()) for m, d in deltas.items()}
+    c_est = {m: float(per_sample(d).mean()) for m, d in deltas.items()}
     return PowerVector(tuple(estimates), "mc", tuple(errors),
                        samples=samples, seed=seed, c_table=c_est)
 

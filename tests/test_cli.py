@@ -102,6 +102,48 @@ def test_psi_mc_deterministic_output(tmp_path, capsys):
     assert payload["mode"] == "mc" and payload["seed"] == 7
 
 
+# A semi-regular game with 21 boundary overrides, some of them on faces that
+# pinned sample points reach.  The expected outputs were recorded with the
+# estimator that evaluated every sample on its own; evaluating once per face
+# cell must keep every byte.
+SEMI_REGULAR = {
+    "n": 3, "alpha": ["0", "1/3", "1"], "tag": "semi_regular",
+    "boxes": {"1,1,1": "1/3", "1,1,2": "1/3", "1,2,1": "11/12",
+              "1,2,2": "11/12", "2,1,1": "1/2", "2,1,2": "1/2",
+              "2,2,1": "11/12", "2,2,2": "11/12"},
+    "faces": {"0,0,1": "0", "0,0,2": "0", "0,0,3": "0", "0,0,4": "0",
+              "0,3,0": "37/48", "0,3,1": "37/48", "0,4,0": "27/32",
+              "1,0,0": "1/6", "1,3,0": "27/32", "2,1,4": "11/24",
+              "2,2,0": "31/48", "3,0,0": "11/24", "3,0,1": "23/48",
+              "3,1,0": "11/24", "3,4,4": "23/24", "4,0,0": "23/48",
+              "4,0,1": "47/96", "4,1,0": "23/48", "4,1,4": "29/48",
+              "4,2,4": "13/16", "4,3,4": "23/24"}}
+PSI_MC_SEED_3 = (
+    '{"index": "psi", "mode": "mc", "samples": 3000, "seed": 3'
+    ', "shares": [[0.27357060185185184, 0.0011393778713957613]'
+    ', [0.6513414351851851, 0.0008834589020133099], [0.075087962962963'
+    ', 0.00033457428973385683]]}'
+    '\n')
+PSI_MC_WITH_C = (
+    '{"C": {"": 0.0, "1": 0.08794458333333333'
+    ', "1,2": 0.9166666666666665, "1,2,3": 1.0'
+    ', "1,3": 0.21537083333333332, "2": 0.4767995833333333'
+    ', "2,3": 0.583315, "3": 0.02553864583333333}, "index": "psi"'
+    ', "mode": "mc", "samples": 100000, "seed": 0'
+    ', "shares": [[0.27315973958333334, 0.00019836738992310915]'
+    ', [0.6515593229166665, 0.00015375624643872344]'
+    ', [0.07528093750000002, 5.823562922465701e-05]]}'
+    '\n')
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--mc", "--samples", "3000", "--seed", "3"], PSI_MC_SEED_3),
+    (["--mc", "--with-c"], PSI_MC_WITH_C)])
+def test_psi_mc_stdout_is_pinned(tmp_path, capsys, argv, expected):
+    path = write(tmp_path, "semi.json", SEMI_REGULAR)
+    assert run_cli(["psi", path] + argv, capsys) == (0, expected, "")
+
+
 def test_embed_and_round_trip(tmp_path, capsys):
     jk = {"n": 2, "j": 2, "k": 2,
           "values": {"0,0": 0, "0,1": 0, "1,0": 0, "1,1": 1}}

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from powerdex.coalitions import (Coalition, CoalitionFunction, JKGame,
                                  SimpleGame, all_simple_games,
                                  random_monotone_jk, random_simple_game)
+from powerdex.indices import ssi_coalition
 
 
 def test_coalition_basics():
@@ -72,3 +75,25 @@ def test_random_generators_produce_valid_games(rng):
         jk = random_monotone_jk(rng, rng.randrange(1, 4),
                                 rng.randrange(2, 4), rng.randrange(2, 4))
         assert jk.values[(0,) * jk.n] == 0
+
+
+def test_zero_one_tables_keep_their_values_and_shares():
+    # 0/1 tables share one Fraction(0) and one Fraction(1), and the
+    # constructor keeps Fraction values as given: no value or share moves
+    n = 12
+    cf = CoalitionFunction.from_winning(n, [[i] for i in range(1, 7)])
+    assert cf.values == [Fraction(int(m & 0b111111 != 0)) for m in range(1 << n)]
+    assert ssi_coalition(cf).shares == (Fraction(1, 6),) * 6 + (0,) * 6
+    listed = CoalitionFunction.from_winning(3, [[1], [1, 3], [1, 2, 3]],
+                                            closure=False)
+    assert listed.values == [0, 1, 0, 0, 0, 1, 0, 1]
+    assert ssi_coalition(listed).shares == (Fraction(5, 6), Fraction(-1, 6),
+                                            Fraction(1, 3))
+    weighted = SimpleGame.weighted(Fraction(5, 2), [2, 1, Fraction(1, 2)])
+    assert weighted.inner.values == [0, 0, 0, 1, 0, 1, 0, 1]
+    assert ssi_coalition(weighted).shares == (Fraction(2, 3), Fraction(1, 6),
+                                              Fraction(1, 6))
+    half = Fraction(1, 2)
+    kept = CoalitionFunction(1, [0, half])
+    assert kept.values[1] is half
+    assert all(type(v) is Fraction for v in kept.values + cf.values)

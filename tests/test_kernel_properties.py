@@ -63,13 +63,13 @@ def permutation_point(game, a) -> tuple:
     return tuple(s / factorial(n) for s in shares)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(simple_games())
 def test_kernel_matches_roll_call(v):
     assert ssi_coalition(v) == ssi_roll_call(v, "all_yes")
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.randoms(use_true_random=False),
        st.sampled_from([(1, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 4), (3, 2, 2),
                         (3, 3, 3), (4, 2, 2)]))
@@ -78,13 +78,13 @@ def test_kernel_matches_jk_pivot(rng, shape):
     assert jk_ssi_marginal(v) == jk_ssi_pivot(v)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(rational_tables())
 def test_kernel_matches_direct_sum_on_rational_tables(cf):
     assert ssi_coalition(cf).shares == direct_sum(cf)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3),
        st.fractions(min_value=0, max_value=1, max_denominator=12))
 def test_point_variant_matches_permutation_sum(rng, n, p, a):

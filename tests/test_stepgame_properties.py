@@ -4,16 +4,19 @@ against the dense face table of ``dense_oracle``."""
 import random
 from fractions import Fraction as F
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import (dense_boundary_averages, dense_completion,
                           dense_validate)
+from powerdex.evaluables import EvaluableGame, step_game_evaluable
 from powerdex.his import apply_box_increment
-from powerdex.indices import boundary_averages, psi_exact
+from powerdex.indices import boundary_averages, psi_exact, psi_mc
 from powerdex.sampling import random_discretization, random_regular_game
 from powerdex.serialize import parse_step_game, step_game_to_json
-from powerdex.stepfun import StepGame, validate
+from powerdex.stepfun import FaceValues, StepGame, validate
 
 TAGS = ("raw", "semi_regular", "regular")
 values = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=12)
@@ -39,7 +42,7 @@ def dense_games(draw):
     return StepGame(disc, n, boxes, overrides, draw(st.sampled_from(TAGS))), table
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(dense_games())
 def test_box_native_form_matches_dense_table(case):
     g, table = case
@@ -51,7 +54,7 @@ def test_box_native_form_matches_dense_table(case):
         assert parse_step_game(step_game_to_json(g)) == g
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(dense_games(), st.data())
 def test_with_values_keeps_every_other_face(case, data):
     g, table = case
@@ -62,7 +65,7 @@ def test_with_values_keeps_every_other_face(case, data):
     assert dict(g.with_values(updates).values) == table
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32), st.integers(2, 4), st.integers(1, 3),
        st.integers(1, 3))
 def test_box_increment_delta_is_exact_share_difference(seed, n, p, scale):
@@ -78,7 +81,7 @@ def test_box_increment_delta_is_exact_share_difference(seed, n, p, scale):
                                  zip(psi_exact(out).shares, psi_exact(g).shares))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(dense_games(), st.data())
 def test_boundary_averages_match_dense_table(case, data):
     # overrides on faces touching the cube boundary are the ones C reads
@@ -91,3 +94,60 @@ def test_boundary_averages_match_dense_table(case, data):
     table.update(updates)
     assert boundary_averages(g).table == dense_boundary_averages(g.disc, g.n,
                                                                  table)
+
+
+def breakpoint_sampler(alpha):
+    """Each coordinate is a breakpoint (0 and 1 included) or uniform, so
+    samples land on point faces and on faces next to several boxes."""
+    marks = np.array([float(a) for a in alpha])
+
+    def sample(rng, m, n):
+        pts = rng.random((m, n))
+        hit = rng.random((m, n)) < 0.5
+        pts[hit] = rng.choice(marks, size=int(hit.sum()))
+        return pts
+    return sample
+
+
+@settings(max_examples=60)
+@given(dense_games(), st.integers(1, 400), st.integers(0, 2 ** 32),
+       st.booleans())
+def test_psi_mc_on_cells_is_bit_identical_to_per_sample(case, samples, seed,
+                                                        on_breakpoints):
+    g, _ = case
+    ev = step_game_evaluable(g)
+    per_sample = EvaluableGame(g.n, ev.eval_exact, ev.eval_array)
+    sampler = breakpoint_sampler(g.disc.alpha) if on_breakpoints else None
+    fast = psi_mc(g, samples, seed, sampler)
+    slow = psi_mc(per_sample, samples, seed, sampler)
+    assert fast.shares == slow.shares
+    assert fast.stderr == slow.stderr
+    assert fast.c_table == slow.c_table
+
+
+@pytest.mark.parametrize("bad", [-0.25, 1.5, float("nan")])
+def test_psi_mc_rejects_sample_points_outside_the_cube(bad):
+    g = random_regular_game(random.Random(3), 2, 2)
+
+    def sampler(rng, m, n):
+        pts = rng.random((m, n))
+        pts[m // 2, 1] = bad
+        return pts
+    with pytest.raises(ValueError, match="outside the unit cube"):
+        psi_mc(g, 50, 0, sampler)
+
+
+def test_psi_mc_derives_each_reached_face_once(monkeypatch):
+    # uniform samples sit in open intervals, and pinning sends a coordinate
+    # to 0 or 2p: at most (p + 2)^n faces are reached, of (2p + 1)^n
+    g = random_regular_game(random.Random(1), 5, 4)
+    derived = []
+    read = FaceValues.__getitem__
+
+    def counted(self, d):
+        derived.append(d)
+        return read(self, d)
+    monkeypatch.setattr(FaceValues, "__getitem__", counted)
+    psi_mc(g, 20_000, 0)
+    assert len(derived) == len(set(derived))
+    assert 0 < len(derived) <= 6 ** 5 < 9 ** 5
