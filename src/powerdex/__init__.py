@@ -4,29 +4,58 @@ Covers three game classes on a common footing: simple games, (j,k) games
 with graded inputs and outputs, and interval decisions represented as step
 functions on rectangular grids.  All index computations are exact rational
 arithmetic; a seeded Monte-Carlo estimator handles black-box games.
+
+The public names below are loaded from their submodule on first access
+(PEP 562), so ``import powerdex`` and each CLI run load only the modules
+they use.
 """
 
-from .coalitions import (Coalition, CoalitionFunction, JKGame, SimpleGame,
-                         all_simple_games, random_monotone_jk,
-                         random_simple_game)
-from .embeddings import (embed_2k_tau, embed_coalition_semiregular, embed_jk,
-                         embed_simple_semiregular)
-from .evaluables import (EvaluableGame, counterexample_game,
-                         product_power_game, step_game_evaluable,
-                         weighted_mean_game, weighted_median_game)
-from .his import (BuildResult, Domain, IncrementError, LocalIncrement,
-                  ReplayResult, apply_box_increment, appendix_game,
-                  build_by_increments, check_local_increment, classify_face,
-                  corner_increase, his_delta, potential_influence,
-                  replay_appendix, table1_rows)
-from .indices import (BoundaryAverages, PowerVector, boundary_averages,
-                      jk_ssi_marginal, jk_ssi_pivot, phi_two_player,
-                      psi_exact, psi_mc, psi_point, psi_product_oracle,
-                      ssi_coalition, ssi_roll_call)
-from .rational import format_rational, parse_rational
-from .stepfun import (Discretization, StepGame, ValidationReport, coarsen,
-                      evaluate_step, join_meet, make_regular_step,
-                      permute_axes, pointwise_equal, refine, uniform_grid,
-                      validate, zero_game)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULE_NAMES = {
+    "coalitions": ["Coalition", "CoalitionFunction", "JKGame", "SimpleGame",
+                   "all_simple_games", "random_monotone_jk",
+                   "random_simple_game"],
+    "embeddings": ["embed_2k_tau", "embed_coalition_semiregular", "embed_jk",
+                   "embed_simple_semiregular"],
+    "evaluables": ["EvaluableGame", "counterexample_game",
+                   "product_power_game", "step_game_evaluable",
+                   "weighted_mean_game", "weighted_median_game"],
+    "his": ["BuildResult", "Domain", "IncrementError", "LocalIncrement",
+            "ReplayResult", "apply_box_increment", "appendix_game",
+            "build_by_increments", "check_local_increment", "classify_face",
+            "corner_increase", "his_delta", "potential_influence",
+            "replay_appendix", "table1_rows"],
+    "indices": ["BoundaryAverages", "PowerVector", "boundary_averages",
+                "jk_ssi_marginal", "jk_ssi_pivot", "phi_two_player",
+                "psi_exact", "psi_mc", "psi_point", "psi_product_oracle",
+                "ssi_coalition", "ssi_roll_call"],
+    "rational": ["format_rational", "parse_rational"],
+    "stepfun": ["Discretization", "StepGame", "ValidationReport", "coarsen",
+                "evaluate_step", "join_meet", "make_regular_step",
+                "permute_axes", "pointwise_equal", "refine", "uniform_grid",
+                "validate", "zero_game"],
+}
+_SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
+                 for name in names}
+
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULE_NAMES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SUBMODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,6 +4,10 @@ All subcommands read game JSON from a file (or "-" for stdin) and write a
 deterministic JSON payload to stdout; tabular reports also support markdown
 and csv via --format.  Exit code 0 on success, 2 on any input or validation
 error, with a machine-readable diagnostic on stderr.
+
+Modules that only some subcommands use (``his``, ``axioms``, ``embeddings``,
+``sampling``) are imported by those handlers, and numpy only by the
+Monte-Carlo path, so a process loads what its request runs.
 """
 
 from __future__ import annotations
@@ -12,18 +16,18 @@ import argparse
 import json
 import random
 import sys
+from typing import TYPE_CHECKING
 
-from . import axioms as ax
-from . import his
-from .embeddings import embed_2k_tau, embed_jk, embed_simple_semiregular
 from .indices import (jk_ssi_marginal, jk_ssi_pivot, psi_exact, psi_mc,
                       psi_point, ssi_coalition, ssi_roll_call)
 from .rational import format_rational, parse_rational
-from .sampling import random_regular_game
 from .serialize import (parse_coalition_input, parse_jk_game,
                         parse_simple_game, parse_step_game,
                         power_vector_to_json, step_game_to_json)
 from .stepfun import Discretization, coarsen, validate, zero_game
+
+if TYPE_CHECKING:
+    from .his import Domain
 
 
 class InputError(ValueError):
@@ -53,11 +57,14 @@ def _validated_step_game(obj):
     g = parse_step_game(obj)
     report = validate(g)
     if not report.ok:
-        raise InputError("invalid step game: " + "; ".join(report.violations[:5]))
+        found = report.violations
+        more = ", first 5" if len(found) > 5 else ""
+        raise InputError(f"invalid step game: {len(found)} violations{more}: "
+                         + "; ".join(found[:5]))
     return g
 
 
-def _domain_json(domain: his.Domain) -> list[list[str]]:
+def _domain_json(domain: Domain) -> list[list[str]]:
     return [[format_rational(a), format_rational(b)]
             for _, (a, b) in domain.intervals]
 
@@ -97,6 +104,8 @@ def _cmd_psi_point(args) -> None:
 
 
 def _cmd_embed(args) -> None:
+    from .embeddings import embed_2k_tau, embed_jk, embed_simple_semiregular
+
     obj = _read_json(args.game)
     if args.tau is not None:
         out = embed_2k_tau(parse_jk_game(obj), parse_rational(args.tau))
@@ -114,6 +123,8 @@ def _cmd_coarsen(args) -> None:
 
 
 def _cmd_his_apply(args) -> None:
+    from . import his
+
     g = _validated_step_game(_read_json(args.game))
     idx = _parse_players(args.box)
     box = tuple(2 * i - 1 for i in idx)
@@ -126,6 +137,8 @@ def _cmd_his_apply(args) -> None:
 
 
 def _cmd_his_build(args) -> None:
+    from . import his
+
     g = _validated_step_game(_read_json(args.game))
     result = his.build_by_increments(g)
     for step in result.steps:
@@ -142,6 +155,8 @@ def _cmd_his_build(args) -> None:
 
 
 def _cmd_replay_appendix(args) -> None:
+    from . import his
+
     result = his.replay_appendix()
     for m in result.moves:
         inc = m.increment
@@ -178,6 +193,8 @@ def _table_rows_to_output(rows: list[dict], fmt: str, headers: list[str]) -> Non
 
 
 def _cmd_table1(args) -> None:
+    from . import his
+
     eps = parse_rational(args.eps)
     rows = his.table1_rows(args.l, eps)
     flat = []
@@ -194,6 +211,8 @@ def _cmd_table1(args) -> None:
 
 
 def _cmd_corner(args) -> None:
+    from . import his
+
     L = _parse_players(args.L)
     U = _parse_players(args.U)
     eps = parse_rational(args.eps)
@@ -205,6 +224,9 @@ def _cmd_corner(args) -> None:
 
 
 def _cmd_axioms(args) -> None:
+    from . import axioms as ax
+    from .sampling import random_regular_game
+
     handles = ax.make_handles()
     if args.index not in handles:
         raise InputError(f"unknown index {args.index!r}; "
@@ -240,6 +262,8 @@ def _cmd_axioms(args) -> None:
 
 
 def _cmd_separation_demo(args) -> None:
+    from . import axioms as ax
+
     report = ax.separation_demo()
     _emit({
         "psi": [format_rational(x) for x in report["psi"]],

@@ -3,18 +3,20 @@
 An evaluable game exposes an exact path (rational points in, rational value
 out) used by the closed-form index computations, and a vectorized float path
 used by the Monte-Carlo estimator.  The built-in families are monotone with
-v(0)=0 and v(1)=1 by construction.
+v(0)=0 and v(1)=1 by construction.  numpy is imported on the float path
+only, so exact work never loads it.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .stepfun import StepGame, evaluate_step
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EvaluableGame:
@@ -47,6 +49,8 @@ class EvaluableGame:
         return Fraction(self._exact(pt))
 
     def _points(self, points) -> np.ndarray:
+        import numpy as np
+
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"expected an (m, {self.n}) array")
@@ -54,6 +58,8 @@ class EvaluableGame:
 
     def eval_array(self, points: np.ndarray) -> np.ndarray:
         """Values at an (m, n) array of points, as float64."""
+        import numpy as np
+
         return np.asarray(self._array(self._points(points)), dtype=np.float64)
 
     def cells(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -72,7 +78,6 @@ def weighted_mean_game(weights: Sequence,
     if any(x < 0 for x in w) or sum(w) != 1:
         raise ValueError("weights must be nonnegative and sum to 1")
     n = len(w)
-    wf = np.array([float(x) for x in w])
 
     def exact(x):
         if transforms is None:
@@ -80,8 +85,10 @@ def weighted_mean_game(weights: Sequence,
         return sum(wi * Fraction(f(xi)) for wi, f, xi in zip(w, transforms, x))
 
     def array(pts):
+        import numpy as np
+
         if transforms is None:
-            return pts @ wf
+            return pts @ np.array([float(x) for x in w])
         cols = [float(wi) * np.vectorize(f)(pts[:, i])
                 for i, (wi, f) in enumerate(zip(w, transforms))]
         return np.sum(cols, axis=0)
@@ -97,7 +104,6 @@ def product_power_game(exponents: Sequence) -> EvaluableGame:
         raise ValueError("exponents must be nonnegative")
     n = len(exps)
     all_int = all(e.denominator == 1 for e in exps)
-    ef = np.array([float(e) for e in exps])
 
     def exact(x):
         out = Fraction(1)
@@ -106,6 +112,9 @@ def product_power_game(exponents: Sequence) -> EvaluableGame:
         return out
 
     def array(pts):
+        import numpy as np
+
+        ef = np.array([float(e) for e in exps])
         out = np.ones(pts.shape[0])
         for i in range(n):
             if ef[i] != 0.0:
@@ -134,6 +143,8 @@ def weighted_median_game(weights: Sequence) -> EvaluableGame:
         return Fraction(x[order[-1]])
 
     def array(pts):
+        import numpy as np
+
         m = pts.shape[0]
         order = np.argsort(pts, axis=1)
         ws = np.asarray([float(x) for x in w])[order]
@@ -156,7 +167,6 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
     exact breakpoint hits (the forced 0/1 coordinates) landing on point faces.
     A point's face fixes the faces of its pinned copies, so faces are cells.
     """
-    alpha = np.array([float(a) for a in g.disc.alpha])
     p = g.p
     shape = (2 * p + 1,) * g.n
 
@@ -164,9 +174,14 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
     def table() -> np.ndarray:
         # float value of each face in row-major order, NaN until first read;
         # allocated on the first float call: the exact path never needs it
+        import numpy as np
+
         return np.full((2 * p + 1) ** g.n, np.nan)
 
     def face_index(pts: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        alpha = np.array([float(a) for a in g.disc.alpha])
         # NaN fails both comparisons, so it is rejected too
         if not (np.all(pts >= 0.0) and np.all(pts <= 1.0)):
             raise ValueError("point outside the unit cube")
@@ -183,6 +198,8 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
         return evaluate_step(g, x)
 
     def array(pts):
+        import numpy as np
+
         idx, values = face_index(pts), table()
         new = np.unique(idx[np.isnan(values[idx])])
         for k, d in zip(new.tolist(),
@@ -191,6 +208,8 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
         return values[idx]
 
     def cells(pts):
+        import numpy as np
+
         _, first, inverse = np.unique(face_index(pts), return_index=True,
                                       return_inverse=True)
         return pts[first], inverse

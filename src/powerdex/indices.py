@@ -2,7 +2,8 @@
 its (j,k)-level generalizations, and the boundary-average index for games on
 the unit cube (exact on step games, Monte-Carlo for black boxes).
 
-Everything except the Monte-Carlo estimator is exact rational arithmetic.
+Everything except the Monte-Carlo estimator is exact rational arithmetic,
+and only that estimator imports numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .coalitions import CoalitionFunction, JKGame, SimpleGame, mask_of
 from .evaluables import EvaluableGame, step_game_evaluable
@@ -290,6 +289,8 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
     if samples << n > MAX_MC_CELLS:
         raise ValueError(f"samples * 2^n = {samples << n} exceeds the "
                          f"Monte-Carlo cap of {MAX_MC_CELLS} cells")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     pts = rng.random((samples, n)) if sampler is None else \
         np.asarray(sampler(rng, samples, n), dtype=np.float64)

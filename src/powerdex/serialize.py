@@ -18,6 +18,21 @@ from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,  # noqa: F401
                       regular_completion)
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, kind: type, default=_REQUIRED):
+    """``obj[key]``, or ``default`` when given and the key is absent, which
+    must be a JSON value of type ``kind``.  Booleans are not integers here."""
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
+        raise TypeError(f"key {key!r} must be a JSON {_JSON_TYPES[kind]}, "
+                        f"not {_JSON_TYPES.get(type(value))}")
+    return value
+
+
 def _key(parts) -> str:
     return ",".join(str(x) for x in parts)
 
@@ -42,13 +57,13 @@ def coalition_function_to_json(cf: CoalitionFunction) -> dict:
 def parse_coalition_input(obj: dict) -> CoalitionFunction:
     """Accepts {"n", "winning": [...]} (closed upward unless "closure" is
     false) or {"n", "values": {"players": "p/q"}} with a total table."""
-    n = int(obj["n"])
+    n = _field(obj, "n", int)
     if "values" in obj:
         check_players(n)
         table = [Fraction(0)] * (1 << n)
         seen = set()
         parsed: dict = {}
-        for key, val in obj["values"].items():
+        for key, val in _field(obj, "values", dict).items():
             try:
                 mask = mask_of(_parse_key(key), n)
             except ValueError as exc:
@@ -62,8 +77,8 @@ def parse_coalition_input(obj: dict) -> CoalitionFunction:
         if len(seen) != 1 << n:
             raise ValueError("values table must be total over 2^N")
         return CoalitionFunction(n, table)
-    winning = obj["winning"]
-    closure = bool(obj.get("closure", True))
+    winning = _field(obj, "winning", list)
+    closure = _field(obj, "closure", bool, True)
     return CoalitionFunction.from_winning(n, winning, closure=closure)
 
 
@@ -81,13 +96,14 @@ def jk_game_to_json(v: JKGame) -> dict:
 
 
 def parse_jk_game(obj: dict) -> JKGame:
-    n, j, k = int(obj["n"]), int(obj["j"]), int(obj["k"])
+    n, j, k = (_field(obj, key, int) for key in ("n", "j", "k"))
     values = {}
-    for key, lvl in obj["values"].items():
+    table = _field(obj, "values", dict)
+    for key in table:
         profile = _parse_key(key)
         if len(profile) != n:
             raise ValueError(f"profile key {key!r} has wrong arity")
-        values[profile] = int(lvl)
+        values[profile] = _field(table, key, int)
     return JKGame(n, j, k, values)
 
 
@@ -110,11 +126,12 @@ def step_game_to_json(g: StepGame) -> dict:
 
 def parse_step_game(obj: dict) -> StepGame:
     # nothing grid-sized is built here: StepGame checks the caps first
-    disc = Discretization(tuple(parse_rational(a) for a in obj["alpha"]))
-    n = int(obj["n"])
-    tag = obj.get("tag", TAG_REGULAR)
+    disc = Discretization(tuple(parse_rational(a)
+                                for a in _field(obj, "alpha", list)))
+    n = _field(obj, "n", int)
+    tag = _field(obj, "tag", str, TAG_REGULAR)
     boxes: dict[Face, Fraction] = {}
-    for key, val in obj["boxes"].items():
+    for key, val in _field(obj, "boxes", dict).items():
         idx = _parse_key(key)
         if len(idx) != n or any(not 1 <= i <= disc.p for i in idx):
             raise ValueError(f"box key {key!r} invalid for this grid")
@@ -123,7 +140,7 @@ def parse_step_game(obj: dict) -> StepGame:
             raise ValueError(f"box key {key!r} repeats an earlier key")
         boxes[b] = parse_rational(val)
     faces: dict[Face, Fraction] = {}
-    for key, val in obj.get("faces", {}).items():
+    for key, val in _field(obj, "faces", dict, {}).items():
         d = _parse_key(key)
         if len(d) != n or any(not 0 <= di <= 2 * disc.p for di in d):
             raise ValueError(f"face key {key!r} invalid for this grid")

@@ -6,6 +6,8 @@ import time
 import pytest
 
 from powerdex.cli import main
+from powerdex.serialize import parse_step_game
+from powerdex.stepfun import validate
 
 
 def run_cli(args, capsys):
@@ -236,6 +238,56 @@ def test_invalid_game_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["psi", path], capsys)
     assert code == 2
     assert "monoton" in json.loads(err)["error"]
+    assert json.loads(err)["error"].startswith("invalid step game: 2 violations: ")
+
+
+def test_invalid_game_diagnostic_counts_all_violations(tmp_path, capsys):
+    # box values fall along both axes: every box cover is broken
+    game = {"n": 2, "alpha": ["0", "1/3", "2/3", "1"], "tag": "regular",
+            "boxes": {f"{a},{b}": f"{6 - a - b}/6"
+                      for a in range(1, 4) for b in range(1, 4)}}
+    found = validate(parse_step_game(game)).violations
+    assert len(found) > 5
+    code, out, err = run_cli(["psi", write(tmp_path, "bad.json", game)], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error == (f"invalid step game: {len(found)} violations, first 5: "
+                     + "; ".join(found[:5]))
+
+
+@pytest.mark.parametrize("command, game, key", [
+    # each of the first four ended in an AttributeError traceback with exit 1
+    ("ssi", {"n": 2, "values": "01"}, "values"),
+    ("psi", {"n": 1, "alpha": ["0", "1"], "tag": "regular", "boxes": ""},
+     "boxes"),
+    ("psi", {"n": 1, "alpha": ["0", "1"], "tag": "semi_regular",
+             "boxes": {"1": "1/2"}, "faces": [["0"]]}, "faces"),
+    ("jk-ssi", {"n": 2, "j": 2, "k": 2, "values": [1]}, "values"),
+    # "false" was read as true; 2.7 and 1.5 as 2 and 1, true as 1, 2.0 as 2
+    ("ssi", {"n": 3, "winning": [[1], [2, 3]], "closure": "false"}, "closure"),
+    ("ssi", {"n": 2.7, "winning": [[1]]}, "n"),
+    ("ssi", {"n": True, "winning": [[1]]}, "n"),
+    ("ssi", {"n": 2, "winning": "12"}, "winning"),
+    ("psi", {"n": 1.0, "alpha": ["0", "1"], "boxes": {"1": "0"}}, "n"),
+    ("psi", {"n": 1, "alpha": "01", "boxes": {"1": "0"}}, "alpha"),
+    ("jk-ssi", {"n": 1, "j": 2.0, "k": 2, "values": {"0": 0, "1": 1}}, "j"),
+    ("jk-ssi", {"n": 1, "j": 2, "k": True, "values": {"0": 0, "1": 1}}, "k"),
+    ("jk-ssi", {"n": 1, "j": 2, "k": 2, "values": {"0": 0, "1": 1.5}}, "1"),
+    ("jk-ssi", {"n": 1, "j": 2, "k": 2, "values": {"0": False, "1": 1}}, "0"),
+])
+def test_wrongly_typed_key_exits_2_naming_it(tmp_path, capsys, command, game,
+                                             key):
+    code, out, err = run_cli([command, write(tmp_path, "g.json", game)], capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert f"key {key!r} must be a JSON " in json.loads(line)["error"]
+
+
+def test_closure_false_keeps_the_exhaustive_list(tmp_path, capsys):
+    game = {"n": 3, "winning": [[1], [2, 3]], "closure": False}
+    code, out, _ = run_cli(["ssi", write(tmp_path, "g.json", game)], capsys)
+    assert code == 0
+    assert json.loads(out)["shares"] == ["0", "0", "0"]
 
 
 def test_oversized_step_game_exits_2_before_allocating(tmp_path, capsys):
