@@ -27,7 +27,6 @@ Witness = tuple[StepGame, StepGame, LocalIncrement]
 class IndexHandle:
     name: str
     compute: Callable[[StepGame], PowerVector]
-    exact: bool = True
 
 
 def square_game(g: StepGame) -> StepGame:
@@ -35,14 +34,15 @@ def square_game(g: StepGame) -> StepGame:
     return g.with_values({d: v * v for d, v in g.values.items()})
 
 
-def make_handles(alpha=Fraction(1, 4), two_player_a=None) -> dict[str, IndexHandle]:
-    """The registered handles: the exact index, its point-profile variant,
-    the doubled index, the half-blend with equal division, the squared-game
-    composition, and (for n=2) the two-parameter family."""
+def make_handles() -> dict[str, IndexHandle]:
+    """The registered handles: the exact index, its point-profile variant
+    at alpha = 1/4, the doubled index, the half-blend with equal division,
+    the squared-game composition, and (for n=2) the two-parameter family at
+    a = (1/2, 1/2)."""
     handles = {
         "psi_exact": IndexHandle("psi_exact", psi_exact),
         "psi_point": IndexHandle("psi_point",
-                                 lambda g: psi_point(g, alpha)),
+                                 lambda g: psi_point(g, Fraction(1, 4))),
         "two_psi": IndexHandle("two_psi", lambda g: PowerVector(
             tuple(2 * s for s in psi_exact(g).shares), "exact")),
         "half_psi_half_ed": IndexHandle("half_psi_half_ed", lambda g: PowerVector(
@@ -51,9 +51,9 @@ def make_handles(alpha=Fraction(1, 4), two_player_a=None) -> dict[str, IndexHand
         "psi_square": IndexHandle("psi_square",
                                   lambda g: psi_exact(square_game(g))),
     }
-    a = two_player_a or (Fraction(1, 2), Fraction(1, 2))
+    half = (Fraction(1, 2), Fraction(1, 2))
     handles["phi_two_player"] = IndexHandle(
-        "phi_two_player", lambda g: phi_two_player(a, g))
+        "phi_two_player", lambda g: phi_two_player(half, g))
     return handles
 
 
@@ -150,10 +150,10 @@ def crafted_his_witnesses() -> list[Witness]:
     return out
 
 
-def suite_his_witnesses(suite: Sequence[StepGame], rng: random.Random,
-                        per_game: int = 2) -> list[Witness]:
-    """Opportunistic single-face witnesses drawn from suite games, wherever
-    a boundary face has monotonicity slack."""
+def suite_his_witnesses(suite: Sequence[StepGame],
+                        rng: random.Random) -> list[Witness]:
+    """Opportunistic single-face witnesses drawn from suite games, two per
+    game at most, wherever a boundary face has monotonicity slack."""
     out: list[Witness] = []
     for g in suite:
         p = g.p
@@ -174,7 +174,7 @@ def suite_his_witnesses(suite: Sequence[StepGame], rng: random.Random,
                     if room > 0:
                         candidates.append((player, face, room))
         rng.shuffle(candidates)
-        for player, face, room in candidates[:per_game]:
+        for player, face, room in candidates[:2]:
             out.append(boundary_face_witness(g, player, face, room / 2))
     return out
 
@@ -203,8 +203,7 @@ class AxiomReport:
 
 
 def check_axioms(handle: IndexHandle, suite: Sequence[StepGame],
-                 seed: int = 0, his_witnesses: Sequence[Witness] | None = None,
-                 ) -> AxiomReport:
+                 seed: int = 0) -> AxiomReport:
     """Run the axiom battery for one handle over a suite of games."""
     rng = random.Random(seed)
     report = AxiomReport(handle.name, len(suite))
@@ -249,8 +248,7 @@ def check_axioms(handle: IndexHandle, suite: Sequence[StepGame],
             if left != right:
                 viol["transfer"].append(f"pair sums {left} vs {right}")
 
-    witnesses = list(his_witnesses) if his_witnesses is not None else \
-        crafted_his_witnesses() + suite_his_witnesses(suite, rng)
+    witnesses = crafted_his_witnesses() + suite_his_witnesses(suite, rng)
     # the shift constants may depend on the coalition and the player count,
     # but on nothing else
     constants: dict[tuple[int, frozenset[int]], tuple[Fraction, Fraction]] = {}

@@ -43,6 +43,8 @@ def _read_json(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"JSON in {path} is nested too deeply") from None
 
 
 def _emit(obj) -> None:

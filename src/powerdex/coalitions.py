@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from .budget import check_work
 from .rational import MAX_PLAYERS
 
 Level = tuple[int, ...]
@@ -188,8 +189,9 @@ class JKGame:
     """Monotone map J^n -> K with J={0..j-1}, K={0..k-1}, fixed extremes."""
 
     def __init__(self, n: int, j: int, k: int, values: dict[Level, int]):
-        if n < 1 or j < 2 or k < 2:
-            raise ValueError("need n >= 1 and j, k >= 2")
+        check_players(n)
+        if j < 2 or k < 2:
+            raise ValueError("need j, k >= 2")
         self.n, self.j, self.k = n, j, k
         self.values = dict(values)
         bottom = (0,) * n
@@ -239,9 +241,10 @@ class JKGame:
 
 def all_simple_games(n: int) -> Iterator[SimpleGame]:
     """Every monotone simple game on n players (feasible for n <= 4)."""
-    if n > 4:
-        raise ValueError("exhaustive enumeration supported for n <= 4 only")
+    check_players(n)
     size = 1 << n
+    # 2^(2^n) candidate tables over 2^n coalitions each
+    check_work(size << size, "simple game enumeration")
     for bits in range(1 << size):
         if bits & 1 or not bits >> (size - 1) & 1:
             continue

@@ -112,9 +112,9 @@ def potential_influence(v, coalition: Sequence[int], x_minus_s):
     return v.eval_exact(hi) - v.eval_exact(lo)
 
 
-def his_delta(inc: LocalIncrement, n: int | None = None) -> PowerVector:
+def his_delta(inc: LocalIncrement) -> PowerVector:
     """Predicted share shift of one local increment; sums to zero."""
-    n = inc.n if n is None else n
+    n = inc.n
     if inc.is_degenerate():
         return PowerVector((Fraction(0),) * n, "exact")
     s = len(inc.coalition)

@@ -14,14 +14,12 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
+from .budget import check_work
 from .coalitions import CoalitionFunction, JKGame, SimpleGame, mask_of
 from .evaluables import EvaluableGame, step_game_evaluable
 from .rational import ordering_weight
 from .stepfun import StepGame
 
-MAX_ROLL_CALL_PLAYERS = 8
-MAX_POINT_PLAYERS = 8
-MAX_ORACLE_PLAYERS = 12
 # psi_mc holds one float64 per sample and coalition: 2^27 cells are 1 GiB
 MAX_MC_CELLS = 1 << 27
 
@@ -147,8 +145,9 @@ def ssi_roll_call(v: SimpleGame, vote_model: str = "all_yes") -> PowerVector:
     first voter whose vote settles the outcome.
     """
     n = v.n
-    if n > MAX_ROLL_CALL_PLAYERS:
-        raise ValueError(f"roll call enumeration capped at n <= {MAX_ROLL_CALL_PLAYERS}")
+    # n! orderings, times 2^n vote vectors under uniform_half, n voters each
+    votes = 1 << n if vote_model == "uniform_half" else 1
+    check_work(factorial(n) * votes * n, "roll call enumeration")
     vals = v.inner.values
     counts = [0] * n
     full = (1 << n) - 1
@@ -182,8 +181,8 @@ def jk_ssi_pivot(v: JKGame) -> PowerVector:
     the number of output levels their vote rules out, over all orderings and
     approval profiles."""
     n, j, k = v.n, v.j, v.k
-    if factorial(n) * j ** n > 200_000:
-        raise ValueError("pivot enumeration exceeds the desk-scale cap")
+    # n! orderings times j^n approval profiles, n votes each
+    check_work(factorial(n) * j ** n * n, "pivot enumeration")
     counts = [0] * n
     for pi in itertools.permutations(range(n)):
         for x in itertools.product(range(j), repeat=n):
@@ -260,8 +259,8 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
     instead of integrating over profiles."""
     game = _as_evaluable(v)
     n = game.n
-    if n > MAX_POINT_PLAYERS:
-        raise ValueError(f"point variant capped at n <= {MAX_POINT_PLAYERS}")
+    # two evaluations of an n-coordinate profile per coalition
+    check_work(n << (n + 1), "point variant")
     a = Fraction(alpha)
     if a < 0 or a > 1:
         raise ValueError("alpha must lie in [0, 1]")
@@ -286,6 +285,8 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
     n = game.n
     if samples < 1:
         raise ValueError("need at least one sample")
+    # two evaluation passes per coalition, then n combine passes over them
+    check_work(n << (n + 1), "Monte-Carlo estimate")
     if samples << n > MAX_MC_CELLS:
         raise ValueError(f"samples * 2^n = {samples << n} exceeds the "
                          f"Monte-Carlo cap of {MAX_MC_CELLS} cells")
@@ -333,8 +334,8 @@ def psi_product_oracle(exponents: Sequence) -> PowerVector:
     prod_{j in T}(a_j+1)) / (n! * prod_j (a_j+1))."""
     a = [Fraction(e) for e in exponents]
     n = len(a)
-    if n > MAX_ORACLE_PLAYERS:
-        raise ValueError(f"oracle capped at n <= {MAX_ORACLE_PLAYERS}")
+    # n players times 2^(n-1) coalitions of the others, n - 1 factors each
+    check_work(n * n * (1 << n) // 2, "product oracle")
     if any(e <= 0 for e in a):
         raise ValueError("exponents must be positive")
     lam = Fraction(1)

@@ -26,9 +26,12 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     """
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    text = str(text).strip()
+    if not isinstance(text, str):
+        raise TypeError(f"{text!r} is not a rational: write a p/q, integer "
+                        "or plain decimal string, or an integer")
+    text = text.strip()
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"{text!r} is not a rational: write p/q, an integer "
                          "or a plain decimal")

@@ -9,12 +9,12 @@ from fractions import Fraction
 from .stepfun import Discretization, StepGame, make_regular_step
 
 
-def random_discretization(rng: random.Random, p: int,
-                          denominator: int = 24) -> Discretization:
+def random_discretization(rng: random.Random, p: int) -> Discretization:
+    """p intervals whose inner breakpoints are distinct multiples of 1/24."""
     if p < 1:
         raise ValueError("need p >= 1")
-    cuts = rng.sample(range(1, denominator), p - 1) if p > 1 else []
-    alpha = [Fraction(0)] + sorted(Fraction(c, denominator) for c in cuts) + [Fraction(1)]
+    cuts = rng.sample(range(1, 24), p - 1) if p > 1 else []
+    alpha = [Fraction(0)] + sorted(Fraction(c, 24) for c in cuts) + [Fraction(1)]
     return Discretization(tuple(alpha))
 
 

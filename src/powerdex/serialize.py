@@ -3,10 +3,17 @@
 Rationals travel as "p/q" strings.  Coalitions and grid keys are 1-based,
 comma-separated strings.  Emission is canonical (sorted keys, minimal
 tables) so identical inputs serialize byte-identically.
+
+Reading goes through one set of typed accessors and one keyed-table reader
+shared by the four grid-keyed tables (coalition and (j,k) ``values``,
+step-game ``boxes`` and ``faces``), so each input rule is checked the same
+way wherever it applies, and each diagnostic names the JSON path of the
+value it refuses.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .coalitions import (CoalitionFunction, JKGame, SimpleGame, check_players,
@@ -14,7 +21,7 @@ from .coalitions import (CoalitionFunction, JKGame, SimpleGame, check_players,
 from .indices import PowerVector
 from .rational import format_rational, parse_rational
 # perfbench/layers.py times the completion rule through this name
-from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,  # noqa: F401
+from .stepfun import (Discretization, StepGame, TAG_REGULAR,  # noqa: F401
                       regular_completion)
 
 
@@ -23,25 +30,121 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
 _REQUIRED = object()
 
 
-def _field(obj: dict, key: str, kind: type, default=_REQUIRED):
-    """``obj[key]``, or ``default`` when given and the key is absent, which
-    must be a JSON value of type ``kind``.  Booleans are not integers here."""
-    value = obj[key] if default is _REQUIRED else obj.get(key, default)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-        raise TypeError(f"key {key!r} must be a JSON {_JSON_TYPES[kind]}, "
-                        f"not {_JSON_TYPES.get(type(value))}")
-    return value
-
-
 def _key(parts) -> str:
     return ",".join(str(x) for x in parts)
 
 
-def _parse_key(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(","))
+# ---------------------------------------------------------------------------
+# reading
+#
+# A path is the tuple of keys and array indices from the top-level object
+# down to a value.  It is turned into text only when a value is refused.
+
+def _error(path: tuple, problem: str, kind: type = ValueError) -> Exception:
+    """The exception for a refused value at ``path``; below the top-level
+    keys the message starts with the path, such as ``boxes["3,1"]`` or
+    ``winning[0][1]``."""
+    if len(path) > 1:
+        where = path[0] + "".join(
+            f"[{p}]" if isinstance(p, int) else f"[{json.dumps(p)}]"
+            for p in path[1:])
+        problem = f"{where}: {problem}"
+    return kind(problem)
+
+
+def _mismatch(value, path: tuple, expected: str) -> TypeError:
+    last = path[-1] if path else None
+    name = ("the top level" if not path else
+            f"key {last!r}" if isinstance(last, str) else "value")
+    found = _JSON_TYPES.get(type(value), type(value).__name__)
+    return _error(path, f"{name} must be a JSON {expected}, not {found}",
+                  TypeError)
+
+
+def _typed(value, kind: type, path: tuple):
+    """``value`` if it is a JSON value of type ``kind``: an integer, a
+    boolean, a string, an object or an array.  Booleans are not integers."""
+    if type(value) is not kind:
+        raise _mismatch(value, path, _JSON_TYPES[kind])
+    return value
+
+
+def _rational(value, path: tuple) -> Fraction:
+    """A rational position: a "p/q", integer or plain-decimal string, or a
+    JSON integer.  JSON floats and booleans are refused, not converted."""
+    if type(value) is not str and type(value) is not int:
+        raise _mismatch(value, path, "string or integer")
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise _error(path, str(exc)) from None
+
+
+def _level(value, path: tuple) -> int:
+    """A (j,k) level: a JSON integer."""
+    return _typed(value, int, path)
+
+
+def _member(obj: dict, key: str, kind: type, default=_REQUIRED):
+    """The top-level ``obj[key]`` as a JSON ``kind``, or ``default`` when
+    one is given and the key is absent."""
+    if key in obj:
+        return _typed(obj[key], kind, (key,))
+    if default is _REQUIRED:
+        raise ValueError(f"missing key {key!r}")
+    return default
+
+
+def _table(obj: dict, name: str, lo: int, hi: int, value, key=tuple,
+           arity: int | None = None, default=_REQUIRED) -> dict:
+    """The keyed table ``obj[name]`` as {key(coordinates): value}.
+
+    Each key is comma-separated integers, with whitespace allowed around
+    each: ``arity`` of them (any number when None), each in ``lo..hi``.
+    ``key`` turns them into the table's own key, raising ValueError for
+    coordinates it refuses, and no two entries may share one.  Every value
+    goes through ``value(raw, path)``; equal value strings are read once,
+    since tables repeat a few values such as "1".
+    """
+    out: dict = {}
+    memo: dict[str, object] = {}
+    for text, raw in _member(obj, name, dict, default).items():
+        try:
+            coords = tuple(map(int, text.split(","))) if text.strip() else ()
+        except ValueError:
+            raise _error((name, text), f"key {text!r} is not comma-separated "
+                         "integers") from None
+        if arity is not None and len(coords) != arity:
+            raise _error((name, text), f"key {text!r} needs {arity} "
+                         f"comma-separated integers, not {len(coords)}")
+        if coords and (min(coords) < lo or max(coords) > hi):
+            raise _error((name, text), f"key {text!r} has an integer outside "
+                         f"{lo}..{hi}")
+        try:
+            k = key(coords)
+        except ValueError as exc:
+            raise _error((name, text), f"key {text!r}: {exc}") from None
+        if k in out:
+            raise _error((name, text), f"key {text!r} repeats an earlier key")
+        if type(raw) is str:
+            val = memo.get(raw)
+            if val is None:
+                val = memo[raw] = value(raw, (name, text))
+        else:
+            val = value(raw, (name, text))
+        out[k] = val
+    return out
+
+
+def _coalition(value, path: tuple, n: int) -> list[int]:
+    """A coalition written as an array of distinct players in 1..n."""
+    players = [_typed(x, int, path + (i,))
+               for i, x in enumerate(_typed(value, list, path))]
+    try:
+        mask_of(players, n)
+    except ValueError as exc:
+        raise _error(path, str(exc)) from None
+    return players
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +160,19 @@ def coalition_function_to_json(cf: CoalitionFunction) -> dict:
 def parse_coalition_input(obj: dict) -> CoalitionFunction:
     """Accepts {"n", "winning": [...]} (closed upward unless "closure" is
     false) or {"n", "values": {"players": "p/q"}} with a total table."""
-    n = _field(obj, "n", int)
+    _typed(obj, dict, ())
+    n = _member(obj, "n", int)
     if "values" in obj:
         check_players(n)
-        table = [Fraction(0)] * (1 << n)
-        seen = set()
-        parsed: dict = {}
-        for key, val in _field(obj, "values", dict).items():
-            try:
-                mask = mask_of(_parse_key(key), n)
-            except ValueError as exc:
-                raise ValueError(f"coalition key {key!r}: {exc}") from None
-            if mask in seen:
-                raise ValueError(f"coalition key {key!r} repeats an earlier key")
-            if val not in parsed:  # tables repeat a few values, such as "1"
-                parsed[val] = parse_rational(val)
-            table[mask] = parsed[val]
-            seen.add(mask)
-        if len(seen) != 1 << n:
-            raise ValueError("values table must be total over 2^N")
-        return CoalitionFunction(n, table)
-    winning = _field(obj, "winning", list)
-    closure = _field(obj, "closure", bool, True)
+        table = _table(obj, "values", 1, n, _rational,
+                       key=lambda players: mask_of(players, n))
+        if len(table) != 1 << n:
+            raise ValueError(f"values table must be total over 2^N: it has "
+                             f"{len(table)} of {1 << n} coalitions")
+        return CoalitionFunction(n, [table[m] for m in range(1 << n)])
+    winning = [_coalition(c, ("winning", i), n)
+               for i, c in enumerate(_member(obj, "winning", list))]
+    closure = _member(obj, "closure", bool, True)
     return CoalitionFunction.from_winning(n, winning, closure=closure)
 
 
@@ -96,15 +190,9 @@ def jk_game_to_json(v: JKGame) -> dict:
 
 
 def parse_jk_game(obj: dict) -> JKGame:
-    n, j, k = (_field(obj, key, int) for key in ("n", "j", "k"))
-    values = {}
-    table = _field(obj, "values", dict)
-    for key in table:
-        profile = _parse_key(key)
-        if len(profile) != n:
-            raise ValueError(f"profile key {key!r} has wrong arity")
-        values[profile] = _field(table, key, int)
-    return JKGame(n, j, k, values)
+    _typed(obj, dict, ())
+    n, j, k = (_member(obj, key, int) for key in ("n", "j", "k"))
+    return JKGame(n, j, k, _table(obj, "values", 0, j - 1, _level, arity=n))
 
 
 # ---------------------------------------------------------------------------
@@ -126,27 +214,15 @@ def step_game_to_json(g: StepGame) -> dict:
 
 def parse_step_game(obj: dict) -> StepGame:
     # nothing grid-sized is built here: StepGame checks the caps first
-    disc = Discretization(tuple(parse_rational(a)
-                                for a in _field(obj, "alpha", list)))
-    n = _field(obj, "n", int)
-    tag = _field(obj, "tag", str, TAG_REGULAR)
-    boxes: dict[Face, Fraction] = {}
-    for key, val in _field(obj, "boxes", dict).items():
-        idx = _parse_key(key)
-        if len(idx) != n or any(not 1 <= i <= disc.p for i in idx):
-            raise ValueError(f"box key {key!r} invalid for this grid")
-        b = tuple(2 * i - 1 for i in idx)
-        if b in boxes:
-            raise ValueError(f"box key {key!r} repeats an earlier key")
-        boxes[b] = parse_rational(val)
-    faces: dict[Face, Fraction] = {}
-    for key, val in _field(obj, "faces", dict, {}).items():
-        d = _parse_key(key)
-        if len(d) != n or any(not 0 <= di <= 2 * disc.p for di in d):
-            raise ValueError(f"face key {key!r} invalid for this grid")
-        if d in faces:
-            raise ValueError(f"face key {key!r} repeats an earlier key")
-        faces[d] = parse_rational(val)
+    _typed(obj, dict, ())
+    disc = Discretization(tuple(_rational(a, ("alpha", i)) for i, a
+                                in enumerate(_member(obj, "alpha", list))))
+    n = _member(obj, "n", int)
+    tag = _member(obj, "tag", str, TAG_REGULAR)
+    p = disc.p
+    boxes = _table(obj, "boxes", 1, p, _rational, arity=n,
+                   key=lambda idx: tuple(2 * i - 1 for i in idx))
+    faces = _table(obj, "faces", 0, 2 * p, _rational, arity=n, default={})
     return StepGame(disc, n, boxes, faces, tag)
 
 

@@ -1,0 +1,54 @@
+"""The one work budget: every exhaustive enumeration counts its elementary
+steps and checks them against ``budget.MAX_STEPS`` before it starts."""
+
+import time
+from fractions import Fraction as F
+
+import pytest
+
+from powerdex.budget import MAX_STEPS, check_work
+from powerdex.coalitions import SimpleGame, all_simple_games
+from powerdex.evaluables import EvaluableGame, counterexample_game
+from powerdex.indices import (psi_mc, psi_point, psi_product_oracle,
+                              ssi_roll_call)
+
+
+def test_budget_admits_its_bound_and_refuses_one_more_step():
+    check_work(MAX_STEPS, "this")
+    with pytest.raises(ValueError, match="this exceeds the work budget"):
+        check_work(MAX_STEPS + 1, "this")
+
+
+@pytest.mark.parametrize("run", [
+    # 9! * 9 steps
+    lambda: ssi_roll_call(SimpleGame.weighted(9, [1] * 9)),
+    # 7! * 2^7 * 7 steps; the old cap admitted it and it ran for about 3 s
+    lambda: ssi_roll_call(SimpleGame.weighted(4, [1] * 7), "uniform_half"),
+    # 16 * 2^17 steps
+    lambda: psi_point(counterexample_game(16), F(1, 3)),
+    lambda: psi_mc(counterexample_game(16), 1, 0),
+    # 15^2 * 2^14 steps
+    lambda: psi_product_oracle([1] * 15),
+    # 2^32 * 2^5 steps
+    lambda: list(all_simple_games(5)),
+], ids=["all_yes", "uniform_half", "point", "mc", "oracle", "simple_games"])
+def test_enumerations_over_the_budget_raise_at_once(run):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the work budget"):
+        run()
+    assert time.perf_counter() - start < 1
+
+
+def test_psi_mc_refuses_21_players_before_it_draws():
+    # used to draw and evaluate for about 30 s, then raise IndexError from
+    # the factorial table behind ordering_weight
+    game = EvaluableGame(21, None, lambda p: p[:, 0])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="work budget"):
+        psi_mc(game, 1, 0)
+    assert time.perf_counter() - start < 1
+
+
+def test_point_variant_runs_beyond_the_old_eight_player_cap():
+    pv = psi_point(counterexample_game(9), F(1, 3))
+    assert pv.shares == (F(7, 18), F(11, 18)) + (F(0),) * 7

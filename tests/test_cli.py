@@ -353,6 +353,9 @@ sys.exit(code)
     ("psi", {"n": 6, "alpha": ["0", "1"], "tag": "regular",
              "boxes": {"1,1,1,1,1,1": "0"}},
      ["--mc", "--samples", "20000000"], "Monte-Carlo cap"),
+    # JKGame built two n-tuples before it checked anything
+    ("jk-ssi", {"n": 100_000_000, "j": 2, "k": 2, "values": {}}, [],
+     "player count"),
 ])
 def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
                                                    extra, needle):
@@ -363,3 +366,82 @@ def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
     assert proc.returncode == 2 and proc.stdout == ""
     assert needle in json.loads(diagnostic)["error"]
     assert float(took) < 1
+
+
+def _diagnostic(err: str) -> dict:
+    (line,) = err.splitlines()
+    diagnostic = json.loads(line)
+    assert set(diagnostic) == {"error", "type"}
+    return diagnostic
+
+
+JK_AND = {"0,0": 0, "0,1": 0, "1,0": 0, "1,1": 1}
+STEP_1 = {"n": 1, "alpha": ["0", "1/2", "1"], "tag": "regular"}
+
+
+@pytest.mark.parametrize("command, game, where", [
+    # the later key "0, 1" used to win silently: shares ["0", "1"]
+    ("jk-ssi", {"n": 2, "j": 2, "k": 2,
+                "values": {**JK_AND, "0, 1": 1}}, 'values["0, 1"]'),
+    # keys out of range were ignored and the run exited 0
+    ("jk-ssi", {"n": 2, "j": 2, "k": 2, "values": {**JK_AND, "5,0": 1}},
+     'values["5,0"]'),
+    ("jk-ssi", {"n": 2, "j": 2, "k": 2, "values": {**JK_AND, "-1,0": 7}},
+     'values["-1,0"]'),
+    # a JSON boolean or float in a rational position was read as a number
+    ("psi", {"n": 1, "alpha": ["0", "1"], "boxes": {"1": True}},
+     'boxes["1"]'),
+    ("psi", {**STEP_1, "alpha": [False, "1/2", "1"],
+             "boxes": {"1": "0", "2": "1"}}, "alpha[0]"),
+    ("psi", {**STEP_1, "boxes": {"1": "0", "2": 0.5}}, 'boxes["2"]'),
+    ("ssi", {"n": 1, "values": {"": "0", "1": 1.0}}, 'values["1"]'),
+    # winning members must be JSON integers: true was read as player 1
+    ("ssi", {"n": 2, "winning": [[True]]}, "winning[0][0]"),
+    ("ssi", {"n": 2, "winning": [[1, "2"]]}, "winning[0][1]"),
+    ("ssi", {"n": 2, "winning": [[1], [3]]}, "winning[1]"),
+    ("rollcall", {"n": 2, "winning": [[1, 1]]}, "winning[0]"),
+])
+def test_refused_value_exits_2_naming_its_json_path(tmp_path, capsys,
+                                                    command, game, where):
+    code, out, err = run_cli([command, write(tmp_path, "g.json", game)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert _diagnostic(err)["error"].startswith(where + ": ")
+
+
+def test_jk_table_without_the_repeated_key_still_reads(tmp_path, capsys):
+    game = {"n": 2, "j": 2, "k": 2, "values": JK_AND}
+    code, out, _ = run_cli(["jk-ssi", write(tmp_path, "g.json", game)], capsys)
+    assert code == 0 and json.loads(out)["shares"] == ["1/2", "1/2"]
+
+
+def test_rational_positions_take_json_integers(tmp_path, capsys):
+    game = {"n": 1, "alpha": [0, "1/2", 1], "boxes": {"1": 0, "2": "1"}}
+    code, out, _ = run_cli(["psi", write(tmp_path, "g.json", game)], capsys)
+    assert code == 0 and json.loads(out)["shares"] == ["1"]
+
+
+@pytest.mark.parametrize("command, blob, message", [
+    ("ssi", "[1, 2]", "the top level must be a JSON object, not array"),
+    ("psi", "null", "the top level must be a JSON object, not null"),
+    ("jk-ssi", '"x"', "the top level must be a JSON object, not string"),
+    # the diagnostic used to be "'n'"
+    ("ssi", "{}", "missing key 'n'"),
+    ("psi", '{"n": 1, "alpha": ["0", "1"]}', "missing key 'boxes'"),
+])
+def test_document_shape_diagnostics(tmp_path, capsys, command, blob, message):
+    path = tmp_path / "g.json"
+    path.write_text(blob)
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert _diagnostic(err)["error"] == message
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    # json.loads raised RecursionError, which main did not catch: exit 1
+    # with a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_cli(["ssi", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert str(path) in _diagnostic(err)["error"]

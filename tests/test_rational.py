@@ -60,3 +60,10 @@ def test_constant_domain_errors():
         ordering_weight(0, 3)
     with pytest.raises(ValueError):
         loss_constant(3, 3)
+
+
+@pytest.mark.parametrize("value", [True, 0.5, 1e-7, None])
+def test_parse_rational_refuses_what_is_not_a_string_or_integer(value):
+    # a float used to be read through str(): 0.5 as 1/2, 1e-07 refused
+    with pytest.raises(TypeError, match="is not a rational"):
+        parse_rational(value)

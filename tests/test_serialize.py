@@ -92,3 +92,35 @@ def test_power_vector_serialization(appendix):
     blob = power_vector_to_json(mc, "psi")
     assert blob["samples"] == 1000 and blob["seed"] == 0
     assert len(blob["shares"][0]) == 2
+
+
+def test_keys_allow_whitespace_around_each_integer():
+    v = parse_jk_game({"n": 2, "j": 2, "k": 2,
+                       "values": {"0,0": 0, " 0 , 1": 0, "1,0 ": 0, "1, 1": 1}})
+    assert v.values == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
+    cf = parse_coalition_input({"n": 2, "values": {" ": "0", "1": "0",
+                                                   " 2": "0", "2 ,1": "1"}})
+    assert cf.values == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("reader, obj, message", [
+    (parse_jk_game, {"n": 2, "j": 2, "k": 2, "values": {"0": 0}},
+     """values["0"]: key '0' needs 2 comma-separated integers, not 1"""),
+    (parse_step_game, {"n": 2, "alpha": ["0", "1/2", "1"],
+                       "boxes": {"3,1": "0"}},
+     """boxes["3,1"]: key '3,1' has an integer outside 1..2"""),
+    (parse_step_game, {"n": 1, "alpha": ["0", "1"], "boxes": {"1": "0"},
+                       "faces": {"0": "0", " 0": "1/2"}},
+     """faces[" 0"]: key ' 0' repeats an earlier key"""),
+    (parse_step_game, {"n": 1, "alpha": ["0", "1/2", 0.75, "1"],
+                       "boxes": {}},
+     "alpha[2]: value must be a JSON string or integer, not number"),
+    (parse_coalition_input, {"n": 2, "values": {"1,x": "0"}},
+     """values["1,x"]: key '1,x' is not comma-separated integers"""),
+    (parse_coalition_input, {"n": 2, "winning": [[1, 2.0]]},
+     "winning[0][1]: value must be a JSON integer, not number"),
+])
+def test_diagnostics_name_the_json_path(reader, obj, message):
+    with pytest.raises((TypeError, ValueError)) as caught:
+        reader(obj)
+    assert str(caught.value) == message
