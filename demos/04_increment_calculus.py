@@ -33,7 +33,7 @@ print("  share delta:", delta.shares)
 print("  cross-check:", tuple(a - b for a, b in
                               zip(psi_exact(out).shares, psi_exact(base).shares)))
 
-print("\nper-face effect table (uniform grid, l = 2):")
+print("\nlocal increments the box implies (uniform grid, l = 2):")
 for row in table1_rows(2, 1):
     print("  face %-12s S=%-6s vol=%-4s delta=%s"
           % (row["face"], row["S"], row["vol"],

@@ -27,7 +27,7 @@ _SUBMODULE_NAMES = {
                    "weighted_mean_game", "weighted_median_game"],
     "his": ["BuildResult", "Domain", "IncrementError", "LocalIncrement",
             "ReplayResult", "apply_box_increment", "appendix_game",
-            "build_by_increments", "check_local_increment", "classify_face",
+            "box_increments", "build_by_increments", "check_local_increment",
             "corner_increase", "his_delta", "potential_influence",
             "replay_appendix", "table1_rows"],
     "indices": ["BoundaryAverages", "PowerVector", "boundary_averages",

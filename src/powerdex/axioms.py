@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .his import Domain, LocalIncrement, check_local_increment
+from .his import LocalIncrement, _box_domain, check_local_increment
 from .indices import PowerVector, phi_two_player, psi_exact, psi_point, psi_product_oracle
 from .stepfun import (Discretization, Face, StepGame, join_meet,
                       make_regular_step, permute_axes)
@@ -125,12 +125,9 @@ def boundary_face_witness(g: StepGame, player: int, face: Face,
         raise ValueError("remaining coordinates must be intervals")
     sign = 1 if d == 2 * p else -1
     out = g.with_values({face: g.values[face] + sign * delta}).with_tag("raw")
-    mapping = {}
-    for k, fi in enumerate(face):
-        if k == player - 1:
-            continue
-        mapping[k + 1] = (g.disc.alpha[(fi - 1) // 2], g.disc.alpha[(fi + 1) // 2])
-    inc = LocalIncrement(g.n, frozenset({player}), delta, Domain.of(mapping))
+    rest = [k for k in range(1, g.n + 1) if k != player]
+    inc = LocalIncrement(g.n, frozenset({player}), delta,
+                         _box_domain(g.disc, face, rest))
     return g, out, inc
 
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from .indices import (jk_ssi_marginal, jk_ssi_pivot, psi_exact, psi_mc,
                       psi_point, ssi_coalition, ssi_roll_call)
 from .rational import format_rational, parse_rational
-from .serialize import (parse_coalition_input, parse_jk_game,
+from .serialize import (json_type, parse_coalition_input, parse_jk_game,
                         parse_simple_game, parse_step_game,
                         power_vector_to_json, step_game_to_json)
 from .stepfun import Discretization, coarsen, validate, zero_game
@@ -64,6 +64,22 @@ def _validated_step_game(obj):
         raise InputError(f"invalid step game: {len(found)} violations{more}: "
                          + "; ".join(found[:5]))
     return g
+
+
+def _validated_suite(path: str) -> list:
+    """The step games of a suite file, a JSON array; the diagnostic for a
+    refused game starts with its index in the array."""
+    doc = _read_json(path)
+    if type(doc) is not list:
+        raise InputError("a suite must be a JSON array of step games, "
+                         f"not {json_type(doc)}")
+    games = []
+    for k, obj in enumerate(doc):
+        try:
+            games.append(_validated_step_game(obj))
+        except (ValueError, TypeError) as exc:
+            raise type(exc)(f"suite[{k}]: {exc}") from None
+    return games
 
 
 def _domain_json(domain: Domain) -> list[list[str]]:
@@ -234,7 +250,7 @@ def _cmd_axioms(args) -> None:
         raise InputError(f"unknown index {args.index!r}; "
                          f"choose from {sorted(handles)}")
     if args.suite:
-        suite = [_validated_step_game(obj) for obj in _read_json(args.suite)]
+        suite = _validated_suite(args.suite)
     else:
         rng = random.Random(args.seed)
         suite = [random_regular_game(rng, args.players, rng.randrange(1, 4))

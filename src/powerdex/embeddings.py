@@ -11,19 +11,20 @@ from fractions import Fraction
 
 from .coalitions import CoalitionFunction, JKGame, SimpleGame
 from .stepfun import (Discretization, Face, StepGame, TAG_SEMI_REGULAR,
-                      make_regular_step)
+                      make_regular_step, uniform_grid)
+
+
+def _embed_on(v: JKGame, disc: Discretization) -> StepGame:
+    """The box at level profile e worth v(e)/(k-1) on a grid with j boxes
+    per axis, lower-dimensional faces averaged."""
+    boxes = {tuple(2 * ei + 1 for ei in e): Fraction(v.values[e], v.k - 1)
+             for e in v.profiles()}
+    return make_regular_step(disc, boxes, v.n)
 
 
 def embed_jk(v: JKGame) -> StepGame:
-    """Natural embedding: uniform grid with j boxes per axis, the box at
-    level profile e worth v(e)/(k-1), lower-dimensional faces averaged."""
-    j, k, n = v.j, v.k, v.n
-    disc = Discretization(tuple(Fraction(h, j) for h in range(j + 1)))
-    boxes: dict[Face, Fraction] = {}
-    for e in v.profiles():
-        box = tuple(2 * ei + 1 for ei in e)
-        boxes[box] = Fraction(v.values[e], k - 1)
-    return make_regular_step(disc, boxes, n)
+    """Natural embedding: the uniform grid with j boxes per axis."""
+    return _embed_on(v, uniform_grid(v.j))
 
 
 def embed_2k_tau(v: JKGame, tau) -> StepGame:
@@ -34,12 +35,7 @@ def embed_2k_tau(v: JKGame, tau) -> StepGame:
     t = Fraction(tau)
     if not 0 < t < 1:
         raise ValueError("tau must lie strictly between 0 and 1")
-    disc = Discretization((Fraction(0), t, Fraction(1)))
-    boxes: dict[Face, Fraction] = {}
-    for e in v.profiles():
-        box = tuple(2 * ei + 1 for ei in e)
-        boxes[box] = Fraction(v.values[e], v.k - 1)
-    return make_regular_step(disc, boxes, v.n)
+    return _embed_on(v, Discretization((Fraction(0), t, Fraction(1))))
 
 
 def embed_coalition_semiregular(cf: CoalitionFunction) -> StepGame:

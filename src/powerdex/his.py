@@ -7,11 +7,12 @@ every other coalition's influence unchanged.  The index shifts by
 -s!(n-s-1)!/n! * eps * vol(D) for outsiders, with zero effect for S empty
 or S = N.
 
-Raising a step game uniformly on one full-dimensional box decomposes into
-face steps, each an implied local increment; only faces pinned entirely to
-the cube boundary carry a nonzero delta.  Iterating boxes grid-by-grid
-builds any regular monotone step game from the all-or-nothing game, and the
-worked two-player construction is replayed move by move.
+Raising a step game uniformly on one full-dimensional box implies one local
+increment per nonempty proper coalition pinned to the top or bottom of the
+cube on the box's outer band; no other face carries a nonzero delta.
+Iterating boxes grid-by-grid builds any regular monotone step game from the
+all-or-nothing game, and the worked two-player construction is replayed move
+by move.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .coalitions import mask_of
 from .indices import PowerVector, psi_exact
 from .rational import loss_constant, ordering_weight
 from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
                       TAG_SEMI_REGULAR, adjacent_boxes, box_faces,
                       evaluate_step, face_center, make_regular_step, refine,
-                      validate, zero_game)
+                      uniform_grid, validate, zero_game)
 
 
 class IncrementError(ValueError):
@@ -123,67 +125,6 @@ def his_delta(inc: LocalIncrement) -> PowerVector:
     loss = loss_constant(s, n) * scale
     return PowerVector(tuple(gain if i in inc.coalition else -loss
                              for i in range(1, n + 1)), "exact")
-
-
-# ---------------------------------------------------------------------------
-# face classification
-
-@dataclass(frozen=True)
-class FaceClassification:
-    """Position of a face within a box, split by cube-boundary contact."""
-
-    lower: frozenset[int]
-    upper: frozenset[int]
-    lower_boundary: frozenset[int]
-    upper_boundary: frozenset[int]
-    inner: frozenset[int]
-    matters: bool
-    his_sign: int
-    coalition: frozenset[int]
-    domain: Domain | None
-
-
-def classify_face(e: Face, e_bar: Face, disc: Discretization) -> FaceClassification:
-    """Classify face e of the box e_bar (doubled coordinates).
-
-    The implied local increment acts on S = the boundary-pinned side; its
-    domain keeps degenerate point intervals, which contribute zero volume.
-    """
-    p = disc.p
-    if any(b % 2 == 0 for b in e_bar):
-        raise ValueError("e_bar must be a full-dimensional box")
-    if any(abs(ei - bi) > 1 for ei, bi in zip(e, e_bar)):
-        raise ValueError(f"{e} is not a face of box {e_bar}")
-    lower = frozenset(i + 1 for i, (ei, bi) in enumerate(zip(e, e_bar)) if ei == bi - 1)
-    upper = frozenset(i + 1 for i, (ei, bi) in enumerate(zip(e, e_bar)) if ei == bi + 1)
-    lbar = frozenset(i for i in lower if e[i - 1] == 0)
-    ubar = frozenset(i for i in upper if e[i - 1] == 2 * p)
-    inner = frozenset(range(1, len(e) + 1)) - lower - upper
-    matters = lower == lbar and upper == ubar and bool(lbar | ubar)
-    if ubar and not lbar:
-        sign, coalition = 1, ubar
-    elif lbar and not ubar:
-        sign, coalition = -1, lbar
-    else:
-        sign, coalition = 0, frozenset()
-    domain = None
-    if sign != 0:
-        mapping = {}
-        for i in range(1, len(e) + 1):
-            if i in coalition:
-                continue
-            mapping[i] = disc.coord_region(e[i - 1])[:2]
-        domain = Domain.of(mapping)
-    return FaceClassification(lower, upper, lbar, ubar, inner, matters,
-                              sign, coalition, domain)
-
-
-def implied_increment(cls: FaceClassification, eps: Fraction,
-                      n: int) -> LocalIncrement | None:
-    if cls.his_sign == 0:
-        return None
-    return LocalIncrement(n, cls.coalition, cls.his_sign * Fraction(eps),
-                          cls.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +226,41 @@ def check_local_increment(u: StepGame, v: StepGame,
 # ---------------------------------------------------------------------------
 # box increments
 
+def _box_domain(disc: Discretization, box: Face,
+                players: Sequence[int]) -> Domain:
+    """The box's own intervals for the given players."""
+    return Domain.of({i: (disc.alpha[(box[i - 1] - 1) // 2],
+                          disc.alpha[(box[i - 1] + 1) // 2]) for i in players})
+
+
+def box_increments(disc: Discretization, e_bar: Face,
+                   eps) -> list[tuple[int, LocalIncrement]]:
+    """The local increments implied by raising the box e_bar by eps, each
+    with the cube side (+1 top, -1 bottom) it comes from.
+
+    Only a face that pins a nonempty proper coalition S to one side of the
+    cube and keeps every other coordinate on the box's interval carries a
+    nonzero delta, and such a face has the box as its one adjacent box.  So
+    each S inside the top band gives +eps and each S inside the bottom band
+    gives -eps, on the box's intervals for the other players.
+    """
+    eps = Fraction(eps)
+    n, top = len(e_bar), 2 * disc.p - 1
+    if any(b % 2 == 0 or not 1 <= b <= top for b in e_bar):
+        raise IncrementError(f"{e_bar} is not a full-dimensional box")
+    everyone = range(1, n + 1)
+    out = []
+    for side, level in ((1, top), (-1, 1)):
+        band = [i for i in everyone if e_bar[i - 1] == level]
+        for r in range(1, min(len(band), n - 1) + 1):
+            for team in itertools.combinations(band, r):
+                rest = [i for i in everyone if i not in team]
+                out.append((side, LocalIncrement(
+                    n, frozenset(team), side * eps,
+                    _box_domain(disc, e_bar, rest))))
+    return out
+
+
 def apply_box_increment(u: StepGame, e_bar: Face,
                         eps) -> tuple[StepGame, PowerVector]:
     """Raise the game by eps on one open box, re-averaging its faces.
@@ -292,31 +268,26 @@ def apply_box_increment(u: StepGame, e_bar: Face,
     Every face of the box gains eps divided by its number of adjacent boxes
     (the two extreme cube corners stay pinned to 0 and 1), so regularity is
     preserved; overrides on the box's faces shift with it.  The returned
-    delta accumulates the implied per-face local increments and equals the
+    delta sums the shifts of the implied local increments and equals the
     exact index difference.
     """
     eps = Fraction(eps)
     if eps < 0:
         raise IncrementError("box increments take eps >= 0")
-    p = u.p
     e_bar = tuple(e_bar)
-    if any(b % 2 == 0 or not 1 <= b <= 2 * p - 1 for b in e_bar):
-        raise IncrementError(f"{e_bar} is not a full-dimensional box")
+    if len(e_bar) != u.n:
+        raise IncrementError(f"box {e_bar} does not fit the game's "
+                             f"{u.n} players")
+    delta = [Fraction(0)] * u.n
+    for _, inc in box_increments(u.disc, e_bar, eps):
+        delta = [d + s for d, s in zip(delta, his_delta(inc).shares)]
+    p = u.p
     corners = {(0,) * u.n, (2 * p,) * u.n}
     boxes = {**u.boxes, e_bar: u.boxes[e_bar] + eps}
     faces = dict(u.faces)
-    delta = [Fraction(0)] * u.n
     for e in box_faces(e_bar):
-        if e in corners:
-            continue
-        count = len(adjacent_boxes(e, p))
-        if e in faces:
-            faces[e] += eps / count
-        cls = classify_face(e, e_bar, u.disc)
-        inc = implied_increment(cls, eps / count, u.n)
-        if inc is not None:
-            shift = his_delta(inc)
-            delta = [d + s for d, s in zip(delta, shift.shares)]
+        if e in faces and e not in corners:
+            faces[e] += eps / len(adjacent_boxes(e, p))
     out = StepGame(u.disc, u.n, boxes, faces, u.tag)
     report = validate(out)
     if not report.monotone:
@@ -330,16 +301,16 @@ def corner_increase(L: Sequence[int], U: Sequence[int], eps, l: int,
     """Total share change for player i when the corner box pinned low on L
     and high on U of the uniform l-grid gains eps (four-sum closed form)."""
     eps = Fraction(eps)
-    lset, uset = set(L), set(U)
-    n = len(lset) + len(uset)
-    if not lset or not uset or lset & uset or lset | uset != set(range(1, n + 1)):
+    n = len(L) + len(U)
+    mask_of([*L, *U], n)  # each of 1..n exactly once
+    if not L or not U:
         raise ValueError("L, U must be disjoint, nonempty and cover 1..n")
     if l < 2:
         raise ValueError("uniform grid needs l >= 2")
-    if i not in lset | uset:
+    if not 1 <= i <= n:
         raise ValueError(f"player {i} outside 1..{n}")
     total = Fraction(0)
-    for base, side in ((lset, -1), (uset, 1)):
+    for base, side in ((L, -1), (U, 1)):
         members = sorted(base)
         for r in range(1, len(members) + 1):
             for team in itertools.combinations(members, r):
@@ -355,24 +326,16 @@ def corner_increase(L: Sequence[int], U: Sequence[int], eps, l: int,
 def table1_rows(l: int, eps=1) -> list[dict]:
     """The effect rows of a uniform increase on the box pinned high in
     coordinates 1 and 3 and low in coordinate 2 of the uniform l-grid (n=3):
-    one row per face that matters."""
+    one row per local increment the box implies."""
     if l < 2:
         raise ValueError("uniform grid needs l >= 2")
-    eps = Fraction(eps)
-    disc = Discretization(tuple(Fraction(h, l) for h in range(l + 1)))
     e_bar = (2 * l - 1, 1, 2 * l - 1)
     rows = []
-    for e in box_faces(e_bar):
-        cls = classify_face(e, e_bar, disc)
-        if not cls.matters or cls.his_sign == 0:
-            continue
-        inc = implied_increment(cls, eps, 3)
-        shift = his_delta(inc)
-        label = ", ".join([f"x{i}=1" for i in sorted(cls.upper_boundary)]
-                          + [f"x{i}=0" for i in sorted(cls.lower_boundary)])
-        rows.append({"face": label, "S": tuple(sorted(cls.coalition)),
-                     "sign": cls.his_sign, "vol": inc.domain.volume(),
-                     "delta": shift.shares})
+    for side, inc in box_increments(uniform_grid(l), e_bar, eps):
+        s = tuple(sorted(inc.coalition))
+        rows.append({"face": ", ".join(f"x{i}={int(side > 0)}" for i in s),
+                     "S": s, "sign": side, "vol": inc.domain.volume(),
+                     "delta": his_delta(inc).shares})
     rows.sort(key=lambda r: (-r["sign"], -len(r["S"]), r["S"]))
     return rows
 
@@ -410,15 +373,6 @@ def _finest_center(alpha: tuple[Fraction, ...], phase: Discretization,
         h = alpha.index(left)
         out.append((alpha[h] + alpha[h + 1]) / 2)
     return tuple(out)
-
-
-def _box_domain(phase: Discretization, box: Face,
-                players: Sequence[int]) -> Domain:
-    mapping = {}
-    for i in players:
-        b = box[i - 1]
-        mapping[i] = (phase.alpha[(b - 1) // 2], phase.alpha[(b + 1) // 2])
-    return Domain.of(mapping)
 
 
 def _submoves_for_box(n: int, phase: Discretization, box: Face,

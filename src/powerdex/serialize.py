@@ -52,13 +52,17 @@ def _error(path: tuple, problem: str, kind: type = ValueError) -> Exception:
     return kind(problem)
 
 
+def json_type(value) -> str:
+    """The JSON name of a parsed value's type, such as "object" or "array"."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def _mismatch(value, path: tuple, expected: str) -> TypeError:
     last = path[-1] if path else None
     name = ("the top level" if not path else
             f"key {last!r}" if isinstance(last, str) else "value")
-    found = _JSON_TYPES.get(type(value), type(value).__name__)
-    return _error(path, f"{name} must be a JSON {expected}, not {found}",
-                  TypeError)
+    return _error(path, f"{name} must be a JSON {expected}, "
+                  f"not {json_type(value)}", TypeError)
 
 
 def _typed(value, kind: type, path: tuple):

@@ -445,3 +445,114 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     code, out, err = run_cli(["ssi", str(path)], capsys)
     assert code == 2 and out == ""
     assert str(path) in _diagnostic(err)["error"]
+
+
+def test_his_apply_box_with_the_wrong_arity_exits_2(tmp_path, capsys):
+    game = {"n": 2, "alpha": ["0", "1/2", "1"], "tag": "regular",
+            "boxes": {"1,1": "0", "1,2": "0", "2,1": "0", "2,2": "1/2"}}
+    path = write(tmp_path, "g.json", game)
+    code, out, err = run_cli(["his-apply", path, "--box", "1", "--eps", "0"],
+                             capsys)
+    assert code == 2 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["type"] == "IncrementError"
+    assert "(1,)" in diagnostic["error"] and "2 players" in diagnostic["error"]
+
+
+def test_corner_names_a_repeated_player(capsys):
+    code, out, err = run_cli(["corner", "--L", "2,2", "--U", "1,3", "--l", "2"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "player 2 listed twice"
+
+
+@pytest.mark.parametrize("doc,found", [
+    ({"n": 1, "alpha": ["0", "1"], "boxes": {"1": "0"}}, "object"),
+    (5, "integer"),
+])
+def test_axioms_suite_must_be_an_array(tmp_path, capsys, doc, found):
+    path = write(tmp_path, "suite.json", doc)
+    code, out, err = run_cli(["axioms", "--index", "psi_exact", "--suite",
+                              path], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == \
+        f"a suite must be a JSON array of step games, not {found}"
+
+
+def test_axioms_suite_diagnostic_names_the_game(tmp_path, capsys):
+    good = {"n": 1, "alpha": ["0", "1"], "boxes": {"1": "1/2"}}
+    path = write(tmp_path, "suite.json", [good, {"n": 1, "alpha": ["0", "1"]}])
+    code, out, err = run_cli(["axioms", "--index", "psi_exact", "--suite",
+                              path], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "suite[1]: missing key 'boxes'"
+
+
+TABLE1_L3_MARKDOWN = """\
+| face | S | vol | d1 | d2 | d3 |
+|---|---|---|---|---|---|
+| x1=1, x3=1 | {1,3} | 1/3 | 1/18 | -1/9 | 1/18 |
+| x1=1 | {1} | 1/9 | 1/27 | -1/54 | -1/54 |
+| x3=1 | {3} | 1/9 | -1/54 | -1/54 | 1/27 |
+| x2=0 | {2} | 1/9 | 1/54 | -1/27 | 1/54 |
+"""
+TABLE1_L3_CSV = """\
+face,S,vol,d1,d2,d3
+x1=1, x3=1,{1,3},1/3,1/18,-1/9,1/18
+x1=1,{1},1/9,1/27,-1/54,-1/54
+x3=1,{3},1/9,-1/54,-1/54,1/27
+x2=0,{2},1/9,1/54,-1/27,1/54
+"""
+TABLE1_L3_JSON = (
+    '[{"S": "{1,3}", "d1": "1/18", "d2": "-1/9", "d3": "1/18", '
+    '"face": "x1=1, x3=1", "vol": "1/3"}, '
+    '{"S": "{1}", "d1": "1/27", "d2": "-1/54", "d3": "-1/54", '
+    '"face": "x1=1", "vol": "1/9"}, '
+    '{"S": "{3}", "d1": "-1/54", "d2": "-1/54", "d3": "1/27", '
+    '"face": "x3=1", "vol": "1/9"}, '
+    '{"S": "{2}", "d1": "1/54", "d2": "-1/27", "d3": "1/54", '
+    '"face": "x2=0", "vol": "1/9"}]\n')
+# each row's sign comes from the cube side of its face, not from eps
+TABLE1_L2_EPS0 = """\
+| face | S | vol | d1 | d2 | d3 |
+|---|---|---|---|---|---|
+| x1=1, x3=1 | {1,3} | 1/2 | 0 | 0 | 0 |
+| x1=1 | {1} | 1/4 | 0 | 0 | 0 |
+| x3=1 | {3} | 1/4 | 0 | 0 | 0 |
+| x2=0 | {2} | 1/4 | 0 | 0 | 0 |
+"""
+TABLE1_L2_EPS_MINUS_1 = """\
+| face | S | vol | d1 | d2 | d3 |
+|---|---|---|---|---|---|
+| x1=1, x3=1 | {1,3} | 1/2 | -1/12 | 1/6 | -1/12 |
+| x1=1 | {1} | 1/4 | -1/12 | 1/24 | 1/24 |
+| x3=1 | {3} | 1/4 | 1/24 | 1/24 | -1/12 |
+| x2=0 | {2} | 1/4 | -1/24 | 1/12 | -1/24 |
+"""
+HIS_APPLY_GAME = {"n": 3, "alpha": ["0", "1/2", "1"], "tag": "regular",
+                  "boxes": {"1,1,1": "0", "1,1,2": "0", "1,2,1": "1",
+                            "1,2,2": "1", "2,1,1": "0", "2,1,2": "0",
+                            "2,2,1": "1", "2,2,2": "1"}}
+HIS_APPLY_STDOUT = (
+    '{"delta": ["1/12", "-1/6", "1/12"], "game": {"alpha": ["0", "1/2", "1"], '
+    '"boxes": {"1,1,1": "0", "1,1,2": "0", "1,2,1": "1", "1,2,2": "1", '
+    '"2,1,1": "0", "2,1,2": "1/2", "2,2,1": "1", "2,2,2": "1"}, "n": 3, '
+    '"tag": "regular"}, "psi_after": ["1/12", "5/6", "1/12"], '
+    '"psi_before": ["0", "1", "0"]}\n')
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["table1", "--l", "3"], TABLE1_L3_MARKDOWN),
+    (["table1", "--l", "3", "--format", "csv"], TABLE1_L3_CSV),
+    (["table1", "--l", "3", "--format", "json"], TABLE1_L3_JSON),
+    (["table1", "--l", "2", "--eps", "0"], TABLE1_L2_EPS0),
+    (["table1", "--l", "2", "--eps", "-1"], TABLE1_L2_EPS_MINUS_1),
+    (["his-apply", "{game}", "--box", "2,1,2", "--eps", "1/2"],
+     HIS_APPLY_STDOUT),
+], ids=["table1-markdown", "table1-csv", "table1-json", "table1-eps0",
+        "table1-eps-1", "his-apply"])
+def test_pinned_stdout(tmp_path, capsys, argv, expected):
+    path = write(tmp_path, "g.json", HIS_APPLY_GAME)
+    code, out, _ = run_cli([a.replace("{game}", path) for a in argv], capsys)
+    assert code == 0
+    assert out == expected

@@ -40,6 +40,7 @@ SEEDS = [
     (["embed", "--semiregular"], WINNING),
     (["coarsen", "--alpha", "0,1"], STEP),
     (["his-apply", "--box", "1,2", "--eps", "1/8"], STEP),
+    (["axioms", "--index", "psi_exact", "--suite"], [STEP]),
 ]
 
 SCALARS = st.one_of(

@@ -5,10 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from powerdex.his import (Domain, IncrementError, LocalIncrement,
-                          apply_box_increment, appendix_game,
+                          apply_box_increment, appendix_game, box_increments,
                           build_by_increments, check_local_increment,
-                          classify_face, corner_increase, his_delta,
-                          implied_increment, potential_influence,
+                          corner_increase, his_delta, potential_influence,
                           replay_appendix, table1_rows)
 from powerdex.indices import psi_exact
 from powerdex.rational import loss_constant, ordering_weight
@@ -74,21 +73,20 @@ def test_his_delta_always_conserves(rng):
         assert sum(his_delta(inc).shares) == 0
 
 
-def test_classify_face_examples():
-    disc = uniform_grid(2)
-    e_bar = (3, 1, 3)
-    both = classify_face((4, 0, 3), e_bar, disc)
-    assert both.his_sign == 0 and not both.matters is None
-    top = classify_face((4, 1, 4), e_bar, disc)
-    assert top.coalition == frozenset({1, 3}) and top.matters
-    inc = implied_increment(top, F(1), 3)
-    assert inc.domain.volume() == F(1, 2)
-    inner_point = classify_face((2, 1, 3), e_bar, disc)
-    assert inner_point.his_sign == 0 and not inner_point.matters
-    # interior-pinned coordinate: classified with sign but zero volume
-    low = classify_face((3, 0, 2), e_bar, disc)
-    assert low.his_sign == -1 and low.coalition == frozenset({2})
-    assert implied_increment(low, F(1), 3).domain.volume() == 0
+def test_box_increments_examples():
+    # box (high, low, high) of the 2-grid: only the faces pinning a
+    # coalition of its top band to 1, or of its bottom band to 0, carry an
+    # increment; faces pinned to both sides or to an inner breakpoint do not
+    incs = box_increments(uniform_grid(2), (3, 1, 3), F(1, 3))
+    got = {(tuple(sorted(inc.coalition)), side, inc.epsilon,
+            inc.domain.volume()) for side, inc in incs}
+    assert len(incs) == 4
+    assert got == {((1, 3), 1, F(1, 3), F(1, 2)),
+                   ((1,), 1, F(1, 3), F(1, 4)),
+                   ((3,), 1, F(1, 3), F(1, 4)),
+                   ((2,), -1, F(-1, 3), F(1, 4))}
+    top = next(inc for _, inc in incs if inc.coalition == {1, 3})
+    assert top.domain == Domain.of({2: (0, F(1, 2))})
 
 
 def test_check_local_increment_appendix_move(appendix):

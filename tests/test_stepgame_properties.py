@@ -12,22 +12,25 @@ from hypothesis import strategies as st
 from dense_oracle import (dense_boundary_averages, dense_completion,
                           dense_validate)
 from powerdex.evaluables import EvaluableGame, step_game_evaluable
-from powerdex.his import apply_box_increment
+from powerdex.his import IncrementError, apply_box_increment
 from powerdex.indices import boundary_averages, psi_exact, psi_mc
 from powerdex.sampling import random_discretization, random_regular_game
 from powerdex.serialize import parse_step_game, step_game_to_json
-from powerdex.stepfun import FaceValues, StepGame, validate
+from powerdex.stepfun import (FaceValues, StepGame, adjacent_boxes, box_faces,
+                              validate)
 
 TAGS = ("raw", "semi_regular", "regular")
 values = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=12)
 
 
 @st.composite
-def dense_games(draw):
+def dense_games(draw, players=st.integers(1, 3), monotone=False):
     """A game drawn as boxes plus overrides (box keys, corners and values
     outside [0, 1] included), with the dense table the old parser built:
-    the completion of the boxes, then each override written over it."""
-    n = draw(st.integers(1, 3))
+    the completion of the boxes, then each override written over it.  With
+    ``monotone`` each override lies between its cover neighbours, so the
+    game stays monotone."""
+    n = draw(players)
     p = draw(st.integers(1, 3))
     disc = random_discretization(random.Random(draw(st.integers(0, 99))), p)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -36,6 +39,14 @@ def dense_games(draw):
     faces = list(table)
     overrides = {}
     for d in draw(st.lists(st.sampled_from(faces), max_size=6)):
+        if monotone:
+            lo = max((table[d[:i] + (d[i] - 1,) + d[i + 1:]]
+                      for i in range(n) if d[i] > 0), default=F(0))
+            hi = min((table[d[:i] + (d[i] + 1,) + d[i + 1:]]
+                      for i in range(n) if d[i] < 2 * p), default=F(1))
+            t = draw(st.sampled_from((F(1, 3), F(1, 2), F(1))))
+            table[d] = overrides[d] = lo + (hi - lo) * t
+            continue
         shift = draw(st.sampled_from((None, F(0), F(1, 24), F(-1, 24))))
         overrides[d] = draw(values) if shift is None else table[d] + shift
     table.update(overrides)
@@ -77,6 +88,31 @@ def test_box_increment_delta_is_exact_share_difference(seed, n, p, scale):
     eps = min(room, default=1 - g.boxes[box]) * F(scale, 3)
     out, delta = apply_box_increment(g, box, eps)
     assert validate(out).ok
+    assert delta.shares == tuple(a - b for a, b in
+                                 zip(psi_exact(out).shares, psi_exact(g).shares))
+
+
+@settings(max_examples=300)
+@given(dense_games(st.integers(2, 3), monotone=True),
+       st.sampled_from(("raw", "semi_regular")), st.data())
+def test_box_increment_with_overrides_matches_dense_table(case, tag, data):
+    # every face of the box but the two cube corners rises by eps over its
+    # number of adjacent boxes, overrides included; the delta still equals
+    # the exact share difference whenever the result stays monotone
+    g, table = case
+    g = g.with_tag(tag)
+    box = data.draw(st.sampled_from(sorted(g.boxes)))
+    eps = data.draw(st.sampled_from((F(0), F(1, 1000), F(1, 48), F(1, 3))))
+    corners = {(0,) * g.n, (2 * g.p,) * g.n}
+    for d in box_faces(box):
+        if d not in corners:
+            table[d] += eps / len(adjacent_boxes(d, g.p))
+    if not dense_validate(g.p, g.n, table, tag)[0]:
+        with pytest.raises(IncrementError, match="monotonicity"):
+            apply_box_increment(g, box, eps)
+        return
+    out, delta = apply_box_increment(g, box, eps)
+    assert dict(out.values) == table
     assert delta.shares == tuple(a - b for a, b in
                                  zip(psi_exact(out).shares, psi_exact(g).shares))
 
