@@ -36,7 +36,11 @@ class InputError(ValueError):
 
 def _read_json(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
@@ -51,8 +55,16 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _parse_players(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_players(text: str, option: str) -> list[int]:
+    """The comma-separated player numbers given to ``option``."""
+    players = []
+    for x in filter(str.strip, text.split(",")):
+        try:
+            players.append(int(x))
+        except ValueError:
+            raise InputError(f"{option}: {x.strip()!r} is not a player "
+                             "number") from None
+    return players
 
 
 def _validated_step_game(obj):
@@ -144,7 +156,7 @@ def _cmd_his_apply(args) -> None:
     from . import his
 
     g = _validated_step_game(_read_json(args.game))
-    idx = _parse_players(args.box)
+    idx = _parse_players(args.box, "--box")
     box = tuple(2 * i - 1 for i in idx)
     before = psi_exact(g).shares
     out, delta = his.apply_box_increment(g, box, parse_rational(args.eps))
@@ -231,8 +243,8 @@ def _cmd_table1(args) -> None:
 def _cmd_corner(args) -> None:
     from . import his
 
-    L = _parse_players(args.L)
-    U = _parse_players(args.U)
+    L = _parse_players(args.L, "--L")
+    U = _parse_players(args.U, "--U")
     eps = parse_rational(args.eps)
     n = len(L) + len(U)
     deltas = {str(i): format_rational(his.corner_increase(L, U, eps, args.l, i))

@@ -70,30 +70,21 @@ class EvaluableGame:
         return (pts, None) if self._cells is None else self._cells(pts)
 
 
-def weighted_mean_game(weights: Sequence,
-                       transforms: Sequence[Callable] | None = None) -> EvaluableGame:
-    """v(x) = sum_i w_i f_i(x_i) with nonnegative weights summing to 1 and
-    monotone f_i fixing 0 and 1 (identity by default)."""
+def weighted_mean_game(weights: Sequence) -> EvaluableGame:
+    """v(x) = sum_i w_i x_i with nonnegative weights summing to 1."""
     w = [Fraction(x) for x in weights]
     if any(x < 0 for x in w) or sum(w) != 1:
         raise ValueError("weights must be nonnegative and sum to 1")
-    n = len(w)
 
     def exact(x):
-        if transforms is None:
-            return sum(wi * xi for wi, xi in zip(w, x))
-        return sum(wi * Fraction(f(xi)) for wi, f, xi in zip(w, transforms, x))
+        return sum(wi * xi for wi, xi in zip(w, x))
 
     def array(pts):
         import numpy as np
 
-        if transforms is None:
-            return pts @ np.array([float(x) for x in w])
-        cols = [float(wi) * np.vectorize(f)(pts[:, i])
-                for i, (wi, f) in enumerate(zip(w, transforms))]
-        return np.sum(cols, axis=0)
+        return pts @ np.array([float(x) for x in w])
 
-    return EvaluableGame(n, exact, array, True, "weighted_mean")
+    return EvaluableGame(len(w), exact, array, True, "weighted_mean")
 
 
 def product_power_game(exponents: Sequence) -> EvaluableGame:

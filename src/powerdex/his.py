@@ -58,12 +58,6 @@ class Domain:
     def players(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.intervals)
 
-    def interval(self, i: int) -> tuple[Fraction, Fraction]:
-        for k, ab in self.intervals:
-            if k == i:
-                return ab
-        raise KeyError(i)
-
     def volume(self) -> Fraction:
         vol = Fraction(1)
         for _, (a, b) in self.intervals:
@@ -130,21 +124,6 @@ def his_delta(inc: LocalIncrement) -> PowerVector:
 # ---------------------------------------------------------------------------
 # verification of a claimed increment
 
-def _region_vs_interval(lo, hi, is_point, a, b):
-    """'inside' the open (a,b), 'outside' the closed [a,b], or 'boundary'."""
-    if is_point:
-        if a < lo < b:
-            return "inside"
-        if lo < a or lo > b:
-            return "outside"
-        return "boundary"
-    if a <= lo and hi <= b and a < b:
-        return "inside"
-    if hi <= a or lo >= b:
-        return "outside"
-    return "boundary"
-
-
 def check_local_increment(u: StepGame, v: StepGame,
                           inc: LocalIncrement) -> tuple[bool, dict | None]:
     """Verify u -> v under the claimed (S, epsilon, D).
@@ -164,6 +143,11 @@ def check_local_increment(u: StepGame, v: StepGame,
     ru, rv = refine(u, merged), refine(v, merged)
     p = merged.p
     interior = range(1, 2 * p)
+    # every domain endpoint is a breakpoint of the merged grid: compare
+    # doubled coordinates, a face lying inside the open interval when a < d < b
+    # and outside the closed one when d < a or d > b
+    ends = {i: (2 * merged.alpha.index(a), 2 * merged.alpha.index(b))
+            for i, (a, b) in inc.domain.intervals}
 
     def witness(t_players, face, expected, got):
         return {"T": tuple(sorted(t_players)), "face": face,
@@ -173,16 +157,9 @@ def check_local_increment(u: StepGame, v: StepGame,
     if inc.is_degenerate():
         use_domain = len(inc.coalition) == n
         for f in itertools.product(interior, repeat=n):
-            if use_domain:
-                ok = True
-                for i in range(n):
-                    a, b = inc.domain.interval(i + 1)
-                    lo, hi, pt = merged.coord_region(f[i])
-                    if _region_vs_interval(lo, hi, pt, a, b) != "inside":
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            if use_domain and not all(ends[i][0] < fi < ends[i][1]
+                                      for i, fi in enumerate(f, 1)):
+                continue
             expected = ru.values[f] + inc.epsilon
             if rv.values[f] != expected:
                 return False, witness(inc.coalition, f, expected, rv.values[f])
@@ -207,17 +184,13 @@ def check_local_increment(u: StepGame, v: StepGame,
                     t_players = [i + 1 for i in t_idx]
                     return False, witness(t_players, tuple(hi), du, dv)
                 continue
-            relations = set()
-            for i, fi in zip(free, f):
-                a, b = inc.domain.interval(i + 1)
-                lo_r, hi_r, pt = merged.coord_region(fi)
-                relations.add(_region_vs_interval(lo_r, hi_r, pt, a, b))
-            if "outside" in relations:
+            spans = [(fi, *ends[i + 1]) for i, fi in zip(free, f)]
+            if any(d < a or d > b for d, a, b in spans):
                 expected = du  # some coordinate escapes the closed domain
-            elif "boundary" in relations:
-                continue  # neither fully inside nor fully outside
-            else:
+            elif all(a < d < b for d, a, b in spans):
                 expected = du + inc.epsilon
+            else:
+                continue  # neither fully inside nor fully outside
             if dv != expected:
                 return False, witness(coalition, tuple(hi), expected, dv)
     return True, None
@@ -363,18 +336,6 @@ def _phase_grid(alpha: tuple[Fraction, ...], l: int) -> Discretization:
     return Discretization(alpha[:l] + (alpha[-1],))
 
 
-def _finest_center(alpha: tuple[Fraction, ...], phase: Discretization,
-                   box: Face) -> tuple[Fraction, ...]:
-    """Center of the finest-grid box of smallest coordinates inside the
-    phase box."""
-    out = []
-    for b in box:
-        left = phase.alpha[(b - 1) // 2]
-        h = alpha.index(left)
-        out.append((alpha[h] + alpha[h + 1]) / 2)
-    return tuple(out)
-
-
 def _submoves_for_box(n: int, phase: Discretization, box: Face,
                       eps: Fraction) -> list[tuple[LocalIncrement, list[Face]]]:
     """Split one box increment into the grouped moves used by the worked
@@ -463,8 +424,7 @@ def replay_appendix() -> ReplayResult:
         phase = _phase_grid(target.disc.alpha, l)
         game = refine(game, phase).with_tag(TAG_SEMI_REGULAR)
         for box in boxes:
-            center = _finest_center(target.disc.alpha, phase, box)
-            eps = evaluate_step(target, center) - evaluate_step(game, center)
+            eps = target.boxes[box] - game.boxes[box]
             for inc, faces in _submoves_for_box(n, phase, box, eps):
                 prev = game
                 game = game.with_values({
@@ -488,9 +448,11 @@ def build_by_increments(v: StepGame,
 
     Each phase l works on the grid (0, a_1, ..., a_{l-1}, 1) and raises every
     box with a coordinate in the newest band by the gap between the target
-    and the current value at the box's lowest fine center, in a descending
-    linear extension of the componentwise order (descending lexicographic by
-    default; the total effect is order-independent).
+    and the current value of its lowest fine box, in a descending linear
+    extension of the componentwise order (descending lexicographic by
+    default; the total effect is order-independent).  The phase grid's bands
+    are the fine bands 0..l-2 plus one that starts at fine band l-1, so a
+    phase box and its lowest fine box have the same key.
     """
     report = validate(v)
     if v.tag != TAG_REGULAR or not report.ok:
@@ -508,8 +470,7 @@ def build_by_increments(v: StepGame,
         new_boxes = [b for b in itertools.product(range(1, 2 * l, 2), repeat=n)
                      if band in b]
         for box in order(new_boxes):
-            center = _finest_center(alpha, phase, box)
-            eps = evaluate_step(v, center) - evaluate_step(game, center)
+            eps = v.boxes[box] - game.boxes[box]
             if eps < 0:
                 raise IncrementError("target game is not monotone")
             if eps > 0:

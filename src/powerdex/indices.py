@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 from .budget import check_work
@@ -64,6 +65,13 @@ def _exact(shares) -> PowerVector:
     return PowerVector(tuple(Fraction(s) for s in shares), "exact")
 
 
+def _on_one_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of ``xs`` over their least common denominator, and
+    that denominator."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def psi_from_c(c: Mapping[int, Fraction] | Sequence[Fraction],
                n: int) -> PowerVector:
     """Combine a C-table with the ordering weights (s-1)!(n-s)!/n!.
@@ -74,9 +82,7 @@ def psi_from_c(c: Mapping[int, Fraction] | Sequence[Fraction],
     are applied once at the end.
     """
     full = 1 << n
-    table = [c[m] for m in range(full)]
-    den = lcm(*{x.denominator for x in table})
-    nums = [x.numerator * (den // x.denominator) for x in table]
+    nums, den = _on_one_denominator([c[m] for m in range(full)])
     sizes = [m.bit_count() for m in range(full)]
     # by_size[s]: sum of the numerators of all coalitions of size s
     by_size = [0] * (n + 1)
@@ -98,32 +104,28 @@ def psi_from_c(c: Mapping[int, Fraction] | Sequence[Fraction],
     return _exact(shares)
 
 
-def c_table(value, n: int, lo, hi, atoms) -> dict[int, Fraction]:
-    """The C-table of a game under a product measure on profiles.
+def _ends_table(flat: list[int], m: int, weights: Sequence[int], n: int,
+                den: int) -> dict[int, Fraction]:
+    """The C-table of an integer table on the grid (m,)^n, stored row-major
+    (first coordinate slowest) over the denominator ``den``.
 
-    C(T) = sum over the free players' atoms x of prod weight(x) *
-    (value(T at ``hi``, rest at x) - value(T at ``lo``, rest at x)), for
-    every coalition bitmask T.  ``atoms`` lists (weight, coordinate) pairs,
-    the same for every player, and ``value`` maps a profile tuple to a
-    rational.  Each coalition's sum runs in integers over one common
-    denominator, like ``psi_from_c``.
+    Each axis is contracted to three entries: its last entry, its first
+    entry and its ``weights``-weighted sum.  C(T) is the entry with T at
+    last and every free axis summed, minus the one with T at first, over
+    ``den * sum(weights) ** free``.
     """
-    wden = lcm(*(Fraction(w).denominator for w, _ in atoms))
-    wnums = [int(Fraction(w) * wden) for w, _ in atoms]
-    coords = [x for _, x in atoms]
-    table = {0: Fraction(0)}
-    for t in range(1, 1 << n):
-        free = n - t.bit_count()
-        ups = [value(x) for x in itertools.product(
-            *([hi] if t >> i & 1 else coords for i in range(n)))]
-        downs = [value(x) for x in itertools.product(
-            *([lo] if t >> i & 1 else coords for i in range(n)))]
-        den = lcm(*(x.denominator for x in ups), *(x.denominator for x in downs))
-        total = sum(prod(w) * (a.numerator * (den // a.denominator)
-                               - b.numerator * (den // b.denominator))
-                    for w, a, b in zip(itertools.product(wnums, repeat=free),
-                                       ups, downs))
-        table[t] = Fraction(total, den * wden ** free)
+    for _ in range(n):
+        # contract the last axis and move its three entries to the front
+        rows = [flat[k:k + m] for k in range(0, len(flat), m)]
+        flat = ([r[-1] for r in rows] + [r[0] for r in rows]
+                + [sum(map(mul, weights, r)) for r in rows])
+    summed, total = 3 ** n - 1, sum(weights)
+    table = {}
+    for t in range(1 << n):
+        # T's axes read the base-3 digit 0 (last) or 1 (first), not 2 (sum)
+        s = int(f"{t:0{n}b}"[::-1], 3)
+        table[t] = Fraction(flat[summed - 2 * s] - flat[summed - s],
+                            den * total ** (n - t.bit_count()))
     return table
 
 
@@ -201,9 +203,10 @@ def jk_ssi_pivot(v: JKGame) -> PowerVector:
 
 
 def jk_boundary_averages(v: JKGame) -> dict[int, Fraction]:
-    """Discrete C(v,T): mean gap between full and zero approval of T."""
-    return c_table(lambda x: Fraction(v.values[x], v.k - 1), v.n, 0, v.j - 1,
-                   [(Fraction(1, v.j), x) for x in range(v.j)])
+    """Discrete C(v,T): mean gap between full and zero approval of T, each
+    free voter's level uniform on 0..j-1."""
+    flat = [v.values[x] for x in v.profiles()]
+    return _ends_table(flat, v.j, [1] * v.j, v.n, v.k - 1)
 
 
 def jk_ssi_marginal(v: JKGame) -> PowerVector:
@@ -217,11 +220,28 @@ def jk_ssi_marginal(v: JKGame) -> PowerVector:
 def boundary_averages(g: StepGame) -> BoundaryAverages:
     """Exact C(v,T) for a step game: for each box of the grid restricted to
     the free coordinates, its volume times the gap between the face with T
-    pinned to 1 and the face with T pinned to 0."""
-    alpha = g.disc.alpha
-    atoms = [(alpha[h + 1] - alpha[h], 2 * h + 1) for h in range(g.p)]
-    return BoundaryAverages(g.n, c_table(g.values.__getitem__, g.n, 0,
-                                         2 * g.p, atoms))
+    pinned to 1 and the face with T pinned to 0.
+
+    Such a face has one adjacent box, whose value the regular completion
+    gives it, so the boxes alone make the table.  The two cube corners and
+    the overrides on faces C reads differ from their box by a known gap,
+    added afterwards.
+    """
+    n, top = g.n, 2 * g.p
+    widths = [b - a for a, b in zip(g.disc.alpha, g.disc.alpha[1:])]
+    nums, den = _on_one_denominator(
+        [g.boxes[b] for b in itertools.product(range(1, top, 2), repeat=n)])
+    table = _ends_table(nums, g.p, _on_one_denominator(widths)[0], n, den)
+    pinned = {(0,) * n: Fraction(0), (top,) * n: Fraction(1), **g.faces}
+    for d, val in pinned.items():
+        side = {di for di in d if di % 2 == 0}
+        if side == {0} or side == {top}:
+            box = tuple(min(max(di, 1), top - 1) for di in d)
+            vol = prod((widths[di // 2] for di in d if di % 2), start=Fraction(1))
+            t = sum(1 << i for i, di in enumerate(d) if di % 2 == 0)
+            gap = vol * (val - g.boxes[box])
+            table[t] += gap if top in side else -gap
+    return BoundaryAverages(n, table)
 
 
 def psi_exact(g: StepGame) -> PowerVector:
@@ -264,7 +284,11 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
     a = Fraction(alpha)
     if a < 0 or a > 1:
         raise ValueError("alpha must lie in [0, 1]")
-    return psi_from_c(c_table(game.eval_exact, n, 0, 1, [(1, a)]), n)
+
+    def pinned(t: int, side: int) -> Fraction:
+        return game.eval_exact([side if t >> i & 1 else a for i in range(n)])
+    c = [Fraction(0)] + [pinned(t, 1) - pinned(t, 0) for t in range(1, 1 << n)]
+    return psi_from_c(c, n)
 
 
 def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,

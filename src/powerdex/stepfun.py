@@ -68,15 +68,6 @@ class Discretization:
     def merge(self, other: "Discretization") -> "Discretization":
         return Discretization(tuple(sorted(set(self.alpha) | set(other.alpha))))
 
-    def coord_region(self, d: int) -> tuple[Fraction, Fraction, bool]:
-        """(lo, hi, is_point) of the region encoded by doubled coordinate d."""
-        if not 0 <= d <= 2 * self.p:
-            raise ValueError(f"doubled coordinate {d} outside 0..{2 * self.p}")
-        if d % 2 == 0:
-            a = self.alpha[d // 2]
-            return a, a, True
-        return self.alpha[(d - 1) // 2], self.alpha[(d + 1) // 2], False
-
 
 def uniform_grid(l: int) -> Discretization:
     """alpha = (0, 1/l, ..., 1)."""
@@ -84,7 +75,9 @@ def uniform_grid(l: int) -> Discretization:
 
 
 def face_center(disc: Discretization, d: Face) -> tuple[Fraction, ...]:
-    return tuple((lo + hi) / 2 for lo, hi, _ in map(disc.coord_region, d))
+    # doubled coordinate d spans alpha[d // 2] .. alpha[(d + 1) // 2]
+    return tuple((disc.alpha[di // 2] + disc.alpha[(di + 1) // 2]) / 2
+                 for di in d)
 
 
 def adjacent_boxes(d: Face, p: int) -> list[Face]:

@@ -1,6 +1,7 @@
 """Dense reference for step games, used only as a test oracle: the full face
 table of a box table, a validator that checks every face and every cover
-pair, and the boundary averages read off the full table."""
+pair, and the boundary averages read off the full table; and the boundary
+averages of a (j,k) game by their definition."""
 
 import itertools
 from fractions import Fraction
@@ -65,4 +66,20 @@ def dense_boundary_averages(disc, n: int, values: dict) -> dict:
                 vol *= widths[(b - 1) // 2]
             acc += vol * (values[tuple(hi)] - values[tuple(lo)])
         table[t_mask] = acc
+    return table
+
+
+def dense_jk_boundary_averages(v) -> dict:
+    """C(v,T) for every coalition bitmask T of a (j,k) game: the mean over
+    the free voters' levels of the gap between T at level j-1 and T at level
+    0, in units of k-1."""
+    n, j = v.n, v.j
+    table = {0: Fraction(0)}
+    for t_mask in range(1, 1 << n):
+        ups = itertools.product(*([j - 1] if t_mask >> i & 1 else range(j)
+                                  for i in range(n)))
+        downs = itertools.product(*([0] if t_mask >> i & 1 else range(j)
+                                    for i in range(n)))
+        gap = sum(v.values[x] - v.values[y] for x, y in zip(ups, downs))
+        table[t_mask] = Fraction(gap, (v.k - 1) * j ** (n - t_mask.bit_count()))
     return table

@@ -466,6 +466,24 @@ def test_corner_names_a_repeated_player(capsys):
     assert json.loads(err)["error"] == "player 2 listed twice"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["his-apply", "{game}", "--box", "1,x", "--eps", "0"],
+     "--box: 'x' is not a player number"),
+    (["corner", "--L", "2", "--U", "1, 3.0", "--l", "2"],
+     "--U: '3.0' is not a player number"),
+    (["corner", "--L", "two", "--U", "1,3", "--l", "2"],
+     "--L: 'two' is not a player number"),
+])
+def test_player_lists_name_the_option_and_the_item(tmp_path, capsys, argv,
+                                                  message):
+    game = {"n": 2, "alpha": ["0", "1"], "tag": "regular",
+            "boxes": {"1,1": "0"}}
+    path = write(tmp_path, "g.json", game)
+    code, out, err = run_cli([a.format(game=path) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message, "type": "InputError"}
+
+
 @pytest.mark.parametrize("doc,found", [
     ({"n": 1, "alpha": ["0", "1"], "boxes": {"1": "0"}}, "object"),
     (5, "integer"),

@@ -1,5 +1,6 @@
 """Property tests: every exact index that combines a coalition table goes
-through one kernel, checked here against independent oracles."""
+through one kernel, and every exact grid C-table through another, checked
+here against independent oracles."""
 
 import itertools
 from fractions import Fraction as F
@@ -8,10 +9,12 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import dense_jk_boundary_averages
 from powerdex.coalitions import CoalitionFunction, SimpleGame, random_monotone_jk
 from powerdex.evaluables import step_game_evaluable
-from powerdex.indices import (jk_ssi_marginal, jk_ssi_pivot, psi_point,
-                              ssi_coalition, ssi_roll_call)
+from powerdex.indices import (jk_boundary_averages, jk_ssi_marginal,
+                              jk_ssi_pivot, psi_point, ssi_coalition,
+                              ssi_roll_call)
 from powerdex.sampling import random_regular_game
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=50)
@@ -76,6 +79,14 @@ def test_kernel_matches_roll_call(v):
 def test_kernel_matches_jk_pivot(rng, shape):
     v = random_monotone_jk(rng, *shape)
     assert jk_ssi_marginal(v) == jk_ssi_pivot(v)
+
+
+@settings(max_examples=80)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(2, 5),
+       st.integers(2, 5))
+def test_jk_c_table_matches_definition(rng, n, j, k):
+    v = random_monotone_jk(rng, n, j, k)
+    assert jk_boundary_averages(v) == dense_jk_boundary_averages(v)
 
 
 @settings(max_examples=100)

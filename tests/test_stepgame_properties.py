@@ -3,6 +3,7 @@ against the dense face table of ``dense_oracle``."""
 
 import random
 from fractions import Fraction as F
+from math import floor
 
 import numpy as np
 import pytest
@@ -16,25 +17,36 @@ from powerdex.his import IncrementError, apply_box_increment
 from powerdex.indices import boundary_averages, psi_exact, psi_mc
 from powerdex.sampling import random_discretization, random_regular_game
 from powerdex.serialize import parse_step_game, step_game_to_json
-from powerdex.stepfun import (FaceValues, StepGame, adjacent_boxes, box_faces,
-                              validate)
+from powerdex.stepfun import (Discretization, FaceValues, StepGame,
+                              adjacent_boxes, box_faces, validate)
 
 TAGS = ("raw", "semi_regular", "regular")
 values = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=12)
+wide_values = st.fractions(min_value=F(-1, 2), max_value=F(3, 2),
+                           max_denominator=10 ** 6)
 
 
 @st.composite
-def dense_games(draw, players=st.integers(1, 3), monotone=False):
+def dense_games(draw, players=st.integers(1, 3), monotone=False,
+                coprime=False):
     """A game drawn as boxes plus overrides (box keys, corners and values
     outside [0, 1] included), with the dense table the old parser built:
     the completion of the boxes, then each override written over it.  With
     ``monotone`` each override lies between its cover neighbours, so the
-    game stays monotone."""
+    game stays monotone.  With ``coprime`` the breakpoints are multiples of
+    1/997 and the values have denominators near 10^6.  Four players get at
+    most two intervals."""
     n = draw(players)
-    p = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3 if n < 4 else 2))
     disc = random_discretization(random.Random(draw(st.integers(0, 99))), p)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     boxes = random_regular_game(rng, n, p).boxes
+    if coprime:
+        cuts = draw(st.lists(st.integers(1, 996), min_size=p - 1,
+                             max_size=p - 1, unique=True))
+        disc = Discretization((F(0), *sorted(F(c, 997) for c in cuts), F(1)))
+        q = draw(st.sampled_from((999_983, 999_979, 524_287)))
+        boxes = {b: F(floor(v * q), q) for b, v in boxes.items()}
     table = dense_completion(p, n, boxes)
     faces = list(table)
     overrides = {}
@@ -48,7 +60,8 @@ def dense_games(draw, players=st.integers(1, 3), monotone=False):
             table[d] = overrides[d] = lo + (hi - lo) * t
             continue
         shift = draw(st.sampled_from((None, F(0), F(1, 24), F(-1, 24))))
-        overrides[d] = draw(values) if shift is None else table[d] + shift
+        fresh = wide_values if coprime else values
+        overrides[d] = draw(fresh) if shift is None else table[d] + shift
     table.update(overrides)
     return StepGame(disc, n, boxes, overrides, draw(st.sampled_from(TAGS))), table
 
@@ -118,13 +131,14 @@ def test_box_increment_with_overrides_matches_dense_table(case, tag, data):
 
 
 @settings(max_examples=150)
-@given(dense_games(), st.data())
+@given(dense_games(st.integers(1, 4)) |
+       dense_games(st.integers(1, 4), coprime=True), st.data())
 def test_boundary_averages_match_dense_table(case, data):
     # overrides on faces touching the cube boundary are the ones C reads
     g, table = case
     top = 2 * g.p
     boundary = [d for d in table if any(di in (0, top) for di in d)]
-    updates = {d: data.draw(values) for d in
+    updates = {d: data.draw(values | wide_values) for d in
                data.draw(st.lists(st.sampled_from(boundary), max_size=6))}
     g = g.with_values(updates)
     table.update(updates)
@@ -187,3 +201,15 @@ def test_psi_mc_derives_each_reached_face_once(monkeypatch):
     psi_mc(g, 20_000, 0)
     assert len(derived) == len(set(derived))
     assert 0 < len(derived) <= 6 ** 5 < 9 ** 5
+
+
+def test_psi_exact_derives_no_face(monkeypatch):
+    # the C-table reads the boxes and the stored overrides by key
+    g = random_regular_game(random.Random(1), 4, 3)
+    g = g.with_tag("raw").with_values({(0, 3, 1, 5): F(1, 3)})
+    expected = psi_exact(g)
+
+    def derived(self, d):
+        raise AssertionError(f"face {d} derived")
+    monkeypatch.setattr(FaceValues, "__getitem__", derived)
+    assert psi_exact(g) == expected
