@@ -10,15 +10,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le
 from typing import Iterable, Iterator, Sequence
 
 from .budget import check_work
-from .rational import MAX_PLAYERS
+from .rational import MAX_PLAYERS, on_one_denominator
 
 Level = tuple[int, ...]
 
 # 0/1 tables share these two values instead of building one per coalition
 ZERO, ONE = Fraction(0), Fraction(1)
+# the eight table entries that one byte of a bit-per-coalition integer holds
+_BYTE_BITS = [[ONE if b >> k & 1 else ZERO for k in range(8)]
+              for b in range(256)]
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,25 @@ def players_of(mask: int, n: int) -> tuple[int, ...]:
     return Coalition(mask, n).players()
 
 
+def subset_sums(weights: Sequence[int]) -> list[int]:
+    """The table over 2^N of each coalition's total weight: each player
+    doubles the table, its new half being the old one plus its weight."""
+    sums = [0]
+    for x in weights:
+        sums += [*map(add, sums, itertools.repeat(x))]
+    return sums
+
+
+def _without(i: int, n: int) -> int:
+    """The 2^n-bit integer whose bit m is set when coalition m lacks player
+    i: runs of 2^i set bits and 2^i clear bits, doubled up to length 2^n."""
+    pattern, length = (1 << (1 << i)) - 1, 2 << i
+    while length < 1 << n:
+        pattern |= pattern << length
+        length <<= 1
+    return pattern
+
+
 class CoalitionFunction:
     """A total map 2^N -> Q.  Not required to be monotone or 0/1-valued."""
 
@@ -79,8 +102,11 @@ class CoalitionFunction:
         if len(values) != 1 << n:
             raise ValueError(f"need a total table with {1 << n} entries")
         self.n = n
-        self.values = [v if isinstance(v, Fraction) else Fraction(v)
-                       for v in values]
+        values = list(values)
+        if not all(map(isinstance, values, itertools.repeat(Fraction))):
+            values = [v if isinstance(v, Fraction) else Fraction(v)
+                      for v in values]
+        self.values = values
 
     @classmethod
     def from_winning(cls, n: int, winning: Iterable[Iterable[int]],
@@ -91,15 +117,23 @@ class CoalitionFunction:
         without it the list is exhaustive, which permits non-monotone games.
         """
         check_players(n)
-        table = [ZERO] * (1 << n)
+        full = 1 << n
         masks = [mask_of(c, n) for c in winning]
-        if closure:
-            for m in range(1 << n):
-                if any(m & w == w for w in masks):
-                    table[m] = ONE
-        else:
+        if not closure:
+            table = [ZERO] * full
             for w in masks:
                 table[w] = ONE
+            return cls(n, table)
+        # bit m of ``won`` says whether coalition m wins; adding player i to
+        # every winning coalition without i shifts those bits up by 2^i
+        won = 0
+        for w in masks:
+            won |= 1 << w
+        for i in range(n):
+            won |= (won & _without(i, n)) << (1 << i)
+        table = list(itertools.chain.from_iterable(map(
+            _BYTE_BITS.__getitem__, won.to_bytes(-(-full // 8), "little"))))
+        del table[full:]
         return cls(n, table)
 
     def value(self, coalition: Iterable[int] | int) -> Fraction:
@@ -110,10 +144,25 @@ class CoalitionFunction:
         return [m for m, v in enumerate(self.values) if v == 1]
 
     def is_monotone(self) -> bool:
-        for m in range(1 << self.n):
-            for i in range(self.n):
-                if not m >> i & 1 and self.values[m] > self.values[m | 1 << i]:
-                    return False
+        """v(S) <= v(S + i) for every coalition S and player i outside it.
+
+        Compared on integer numerators, in slices: the coalitions without
+        player i lie in runs of 2^i masks, each followed by the same run
+        with i added, and every 2^(i+1)-th mask starting at r < 2^i lacks
+        i.  Whichever slicing takes fewer slices is used.
+        """
+        nums = on_one_denominator(self.values)[0]
+        full = 1 << self.n
+        for i in range(self.n):
+            step = 1 << i
+            if step <= full // (2 * step):
+                pairs = ((nums[r::2 * step], nums[r + step::2 * step])
+                         for r in range(step))
+            else:
+                pairs = ((nums[lo:lo + step], nums[lo + step:lo + 2 * step])
+                         for lo in range(0, full, 2 * step))
+            if not all(all(map(le, a, b)) for a, b in pairs):
+                return False
         return True
 
     def __eq__(self, other: object) -> bool:
@@ -126,7 +175,8 @@ class SimpleGame:
 
     def __init__(self, inner: CoalitionFunction):
         n = inner.n
-        if any(v not in (0, 1) for v in inner.values):
+        nums, den = on_one_denominator(inner.values)
+        if den != 1 or not set(nums) <= {0, 1}:
             raise ValueError("simple game values must be 0 or 1")
         if inner.values[0] != 0:
             raise ValueError("v(empty) must be 0")
@@ -146,11 +196,11 @@ class SimpleGame:
         """[q; w_1, ..., w_n]: S wins iff sum of its weights reaches the quota."""
         n = len(weights)
         check_players(n)
-        q = Fraction(quota)
-        w = [Fraction(x) for x in weights]
-        table = [ONE if sum(w[i] for i in range(n) if m >> i & 1) >= q
-                 else ZERO for m in range(1 << n)]
-        return cls(CoalitionFunction(n, table))
+        # the quota and weights as numerators over one common denominator
+        (q, *w), _ = on_one_denominator(
+            [Fraction(x) for x in (quota, *weights)])
+        wins = map(le, itertools.repeat(q), subset_sums(w))
+        return cls(CoalitionFunction(n, list(map((ZERO, ONE).__getitem__, wins))))
 
     def value(self, coalition: Iterable[int] | int) -> Fraction:
         return self.inner.value(coalition)

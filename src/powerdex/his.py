@@ -264,8 +264,11 @@ def apply_box_increment(u: StepGame, e_bar: Face,
     out = StepGame(u.disc, u.n, boxes, faces, u.tag)
     report = validate(out)
     if not report.monotone:
-        raise IncrementError("increment breaks monotonicity: "
-                             + "; ".join(report.violations[:3]))
+        broken = [v.removeprefix("monotonicity: ")
+                  for v in report.violations if v.startswith("monotonicity:")]
+        more = ", first 3" if len(broken) > 3 else ""
+        raise IncrementError(f"increment breaks monotonicity: {len(broken)} "
+                             f"violations{more}: " + "; ".join(broken[:3]))
     return out, PowerVector(tuple(delta), "exact")
 
 

@@ -11,14 +11,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm, prod
-from operator import mul
+from math import factorial, prod
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .budget import check_work
-from .coalitions import CoalitionFunction, JKGame, SimpleGame, mask_of
+from .coalitions import (CoalitionFunction, JKGame, SimpleGame, mask_of,
+                         subset_sums)
 from .evaluables import EvaluableGame, step_game_evaluable
-from .rational import ordering_weight
+from .rational import on_one_denominator, ordering_weight
 from .stepfun import StepGame
 
 # psi_mc holds one float64 per sample and coalition: 2^27 cells are 1 GiB
@@ -65,43 +66,36 @@ def _exact(shares) -> PowerVector:
     return PowerVector(tuple(Fraction(s) for s in shares), "exact")
 
 
-def _on_one_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The numerators of ``xs`` over their least common denominator, and
-    that denominator."""
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
-
-
 def psi_from_c(c: Mapping[int, Fraction] | Sequence[Fraction],
                n: int) -> PowerVector:
     """Combine a C-table with the ordering weights (s-1)!(n-s)!/n!.
 
     ``c`` holds a rational for every coalition bitmask 0..2^n-1.  The sum
-    runs in integers: the table goes on one common denominator, the
-    numerator differences are summed per coalition size and the n weights
-    are applied once at the end.
+    runs in integers, on the numerators num[S] = c[S] * den over the
+    table's common denominator.  With w(s) = (s-1)!(n-s)! and
+    w(0) = w(n+1) = 0, player i's share times n! * den is base plus the sum
+    over S containing i of y[S], where y[S] = num[S] (w(|S|) + w(|S|+1))
+    and base = -sum over S of num[S] w(|S|+1) (Mann & Shapley's grouping of
+    the terms by coalition size).  The sums over S containing i come from
+    halving the table once per player.
     """
-    full = 1 << n
-    nums, den = _on_one_denominator([c[m] for m in range(full)])
-    sizes = [m.bit_count() for m in range(full)]
-    # by_size[s]: sum of the numerators of all coalitions of size s
-    by_size = [0] * (n + 1)
-    for x, s in zip(nums, sizes):
-        by_size[s] += x
-    weights = [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)]
-    shares = []
-    for i in range(n):
-        bit = 1 << i
-        # with_i[s]: the same sum over the coalitions of size s containing i
-        with_i = [0] * (n + 1)
-        for lo in range(bit, full, bit << 1):
-            for x, s in zip(nums[lo:lo + bit], sizes[lo:lo + bit]):
-                with_i[s] += x
-        # sum over S containing i of c[S] - c[S - i], by size s = |S|
-        acc = sum(w * (with_i[s] - (by_size[s - 1] - with_i[s - 1]))
-                  for s, w in enumerate(weights, 1))
-        shares.append(Fraction(acc, factorial(n) * den))
-    return _exact(shares)
+    nums, den = on_one_denominator(
+        c if isinstance(c, list) else [c[m] for m in range(1 << n)])
+    w = [0] + [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)] + [0]
+    after = w[1:]
+    both = list(map(add, w, after))
+    sizes = subset_sums([1] * n)
+    base = -sum(map(mul, nums, map(after.__getitem__, sizes)))
+    y = list(map(mul, nums, map(both.__getitem__, sizes)))
+    with_i = [0] * n
+    for i in reversed(range(n)):
+        # the top half of y holds the coalitions containing player i;
+        # folding it onto the bottom half drops player i from every mask
+        half = 1 << i
+        with_i[i] = sum(y[half:])
+        y = list(map(add, y[:half], y[half:]))
+    scale = factorial(n) * den
+    return _exact(Fraction(base + t, scale) for t in with_i)
 
 
 def _ends_table(flat: list[int], m: int, weights: Sequence[int], n: int,
@@ -229,9 +223,9 @@ def boundary_averages(g: StepGame) -> BoundaryAverages:
     """
     n, top = g.n, 2 * g.p
     widths = [b - a for a, b in zip(g.disc.alpha, g.disc.alpha[1:])]
-    nums, den = _on_one_denominator(
+    nums, den = on_one_denominator(
         [g.boxes[b] for b in itertools.product(range(1, top, 2), repeat=n)])
-    table = _ends_table(nums, g.p, _on_one_denominator(widths)[0], n, den)
+    table = _ends_table(nums, g.p, on_one_denominator(widths)[0], n, den)
     pinned = {(0,) * n: Fraction(0), (top,) * n: Fraction(1), **g.faces}
     for d, val in pinned.items():
         side = {di for di in d if di % 2 == 0}

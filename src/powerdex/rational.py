@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from typing import Sequence
 
 MAX_PLAYERS = 20
 
@@ -44,6 +45,20 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Serialize to the canonical "p/q" form ("3/4", "-1/3", "1", "0")."""
     return str(Fraction(value))
+
+
+def on_one_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of ``xs`` over their least common denominator, and
+    that denominator.
+
+    Each distinct object is converted once: a table over 2^N usually repeats
+    a few value objects, such as the shared 0 and 1 of a 0/1 table.
+    """
+    ids = list(map(id, xs))
+    distinct = dict(zip(ids, xs))
+    den = lcm(*(x.denominator for x in distinct.values()))
+    num = {k: x.numerator * (den // x.denominator) for k, x in distinct.items()}
+    return list(map(num.__getitem__, ids)), den
 
 
 def ordering_weight(s: int, n: int) -> Fraction:

@@ -161,6 +161,43 @@ def coalition_function_to_json(cf: CoalitionFunction) -> dict:
     return {"n": cf.n, "values": values}
 
 
+def _canonical_values(raw: dict, n: int) -> list[Fraction] | None:
+    """The values of a total coalition table in mask order, when ``raw``
+    spells every key as ``coalition_function_to_json`` writes it and every
+    value is a string that ``_rational`` reads; otherwise None, and the
+    table goes through ``_table``, which accepts the same tables and gives
+    the diagnostics for all others.
+
+    Each mask's spelling is looked up instead of each key being parsed.
+    The spellings are joined from two half tables, one for the low players
+    and one for the high ones, so no 2^n-entry table of spellings is held.
+    """
+    if len(raw) != 1 << n:
+        return None
+    h = (n + 1) // 2
+
+    def spelling(m: int, first: int) -> str:
+        return _key(first + i for i in range(n) if m >> i & 1)
+    low = [spelling(m, 1) for m in range(1 << h)]
+    get, found = raw.get, []
+    for m in range(1 << (n - h)):
+        high = spelling(m, h + 1)
+        if high:
+            found.append(get(high))
+            high = "," + high
+            found += map(get, [lo + high for lo in low[1:]])
+        else:
+            found += map(get, low)
+    # a missing key reads as None, like a JSON null, which _table refuses
+    if set(map(type, found)) != {str}:
+        return None
+    try:
+        memo = {text: _rational(text, ()) for text in set(found)}
+    except ValueError:
+        return None
+    return list(map(memo.__getitem__, found))
+
+
 def parse_coalition_input(obj: dict) -> CoalitionFunction:
     """Accepts {"n", "winning": [...]} (closed upward unless "closure" is
     false) or {"n", "values": {"players": "p/q"}} with a total table."""
@@ -168,6 +205,9 @@ def parse_coalition_input(obj: dict) -> CoalitionFunction:
     n = _member(obj, "n", int)
     if "values" in obj:
         check_players(n)
+        values = _canonical_values(_member(obj, "values", dict), n)
+        if values is not None:
+            return CoalitionFunction(n, values)
         table = _table(obj, "values", 1, n, _rational,
                        key=lambda players: mask_of(players, n))
         if len(table) != 1 << n:

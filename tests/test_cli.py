@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -574,3 +575,33 @@ def test_pinned_stdout(tmp_path, capsys, argv, expected):
     code, out, _ = run_cli([a.replace("{game}", path) for a in argv], capsys)
     assert code == 0
     assert out == expected
+
+
+def test_ssi_at_the_player_cap(tmp_path, capsys):
+    # the first test at MAX_PLAYERS: a 2^20 table closed upward from ten
+    # singletons, combined in one process
+    path = write(tmp_path, "g.json",
+                 {"n": 20, "winning": [[i] for i in range(1, 11)]})
+    code, out, _ = run_cli(["ssi", path], capsys)
+    assert code == 0
+    shares = ", ".join(['"1/10"'] * 10 + ['"0"'] * 10)
+    assert out == f'{{"index": "ssi", "mode": "exact", "shares": [{shares}]}}\n'
+
+
+def test_his_apply_names_the_monotonicity_violations(tmp_path, capsys):
+    # the top box is already 1: raising it breaks the cover pairs into the
+    # top corner, which refuse the increment; the box's own value above 1
+    # is a range violation and is not named
+    boxes = {",".join(map(str, b)): "0" for b in
+             itertools.product((1, 2, 3), repeat=3)}
+    boxes["3,3,3"] = "1"
+    path = write(tmp_path, "g.json", {"n": 3, "alpha": ["0", "1/3", "2/3", "1"],
+                                      "tag": "regular", "boxes": boxes})
+    code, out, err = run_cli(["his-apply", path, "--box", "3,3,3",
+                              "--eps", "1/100"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"type": "IncrementError", "error": (
+        "increment breaks monotonicity: 3 violations: "
+        "value 101/100 at (5, 6, 6) exceeds 1 at (6, 6, 6); "
+        "value 101/100 at (6, 5, 6) exceeds 1 at (6, 6, 6); "
+        "value 101/100 at (6, 6, 5) exceeds 1 at (6, 6, 6)")}

@@ -95,6 +95,20 @@ def test_kernel_matches_direct_sum_on_rational_tables(cf):
     assert ssi_coalition(cf).shares == direct_sum(cf)
 
 
+# pairwise coprime denominators near 2^20 and one Mersenne prime, so the
+# common denominator of a table is a product of several of them
+LARGE_DENOMINATORS = (999_983, 999_979, 1_000_003, 524_287)
+
+
+@settings(max_examples=30)
+@given(st.randoms(use_true_random=False), st.integers(1, 10))
+def test_kernel_matches_direct_sum_with_large_denominators(rng, n):
+    cf = CoalitionFunction(n, [
+        F(rng.randrange(-10 ** 9, 10 ** 9), rng.choice(LARGE_DENOMINATORS))
+        for _ in range(1 << n)])
+    assert ssi_coalition(cf).shares == direct_sum(cf)
+
+
 @settings(max_examples=40)
 @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3),
        st.fractions(min_value=0, max_value=1, max_denominator=12))

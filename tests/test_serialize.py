@@ -3,8 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powerdex.coalitions import SimpleGame, random_monotone_jk
+from powerdex.coalitions import CoalitionFunction, SimpleGame, random_monotone_jk
 from powerdex.embeddings import embed_simple_semiregular
 from powerdex.indices import psi_exact, psi_mc
 from powerdex.sampling import random_regular_game
@@ -124,3 +126,56 @@ def test_diagnostics_name_the_json_path(reader, obj, message):
     with pytest.raises((TypeError, ValueError)) as caught:
         reader(obj)
     assert str(caught.value) == message
+
+@st.composite
+def coalition_tables(draw, max_players=6):
+    """A coalition table as coalition_function_to_json writes it, with its
+    CoalitionFunction."""
+    n = draw(st.integers(1, max_players))
+    values = draw(st.lists(st.fractions(min_value=-3, max_value=3,
+                                        max_denominator=7),
+                           min_size=1 << n, max_size=1 << n))
+    cf = CoalitionFunction(n, values)
+    return cf, coalition_function_to_json(cf)
+
+
+def _parse_error(obj) -> str:
+    with pytest.raises(ValueError) as caught:
+        parse_coalition_input(obj)
+    return str(caught.value)
+
+
+@settings(max_examples=60)
+@given(coalition_tables(), st.randoms(use_true_random=False))
+def test_coalition_reader_spellings(drawn, rng):
+    cf, obj = drawn
+    n, full = cf.n, 1 << cf.n
+    items = list(obj["values"].items())
+    assert parse_coalition_input(obj) == cf
+
+    def parsed(pairs) -> CoalitionFunction:
+        return parse_coalition_input({"n": n, "values": dict(pairs)})
+    assert parsed(rng.sample(items, len(items))) == cf
+    assert parsed((",".join(reversed(k.split(","))), v) for k, v in items) == cf
+    assert parsed((" " + k.replace(",", " , ") + " ", v) for k, v in items) == cf
+    assert parsed((k, int(F(v)) if F(v).denominator == 1 else v)
+                  for k, v in items) == cf
+
+    # each refused table gives the diagnostic the reader gave before it
+    # learned to look keys up by their canonical spelling
+    at = rng.randrange(full)
+    key = items[at][0]
+    assert _parse_error({"n": n, "values": dict(items[:at] + items[at + 1:])}) \
+        == f"values table must be total over 2^N: it has {full - 1} of {full} coalitions"
+    extra = str(n + 1)
+    assert _parse_error({"n": n, "values": dict(
+        items[:at] + [(extra, "0")] + items[at:])}) \
+        == f"""values["{extra}"]: key '{extra}' has an integer outside 1..{n}"""
+    assert _parse_error({"n": n, "values": dict(
+        items[:at] + [(key, "1/0")] + items[at + 1:])}) \
+        == f"""values["{key}"]: rational '1/0' has a zero denominator"""
+    if n >= 2:
+        pairs = items[:at] + [("2,1", "0")] + items[at:]
+        later = max(("1,2", "2,1"), key=[k for k, _ in pairs].index)
+        assert _parse_error({"n": n, "values": dict(pairs)}) \
+            == f"""values["{later}"]: key '{later}' repeats an earlier key"""
