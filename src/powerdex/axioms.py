@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .his import LocalIncrement, _box_domain, check_local_increment
 from .indices import PowerVector, phi_two_player, psi_exact, psi_point, psi_product_oracle
@@ -23,8 +22,7 @@ from .stepfun import (Discretization, Face, StepGame, join_meet,
 Witness = tuple[StepGame, StepGame, LocalIncrement]
 
 
-@dataclass(frozen=True)
-class IndexHandle:
+class IndexHandle(NamedTuple):
     name: str
     compute: Callable[[StepGame], PowerVector]
 
@@ -183,11 +181,10 @@ AXIOMS = ("efficiency", "positivity", "null_player", "symmetry",
           "anonymity", "transfer", "his")
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     handle: str
     games: int
-    violations: dict[str, list[str]] = field(default_factory=dict)
+    violations: dict[str, list[str]]
 
     def passed(self, axiom: str) -> bool:
         return not self.violations.get(axiom)
@@ -203,7 +200,6 @@ def check_axioms(handle: IndexHandle, suite: Sequence[StepGame],
                  seed: int = 0) -> AxiomReport:
     """Run the axiom battery for one handle over a suite of games."""
     rng = random.Random(seed)
-    report = AxiomReport(handle.name, len(suite))
     viol = {a: [] for a in AXIOMS}
 
     def shares(g: StepGame):
@@ -275,8 +271,8 @@ def check_axioms(handle: IndexHandle, suite: Sequence[StepGame],
             viol["his"].append(
                 f"S={label}: constants {prev} vs ({lam}, {gam}) "
                 f"across witnesses (eps={inc.epsilon}, vol={inc.domain.volume()})")
-    report.violations = {a: v for a, v in viol.items() if v}
-    return report
+    return AxiomReport(handle.name, len(suite),
+                       {a: v for a, v in viol.items() if v})
 
 
 # ---------------------------------------------------------------------------

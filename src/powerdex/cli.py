@@ -6,15 +6,15 @@ and csv via --format.  Exit code 0 on success, 2 on any input or validation
 error, with a machine-readable diagnostic on stderr.
 
 Modules that only some subcommands use (``his``, ``axioms``, ``embeddings``,
-``sampling``) are imported by those handlers, and numpy only by the
-Monte-Carlo path, so a process loads what its request runs.
+``sampling``) are imported by those handlers, ``coalitions`` only by the
+readers of coalition and (j,k) games, and numpy only by the Monte-Carlo
+path, so a process loads what its request runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import TYPE_CHECKING
 
@@ -254,6 +254,8 @@ def _cmd_corner(args) -> None:
 
 
 def _cmd_axioms(args) -> None:
+    import random
+
     from . import axioms as ax
     from .sampling import random_regular_game
 
@@ -417,7 +419,10 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
     except (ValueError, KeyError, TypeError, ArithmeticError,
             MemoryError) as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__},
+        message = str(exc)
+        if not message and isinstance(exc, MemoryError):
+            message = f"{args.command}: out of memory"
+        print(json.dumps({"error": message, "type": type(exc).__name__},
                          sort_keys=True), file=sys.stderr)
         return 2
     return 0

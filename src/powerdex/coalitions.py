@@ -8,13 +8,13 @@ indexed by mask.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .budget import check_work
-from .rational import MAX_PLAYERS, on_one_denominator
+from .rational import (MAX_PLAYERS, nondecreasing_along, on_one_denominator,
+                       subset_sums)
 
 Level = tuple[int, ...]
 
@@ -25,17 +25,26 @@ _BYTE_BITS = [[ONE if b >> k & 1 else ZERO for k in range(8)]
               for b in range(256)]
 
 
-@dataclass(frozen=True)
 class Coalition:
     """A subset of the players 1..n, stored as a bitmask."""
 
-    mask: int
-    n: int
+    __slots__ = ("mask", "n")
 
-    def __post_init__(self) -> None:
-        check_players(self.n)
-        if self.mask < 0 or self.mask >= (1 << self.n):
+    def __init__(self, mask: int, n: int) -> None:
+        check_players(n)
+        if mask < 0 or mask >= (1 << n):
             raise ValueError("coalition members outside 1..n")
+        self.mask, self.n = mask, n
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Coalition)
+                and (self.mask, self.n) == (other.mask, other.n))
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.n))
+
+    def __repr__(self) -> str:
+        return f"Coalition(mask={self.mask}, n={self.n})"
 
     @classmethod
     def of(cls, players: Iterable[int], n: int) -> "Coalition":
@@ -73,15 +82,6 @@ def mask_of(players: Iterable[int], n: int) -> int:
 
 def players_of(mask: int, n: int) -> tuple[int, ...]:
     return Coalition(mask, n).players()
-
-
-def subset_sums(weights: Sequence[int]) -> list[int]:
-    """The table over 2^N of each coalition's total weight: each player
-    doubles the table, its new half being the old one plus its weight."""
-    sums = [0]
-    for x in weights:
-        sums += [*map(add, sums, itertools.repeat(x))]
-    return sums
 
 
 def _without(i: int, n: int) -> int:
@@ -146,24 +146,11 @@ class CoalitionFunction:
     def is_monotone(self) -> bool:
         """v(S) <= v(S + i) for every coalition S and player i outside it.
 
-        Compared on integer numerators, in slices: the coalitions without
-        player i lie in runs of 2^i masks, each followed by the same run
-        with i added, and every 2^(i+1)-th mask starting at r < 2^i lacks
-        i.  Whichever slicing takes fewer slices is used.
+        Compared on integer numerators: the table is row-major over one
+        two-entry axis per player, player i's with stride 2^i.
         """
         nums = on_one_denominator(self.values)[0]
-        full = 1 << self.n
-        for i in range(self.n):
-            step = 1 << i
-            if step <= full // (2 * step):
-                pairs = ((nums[r::2 * step], nums[r + step::2 * step])
-                         for r in range(step))
-            else:
-                pairs = ((nums[lo:lo + step], nums[lo + step:lo + 2 * step])
-                         for lo in range(0, full, 2 * step))
-            if not all(all(map(le, a, b)) for a, b in pairs):
-                return False
-        return True
+        return all(nondecreasing_along(nums, 1 << i, 2) for i in range(self.n))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CoalitionFunction)

@@ -18,25 +18,23 @@ by move.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .coalitions import mask_of
 from .indices import PowerVector, psi_exact
 from .rational import loss_constant, ordering_weight
 from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
                       TAG_SEMI_REGULAR, adjacent_boxes, box_faces,
-                      evaluate_step, face_center, make_regular_step, refine,
-                      uniform_grid, validate, zero_game)
+                      evaluate_step, face_center, falling_covers,
+                      make_regular_step, pinned_covers, refine, uniform_grid,
+                      validate, zero_game)
 
 
 class IncrementError(ValueError):
     """An increment would break monotonicity or violates a precondition."""
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """Product of closed intervals [a_i, b_i], indexed by player."""
 
     intervals: tuple[tuple[int, tuple[Fraction, Fraction]], ...]
@@ -65,25 +63,38 @@ class Domain:
         return vol
 
 
-@dataclass(frozen=True)
 class LocalIncrement:
     """u -> v raising Delta v(S, .) by epsilon on the open interior of the
     domain.  S empty means v = u + epsilon on the open cube; S = N means
     v = u + epsilon on the open domain (c, 1)^n."""
 
-    n: int
-    coalition: frozenset[int]
-    epsilon: Fraction
-    domain: Domain
+    __slots__ = ("n", "coalition", "epsilon", "domain")
 
-    def __post_init__(self) -> None:
-        all_players = set(range(1, self.n + 1))
-        s = set(self.coalition)
+    def __init__(self, n: int, coalition: frozenset[int], epsilon: Fraction,
+                 domain: Domain) -> None:
+        all_players = set(range(1, n + 1))
+        s = set(coalition)
         if not s <= all_players:
             raise ValueError("coalition outside the player set")
         expected = all_players if (not s or s == all_players) else all_players - s
-        if set(self.domain.players()) != expected:
+        if set(domain.players()) != expected:
             raise ValueError("domain must cover exactly the remaining voters")
+        self.n, self.coalition, self.epsilon, self.domain = \
+            n, coalition, epsilon, domain
+
+    def _fields(self) -> tuple:
+        return self.n, self.coalition, self.epsilon, self.domain
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, LocalIncrement)
+                and self._fields() == other._fields())
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return ("LocalIncrement(n={!r}, coalition={!r}, epsilon={!r}, "
+                "domain={!r})".format(*self._fields()))
 
     def is_degenerate(self) -> bool:
         return len(self.coalition) in (0, self.n)
@@ -234,13 +245,32 @@ def box_increments(disc: Discretization, e_bar: Face,
     return out
 
 
-def apply_box_increment(u: StepGame, e_bar: Face,
-                        eps) -> tuple[StepGame, PowerVector]:
-    """Raise the game by eps on one open box, re-averaging its faces.
+def raise_box(u: StepGame, e_bar: Face, eps: Fraction) -> StepGame:
+    """The game raised by eps on the open box e_bar, unchecked.
 
     Every face of the box gains eps divided by its number of adjacent boxes
     (the two extreme cube corners stay pinned to 0 and 1), so regularity is
-    preserved; overrides on the box's faces shift with it.  The returned
+    preserved; overrides on the box's faces shift with it.
+    """
+    corners = {(0,) * u.n, (2 * u.p,) * u.n}
+    boxes = {**u.boxes, e_bar: u.boxes[e_bar] + eps}
+    faces = dict(u.faces)
+    for e in box_faces(e_bar):
+        if e in faces and e not in corners:
+            faces[e] += eps / len(adjacent_boxes(e, u.p))
+    return StepGame(u.disc, u.n, boxes, faces, u.tag)
+
+
+def apply_box_increment(u: StepGame, e_bar: Face,
+                        eps) -> tuple[StepGame, PowerVector]:
+    """Raise the game by eps >= 0 on one open box (see ``raise_box``) and
+    refuse the result if it is not monotone.
+
+    ``u`` must be monotone, as ``validate`` finds it.  Then only the faces
+    of the box rise, so the only cover pairs that can break are the box's
+    own covers e_bar -> e_bar + 2e_i and the pairs at a pinned face whose
+    lower face lies on the box; only those are checked, and a refusal lists
+    the same violations as ``validate`` of the raised game.  The returned
     delta sums the shifts of the implied local increments and equals the
     exact index difference.
     """
@@ -254,18 +284,13 @@ def apply_box_increment(u: StepGame, e_bar: Face,
     delta = [Fraction(0)] * u.n
     for _, inc in box_increments(u.disc, e_bar, eps):
         delta = [d + s for d, s in zip(delta, his_delta(inc).shares)]
-    p = u.p
-    corners = {(0,) * u.n, (2 * p,) * u.n}
-    boxes = {**u.boxes, e_bar: u.boxes[e_bar] + eps}
-    faces = dict(u.faces)
-    for e in box_faces(e_bar):
-        if e in faces and e not in corners:
-            faces[e] += eps / len(adjacent_boxes(e, p))
-    out = StepGame(u.disc, u.n, boxes, faces, u.tag)
-    report = validate(out)
-    if not report.monotone:
-        broken = [v.removeprefix("monotonicity: ")
-                  for v in report.violations if v.startswith("monotonicity:")]
+    out = raise_box(u, e_bar, eps)
+    on_box = set(box_faces(e_bar))
+    covers = [(e_bar, e_bar[:i] + (b + 2,) + e_bar[i + 1:])
+              for i, b in enumerate(e_bar) if b + 2 < 2 * u.p]
+    covers += [c for c in pinned_covers(out) if c[0] in on_box]
+    broken = falling_covers(out, covers)
+    if broken:
         more = ", first 3" if len(broken) > 3 else ""
         raise IncrementError(f"increment breaks monotonicity: {len(broken)} "
                              f"violations{more}: " + "; ".join(broken[:3]))
@@ -276,6 +301,8 @@ def corner_increase(L: Sequence[int], U: Sequence[int], eps, l: int,
                     i: int) -> Fraction:
     """Total share change for player i when the corner box pinned low on L
     and high on U of the uniform l-grid gains eps (four-sum closed form)."""
+    from .coalitions import mask_of
+
     eps = Fraction(eps)
     n = len(L) + len(U)
     mask_of([*L, *U], n)  # each of 1..n exactly once
@@ -319,8 +346,7 @@ def table1_rows(l: int, eps=1) -> list[dict]:
 # ---------------------------------------------------------------------------
 # constructive build
 
-@dataclass
-class BuildStep:
+class BuildStep(NamedTuple):
     phase: int
     box: Face
     eps: Fraction
@@ -328,8 +354,7 @@ class BuildStep:
     psi: tuple
 
 
-@dataclass
-class BuildResult:
+class BuildResult(NamedTuple):
     steps: list[BuildStep]
     final: StepGame
     psi: tuple
@@ -381,8 +406,7 @@ def appendix_game() -> StepGame:
     return make_regular_step(disc, boxes, 2)
 
 
-@dataclass
-class ReplayMove:
+class ReplayMove(NamedTuple):
     index: int
     increment: LocalIncrement
     psi_his: tuple
@@ -390,8 +414,7 @@ class ReplayMove:
     check_ok: bool
 
 
-@dataclass
-class ReplayResult:
+class ReplayResult(NamedTuple):
     initial_psi: tuple
     moves: list[ReplayMove]
     final: StepGame

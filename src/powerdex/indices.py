@@ -9,33 +9,39 @@ and only that estimator imports numpy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 from operator import add, mul
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .budget import check_work
-from .coalitions import (CoalitionFunction, JKGame, SimpleGame, mask_of,
-                         subset_sums)
 from .evaluables import EvaluableGame, step_game_evaluable
-from .rational import on_one_denominator, ordering_weight
-from .stepfun import StepGame
+from .rational import on_one_denominator, ordering_weight, subset_sums
+from .stepfun import StepGame, box_numerators
+
+if TYPE_CHECKING:
+    from .coalitions import CoalitionFunction, JKGame, SimpleGame
 
 # psi_mc holds one float64 per sample and coalition: 2^27 cells are 1 GiB
 MAX_MC_CELLS = 1 << 27
 
 
-@dataclass
 class PowerVector:
-    """Per-player shares, exact rationals or MC estimates with errors."""
+    """Per-player shares, exact rationals or MC estimates with errors.
 
-    shares: tuple
-    mode: str = "exact"
-    stderr: tuple | None = None
-    samples: int | None = None
-    seed: int | None = None
-    c_table: dict | None = field(default=None, repr=False)
+    ``c_table``, the C-table the shares came from, may be set afterwards.
+    """
+
+    def __init__(self, shares: tuple, mode: str = "exact",
+                 stderr: tuple | None = None, samples: int | None = None,
+                 seed: int | None = None, c_table: dict | None = None):
+        self.shares, self.mode, self.stderr = shares, mode, stderr
+        self.samples, self.seed, self.c_table = samples, seed, c_table
+
+    def __repr__(self) -> str:
+        return (f"PowerVector(shares={self.shares!r}, mode={self.mode!r}, "
+                f"stderr={self.stderr!r}, samples={self.samples!r}, "
+                f"seed={self.seed!r})")
 
     @property
     def n(self) -> int:
@@ -50,8 +56,7 @@ class PowerVector:
         return tuple(self.shares) == tuple(other)
 
 
-@dataclass
-class BoundaryAverages:
+class BoundaryAverages(NamedTuple):
     """The table T -> C(v, T): average outcome gap between coalition T at
     full support and at no support, keyed by coalition bitmask."""
 
@@ -59,6 +64,8 @@ class BoundaryAverages:
     table: dict[int, Fraction]
 
     def get(self, players) -> Fraction:
+        from .coalitions import mask_of
+
         return self.table[mask_of(players, self.n)]
 
 
@@ -129,6 +136,8 @@ def _ends_table(flat: list[int], m: int, weights: Sequence[int], n: int,
 def ssi_coalition(v: CoalitionFunction | SimpleGame) -> PowerVector:
     """Ordering-based index from the coalition table; monotonicity is not
     required, so negative shares are possible for non-monotone inputs."""
+    from .coalitions import SimpleGame
+
     cf = v.inner if isinstance(v, SimpleGame) else v
     return psi_from_c(cf.values, cf.n)
 
@@ -223,8 +232,7 @@ def boundary_averages(g: StepGame) -> BoundaryAverages:
     """
     n, top = g.n, 2 * g.p
     widths = [b - a for a, b in zip(g.disc.alpha, g.disc.alpha[1:])]
-    nums, den = on_one_denominator(
-        [g.boxes[b] for b in itertools.product(range(1, top, 2), repeat=n)])
+    nums, den = box_numerators(g)
     table = _ends_table(nums, g.p, on_one_denominator(widths)[0], n, den)
     pinned = {(0,) * n: Fraction(0), (top,) * n: Fraction(1), **g.faces}
     for d, val in pinned.items():

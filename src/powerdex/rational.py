@@ -8,9 +8,11 @@ Monte-Carlo estimator.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from math import factorial, lcm
+from operator import add, le
 from typing import Sequence
 
 MAX_PLAYERS = 20
@@ -59,6 +61,34 @@ def on_one_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     den = lcm(*(x.denominator for x in distinct.values()))
     num = {k: x.numerator * (den // x.denominator) for k, x in distinct.items()}
     return list(map(num.__getitem__, ids)), den
+
+
+def subset_sums(weights: Sequence[int]) -> list[int]:
+    """The table over 2^N of each coalition's total weight: each player
+    doubles the table, its new half being the old one plus its weight."""
+    sums = [0]
+    for x in weights:
+        sums += [*map(add, sums, itertools.repeat(x))]
+    return sums
+
+
+def nondecreasing_along(nums: Sequence[int], stride: int, size: int) -> bool:
+    """Whether a row-major integer table never falls along one axis.
+
+    The axis has ``size`` entries, ``stride`` apart: nums[k] <= nums[k +
+    stride] for every k whose coordinate (k // stride) % size on it is
+    below size - 1.  Compared in slices, either one per block of
+    size * stride entries or one per offset into such a block, whichever
+    takes fewer.
+    """
+    block = stride * size
+    lows = stride * (size - 1)
+    if lows <= len(nums) // block:
+        pairs = ((nums[k::block], nums[k + stride::block]) for k in range(lows))
+    else:
+        pairs = ((nums[lo:lo + lows], nums[lo + stride:lo + block])
+                 for lo in range(0, len(nums), block))
+    return all(all(map(le, a, b)) for a, b in pairs)
 
 
 def ordering_weight(s: int, n: int) -> Fraction:

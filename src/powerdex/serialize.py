@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .coalitions import (CoalitionFunction, JKGame, SimpleGame, check_players,
-                         mask_of, players_of)
-from .indices import PowerVector
 from .rational import format_rational, parse_rational
 # perfbench/layers.py times the completion rule through this name
 from .stepfun import (Discretization, StepGame, TAG_REGULAR,  # noqa: F401
                       regular_completion)
+
+if TYPE_CHECKING:
+    from .coalitions import CoalitionFunction, JKGame, SimpleGame
+    from .indices import PowerVector
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
@@ -32,6 +34,12 @@ _REQUIRED = object()
 
 def _key(parts) -> str:
     return ",".join(str(x) for x in parts)
+
+
+def _coalition_key(mask: int, n: int, first: int = 1) -> str:
+    """The comma-separated players of a coalition bitmask of n players,
+    the one on bit 0 numbered ``first``."""
+    return _key(first + i for i in range(n) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +150,8 @@ def _table(obj: dict, name: str, lo: int, hi: int, value, key=tuple,
 
 def _coalition(value, path: tuple, n: int) -> list[int]:
     """A coalition written as an array of distinct players in 1..n."""
+    from .coalitions import mask_of
+
     players = [_typed(x, int, path + (i,))
                for i, x in enumerate(_typed(value, list, path))]
     try:
@@ -157,7 +167,7 @@ def _coalition(value, path: tuple, n: int) -> list[int]:
 def coalition_function_to_json(cf: CoalitionFunction) -> dict:
     values = {}
     for mask in range(1 << cf.n):
-        values[_key(players_of(mask, cf.n))] = format_rational(cf.values[mask])
+        values[_coalition_key(mask, cf.n)] = format_rational(cf.values[mask])
     return {"n": cf.n, "values": values}
 
 
@@ -175,13 +185,10 @@ def _canonical_values(raw: dict, n: int) -> list[Fraction] | None:
     if len(raw) != 1 << n:
         return None
     h = (n + 1) // 2
-
-    def spelling(m: int, first: int) -> str:
-        return _key(first + i for i in range(n) if m >> i & 1)
-    low = [spelling(m, 1) for m in range(1 << h)]
+    low = [_coalition_key(m, h) for m in range(1 << h)]
     get, found = raw.get, []
     for m in range(1 << (n - h)):
-        high = spelling(m, h + 1)
+        high = _coalition_key(m, n - h, h + 1)
         if high:
             found.append(get(high))
             high = "," + high
@@ -201,6 +208,8 @@ def _canonical_values(raw: dict, n: int) -> list[Fraction] | None:
 def parse_coalition_input(obj: dict) -> CoalitionFunction:
     """Accepts {"n", "winning": [...]} (closed upward unless "closure" is
     false) or {"n", "values": {"players": "p/q"}} with a total table."""
+    from .coalitions import CoalitionFunction, check_players, mask_of
+
     _typed(obj, dict, ())
     n = _member(obj, "n", int)
     if "values" in obj:
@@ -225,6 +234,8 @@ def simple_game_to_json(v: SimpleGame) -> dict:
 
 
 def parse_simple_game(obj: dict) -> SimpleGame:
+    from .coalitions import SimpleGame
+
     return SimpleGame(parse_coalition_input(obj))
 
 
@@ -234,6 +245,8 @@ def jk_game_to_json(v: JKGame) -> dict:
 
 
 def parse_jk_game(obj: dict) -> JKGame:
+    from .coalitions import JKGame
+
     _typed(obj, dict, ())
     n, j, k = (_member(obj, key, int) for key in ("n", "j", "k"))
     return JKGame(n, j, k, _table(obj, "values", 0, j - 1, _level, arity=n))
@@ -286,7 +299,7 @@ def power_vector_to_json(pv: PowerVector, index: str,
         n = pv.n
         table = {}
         for mask in sorted(pv.c_table):
-            label = _key(players_of(mask, n))
+            label = _coalition_key(mask, n)
             val = pv.c_table[mask]
             table[label] = format_rational(val) if isinstance(val, Fraction) else val
         out["C"] = table

@@ -22,10 +22,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
+
+from .rational import nondecreasing_along, on_one_denominator
 
 Face = tuple[int, ...]
 
@@ -38,21 +39,29 @@ TAG_REGULAR = "regular"
 _TAGS = (TAG_RAW, TAG_SEMI_REGULAR, TAG_REGULAR)
 
 
-@dataclass(frozen=True)
 class Discretization:
     """Breakpoints 0 = alpha_0 < alpha_1 < ... < alpha_p = 1."""
 
-    alpha: tuple[Fraction, ...]
+    __slots__ = ("alpha",)
 
-    def __post_init__(self) -> None:
-        alpha = tuple(Fraction(a) for a in self.alpha)
-        object.__setattr__(self, "alpha", alpha)
+    def __init__(self, alpha: Sequence) -> None:
+        alpha = tuple(Fraction(a) for a in alpha)
         if len(alpha) < 2:
             raise ValueError("need at least the breakpoints 0 and 1")
         if alpha[0] != 0 or alpha[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if any(a >= b for a, b in zip(alpha, alpha[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        self.alpha: tuple[Fraction, ...] = alpha
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Discretization) and self.alpha == other.alpha
+
+    def __hash__(self) -> int:
+        return hash(self.alpha)
+
+    def __repr__(self) -> str:
+        return f"Discretization(alpha={self.alpha!r})"
 
     @property
     def p(self) -> int:
@@ -311,18 +320,49 @@ def permute_axes(g: StepGame, pi: Sequence[int]) -> StepGame:
                     {image(d): val for d, val in g.faces.items()}, g.tag)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the structural checks on a step game."""
 
     monotone: bool
     tag_ok: bool
     in_range: bool
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
 
     @property
     def ok(self) -> bool:
         return self.monotone and self.tag_ok and self.in_range
+
+
+def box_numerators(g: StepGame) -> tuple[list[int], int]:
+    """The box values in row-major order (first coordinate slowest), as
+    numerators over their least common denominator, and that denominator."""
+    return on_one_denominator(
+        [g.boxes[b] for b in itertools.product(range(1, 2 * g.p, 2), repeat=g.n)])
+
+
+def _step(d: Face, i: int, by: int) -> Face:
+    return d[:i] + (d[i] + by,) + d[i + 1:]
+
+
+def pinned_covers(g: StepGame) -> list[tuple[Face, Face]]:
+    """The cover pairs d -> d + e_i that touch a pinned face (an override
+    or a cube corner): for each pinned face in sorted order, its covers
+    upward, then its covers from below by faces that are not pinned."""
+    n, top = g.n, 2 * g.p
+    pinned = set(g.faces) | {(0,) * n, (top,) * n}
+    covers = []
+    for d in sorted(pinned):
+        covers += [(d, _step(d, i, 1)) for i in range(n) if d[i] < top]
+        covers += [(_step(d, i, -1), d) for i in range(n)
+                   if d[i] > 0 and _step(d, i, -1) not in pinned]
+    return covers
+
+
+def falling_covers(g: StepGame, covers) -> list[str]:
+    """A description of each cover pair on which the game falls."""
+    values = g.values
+    return [f"value {values[lo]} at {lo} exceeds {values[hi]} at {hi}"
+            for lo, hi in covers if values[lo] > values[hi]]
 
 
 def validate(g: StepGame) -> ValidationReport:
@@ -332,25 +372,25 @@ def validate(g: StepGame) -> ValidationReport:
     completion take means of box values and keep every cover pair between
     them once the box covers b -> b + 2e_i hold, so only boxes, box covers
     and pairs touching a pinned face (override or corner) are checked.
+    The boxes are checked as integer numerators along each axis of the
+    row-major box table; a pair is described only when the check fails.
     """
-    n, top, values = g.n, 2 * g.p, g.values
-    stored = itertools.chain(g.boxes.items(), g.faces.items())
+    n, p, top = g.n, g.p, 2 * g.p
+    nums, den = box_numerators(g)
+    boxes_in_range = 0 <= min(nums) and max(nums) <= den
+    stored = itertools.chain(() if boxes_in_range else g.boxes.items(),
+                             g.faces.items())
     violations = [f"value {val} at face {d} outside [0, 1]"
                   for d, val in stored if not 0 <= val <= 1]
     in_range = not violations
 
-    def step(d: Face, i: int, by: int) -> Face:
-        return d[:i] + (d[i] + by,) + d[i + 1:]
-
-    covers = [(b, step(b, i, 2)) for b in g.boxes for i in range(n)
-              if b[i] + 2 < top]
-    pinned = set(g.faces) | {(0,) * n, (top,) * n}
-    for d in sorted(pinned):
-        covers += [(d, step(d, i, 1)) for i in range(n) if d[i] < top]
-        covers += [(step(d, i, -1), d) for i in range(n)
-                   if d[i] > 0 and step(d, i, -1) not in pinned]
-    broken = [f"monotonicity: value {values[lo]} at {lo} exceeds {values[hi]} at {hi}"
-              for lo, hi in covers if values[lo] > values[hi]]
+    if all(nondecreasing_along(nums, p ** (n - 1 - i), p) for i in range(n)):
+        covers = []
+    else:
+        covers = [(b, _step(b, i, 2)) for b in g.boxes for i in range(n)
+                  if b[i] + 2 < top]
+    broken = [f"monotonicity: {v}"
+              for v in falling_covers(g, covers + pinned_covers(g))]
     # regular games follow the completion on every face, semi-regular ones
     # on every face off the cube boundary
     off_tag = [d for d in sorted(g.faces) if g.tag == TAG_REGULAR or (

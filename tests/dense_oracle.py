@@ -1,12 +1,13 @@
 """Dense reference for step games, used only as a test oracle: the full face
 table of a box table, a validator that checks every face and every cover
-pair, and the boundary averages read off the full table; and the boundary
-averages of a (j,k) game by their definition."""
+pair, and the boundary averages read off the full table; the violation list
+of a step game, built by comparing every checked pair as Fractions; and the
+boundary averages of a (j,k) game by their definition."""
 
 import itertools
 from fractions import Fraction
 
-from powerdex.stepfun import adjacent_boxes
+from powerdex.stepfun import adjacent_boxes, regular_completion
 
 
 def dense_completion(p: int, n: int, boxes: dict) -> dict:
@@ -43,6 +44,36 @@ def dense_validate(p: int, n: int, values: dict, tag: str) -> tuple[bool, bool, 
         if tag == "regular":
             tag_ok = tag_ok and values[(0,) * n] == 0 and values[(2 * p,) * n] == 1
     return monotone, tag_ok, in_range
+
+
+def pairwise_violations(g) -> list[str]:
+    """What ``validate`` reports, in its order and wording: every stored
+    value outside [0, 1], then every falling box cover and every falling
+    pair at a pinned face, then every face off the claimed tag, each pair
+    compared as Fractions."""
+    n, top, values = g.n, 2 * g.p, g.values
+    stored = itertools.chain(g.boxes.items(), g.faces.items())
+    found = [f"value {val} at face {d} outside [0, 1]"
+             for d, val in stored if not 0 <= val <= 1]
+
+    def step(d, i, by):
+        return d[:i] + (d[i] + by,) + d[i + 1:]
+
+    covers = [(b, step(b, i, 2)) for b in g.boxes for i in range(n)
+              if b[i] + 2 < top]
+    pinned = set(g.faces) | {(0,) * n, (top,) * n}
+    for d in sorted(pinned):
+        covers += [(d, step(d, i, 1)) for i in range(n) if d[i] < top]
+        covers += [(step(d, i, -1), d) for i in range(n)
+                   if d[i] > 0 and step(d, i, -1) not in pinned]
+    found += [f"monotonicity: value {values[lo]} at {lo} exceeds "
+              f"{values[hi]} at {hi}" for lo, hi in covers
+              if values[lo] > values[hi]]
+    off_tag = [d for d in sorted(g.faces) if g.tag == "regular" or (
+        g.tag == "semi_regular" and not any(di in (0, top) for di in d))]
+    return found + [
+        f"{g.tag}: face {d} has {g.faces[d]}, the regular completion gives "
+        f"{regular_completion(g.boxes, g.p, d)}" for d in off_tag]
 
 
 def dense_boundary_averages(disc, n: int, values: dict) -> dict:

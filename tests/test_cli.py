@@ -605,3 +605,18 @@ def test_his_apply_names_the_monotonicity_violations(tmp_path, capsys):
         "value 101/100 at (5, 6, 6) exceeds 1 at (6, 6, 6); "
         "value 101/100 at (6, 5, 6) exceeds 1 at (6, 6, 6); "
         "value 101/100 at (6, 6, 5) exceeds 1 at (6, 6, 6)")}
+
+
+def test_bare_memory_error_names_the_request(tmp_path, capsys, monkeypatch):
+    # a MemoryError raised without a message used to print "error": ""
+    import powerdex.cli as cli
+
+    def out_of_memory(args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "_cmd_psi", out_of_memory)
+    path = write(tmp_path, "zero.json", {"n": 1, "alpha": ["0", "1"],
+                                         "boxes": {"1": "0"}})
+    code, out, err = run_cli(["psi", path], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "psi: out of memory",
+                               "type": "MemoryError"}

@@ -7,29 +7,30 @@ import sys
 
 import powerdex
 
-# Runs in a fresh interpreter: the modules loaded by the import alone, then
-# whether numpy is loaded after the exact requests and after ``psi --mc``.
+# Runs in a fresh interpreter: the watched modules loaded by the import
+# alone, then after each request in turn.
 _PROBE = """
 import contextlib, io, json, sys
 
 import powerdex.cli
 
 step, coalition = sys.argv[1:]
-watched = ("numpy", "powerdex.his", "powerdex.axioms")
+watched = ("numpy", "dataclasses", "powerdex.coalitions", "powerdex.his",
+           "powerdex.axioms")
 report = {"import": [m for m in watched if m in sys.modules]}
-for argv in (["psi", step], ["psi-point", step, "--alpha", "1/3"],
-             ["his-build", step], ["ssi", coalition]):
+for label, argv in (("psi", ["psi", step]),
+                    ("psi-point", ["psi-point", step, "--alpha", "1/3"]),
+                    ("his-build", ["his-build", step]),
+                    ("ssi", ["ssi", coalition]),
+                    ("mc", ["psi", step, "--mc", "--samples", "100"])):
     with contextlib.redirect_stdout(io.StringIO()):
         assert powerdex.cli.main(argv) == 0, argv
-report["exact"] = "numpy" in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    assert powerdex.cli.main(["psi", step, "--mc", "--samples", "100"]) == 0
-report["mc"] = "numpy" in sys.modules
+    report[label] = [m for m in watched if m in sys.modules]
 print(json.dumps(report))
 """
 
 
-def test_cli_loads_numpy_only_for_monte_carlo(tmp_path):
+def _probe(tmp_path) -> dict:
     step = tmp_path / "step.json"
     step.write_text(json.dumps(
         {"n": 2, "alpha": ["0", "1/2", "1"], "tag": "regular",
@@ -40,7 +41,22 @@ def test_cli_loads_numpy_only_for_monte_carlo(tmp_path):
                            str(coalition)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"import": [], "exact": False, "mc": True}
+    return json.loads(proc.stdout)
+
+
+def test_cli_loads_numpy_only_for_monte_carlo(tmp_path):
+    report = _probe(tmp_path)
+    assert "powerdex.his" not in report["import"]
+    assert "powerdex.axioms" not in report["mc"]
+    assert ["numpy" in report[k] for k in report] == [False] * 5 + [True]
+
+
+def test_step_game_requests_load_no_dataclasses_or_coalitions(tmp_path):
+    report = _probe(tmp_path)
+    assert {k: [m for m in v if m in ("dataclasses", "powerdex.coalitions")]
+            for k, v in report.items() if k != "mc"} == {
+        "import": [], "psi": [], "psi-point": [], "his-build": [],
+        "ssi": ["powerdex.coalitions"]}
 
 
 def test_every_public_name_resolves_and_is_listed():

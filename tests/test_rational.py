@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from powerdex.rational import (format_rational, loss_constant, ordering_weight,
+from powerdex.rational import (format_rational, loss_constant,
+                               nondecreasing_along, ordering_weight,
                                parse_rational)
 
 
@@ -67,3 +69,21 @@ def test_parse_rational_refuses_what_is_not_a_string_or_integer(value):
     # a float used to be read through str(): 0.5 as 1/2, 1e-07 refused
     with pytest.raises(TypeError, match="is not a rational"):
         parse_rational(value)
+
+
+@pytest.mark.parametrize("shape", [(1,), (4,), (2, 3), (3, 1, 2), (2, 2, 2, 2),
+                                   (5, 4), (1, 6, 1)])
+def test_nondecreasing_along_matches_pairwise_oracle(shape):
+    # a row-major table, last axis fastest: sorted, then one entry moved,
+    # so both verdicts occur
+    rng = random.Random(sum(shape))
+    size = prod(shape)
+    for _ in range(200):
+        nums = sorted(rng.randrange(4) for _ in range(size))
+        if rng.random() < 0.7:
+            nums[rng.randrange(size)] += rng.choice((-1, 1))
+        for axis, m in enumerate(shape):
+            stride = prod(shape[axis + 1:])
+            expected = all(nums[k] <= nums[k + stride] for k in range(size)
+                           if k // stride % m < m - 1)
+            assert nondecreasing_along(nums, stride, m) == expected

@@ -7,13 +7,13 @@ from math import floor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import (dense_boundary_averages, dense_completion,
-                          dense_validate)
+                          dense_validate, pairwise_violations)
 from powerdex.evaluables import EvaluableGame, step_game_evaluable
-from powerdex.his import IncrementError, apply_box_increment
+from powerdex.his import IncrementError, apply_box_increment, raise_box
 from powerdex.indices import boundary_averages, psi_exact, psi_mc
 from powerdex.sampling import random_discretization, random_regular_game
 from powerdex.serialize import parse_step_game, step_game_to_json
@@ -67,13 +67,14 @@ def dense_games(draw, players=st.integers(1, 3), monotone=False,
 
 
 @settings(max_examples=300)
-@given(dense_games())
+@given(dense_games() | dense_games(coprime=True))
 def test_box_native_form_matches_dense_table(case):
     g, table = case
     assert dict(g.values) == table
     report = validate(g)
     assert (report.monotone, report.tag_ok, report.in_range) == \
         dense_validate(g.p, g.n, table, g.tag)
+    assert report.violations == pairwise_violations(g)
     if g.tag != "regular" or report.tag_ok:  # regular games emit no "faces"
         assert parse_step_game(step_game_to_json(g)) == g
 
@@ -128,6 +129,31 @@ def test_box_increment_with_overrides_matches_dense_table(case, tag, data):
     assert dict(out.values) == table
     assert delta.shares == tuple(a - b for a, b in
                                  zip(psi_exact(out).shares, psi_exact(g).shares))
+
+
+@settings(max_examples=300)
+@given(dense_games(st.integers(1, 4), monotone=True) |
+       dense_games(st.integers(1, 4), monotone=True, coprime=True), st.data())
+def test_box_increment_checks_what_whole_game_validate_finds(case, data):
+    # on a monotone game only the raised box's faces rise, so the covers
+    # checked locally give the verdict, count and text of validate
+    g, _ = case
+    assume(validate(g).monotone)
+    box = data.draw(st.sampled_from(sorted(g.boxes)))
+    eps = data.draw(st.sampled_from((F(0), F(1, 999_983), F(1, 48), F(1, 3),
+                                     F(1))))
+    broken = [v.removeprefix("monotonicity: ")
+              for v in validate(raise_box(g, box, eps)).violations
+              if v.startswith("monotonicity: ")]
+    if not broken:
+        assert apply_box_increment(g, box, eps)[0] == raise_box(g, box, eps)
+        return
+    more = ", first 3" if len(broken) > 3 else ""
+    with pytest.raises(IncrementError) as refused:
+        apply_box_increment(g, box, eps)
+    assert str(refused.value) == (
+        f"increment breaks monotonicity: {len(broken)} violations{more}: "
+        + "; ".join(broken[:3]))
 
 
 @settings(max_examples=150)
