@@ -28,6 +28,7 @@ from .stepfun import Discretization, coarsen, validate, zero_game
 
 if TYPE_CHECKING:
     from .his import Domain
+    from .stepfun import StepGame, ValidationReport
 
 
 class InputError(ValueError):
@@ -67,14 +68,20 @@ def _parse_players(text: str, option: str) -> list[int]:
     return players
 
 
-def _validated_step_game(obj):
-    g = parse_step_game(obj)
+def _valid_report(g: StepGame) -> ValidationReport:
+    """``validate(g)``, refused unless the game passes."""
     report = validate(g)
     if not report.ok:
         found = report.violations
         more = ", first 5" if len(found) > 5 else ""
         raise InputError(f"invalid step game: {len(found)} violations{more}: "
                          + "; ".join(found[:5]))
+    return report
+
+
+def _validated_step_game(obj) -> StepGame:
+    g = parse_step_game(obj)
+    _valid_report(g)
     return g
 
 
@@ -169,8 +176,8 @@ def _cmd_his_apply(args) -> None:
 def _cmd_his_build(args) -> None:
     from . import his
 
-    g = _validated_step_game(_read_json(args.game))
-    result = his.build_by_increments(g)
+    g = parse_step_game(_read_json(args.game))
+    result = his.build_by_increments(g, report=_valid_report(g))
     for step in result.steps:
         print(json.dumps({
             "phase": step.phase,

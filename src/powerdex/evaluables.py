@@ -22,6 +22,10 @@ if TYPE_CHECKING:
 class EvaluableGame:
     """A function [0,1]^n -> [0,1], monotone when the flag says so.
 
+    ``array`` must give each point the same value whatever other points
+    share the call, because the Monte-Carlo estimator batches points as its
+    memory bound allows.
+
     ``cells(points)`` may group points on which the game agrees after any
     coordinates are pinned to 0 or 1; it returns one representative point
     per cell and, for each point, the index of its cell.
@@ -80,9 +84,13 @@ def weighted_mean_game(weights: Sequence) -> EvaluableGame:
         return sum(wi * xi for wi, xi in zip(w, x))
 
     def array(pts):
-        import numpy as np
-
-        return pts @ np.array([float(x) for x in w])
+        # a running sum over the columns, so each point's value is the same
+        # in any batch: a matrix product rounds a row by its position in
+        # the batch (BLAS blocks rows) and takes another path for one row
+        out = pts[:, 0] * float(w[0])
+        for i in range(1, len(w)):
+            out += pts[:, i] * float(w[i])
+        return out
 
     return EvaluableGame(len(w), exact, array, True, "weighted_mean")
 
@@ -95,6 +103,7 @@ def product_power_game(exponents: Sequence) -> EvaluableGame:
         raise ValueError("exponents must be nonnegative")
     n = len(exps)
     all_int = all(e.denominator == 1 for e in exps)
+    floats = [float(e) for e in exps]
 
     def exact(x):
         out = Fraction(1)
@@ -105,7 +114,7 @@ def product_power_game(exponents: Sequence) -> EvaluableGame:
     def array(pts):
         import numpy as np
 
-        ef = np.array([float(e) for e in exps])
+        ef = np.array(floats)
         out = np.ones(pts.shape[0])
         for i in range(n):
             if ef[i] != 0.0:
@@ -164,10 +173,16 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
     @functools.cache
     def table() -> np.ndarray:
         # float value of each face in row-major order, NaN until first read;
-        # allocated on the first float call: the exact path never needs it
+        # allocated on the first float call: the exact path never needs it.
+        # The corners and the overrides, whose values are not their adjacent
+        # boxes', are read at once.
         import numpy as np
 
-        return np.full((2 * p + 1) ** g.n, np.nan)
+        values = np.full((2 * p + 1) ** g.n, np.nan)
+        pinned = [(0,) * g.n, (2 * p,) * g.n, *g.faces]
+        values[np.ravel_multi_index(np.transpose(pinned), shape)] = [
+            float(g.values[d]) for d in pinned]
+        return values
 
     def face_index(pts: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -192,9 +207,25 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
         import numpy as np
 
         idx, values = face_index(pts), table()
-        new = np.unique(idx[np.isnan(values[idx])])
-        for k, d in zip(new.tolist(),
-                        np.transpose(np.unravel_index(new, shape)).tolist()):
+        # the unread faces, once each (sorted by hand: a plain np.unique
+        # imports numpy.ma, about 15 ms of a request)
+        new = np.sort(idx[np.isnan(values[idx])])
+        new = new[np.diff(new, prepend=-1) > 0]
+        digits = np.unravel_index(new, shape)
+        # with every even digit on the cube boundary, a face other than the
+        # corners and the overrides lies next to one box and takes its value
+        one_box = np.all([(d % 2 == 1) | (d == 0) | (d == 2 * p)
+                          for d in digits], axis=0)
+        # that box's digits: odd ones kept, 0 and 2p moved inward
+        boxes, at = np.unique(
+            np.transpose([np.clip(d[one_box], 1, 2 * p - 1) for d in digits]),
+            axis=0, return_inverse=True)
+        box_values = np.array([float(g.boxes[tuple(b)]) for b in boxes.tolist()],
+                              dtype=np.float64)
+        values[new[one_box]] = box_values[at.reshape(-1)]
+        rest = new[~one_box]
+        for k, d in zip(rest.tolist(),
+                        np.transpose(np.unravel_index(rest, shape)).tolist()):
             values[k] = float(g.values[tuple(d)])
         return values[idx]
 

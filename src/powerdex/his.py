@@ -24,8 +24,8 @@ from typing import Callable, NamedTuple, Sequence
 from .indices import PowerVector, psi_exact
 from .rational import loss_constant, ordering_weight
 from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
-                      TAG_SEMI_REGULAR, adjacent_boxes, box_faces,
-                      evaluate_step, face_center, falling_covers,
+                      TAG_SEMI_REGULAR, ValidationReport, adjacent_boxes,
+                      box_faces, evaluate_step, face_center, falling_covers,
                       make_regular_step, pinned_covers, refine, uniform_grid,
                       validate, zero_game)
 
@@ -468,6 +468,7 @@ def replay_appendix() -> ReplayResult:
 
 def build_by_increments(v: StepGame,
                         box_order: Callable[[list[Face]], list[Face]] | None = None,
+                        report: ValidationReport | None = None,
                         ) -> BuildResult:
     """Rebuild a regular monotone step game from the all-or-nothing game by
     per-box increments, one grid refinement phase at a time.
@@ -479,8 +480,11 @@ def build_by_increments(v: StepGame,
     default; the total effect is order-independent).  The phase grid's bands
     are the fine bands 0..l-2 plus one that starts at fine band l-1, so a
     phase box and its lowest fine box have the same key.
+
+    ``report`` is ``validate(v)`` when the caller has already made it.
     """
-    report = validate(v)
+    if report is None:
+        report = validate(v)
     if v.tag != TAG_REGULAR or not report.ok:
         raise ValueError("build requires a validated regular monotone game")
     order = box_order or (lambda boxes: sorted(boxes, reverse=True))

@@ -12,31 +12,45 @@ import itertools
 from fractions import Fraction
 from math import factorial, prod
 from operator import add, mul
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .budget import check_work
 from .evaluables import EvaluableGame, step_game_evaluable
-from .rational import on_one_denominator, ordering_weight, subset_sums
-from .stepfun import StepGame, box_numerators
+from .rational import on_one_denominator, subset_sums
+from .stepfun import StepGame, box_numerators, locate_face
 
 if TYPE_CHECKING:
     from .coalitions import CoalitionFunction, JKGame, SimpleGame
 
-# psi_mc holds one float64 per sample and coalition: 2^27 cells are 1 GiB
+# psi_mc evaluates the game at 2^(n+1) pinned copies of every sample point,
+# so this cap on samples * 2^n bounds its run time; montecarlo's chunks
+# bound its memory
 MAX_MC_CELLS = 1 << 27
 
 
 class PowerVector:
     """Per-player shares, exact rationals or MC estimates with errors.
 
-    ``c_table``, the C-table the shares came from, may be set afterwards.
+    ``c_table``, the C-table the shares came from, may be set afterwards,
+    or given as a function that computes it on first read.
     """
 
     def __init__(self, shares: tuple, mode: str = "exact",
                  stderr: tuple | None = None, samples: int | None = None,
-                 seed: int | None = None, c_table: dict | None = None):
+                 seed: int | None = None,
+                 c_table: dict | Callable[[], dict] | None = None):
         self.shares, self.mode, self.stderr = shares, mode, stderr
         self.samples, self.seed, self.c_table = samples, seed, c_table
+
+    @property
+    def c_table(self) -> dict | None:
+        if callable(self._c_table):
+            self._c_table = self._c_table()
+        return self._c_table
+
+    @c_table.setter
+    def c_table(self, table: dict | Callable[[], dict] | None) -> None:
+        self._c_table = table
 
     def __repr__(self) -> str:
         return (f"PowerVector(shares={self.shares!r}, mode={self.mode!r}, "
@@ -279,16 +293,24 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
     """The single-profile variant: the ordering-weight sum over the pinned
     table c(T) = v(1_T, a) - v(0_T, a) at the constant profile a = alpha,
     instead of integrating over profiles."""
-    game = _as_evaluable(v)
-    n = game.n
+    n = v.n
     # two evaluations of an n-coordinate profile per coalition
     check_work(n << (n + 1), "point variant")
     a = Fraction(alpha)
     if a < 0 or a > 1:
         raise ValueError("alpha must lie in [0, 1]")
+    if isinstance(v, StepGame):
+        # every free coordinate sits on alpha's face digit, every pinned one
+        # on the digit of 0 or 1, so each pinned profile is one face
+        (free,) = locate_face(v.disc, (a,))
+        sides = (0, 2 * v.p)
 
-    def pinned(t: int, side: int) -> Fraction:
-        return game.eval_exact([side if t >> i & 1 else a for i in range(n)])
+        def pinned(t: int, side: int) -> Fraction:
+            return v.values[tuple(sides[side] if t >> i & 1 else free
+                                  for i in range(n))]
+    else:
+        def pinned(t: int, side: int) -> Fraction:
+            return v.eval_exact([side if t >> i & 1 else a for i in range(n)])
     c = [Fraction(0)] + [pinned(t, 1) - pinned(t, 0) for t in range(1, 1 << n)]
     return psi_from_c(c, n)
 
@@ -301,11 +323,8 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
     the C-differences strongly correlated and the estimator variance low.
     ``sampler(rng, m, n)`` may supply points from an exchangeable density
     instead of the uniform default.  Deterministic for a given seed.
-
-    The game is evaluated once per cell of ``game.cells``, and the per-cell
-    arrays are expanded to one entry per sample only where they are
-    averaged, so every per-sample float and every mean is the same as when
-    each sample is evaluated on its own.
+    ``montecarlo.estimate`` does the sampling and evaluation; the C-table
+    means are computed when ``c_table`` is first read.
     """
     game = _as_evaluable(v)
     n = game.n
@@ -316,42 +335,11 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
     if samples << n > MAX_MC_CELLS:
         raise ValueError(f"samples * 2^n = {samples << n} exceeds the "
                          f"Monte-Carlo cap of {MAX_MC_CELLS} cells")
-    import numpy as np
+    from .montecarlo import estimate
 
-    rng = np.random.default_rng(seed)
-    pts = rng.random((samples, n)) if sampler is None else \
-        np.asarray(sampler(rng, samples, n), dtype=np.float64)
-    if len(pts) != samples:
-        raise ValueError(f"sampler returned {len(pts)} points, not {samples}")
-    reps, inverse = game.cells(pts)
-
-    def per_sample(a: np.ndarray) -> np.ndarray:
-        return a if inverse is None else a[inverse]
-
-    deltas: dict[int, np.ndarray] = {0: np.zeros(len(reps))}
-    for t_mask in range(1, 1 << n):
-        cols = [i for i in range(n) if t_mask >> i & 1]
-        hi = reps.copy()
-        lo = reps.copy()
-        hi[:, cols] = 1.0
-        lo[:, cols] = 0.0
-        deltas[t_mask] = game.eval_array(hi) - game.eval_array(lo)
-    weights = {s: float(ordering_weight(s, n)) for s in range(1, n + 1)}
-    estimates, errors = [], []
-    for i in range(n):
-        bit = 1 << i
-        g_i = np.zeros(len(reps))
-        for s_mask in range(1 << n):
-            if s_mask & bit:
-                w = weights[s_mask.bit_count()]
-                g_i += w * (deltas[s_mask] - deltas[s_mask ^ bit])
-        g_i = per_sample(g_i)
-        estimates.append(float(g_i.mean()))
-        spread = float(g_i.std(ddof=1)) if samples > 1 else 0.0
-        errors.append(spread / samples ** 0.5)
-    c_est = {m: float(per_sample(d).mean()) for m, d in deltas.items()}
-    return PowerVector(tuple(estimates), "mc", tuple(errors),
-                       samples=samples, seed=seed, c_table=c_est)
+    shares, errors, c_table = estimate(game, samples, seed, sampler)
+    return PowerVector(shares, "mc", errors, samples=samples, seed=seed,
+                       c_table=c_table)
 
 
 def psi_product_oracle(exponents: Sequence) -> PowerVector:

@@ -2,12 +2,17 @@
 table of a box table, a validator that checks every face and every cover
 pair, and the boundary averages read off the full table; the violation list
 of a step game, built by comparing every checked pair as Fractions; and the
-boundary averages of a (j,k) game by their definition."""
+boundary averages of a (j,k) game by their definition; and the
+Monte-Carlo estimator that holds every coalition's pinned deltas at once."""
 
 import itertools
 from fractions import Fraction
 
-from powerdex.stepfun import adjacent_boxes, regular_completion
+from powerdex.budget import check_work
+from powerdex.evaluables import EvaluableGame
+from powerdex.indices import MAX_MC_CELLS, PowerVector, _as_evaluable
+from powerdex.rational import ordering_weight
+from powerdex.stepfun import StepGame, adjacent_boxes, regular_completion
 
 
 def dense_completion(p: int, n: int, boxes: dict) -> dict:
@@ -114,3 +119,64 @@ def dense_jk_boundary_averages(v) -> dict:
         gap = sum(v.values[x] - v.values[y] for x, y in zip(ups, downs))
         table[t_mask] = Fraction(gap, (v.k - 1) * j ** (n - t_mask.bit_count()))
     return table
+
+
+def dense_psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
+                 sampler=None) -> PowerVector:
+    """Monte-Carlo estimate of the boundary-average index.
+
+    One common batch of sample points serves every coalition T, which keeps
+    the C-differences strongly correlated and the estimator variance low.
+    ``sampler(rng, m, n)`` may supply points from an exchangeable density
+    instead of the uniform default.  Deterministic for a given seed.
+
+    The game is evaluated once per cell of ``game.cells``, and the per-cell
+    arrays are expanded to one entry per sample only where they are
+    averaged, so every per-sample float and every mean is the same as when
+    each sample is evaluated on its own.
+    """
+    game = _as_evaluable(v)
+    n = game.n
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    # two evaluation passes per coalition, then n combine passes over them
+    check_work(n << (n + 1), "Monte-Carlo estimate")
+    if samples << n > MAX_MC_CELLS:
+        raise ValueError(f"samples * 2^n = {samples << n} exceeds the "
+                         f"Monte-Carlo cap of {MAX_MC_CELLS} cells")
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    pts = rng.random((samples, n)) if sampler is None else \
+        np.asarray(sampler(rng, samples, n), dtype=np.float64)
+    if len(pts) != samples:
+        raise ValueError(f"sampler returned {len(pts)} points, not {samples}")
+    reps, inverse = game.cells(pts)
+
+    def per_sample(a: np.ndarray) -> np.ndarray:
+        return a if inverse is None else a[inverse]
+
+    deltas: dict[int, np.ndarray] = {0: np.zeros(len(reps))}
+    for t_mask in range(1, 1 << n):
+        cols = [i for i in range(n) if t_mask >> i & 1]
+        hi = reps.copy()
+        lo = reps.copy()
+        hi[:, cols] = 1.0
+        lo[:, cols] = 0.0
+        deltas[t_mask] = game.eval_array(hi) - game.eval_array(lo)
+    weights = {s: float(ordering_weight(s, n)) for s in range(1, n + 1)}
+    estimates, errors = [], []
+    for i in range(n):
+        bit = 1 << i
+        g_i = np.zeros(len(reps))
+        for s_mask in range(1 << n):
+            if s_mask & bit:
+                w = weights[s_mask.bit_count()]
+                g_i += w * (deltas[s_mask] - deltas[s_mask ^ bit])
+        g_i = per_sample(g_i)
+        estimates.append(float(g_i.mean()))
+        spread = float(g_i.std(ddof=1)) if samples > 1 else 0.0
+        errors.append(spread / samples ** 0.5)
+    c_est = {m: float(per_sample(d).mean()) for m, d in deltas.items()}
+    return PowerVector(tuple(estimates), "mc", tuple(errors),
+                       samples=samples, seed=seed, c_table=c_est)

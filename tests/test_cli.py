@@ -192,6 +192,41 @@ def test_his_build_cli(tmp_path, capsys):
     assert json.loads(lines[-1]) == {"final": True, "psi": ["9/16", "7/16"]}
 
 
+FALLING = {"n": 2, "alpha": ["0", "1/2", "1"], "tag": "regular",
+           "boxes": {"1,1": "1/2", "1,2": "1/4", "2,1": "1/2", "2,2": "3/4"}}
+RAW = {**FALLING, "tag": "raw",
+       "boxes": {"1,1": "0", "1,2": "1/4", "2,1": "1/2", "2,2": "3/4"}}
+
+
+@pytest.mark.parametrize("game, code, err", [
+    (FALLING, 2, '{"error": "invalid step game: 1 violations: monotonicity: '
+                 'value 1/2 at (1, 1) exceeds 1/4 at (1, 3)", '
+                 '"type": "InputError"}\n'),
+    (RAW, 2, '{"error": "build requires a validated regular monotone game", '
+             '"type": "ValueError"}\n'),
+    ({**RAW, "tag": "regular"}, 0, "")], ids=["invalid", "raw", "regular"])
+def test_his_build_validates_its_input_once(tmp_path, capsys, monkeypatch,
+                                            game, code, err):
+    import powerdex.cli as cli
+    import powerdex.his as his
+
+    checked = []
+
+    def counted(g):
+        checked.append(g)
+        return validate(g)
+    monkeypatch.setattr(cli, "validate", counted)
+    monkeypatch.setattr(his, "validate", counted)
+    path = write(tmp_path, "g.json", game)
+    assert run_cli(["his-build", path], capsys)[::2] == (code, err)
+    assert len(checked) == 1
+    # a library caller that passes no report still gets the check
+    if code == 2:
+        with pytest.raises(ValueError, match="build requires a validated"):
+            his.build_by_increments(parse_step_game(game))
+        assert len(checked) == 2
+
+
 def test_table1_csv(capsys):
     code, out, _ = run_cli(["table1", "--l", "2", "--format", "csv"], capsys)
     assert code == 0

@@ -16,7 +16,7 @@ import powerdex.cli
 
 step, coalition = sys.argv[1:]
 watched = ("numpy", "dataclasses", "powerdex.coalitions", "powerdex.his",
-           "powerdex.axioms")
+           "powerdex.axioms", "powerdex.montecarlo")
 report = {"import": [m for m in watched if m in sys.modules]}
 for label, argv in (("psi", ["psi", step]),
                     ("psi-point", ["psi-point", step, "--alpha", "1/3"]),
@@ -49,6 +49,8 @@ def test_cli_loads_numpy_only_for_monte_carlo(tmp_path):
     assert "powerdex.his" not in report["import"]
     assert "powerdex.axioms" not in report["mc"]
     assert ["numpy" in report[k] for k in report] == [False] * 5 + [True]
+    assert ["powerdex.montecarlo" in report[k] for k in report] == (
+        [False] * 5 + [True])
 
 
 def test_step_game_requests_load_no_dataclasses_or_coalitions(tmp_path):

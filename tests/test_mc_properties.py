@@ -1,0 +1,137 @@
+"""Property tests: the chunked Monte-Carlo estimator against the estimator
+that holds every coalition's deltas at once (``dense_oracle.dense_psi_mc``),
+and the step-game readers of ``psi_mc`` and ``psi_point`` against the dense
+face table."""
+
+import random
+import tracemalloc
+from fractions import Fraction as F
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import powerdex.montecarlo as montecarlo
+from dense_oracle import dense_psi_mc
+from powerdex.evaluables import (EvaluableGame, counterexample_game,
+                                 product_power_game, step_game_evaluable,
+                                 weighted_mean_game, weighted_median_game)
+from powerdex.indices import psi_mc, psi_point
+from powerdex.sampling import random_regular_game
+from test_stepgame_properties import breakpoint_sampler, dense_games
+
+# what a chunk of cells is cut to, against the number of sample points
+CHUNKINGS = ("one row", "uneven", "more rows than samples")
+
+
+def weights(n):
+    return st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(
+        any).map(lambda w: [F(x, sum(w)) for x in w])
+
+
+@st.composite
+def black_boxes(draw):
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("product", "median", "mean")))
+    if kind == "product":
+        exponents = st.sampled_from((0, 1, 2, 3, F(1, 2), F(5, 2)))
+        return product_power_game(draw(st.lists(exponents, min_size=n,
+                                                max_size=n)))
+    if kind == "median":
+        return weighted_median_game(draw(weights(n)))
+    return weighted_mean_game(draw(weights(n)))
+
+
+@st.composite
+def step_cases(draw):
+    """A step game as itself (evaluated once per face cell) or wrapped
+    without its cells (evaluated once per sample), with uniform or
+    breakpoint-heavy samples."""
+    g, _ = draw(dense_games())
+    sampler = breakpoint_sampler(g.disc.alpha) if draw(st.booleans()) else None
+    if draw(st.booleans()):
+        return g, sampler
+    ev = step_game_evaluable(g)
+    return EvaluableGame(g.n, ev.eval_exact, ev.eval_array), sampler
+
+
+@settings(max_examples=150)
+@given(step_cases() | black_boxes().map(lambda v: (v, None)),
+       st.integers(1, 300), st.integers(0, 2 ** 32), st.sampled_from(CHUNKINGS),
+       st.sampled_from((1, 3, montecarlo.MC_CALL_ROWS)), st.data())
+def test_chunked_psi_mc_is_bit_identical_to_the_dense_estimator(
+        case, samples, seed, chunking, call_rows, data):
+    game, sampler = case
+    if chunking == "one row":
+        rows = 1
+    elif chunking == "uneven":
+        rows = data.draw(st.integers(2, samples + 1).filter(
+            lambda r: samples % r != 0))
+    else:
+        rows = samples + data.draw(st.integers(1, 40))
+    expected = dense_psi_mc(game, samples, seed, sampler)
+    with mock.patch.object(montecarlo, "MC_CHUNK_CELLS", rows << game.n), \
+            mock.patch.object(montecarlo, "MC_CALL_ROWS", call_rows):
+        got = psi_mc(game, samples, seed, sampler)
+    assert got.shares == expected.shares
+    assert got.stderr == expected.stderr
+    assert got.c_table == expected.c_table
+
+
+@settings(max_examples=100)
+@given(dense_games(), st.randoms(use_true_random=False))
+def test_step_evaluable_reads_the_dense_table(case, rng):
+    # one point inside each face, evaluated in a shuffled order and split
+    # over two calls, so faces are first read in either call
+    g, table = case
+    alpha = g.disc.alpha
+    faces = list(table)
+    rng.shuffle(faces)
+    pts = np.array([[float(alpha[d // 2]) if d % 2 == 0
+                     else float((alpha[d // 2] + alpha[d // 2 + 1]) / 2)
+                     for d in face] for face in faces])
+    ev = step_game_evaluable(g)
+    cut = rng.randrange(len(faces) + 1)
+    got = np.concatenate([ev.eval_array(pts[:cut]), ev.eval_array(pts[cut:])])
+    assert got.tolist() == [float(table[d]) for d in faces]
+
+
+@settings(max_examples=150)
+@given(dense_games(st.integers(1, 4)), st.data())
+def test_point_variant_reads_the_pinned_faces(case, data):
+    g, _ = case
+    alpha = data.draw(st.sampled_from(g.disc.alpha) | st.sampled_from((0, 1))
+                      | st.fractions(0, 1, max_denominator=24))
+    assert psi_point(g, alpha) == psi_point(step_game_evaluable(g), alpha)
+
+
+@pytest.mark.parametrize("alpha", [F(-1, 3), F(4, 3)])
+def test_point_variant_refuses_alpha_outside_the_unit_interval(alpha):
+    g = random_regular_game(random.Random(3), 2, 2)
+    for game in (g, step_game_evaluable(g)):
+        with pytest.raises(ValueError) as refused:
+            psi_point(game, alpha)
+        assert str(refused.value) == "alpha must lie in [0, 1]"
+
+
+def test_point_variant_over_the_budget_keeps_its_diagnostic():
+    with pytest.raises(ValueError) as refused:
+        psi_point(counterexample_game(16), F(1, 3))
+    assert str(refused.value) == ("point variant exceeds the work budget of "
+                                  "2,000,000 steps")
+
+
+def test_psi_mc_memory_is_bounded_by_the_chunk(monkeypatch):
+    # 20,000 samples of 256 coalitions hold 41 MB of deltas at once
+    monkeypatch.setattr(montecarlo, "MC_CHUNK_CELLS", 1 << 16)
+    game = counterexample_game(8)
+    psi_mc(game, 10, 1)
+    tracemalloc.start()
+    try:
+        psi_mc(game, 20_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
