@@ -24,7 +24,7 @@ from .rational import format_rational, parse_rational
 from .serialize import (json_type, parse_coalition_input, parse_jk_game,
                         parse_simple_game, parse_step_game,
                         power_vector_to_json, step_game_to_json)
-from .stepfun import Discretization, coarsen, validate, zero_game
+from .stepfun import Discretization, check_grid, coarsen, validate, zero_game
 
 if TYPE_CHECKING:
     from .his import Domain
@@ -141,13 +141,17 @@ def _cmd_psi_point(args) -> None:
 
 
 def _cmd_embed(args) -> None:
+    from .coalitions import SimpleGame
     from .embeddings import embed_2k_tau, embed_jk, embed_simple_semiregular
 
     obj = _read_json(args.game)
     if args.tau is not None:
         out = embed_2k_tau(parse_jk_game(obj), parse_rational(args.tau))
     elif args.semiregular:
-        out = embed_simple_semiregular(parse_simple_game(obj))
+        cf = parse_coalition_input(obj)
+        # the grid before the simple-game checks, which read all 2^n entries
+        check_grid(cf.n, 1)
+        out = embed_simple_semiregular(SimpleGame(cf))
     else:
         out = embed_jk(parse_jk_game(obj))
     _emit(step_game_to_json(out))

@@ -13,7 +13,7 @@ from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .budget import check_work
-from .rational import (MAX_PLAYERS, nondecreasing_along, on_one_denominator,
+from .rational import (check_players, nondecreasing_along, on_one_denominator,
                        subset_sums)
 
 Level = tuple[int, ...]
@@ -58,13 +58,6 @@ class Coalition:
 
     def __contains__(self, player: int) -> bool:
         return 1 <= player <= self.n and bool(self.mask >> (player - 1) & 1)
-
-
-def check_players(n: int) -> None:
-    """Reject a player count outside 1..MAX_PLAYERS, before any table over
-    2^N is allocated."""
-    if not 1 <= n <= MAX_PLAYERS:
-        raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
 
 
 def mask_of(players: Iterable[int], n: int) -> int:
@@ -231,21 +224,35 @@ class JKGame:
             raise ValueError("need j, k >= 2")
         self.n, self.j, self.k = n, j, k
         self.values = dict(values)
-        bottom = (0,) * n
-        top = (j - 1,) * n
-        for x in itertools.product(range(j), repeat=n):
-            if x not in self.values:
-                raise ValueError(f"missing value at {x}")
-            if not 0 <= self.values[x] <= k - 1:
-                raise ValueError(f"value at {x} outside 0..{k - 1}")
-        if self.values[bottom] != 0 or self.values[top] != k - 1:
+        # the levels row-major, first voter slowest, checked as one list; a
+        # table with fewer than j^n entries misses a profile, and the list
+        # is not built
+        levels = (list(map(self.values.get, self.profiles()))
+                  if len(self.values) >= j ** n else [None])
+        try:
+            whole = (None not in levels
+                     and 0 <= min(levels) and max(levels) <= k - 1)
+        except TypeError:
+            whole = False
+        if not whole:
+            # the first missing or out-of-range profile, in profile order
+            for x in self.profiles():
+                if x not in self.values:
+                    raise ValueError(f"missing value at {x}")
+                if not 0 <= self.values[x] <= k - 1:
+                    raise ValueError(f"value at {x} outside 0..{k - 1}")
+        if levels[0] != 0 or levels[-1] != k - 1:
             raise ValueError("extreme profiles must map to 0 and k-1")
-        for x in itertools.product(range(j), repeat=n):
-            for i in range(n):
-                if x[i] + 1 < j:
-                    y = x[:i] + (x[i] + 1,) + x[i + 1:]
-                    if self.values[x] > self.values[y]:
-                        raise ValueError(f"not monotone between {x} and {y}")
+        if not all(nondecreasing_along(levels, j ** (n - 1 - i), j)
+                   for i in range(n)):
+            # the first falling cover, in profile order
+            for x in self.profiles():
+                for i in range(n):
+                    if x[i] + 1 < j:
+                        y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                        if self.values[x] > self.values[y]:
+                            raise ValueError(
+                                f"not monotone between {x} and {y}")
 
     def value(self, x: Level) -> int:
         return self.values[tuple(x)]

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 from .coalitions import CoalitionFunction, JKGame, SimpleGame
 from .stepfun import (Discretization, Face, StepGame, TAG_SEMI_REGULAR,
-                      make_regular_step, uniform_grid)
+                      check_grid, make_regular_step, uniform_grid)
 
 
 def _embed_on(v: JKGame, disc: Discretization) -> StepGame:
     """The box at level profile e worth v(e)/(k-1) on a grid with j boxes
     per axis, lower-dimensional faces averaged."""
+    check_grid(v.n, disc.p)
     boxes = {tuple(2 * ei + 1 for ei in e): Fraction(v.values[e], v.k - 1)
              for e in v.profiles()}
     return make_regular_step(disc, boxes, v.n)
@@ -43,6 +44,7 @@ def embed_coalition_semiregular(cf: CoalitionFunction) -> StepGame:
     the coalition value of the players pinned at 1.  Accepts non-monotone
     tables, which makes the monotonicity guard in ``validate`` observable."""
     n = cf.n
+    check_grid(n, 1)
     disc = Discretization((Fraction(0), Fraction(1)))
     values: dict[Face, Fraction] = {}
     for d in itertools.product((0, 1, 2), repeat=n):

@@ -232,8 +232,14 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
     def cells(pts):
         import numpy as np
 
-        _, first, inverse = np.unique(face_index(pts), return_index=True,
-                                      return_inverse=True)
-        return pts[first], inverse
+        # what np.unique(idx, return_index=True, return_inverse=True) gives,
+        # without sorting: the grid check bounds the face count
+        idx, size = face_index(pts), (2 * p + 1) ** g.n
+        ids = np.flatnonzero(np.bincount(idx, minlength=size))
+        first = np.full(size, len(idx))
+        np.minimum.at(first, idx, np.arange(len(idx)))
+        position = np.zeros(size, dtype=np.int64)
+        position[ids] = np.arange(len(ids))
+        return pts[first[ids]], position[idx]
 
     return EvaluableGame(g.n, exact, array, True, "step_game", cells)

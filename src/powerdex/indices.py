@@ -124,23 +124,45 @@ def _ends_table(flat: list[int], m: int, weights: Sequence[int], n: int,
     """The C-table of an integer table on the grid (m,)^n, stored row-major
     (first coordinate slowest) over the denominator ``den``.
 
-    Each axis is contracted to three entries: its last entry, its first
-    entry and its ``weights``-weighted sum.  C(T) is the entry with T at
-    last and every free axis summed, minus the one with T at first, over
-    ``den * sum(weights) ** free``.
+    C(T) is the table with T's axes at their last entry and every free axis
+    summed with ``weights``, minus the same with T's axes at their first
+    entry, over ``den * sum(weights) ** free``.  Each of the two is one
+    contraction that reduces every axis to two entries, [weighted sum,
+    end], so each axis pass shrinks the table by m/2 and ends at 2^n
+    entries (three entries per axis would end at 3^n, more than m^n for
+    m = 2).
     """
-    for _ in range(n):
-        # contract the last axis and move its three entries to the front
-        rows = [flat[k:k + m] for k in range(0, len(flat), m)]
-        flat = ([r[-1] for r in rows] + [r[0] for r in rows]
-                + [sum(map(mul, weights, r)) for r in rows])
-    summed, total = 3 ** n - 1, sum(weights)
+    def contract(end: int) -> list[int]:
+        f = flat
+        for _ in range(n):
+            # reduce the last axis, whose level h is the slice f[h::m], and
+            # put its two entries in front: after n passes the axes are back
+            # in their order
+            total = [0] * (len(f) // m)
+            for h, w in enumerate(weights):
+                col = f[h::m]
+                if w != 1:
+                    col = map(mul, col, itertools.repeat(w))
+                total = list(map(add, total, col))
+            f = total + f[end::m]
+        return f
+
+    last, first = contract(m - 1), contract(0)
+    # T's entry has the end digit 1 on T's axes, axis i at place 2^(n-1-i)
+    spots = [0]
+    for i in range(n):
+        spots += [s + (1 << (n - 1 - i)) for s in spots]
+    scales = [den * sum(weights) ** free for free in range(n + 1)]
+    # one Fraction per distinct (gap, free axes): a (j,k) table repeats a
+    # few, and psi_from_c converts each distinct object once
+    memo: dict[tuple[int, int], Fraction] = {}
     table = {}
-    for t in range(1 << n):
-        # T's axes read the base-3 digit 0 (last) or 1 (first), not 2 (sum)
-        s = int(f"{t:0{n}b}"[::-1], 3)
-        table[t] = Fraction(flat[summed - 2 * s] - flat[summed - s],
-                            den * total ** (n - t.bit_count()))
+    for t, s in enumerate(spots):
+        key = (last[s] - first[s], n - t.bit_count())
+        c = memo.get(key)
+        if c is None:
+            c = memo[key] = Fraction(key[0], scales[key[1]])
+        table[t] = c
     return table
 
 

@@ -21,6 +21,13 @@ _FACTORIALS = [factorial(k) for k in range(MAX_PLAYERS + 1)]
 _RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
 
 
+def check_players(n: int) -> None:
+    """Reject a player count outside 1..MAX_PLAYERS, before any table over
+    2^N or any grid is allocated."""
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
+
+
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse a rational from a "p/q" (or plain integer / decimal) string.
 

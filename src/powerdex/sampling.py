@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .stepfun import Discretization, StepGame, make_regular_step
+from .stepfun import Discretization, StepGame, check_grid, make_regular_step
 
 
 def random_discretization(rng: random.Random, p: int) -> Discretization:
@@ -21,6 +21,7 @@ def random_discretization(rng: random.Random, p: int) -> Discretization:
 def random_regular_game(rng: random.Random, n: int, p: int) -> StepGame:
     """Random monotone regular step game: box values grow along the
     componentwise order via running maxima."""
+    check_grid(n, p)
     disc = random_discretization(rng, p)
     values: dict[tuple[int, ...], Fraction] = {}
     boxes = sorted(itertools.product(range(1, 2 * p, 2), repeat=n),

@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .rational import format_rational, parse_rational
+from .rational import check_players, format_rational, parse_rational
 # perfbench/layers.py times the completion rule through this name
 from .stepfun import (Discretization, StepGame, TAG_REGULAR,  # noqa: F401
                       regular_completion)
@@ -208,7 +208,7 @@ def _canonical_values(raw: dict, n: int) -> list[Fraction] | None:
 def parse_coalition_input(obj: dict) -> CoalitionFunction:
     """Accepts {"n", "winning": [...]} (closed upward unless "closure" is
     false) or {"n", "values": {"players": "p/q"}} with a total table."""
-    from .coalitions import CoalitionFunction, check_players, mask_of
+    from .coalitions import CoalitionFunction, mask_of
 
     _typed(obj, dict, ())
     n = _member(obj, "n", int)
@@ -270,7 +270,7 @@ def step_game_to_json(g: StepGame) -> dict:
 
 
 def parse_step_game(obj: dict) -> StepGame:
-    # nothing grid-sized is built here: StepGame checks the caps first
+    # nothing grid-sized is built here: StepGame checks the grid first
     _typed(obj, dict, ())
     disc = Discretization(tuple(_rational(a, ("alpha", i)) for i, a
                                 in enumerate(_member(obj, "alpha", list))))

@@ -13,8 +13,10 @@ intervals open), so monotonicity reduces to cover relations d -> d + e_i.
 
 A step game stores its JSON form: every box value, plus the faces whose
 value differs from the regular completion of the boxes; every other face
-value is derived on access.  Desk scale is capped at n <= 6 players and ~2M
-faces.
+value is derived on access.  A grid is admitted when its (2p+1)^n faces fit
+the work budget (``check_grid``), so every path that walks all faces is
+bounded by that one comparison: n <= 13 players for p = 1, n <= 9 for
+p = 2, n <= 7 for p = 3.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .rational import nondecreasing_along, on_one_denominator
+from .budget import check_work
+from .rational import check_players, nondecreasing_along, on_one_denominator
 
 Face = tuple[int, ...]
-
-MAX_STEP_PLAYERS = 6
-MAX_TABLE_ENTRIES = 2_000_000
 
 TAG_RAW = "raw"
 TAG_SEMI_REGULAR = "semi_regular"
@@ -81,6 +81,14 @@ class Discretization:
 def uniform_grid(l: int) -> Discretization:
     """alpha = (0, 1/l, ..., 1)."""
     return Discretization(tuple(Fraction(h, l) for h in range(l + 1)))
+
+
+def check_grid(n: int, p: int) -> None:
+    """Refuse n players on p intervals per axis unless n is a valid player
+    count and the (2p+1)^n faces fit the work budget; called before
+    anything grid-sized is built."""
+    check_players(n)
+    check_work((2 * p + 1) ** n, f"a grid of {2 * p + 1}^{n} faces")
 
 
 def face_center(disc: Discretization, d: Face) -> tuple[Fraction, ...]:
@@ -166,14 +174,10 @@ class StepGame:
                  boxes: Mapping[Face, Fraction],
                  faces: Mapping[Face, Fraction] | None = None,
                  tag: str = TAG_RAW):
-        if not 1 <= n <= MAX_STEP_PLAYERS:
-            raise ValueError(f"player count must be in 1..{MAX_STEP_PLAYERS}")
+        check_grid(n, disc.p)
         if tag not in _TAGS:
             raise ValueError(f"unknown tag {tag!r}")
         p = disc.p
-        size = (2 * p + 1) ** n
-        if size > MAX_TABLE_ENTRIES:
-            raise ValueError(f"face table with {size} entries exceeds desk scale")
         if len(boxes) != p ** n or not all(
                 len(b) == n and all(bi % 2 == 1 and 0 < bi < 2 * p for bi in b)
                 for b in boxes):
@@ -250,6 +254,7 @@ def zero_game(n: int, disc: Discretization | None = None) -> StepGame:
     """The game worth 1 at the all-ones corner and 0 everywhere else."""
     if disc is None:
         disc = Discretization((Fraction(0), Fraction(1)))
+    check_grid(n, disc.p)
     boxes = {b: Fraction(0)
              for b in itertools.product(range(1, 2 * disc.p, 2), repeat=n)}
     return make_regular_step(disc, boxes, n)
@@ -259,6 +264,7 @@ def refine(g: StepGame, disc2: Discretization) -> StepGame:
     """The same function re-indexed on a finer grid (raw tag)."""
     if not disc2.is_refinement_of(g.disc):
         raise ValueError("target grid must contain all breakpoints of the source")
+    check_grid(g.n, disc2.p)
     # each fine coordinate lies in the coarse face holding its center
     coord_map = locate_face(g.disc, face_center(disc2, range(2 * disc2.p + 1)))
     # the completion of the re-indexed boxes agrees with the old completion

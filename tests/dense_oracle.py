@@ -2,11 +2,14 @@
 table of a box table, a validator that checks every face and every cover
 pair, and the boundary averages read off the full table; the violation list
 of a step game, built by comparing every checked pair as Fractions; and the
-boundary averages of a (j,k) game by their definition; and the
-Monte-Carlo estimator that holds every coalition's pinned deltas at once."""
+boundary averages of a (j,k) game by their definition, and the first
+violation in a (j,k) table found profile by profile; the grid C-table
+kernel that contracts every axis to three entries; and the Monte-Carlo
+estimator that holds every coalition's pinned deltas at once."""
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from powerdex.budget import check_work
 from powerdex.evaluables import EvaluableGame
@@ -105,6 +108,26 @@ def dense_boundary_averages(disc, n: int, values: dict) -> dict:
     return table
 
 
+def jk_violation(n: int, j: int, k: int, values: dict) -> str | None:
+    """The first thing wrong with a (j,k) table, worded as ``JKGame``
+    words it, found profile by profile; None for a valid table."""
+    profiles = list(itertools.product(range(j), repeat=n))
+    for x in profiles:
+        if x not in values:
+            return f"missing value at {x}"
+        if not 0 <= values[x] <= k - 1:
+            return f"value at {x} outside 0..{k - 1}"
+    if values[(0,) * n] != 0 or values[(j - 1,) * n] != k - 1:
+        return "extreme profiles must map to 0 and k-1"
+    for x in profiles:
+        for i in range(n):
+            if x[i] + 1 < j:
+                y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                if values[x] > values[y]:
+                    return f"not monotone between {x} and {y}"
+    return None
+
+
 def dense_jk_boundary_averages(v) -> dict:
     """C(v,T) for every coalition bitmask T of a (j,k) game: the mean over
     the free voters' levels of the gap between T at level j-1 and T at level
@@ -118,6 +141,31 @@ def dense_jk_boundary_averages(v) -> dict:
                                     for i in range(n)))
         gap = sum(v.values[x] - v.values[y] for x, y in zip(ups, downs))
         table[t_mask] = Fraction(gap, (v.k - 1) * j ** (n - t_mask.bit_count()))
+    return table
+
+
+def dense_ends_table(flat: list[int], m: int, weights, n: int,
+                     den: int) -> dict[int, Fraction]:
+    """The C-table of an integer table on the grid (m,)^n, stored row-major
+    (first coordinate slowest) over the denominator ``den``.
+
+    Each axis is contracted to three entries: its last entry, its first
+    entry and its ``weights``-weighted sum.  C(T) is the entry with T at
+    last and every free axis summed, minus the one with T at first, over
+    ``den * sum(weights) ** free``.
+    """
+    for _ in range(n):
+        # contract the last axis and move its three entries to the front
+        rows = [flat[k:k + m] for k in range(0, len(flat), m)]
+        flat = ([r[-1] for r in rows] + [r[0] for r in rows]
+                + [sum(map(mul, weights, r)) for r in rows])
+    summed, total = 3 ** n - 1, sum(weights)
+    table = {}
+    for t in range(1 << n):
+        # T's axes read the base-3 digit 0 (last) or 1 (first), not 2 (sum)
+        s = int(f"{t:0{n}b}"[::-1], 3)
+        table[t] = Fraction(flat[summed - 2 * s] - flat[summed - s],
+                            den * total ** (n - t.bit_count()))
     return table
 
 

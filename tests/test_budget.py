@@ -11,6 +11,7 @@ from powerdex.coalitions import SimpleGame, all_simple_games
 from powerdex.evaluables import EvaluableGame, counterexample_game
 from powerdex.indices import (psi_mc, psi_point, psi_product_oracle,
                               ssi_roll_call)
+from powerdex.stepfun import check_grid
 
 
 def test_budget_admits_its_bound_and_refuses_one_more_step():
@@ -52,3 +53,21 @@ def test_psi_mc_refuses_21_players_before_it_draws():
 def test_point_variant_runs_beyond_the_old_eight_player_cap():
     pv = psi_point(counterexample_game(9), F(1, 3))
     assert pv.shares == (F(7, 18), F(11, 18)) + (F(0),) * 7
+
+
+@pytest.mark.parametrize("p, largest", [(1, 13), (2, 9), (3, 7), (5, 6)])
+def test_grid_check_admits_the_largest_grid_and_refuses_one_more_player(
+        p, largest):
+    # (2p+1)^n faces against the budget: 3^13, 5^9, 7^7 and 11^6 fit it
+    check_grid(largest, p)
+    with pytest.raises(ValueError) as refused:
+        check_grid(largest + 1, p)
+    assert str(refused.value) == (f"a grid of {2 * p + 1}^{largest + 1} "
+                                  "faces exceeds the work budget of "
+                                  "2,000,000 steps")
+
+
+@pytest.mark.parametrize("n", [0, 21])
+def test_grid_check_refuses_a_player_count_outside_the_range(n):
+    with pytest.raises(ValueError, match="player count must be in 1..20"):
+        check_grid(n, 1)

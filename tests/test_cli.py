@@ -7,6 +7,9 @@ import time
 import pytest
 
 from powerdex.cli import main
+from powerdex.coalitions import SimpleGame
+from powerdex.indices import ssi_coalition
+from powerdex.rational import subset_sums
 from powerdex.serialize import parse_step_game
 from powerdex.stepfun import validate
 
@@ -336,7 +339,7 @@ def test_oversized_step_game_exits_2_before_allocating(tmp_path, capsys):
     code, out, err = run_cli(["psi", path], capsys)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert "desk scale" in json.loads(err)["error"]
+    assert "work budget" in json.loads(err)["error"]
 
 
 def test_incomplete_jk_table_exits_2(tmp_path, capsys):
@@ -392,16 +395,49 @@ sys.exit(code)
     # JKGame built two n-tuples before it checked anything
     ("jk-ssi", {"n": 100_000_000, "j": 2, "k": 2, "values": {}}, [],
      "player count"),
+    # the builders enumerated their grid before anything checked its size:
+    # the first sorted up to 3^20 boxes, the second ran 18 s and ran out of
+    # memory, the third built 3^14 faces before StepGame refused them
+    ("axioms", None,
+     ["--index", "psi_exact", "--players", "20", "--seed", "0"],
+     "work budget"),
+    ("embed", {"n": 20, "winning": [[1]]}, ["--semiregular"], "work budget"),
+    ("embed", {"n": 14, "winning": [[1]]}, ["--semiregular"], "work budget"),
 ])
 def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
                                                    extra, needle):
-    path = write(tmp_path, "game.json", game)
-    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, command, path,
+    path = [] if game is None else [write(tmp_path, "game.json", game)]
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, command, *path,
                            *extra], capture_output=True, text=True, timeout=60)
     diagnostic, took = proc.stderr.strip().split("\n")
     assert proc.returncode == 2 and proc.stdout == ""
     assert needle in json.loads(diagnostic)["error"]
     assert float(took) < 1
+
+
+def test_jk_ssi_marginal_at_18_players_under_memory_limit(tmp_path):
+    # a weighted majority as a (2,2) table over 2^18 profiles (11 MB): the
+    # C-table kernel used to expand it to 3^18 integers and ran out of
+    # memory after 42 s; its shares are the classical index of the game
+    weights = [5, 5, 4, 4, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1]
+    # the profile in row-major position r has player i's level on bit 17 - i
+    sums = subset_sums(weights[::-1])
+    values = {",".join(map(str, x)): int(s >= 22)
+              for x, s in zip(itertools.product((0, 1), repeat=18), sums)}
+    path = tmp_path / "jk18.json"
+    path.write_text(json.dumps({"n": 18, "j": 2, "k": 2, "values": values}))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, "jk-ssi",
+                           str(path), "--form", "marginal"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    shares = (["218821/1750320"] * 2 + ["8266/85085"] * 2
+              + ["41407/583440"] * 3 + ["565819/12252240"] * 4
+              + ["92201/4084080"] * 7)
+    assert proc.stdout == json.dumps({"index": "jk-ssi-marginal",
+                                      "mode": "exact", "shares": shares},
+                                     sort_keys=True) + "\n"
+    classical = ssi_coalition(SimpleGame.weighted(22, weights)).shares
+    assert shares == [str(s) for s in classical]
 
 
 def _diagnostic(err: str) -> dict:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import jk_violation
 from powerdex.coalitions import (Coalition, CoalitionFunction, JKGame,
                                  SimpleGame, all_simple_games,
                                  random_monotone_jk, random_simple_game)
@@ -175,3 +176,41 @@ def test_n20_closure_and_weighted_n18_build_quickly():
     # about 0.05 s and 0.3 s on a 2-core machine; a loop over coalitions in
     # Python takes over 10 s for the two
     assert time.perf_counter() - start < 5
+
+
+@settings(max_examples=200)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(2, 4),
+       st.integers(2, 4), st.data())
+def test_jk_game_words_the_first_violation_profile_by_profile(rng, n, j, k,
+                                                              data):
+    # a monotone table with a few profiles dropped or set to any level in
+    # -1..k, so it may miss a profile, leave the range, move an extreme or
+    # fall along any axis
+    values = dict(random_monotone_jk(rng, n, j, k).values)
+    profiles = sorted(values)
+    for _ in range(data.draw(st.integers(0, 3))):
+        x = data.draw(st.sampled_from(profiles))
+        if data.draw(st.booleans()):
+            values.pop(x, None)
+        else:
+            values[x] = data.draw(st.integers(-1, k))
+    expected = jk_violation(n, j, k, values)
+    if expected is None:
+        assert JKGame(n, j, k, values).values == values
+    else:
+        with pytest.raises(ValueError) as refused:
+            JKGame(n, j, k, values)
+        assert str(refused.value) == expected
+
+
+def test_jk_game_refuses_a_fall_along_its_last_axis_only():
+    one = {(0,): 0, (1,): 2, (2,): 1, (3,): 2}
+    with pytest.raises(ValueError) as refused:
+        JKGame(1, 4, 3, one)
+    assert str(refused.value) == "not monotone between (1,) and (2,)"
+    # monotone along the first voter's axis, falling once along the second
+    two = {(0, 0): 0, (0, 1): 1, (0, 2): 0, (1, 0): 1, (1, 1): 1, (1, 2): 1,
+           (2, 0): 2, (2, 1): 2, (2, 2): 2}
+    with pytest.raises(ValueError) as refused:
+        JKGame(2, 3, 3, two)
+    assert str(refused.value) == "not monotone between (0, 1) and (0, 2)"

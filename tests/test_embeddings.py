@@ -113,3 +113,13 @@ def test_embedding_of_six_level_games(rng):
         g = embed_jk(v)
         assert g.p == 6 and validate(g).ok
         assert psi_exact(g) == jk_ssi_marginal(v)
+
+
+def test_classical_index_is_psi_of_its_embeddings_past_six_players():
+    # the discretization theorem at n=9, beyond the old six-player cap: the
+    # natural embedding lies on a grid of 5^9 faces, the semi-regular one on
+    # 3^9, both inside the work budget
+    v = SimpleGame.weighted(13, [5, 4, 4, 3, 3, 2, 2, 1, 1])
+    expected = ssi_coalition(v)
+    assert psi_exact(embed_jk(JKGame.from_simple(v))) == expected
+    assert psi_exact(embed_simple_semiregular(v)) == expected

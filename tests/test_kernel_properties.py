@@ -1,6 +1,7 @@
 """Property tests: every exact index that combines a coalition table goes
 through one kernel, and every exact grid C-table through another, checked
-here against independent oracles."""
+here against independent oracles, the grid kernel also against the
+three-entry contraction it replaced."""
 
 import itertools
 from fractions import Fraction as F
@@ -9,12 +10,13 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_jk_boundary_averages
+from dense_oracle import dense_ends_table, dense_jk_boundary_averages
 from powerdex.coalitions import CoalitionFunction, SimpleGame, random_monotone_jk
 from powerdex.evaluables import step_game_evaluable
-from powerdex.indices import (jk_boundary_averages, jk_ssi_marginal,
-                              jk_ssi_pivot, psi_point, ssi_coalition,
-                              ssi_roll_call)
+from powerdex.indices import (_ends_table, jk_boundary_averages,
+                              jk_ssi_marginal, jk_ssi_pivot, psi_point,
+                              ssi_coalition, ssi_roll_call)
+from powerdex.rational import on_one_denominator
 from powerdex.sampling import random_regular_game
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=50)
@@ -107,6 +109,36 @@ def test_kernel_matches_direct_sum_with_large_denominators(rng, n):
         F(rng.randrange(-10 ** 9, 10 ** 9), rng.choice(LARGE_DENOMINATORS))
         for _ in range(1 << n)])
     assert ssi_coalition(cf).shares == direct_sum(cf)
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.integers(2, 4), st.data())
+def test_ends_table_matches_the_three_entry_contraction_on_jk_tables(rng, j,
+                                                                      data):
+    n = data.draw(st.integers(1, {2: 9, 3: 6, 4: 5}[j]))
+    k = data.draw(st.integers(2, 6))
+    v = random_monotone_jk(rng, n, j, k)
+    flat = [v.values[x] for x in v.profiles()]
+    assert (_ends_table(flat, j, [1] * j, n, k - 1)
+            == dense_ends_table(flat, j, [1] * j, n, k - 1))
+
+
+@settings(max_examples=60)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.data())
+def test_ends_table_matches_the_three_entry_contraction_on_step_boxes(rng, p,
+                                                                      data):
+    # breakpoints on distinct large primes, so the widths are coprime
+    # numerators over their product, and box values over large denominators
+    n = data.draw(st.integers(1, {1: 8, 2: 7, 3: 5, 4: 4}[p]))
+    cuts = sorted(F(rng.randrange(1, q), q)
+                  for q in rng.sample(LARGE_DENOMINATORS, p - 1))
+    alpha = [F(0), *cuts, F(1)]
+    widths, _ = on_one_denominator([b - a for a, b in zip(alpha, alpha[1:])])
+    nums, den = on_one_denominator(
+        [F(rng.randrange(-10 ** 9, 10 ** 9), rng.choice(LARGE_DENOMINATORS))
+         for _ in range(p ** n)])
+    assert (_ends_table(nums, p, widths, n, den)
+            == dense_ends_table(nums, p, widths, n, den))
 
 
 @settings(max_examples=40)

@@ -5,6 +5,7 @@ face table."""
 
 import random
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction as F
 from unittest import mock
 
@@ -96,6 +97,30 @@ def test_step_evaluable_reads_the_dense_table(case, rng):
     cut = rng.randrange(len(faces) + 1)
     got = np.concatenate([ev.eval_array(pts[:cut]), ev.eval_array(pts[cut:])])
     assert got.tolist() == [float(table[d]) for d in faces]
+
+
+@settings(max_examples=100)
+@given(dense_games(st.integers(1, 4)), st.integers(1, 300),
+       st.integers(0, 2 ** 32))
+def test_step_cells_are_the_sorted_distinct_faces(case, samples, seed):
+    # the cells hook against np.unique over each point's face index, the
+    # face located one coordinate at a time in Python floats
+    g, _ = case
+    pts = breakpoint_sampler(g.disc.alpha)(np.random.default_rng(seed),
+                                           samples, g.n)
+    marks = [float(a) for a in g.disc.alpha]
+
+    def face(point):
+        k = 0
+        for x in point:
+            h = bisect_left(marks, x)
+            k = k * (2 * g.p + 1) + (2 * h if marks[h] == x else 2 * h - 1)
+        return k
+    _, first, inverse = np.unique([face(x) for x in pts.tolist()],
+                                  return_index=True, return_inverse=True)
+    reps, got = step_game_evaluable(g).cells(pts)
+    assert np.array_equal(reps, pts[first])
+    assert got.dtype == inverse.dtype and np.array_equal(got, inverse)
 
 
 @settings(max_examples=150)
