@@ -1,14 +1,15 @@
 """Finite committee games: coalition functions, simple games and (j,k) games.
 
 Players are numbered 1..n in the public API.  Internally a coalition is an
-integer bitmask with bit i-1 set for player i; tables over 2^N are lists
-indexed by mask.
+integer bitmask with bit i-1 set for player i; a table over 2^N is a list of
+integer numerators indexed by mask, over one common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from operator import le
 from typing import Iterable, Iterator, Sequence
 
@@ -18,11 +19,8 @@ from .rational import (check_players, nondecreasing_along, on_one_denominator,
 
 Level = tuple[int, ...]
 
-# 0/1 tables share these two values instead of building one per coalition
-ZERO, ONE = Fraction(0), Fraction(1)
 # the eight table entries that one byte of a bit-per-coalition integer holds
-_BYTE_BITS = [[ONE if b >> k & 1 else ZERO for k in range(8)]
-              for b in range(256)]
+_BYTE_BITS = [[b >> k & 1 for k in range(8)] for b in range(256)]
 
 
 class Coalition:
@@ -88,18 +86,22 @@ def _without(i: int, n: int) -> int:
 
 
 class CoalitionFunction:
-    """A total map 2^N -> Q.  Not required to be monotone or 0/1-valued."""
+    """A total map 2^N -> Q, stored as the integer numerators ``nums`` over
+    their least common denominator ``den``.  Not required to be monotone or
+    0/1-valued."""
 
     def __init__(self, n: int, values: Sequence[Fraction | int]):
         check_players(n)
         if len(values) != 1 << n:
             raise ValueError(f"need a total table with {1 << n} entries")
         self.n = n
-        values = list(values)
-        if not all(map(isinstance, values, itertools.repeat(Fraction))):
-            values = [v if isinstance(v, Fraction) else Fraction(v)
-                      for v in values]
-        self.values = values
+        self.nums, self.den = on_one_denominator(values)
+
+    @cached_property
+    def values(self) -> list[Fraction]:
+        """The table as ``Fraction``s, one object per distinct value."""
+        memo = {x: Fraction(x, self.den) for x in set(self.nums)}
+        return list(map(memo.__getitem__, self.nums))
 
     @classmethod
     def from_winning(cls, n: int, winning: Iterable[Iterable[int]],
@@ -113,9 +115,9 @@ class CoalitionFunction:
         full = 1 << n
         masks = [mask_of(c, n) for c in winning]
         if not closure:
-            table = [ZERO] * full
+            table = [0] * full
             for w in masks:
-                table[w] = ONE
+                table[w] = 1
             return cls(n, table)
         # bit m of ``won`` says whether coalition m wins; adding player i to
         # every winning coalition without i shifts those bits up by 2^i
@@ -131,10 +133,10 @@ class CoalitionFunction:
 
     def value(self, coalition: Iterable[int] | int) -> Fraction:
         mask = coalition if isinstance(coalition, int) else mask_of(coalition, self.n)
-        return self.values[mask]
+        return Fraction(self.nums[mask], self.den)
 
     def winning_masks(self) -> list[int]:
-        return [m for m, v in enumerate(self.values) if v == 1]
+        return [m for m, x in enumerate(self.nums) if x == self.den]
 
     def is_monotone(self) -> bool:
         """v(S) <= v(S + i) for every coalition S and player i outside it.
@@ -142,25 +144,26 @@ class CoalitionFunction:
         Compared on integer numerators: the table is row-major over one
         two-entry axis per player, player i's with stride 2^i.
         """
-        nums = on_one_denominator(self.values)[0]
-        return all(nondecreasing_along(nums, 1 << i, 2) for i in range(self.n))
+        return all(nondecreasing_along(self.nums, 1 << i, 2)
+                   for i in range(self.n))
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CoalitionFunction)
-                and self.n == other.n and self.values == other.values)
+        # an lcm of reduced denominators is in lowest terms: equal tables
+        # store equal numerators over equal denominators
+        return (isinstance(other, CoalitionFunction) and
+                (self.n, self.den, self.nums) == (other.n, other.den, other.nums))
 
 
 class SimpleGame:
     """Monotone 0/1 coalition function with v(empty)=0 and v(N)=1."""
 
     def __init__(self, inner: CoalitionFunction):
-        n = inner.n
-        nums, den = on_one_denominator(inner.values)
-        if den != 1 or not set(nums) <= {0, 1}:
+        n, nums = inner.n, inner.nums
+        if inner.den != 1 or not set(nums) <= {0, 1}:
             raise ValueError("simple game values must be 0 or 1")
-        if inner.values[0] != 0:
+        if nums[0] != 0:
             raise ValueError("v(empty) must be 0")
-        if inner.values[(1 << n) - 1] != 1:
+        if nums[-1] != 1:
             raise ValueError("v(N) must be 1")
         if not inner.is_monotone():
             raise ValueError("simple game must be monotone")
@@ -180,35 +183,34 @@ class SimpleGame:
         (q, *w), _ = on_one_denominator(
             [Fraction(x) for x in (quota, *weights)])
         wins = map(le, itertools.repeat(q), subset_sums(w))
-        return cls(CoalitionFunction(n, list(map((ZERO, ONE).__getitem__, wins))))
+        return cls(CoalitionFunction(n, list(map(int, wins))))
 
     def value(self, coalition: Iterable[int] | int) -> Fraction:
         return self.inner.value(coalition)
 
     def minimal_winning(self) -> list[tuple[int, ...]]:
-        out = []
+        out, nums = [], self.inner.nums
         for m in self.inner.winning_masks():
-            if all(not m >> i & 1 or self.inner.values[m ^ (1 << i)] == 0
+            if all(not m >> i & 1 or nums[m ^ (1 << i)] == 0
                    for i in range(self.n)):
                 out.append(players_of(m, self.n))
         return out
 
     def maximal_losing_masks(self) -> list[int]:
         """Losing coalitions all of whose proper supersets win."""
-        out = []
+        out, nums = [], self.inner.nums
         for m in range(1 << self.n):
-            if self.inner.values[m] == 0 and all(
-                    m >> i & 1 or self.inner.values[m | 1 << i] == 1
-                    for i in range(self.n)):
+            if nums[m] == 0 and all(m >> i & 1 or nums[m | 1 << i] == 1
+                                    for i in range(self.n)):
                 out.append(m)
         return out
 
     def add_winning(self, mask: int) -> "SimpleGame":
         """Turn one losing coalition winning; it must be maximal losing."""
-        if self.inner.values[mask] != 0:
+        if self.inner.nums[mask] != 0:
             raise ValueError("coalition already winning")
-        table = list(self.inner.values)
-        table[mask] = Fraction(1)
+        table = list(self.inner.nums)
+        table[mask] = 1
         return SimpleGame(CoalitionFunction(self.n, table))
 
     def __eq__(self, other: object) -> bool:
@@ -266,16 +268,16 @@ class JKGame:
         vals = {}
         for x in itertools.product(range(2), repeat=v.n):
             mask = sum(1 << i for i in range(v.n) if x[i])
-            vals[x] = int(v.inner.values[mask])
+            vals[x] = v.inner.nums[mask]
         return cls(v.n, 2, 2, vals)
 
     def to_simple(self) -> SimpleGame:
         if (self.j, self.k) != (2, 2):
             raise ValueError("only (2,2) games are simple games")
-        table = [Fraction(0)] * (1 << self.n)
+        table = [0] * (1 << self.n)
         for x, val in self.values.items():
             mask = sum(1 << i for i in range(self.n) if x[i])
-            table[mask] = Fraction(val)
+            table[mask] = val
         return SimpleGame(CoalitionFunction(self.n, table))
 
     def __eq__(self, other: object) -> bool:
@@ -303,7 +305,7 @@ def all_simple_games(n: int) -> Iterator[SimpleGame]:
             if not ok:
                 break
         if ok:
-            yield SimpleGame(CoalitionFunction(n, [Fraction(v) for v in table]))
+            yield SimpleGame(CoalitionFunction(n, table))
 
 
 def random_monotone_jk(rng, n: int, j: int, k: int) -> JKGame:

@@ -12,12 +12,12 @@ import itertools
 from fractions import Fraction
 from math import factorial, prod
 from operator import add, mul
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .budget import check_work
 from .evaluables import EvaluableGame, step_game_evaluable
 from .rational import on_one_denominator, subset_sums
-from .stepfun import StepGame, box_numerators, locate_face
+from .stepfun import StepGame, box_numerators
 
 if TYPE_CHECKING:
     from .coalitions import CoalitionFunction, JKGame, SimpleGame
@@ -87,21 +87,18 @@ def _exact(shares) -> PowerVector:
     return PowerVector(tuple(Fraction(s) for s in shares), "exact")
 
 
-def psi_from_c(c: Mapping[int, Fraction] | Sequence[Fraction],
-               n: int) -> PowerVector:
+def psi_from_c(nums: Sequence[int], den: int, n: int) -> PowerVector:
     """Combine a C-table with the ordering weights (s-1)!(n-s)!/n!.
 
-    ``c`` holds a rational for every coalition bitmask 0..2^n-1.  The sum
-    runs in integers, on the numerators num[S] = c[S] * den over the
-    table's common denominator.  With w(s) = (s-1)!(n-s)! and
-    w(0) = w(n+1) = 0, player i's share times n! * den is base plus the sum
-    over S containing i of y[S], where y[S] = num[S] (w(|S|) + w(|S|+1))
-    and base = -sum over S of num[S] w(|S|+1) (Mann & Shapley's grouping of
-    the terms by coalition size).  The sums over S containing i come from
-    halving the table once per player.
+    The table is given as integer numerators num[S] = c[S] * den, one for
+    every coalition bitmask S in 0..2^n-1, so the sum runs in integers.
+    With w(s) = (s-1)!(n-s)! and w(0) = w(n+1) = 0, player i's share
+    times n! * den is base plus the sum over S containing i of y[S],
+    where y[S] = num[S] (w(|S|) + w(|S|+1)) and base = -sum over S of
+    num[S] w(|S|+1) (Mann & Shapley's grouping of the terms by coalition
+    size).  The sums over S containing i come from halving the table once
+    per player.
     """
-    nums, den = on_one_denominator(
-        c if isinstance(c, list) else [c[m] for m in range(1 << n)])
     w = [0] + [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)] + [0]
     after = w[1:]
     both = list(map(add, w, after))
@@ -120,9 +117,10 @@ def psi_from_c(c: Mapping[int, Fraction] | Sequence[Fraction],
 
 
 def _ends_table(flat: list[int], m: int, weights: Sequence[int], n: int,
-                den: int) -> dict[int, Fraction]:
+                den: int) -> tuple[list[int], int]:
     """The C-table of an integer table on the grid (m,)^n, stored row-major
-    (first coordinate slowest) over the denominator ``den``.
+    (first coordinate slowest) over the denominator ``den``, as numerators
+    in coalition order over one denominator, ``den * sum(weights) ** n``.
 
     C(T) is the table with T's axes at their last entry and every free axis
     summed with ``weights``, minus the same with T's axes at their first
@@ -152,18 +150,11 @@ def _ends_table(flat: list[int], m: int, weights: Sequence[int], n: int,
     spots = [0]
     for i in range(n):
         spots += [s + (1 << (n - 1 - i)) for s in spots]
-    scales = [den * sum(weights) ** free for free in range(n + 1)]
-    # one Fraction per distinct (gap, free axes): a (j,k) table repeats a
-    # few, and psi_from_c converts each distinct object once
-    memo: dict[tuple[int, int], Fraction] = {}
-    table = {}
-    for t, s in enumerate(spots):
-        key = (last[s] - first[s], n - t.bit_count())
-        c = memo.get(key)
-        if c is None:
-            c = memo[key] = Fraction(key[0], scales[key[1]])
-        table[t] = c
-    return table
+    # over den * W^n, with W = sum(weights), C(T)'s gap gains W^|T|
+    w_sum = sum(weights)
+    powers = [w_sum ** size for size in range(n + 1)]
+    return ([(last[s] - first[s]) * powers[t.bit_count()]
+             for t, s in enumerate(spots)], den * powers[n])
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +166,7 @@ def ssi_coalition(v: CoalitionFunction | SimpleGame) -> PowerVector:
     from .coalitions import SimpleGame
 
     cf = v.inner if isinstance(v, SimpleGame) else v
-    return psi_from_c(cf.values, cf.n)
+    return psi_from_c(cf.nums, cf.den, cf.n)
 
 
 def ssi_roll_call(v: SimpleGame, vote_model: str = "all_yes") -> PowerVector:
@@ -189,7 +180,7 @@ def ssi_roll_call(v: SimpleGame, vote_model: str = "all_yes") -> PowerVector:
     # n! orderings, times 2^n vote vectors under uniform_half, n voters each
     votes = 1 << n if vote_model == "uniform_half" else 1
     check_work(factorial(n) * votes * n, "roll call enumeration")
-    vals = v.inner.values
+    vals = v.inner.nums
     counts = [0] * n
     full = (1 << n) - 1
     if vote_model == "all_yes":
@@ -241,16 +232,21 @@ def jk_ssi_pivot(v: JKGame) -> PowerVector:
     return _exact(Fraction(c, denom) for c in counts)
 
 
-def jk_boundary_averages(v: JKGame) -> dict[int, Fraction]:
-    """Discrete C(v,T): mean gap between full and zero approval of T, each
-    free voter's level uniform on 0..j-1."""
+def _jk_ends(v: JKGame) -> tuple[list[int], int]:
     flat = [v.values[x] for x in v.profiles()]
     return _ends_table(flat, v.j, [1] * v.j, v.n, v.k - 1)
 
 
+def jk_boundary_averages(v: JKGame) -> dict[int, Fraction]:
+    """Discrete C(v,T): mean gap between full and zero approval of T, each
+    free voter's level uniform on 0..j-1."""
+    nums, den = _jk_ends(v)
+    return {t: Fraction(x, den) for t, x in enumerate(nums)}
+
+
 def jk_ssi_marginal(v: JKGame) -> PowerVector:
     """Same index through the discrete C-table instead of pivot counting."""
-    return psi_from_c(jk_boundary_averages(v), v.n)
+    return psi_from_c(*_jk_ends(v), v.n)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +265,8 @@ def boundary_averages(g: StepGame) -> BoundaryAverages:
     n, top = g.n, 2 * g.p
     widths = [b - a for a, b in zip(g.disc.alpha, g.disc.alpha[1:])]
     nums, den = box_numerators(g)
-    table = _ends_table(nums, g.p, on_one_denominator(widths)[0], n, den)
+    gaps, scale = _ends_table(nums, g.p, on_one_denominator(widths)[0], n, den)
+    table = {t: Fraction(x, scale) for t, x in enumerate(gaps)}
     pinned = {(0,) * n: Fraction(0), (top,) * n: Fraction(1), **g.faces}
     for d, val in pinned.items():
         side = {di for di in d if di % 2 == 0}
@@ -287,7 +284,7 @@ def psi_exact(g: StepGame) -> PowerVector:
     faces touching the cube boundary enter, so raw and semi-regular tables
     are accepted as-is."""
     c = boundary_averages(g).table
-    out = psi_from_c(c, g.n)
+    out = psi_from_c(*on_one_denominator([c[m] for m in range(1 << g.n)]), g.n)
     out.c_table = c
     return out
 
@@ -321,20 +318,13 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
     a = Fraction(alpha)
     if a < 0 or a > 1:
         raise ValueError("alpha must lie in [0, 1]")
-    if isinstance(v, StepGame):
-        # every free coordinate sits on alpha's face digit, every pinned one
-        # on the digit of 0 or 1, so each pinned profile is one face
-        (free,) = locate_face(v.disc, (a,))
-        sides = (0, 2 * v.p)
+    game = _as_evaluable(v)
 
-        def pinned(t: int, side: int) -> Fraction:
-            return v.values[tuple(sides[side] if t >> i & 1 else free
-                                  for i in range(n))]
-    else:
-        def pinned(t: int, side: int) -> Fraction:
-            return v.eval_exact([side if t >> i & 1 else a for i in range(n)])
+    def pinned(t: int, side: int) -> Fraction:
+        return game.eval_exact([side if t >> i & 1 else a for i in range(n)])
+
     c = [Fraction(0)] + [pinned(t, 1) - pinned(t, 0) for t in range(1, 1 << n)]
-    return psi_from_c(c, n)
+    return psi_from_c(*on_one_denominator(c), n)
 
 
 def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,

@@ -1,9 +1,12 @@
 """Exact rational arithmetic helpers.
 
-All grid coordinates, game values and exact index shares in this package are
-`fractions.Fraction` values, which are always stored in lowest terms with a
-positive denominator and never round.  Floating point appears only in the
-Monte-Carlo estimator.
+Grid coordinates, step-game values and exact index shares in this package
+are `fractions.Fraction` values, which are always stored in lowest terms with
+a positive denominator and never round.  Tables over 2^N (coalition tables,
+C-tables on their way to the combine kernel) are integer numerators over one
+common denominator instead, with a ``Fraction`` built only where a value is
+read or written out.  Floating point appears only in the Monte-Carlo
+estimator.
 """
 
 from __future__ import annotations
@@ -56,18 +59,11 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def on_one_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The numerators of ``xs`` over their least common denominator, and
-    that denominator.
-
-    Each distinct object is converted once: a table over 2^N usually repeats
-    a few value objects, such as the shared 0 and 1 of a 0/1 table.
-    """
-    ids = list(map(id, xs))
-    distinct = dict(zip(ids, xs))
-    den = lcm(*(x.denominator for x in distinct.values()))
-    num = {k: x.numerator * (den // x.denominator) for k, x in distinct.items()}
-    return list(map(num.__getitem__, ids)), den
+def on_one_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The numerators of ``xs``, ints or ``Fraction``s, over their least
+    common denominator, and that denominator."""
+    den = lcm(*{x.denominator for x in xs})
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def subset_sums(weights: Sequence[int]) -> list[int]:

@@ -25,7 +25,6 @@ import itertools
 from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .budget import check_work
@@ -123,9 +122,8 @@ def regular_completion(boxes: Mapping[Face, Fraction], p: int,
     if len(vals) == 1:
         return vals[0]
     # one integer sum over a common denominator, not one Fraction per term
-    den = lcm(*(v.denominator for v in vals))
-    return Fraction(sum(v.numerator * (den // v.denominator) for v in vals),
-                    den * len(vals))
+    nums, den = on_one_denominator(vals)
+    return Fraction(sum(nums), den * len(vals))
 
 
 class FaceValues(Mapping):

@@ -83,8 +83,8 @@ def test_random_generators_produce_valid_games(rng):
 
 
 def test_zero_one_tables_keep_their_values_and_shares():
-    # 0/1 tables share one Fraction(0) and one Fraction(1), and the
-    # constructor keeps Fraction values as given: no value or share moves
+    # 0/1 tables are stored as integer numerators over one denominator, and
+    # read back as the Fraction values given: no value or share moves
     n = 12
     cf = CoalitionFunction.from_winning(n, [[i] for i in range(1, 7)])
     assert cf.values == [Fraction(int(m & 0b111111 != 0)) for m in range(1 << n)]
@@ -100,7 +100,7 @@ def test_zero_one_tables_keep_their_values_and_shares():
                                               Fraction(1, 6))
     half = Fraction(1, 2)
     kept = CoalitionFunction(1, [0, half])
-    assert kept.values[1] is half
+    assert kept.values[1] == half
     assert all(type(v) is Fraction for v in kept.values + cf.values)
 
 

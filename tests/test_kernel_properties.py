@@ -119,7 +119,8 @@ def test_ends_table_matches_the_three_entry_contraction_on_jk_tables(rng, j,
     k = data.draw(st.integers(2, 6))
     v = random_monotone_jk(rng, n, j, k)
     flat = [v.values[x] for x in v.profiles()]
-    assert (_ends_table(flat, j, [1] * j, n, k - 1)
+    nums, den = _ends_table(flat, j, [1] * j, n, k - 1)
+    assert ({t: F(x, den) for t, x in enumerate(nums)}
             == dense_ends_table(flat, j, [1] * j, n, k - 1))
 
 
@@ -137,7 +138,8 @@ def test_ends_table_matches_the_three_entry_contraction_on_step_boxes(rng, p,
     nums, den = on_one_denominator(
         [F(rng.randrange(-10 ** 9, 10 ** 9), rng.choice(LARGE_DENOMINATORS))
          for _ in range(p ** n)])
-    assert (_ends_table(nums, p, widths, n, den)
+    gaps, scale = _ends_table(nums, p, widths, n, den)
+    assert ({t: F(x, scale) for t, x in enumerate(gaps)}
             == dense_ends_table(nums, p, widths, n, den))
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from powerdex.serialize import (coalition_function_to_json, jk_game_to_json,
                                 power_vector_to_json, simple_game_to_json,
                                 step_game_to_json)
 from powerdex.stepfun import join_meet
+from test_kernel_properties import LARGE_DENOMINATORS
 
 
 def test_simple_game_round_trip():
@@ -179,3 +181,40 @@ def test_coalition_reader_spellings(drawn, rng):
         later = max(("1,2", "2,1"), key=[k for k, _ in pairs].index)
         assert _parse_error({"n": n, "values": dict(pairs)}) \
             == f"""values["{later}"]: key '{later}' repeats an earlier key"""
+
+
+@st.composite
+def rational_tables(draw, max_players=6):
+    """n and a table of 2^n Fractions: integral, over small denominators,
+    or over large primes."""
+    n = draw(st.integers(1, max_players))
+    entry = draw(st.sampled_from([
+        st.integers(-3, 3).map(F),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7),
+        st.builds(F, st.integers(-10 ** 9, 10 ** 9),
+                  st.sampled_from(LARGE_DENOMINATORS))]))
+    return n, draw(st.lists(entry, min_size=1 << n, max_size=1 << n))
+
+
+@settings(max_examples=60)
+@given(rational_tables())
+def test_equal_tables_compare_equal_however_built(drawn):
+    n, values = drawn
+    built = [CoalitionFunction(n, values)]
+    if all(x.denominator == 1 for x in values):
+        built.append(CoalitionFunction(n, [int(x) for x in values]))
+    obj = coalition_function_to_json(built[0])
+    built.append(parse_coalition_input(obj))
+    built.append(parse_coalition_input({"n": n, "values": {
+        " " + " , ".join(reversed(k.split(","))) + " ": v
+        for k, v in obj["values"].items()}}))
+    den = lcm(*(x.denominator for x in values))
+    for cf in built:
+        assert cf == built[0]
+        assert (cf.nums, cf.den) == (built[0].nums, built[0].den)
+        assert cf.den == den
+        assert [F(x, den) for x in cf.nums] == values
+        assert cf.values == values
+        assert cf.winning_masks() == [m for m, x in enumerate(values) if x == 1]
+    # the same numerators over another denominator are another table
+    assert CoalitionFunction(1, [0, F(1, 2)]) != CoalitionFunction(1, [0, F(1, 3)])
