@@ -17,7 +17,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
-    "coalitions": ["Coalition", "CoalitionFunction", "JKGame", "SimpleGame",
+    "coalitions": ["CoalitionFunction", "JKGame", "SimpleGame",
                    "all_simple_games", "random_monotone_jk",
                    "random_simple_game"],
     "embeddings": ["embed_2k_tau", "embed_coalition_semiregular", "embed_jk",

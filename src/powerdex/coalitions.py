@@ -23,41 +23,6 @@ Level = tuple[int, ...]
 _BYTE_BITS = [[b >> k & 1 for k in range(8)] for b in range(256)]
 
 
-class Coalition:
-    """A subset of the players 1..n, stored as a bitmask."""
-
-    __slots__ = ("mask", "n")
-
-    def __init__(self, mask: int, n: int) -> None:
-        check_players(n)
-        if mask < 0 or mask >= (1 << n):
-            raise ValueError("coalition members outside 1..n")
-        self.mask, self.n = mask, n
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Coalition)
-                and (self.mask, self.n) == (other.mask, other.n))
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.n))
-
-    def __repr__(self) -> str:
-        return f"Coalition(mask={self.mask}, n={self.n})"
-
-    @classmethod
-    def of(cls, players: Iterable[int], n: int) -> "Coalition":
-        return cls(mask_of(players, n), n)
-
-    def players(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, player: int) -> bool:
-        return 1 <= player <= self.n and bool(self.mask >> (player - 1) & 1)
-
-
 def mask_of(players: Iterable[int], n: int) -> int:
     """Bitmask of a set of players; each must lie in 1..n and appear once."""
     mask = 0
@@ -72,7 +37,7 @@ def mask_of(players: Iterable[int], n: int) -> int:
 
 
 def players_of(mask: int, n: int) -> tuple[int, ...]:
-    return Coalition(mask, n).players()
+    return tuple(i + 1 for i in range(n) if mask >> i & 1)
 
 
 def _without(i: int, n: int) -> int:
@@ -295,16 +260,7 @@ def all_simple_games(n: int) -> Iterator[SimpleGame]:
         if bits & 1 or not bits >> (size - 1) & 1:
             continue
         table = [(bits >> m) & 1 for m in range(size)]
-        ok = True
-        for m in range(size):
-            if table[m]:
-                for i in range(n):
-                    if not m >> i & 1 and not table[m | 1 << i]:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
+        if all(nondecreasing_along(table, 1 << i, 2) for i in range(n)):
             yield SimpleGame(CoalitionFunction(n, table))
 
 

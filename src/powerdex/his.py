@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import Callable, NamedTuple, Sequence
 
-from .indices import PowerVector, psi_exact
-from .rational import loss_constant, ordering_weight
+from .indices import PowerVector, _as_evaluable, psi_exact
+from .rational import check_players, loss_constant, ordering_weight
 from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
                       TAG_SEMI_REGULAR, ValidationReport, adjacent_boxes,
-                      box_faces, evaluate_step, face_center, falling_covers,
+                      box_faces, face_center, falling_covers,
                       make_regular_step, pinned_covers, refine, uniform_grid,
                       validate, zero_game)
 
@@ -114,9 +115,8 @@ def potential_influence(v, coalition: Sequence[int], x_minus_s):
     for i, xi in zip(rest, x_minus_s):
         hi[i - 1] = Fraction(xi)
         lo[i - 1] = Fraction(xi)
-    if isinstance(v, StepGame):
-        return evaluate_step(v, hi) - evaluate_step(v, lo)
-    return v.eval_exact(hi) - v.eval_exact(lo)
+    game = _as_evaluable(v)
+    return game.eval_exact(hi) - game.eval_exact(lo)
 
 
 def his_delta(inc: LocalIncrement) -> PowerVector:
@@ -305,6 +305,7 @@ def corner_increase(L: Sequence[int], U: Sequence[int], eps, l: int,
 
     eps = Fraction(eps)
     n = len(L) + len(U)
+    check_players(n)
     mask_of([*L, *U], n)  # each of 1..n exactly once
     if not L or not U:
         raise ValueError("L, U must be disjoint, nonempty and cover 1..n")
@@ -314,15 +315,13 @@ def corner_increase(L: Sequence[int], U: Sequence[int], eps, l: int,
         raise ValueError(f"player {i} outside 1..{n}")
     total = Fraction(0)
     for base, side in ((L, -1), (U, 1)):
-        members = sorted(base)
-        for r in range(1, len(members) + 1):
-            for team in itertools.combinations(members, r):
-                t = len(team)
-                scale = eps / Fraction(l) ** (n - t)
-                if i in team:
-                    total += side * scale * ordering_weight(t, n)
-                else:
-                    total -= side * scale * loss_constant(t, n)
+        # every team of size t has the same weights: count those holding i
+        for t in range(1, len(base) + 1):
+            hits = sum(i in team for team in itertools.combinations(base, t))
+            misses = comb(len(base), t) - hits
+            scale = side * eps / Fraction(l) ** (n - t)
+            total += scale * (hits * ordering_weight(t, n)
+                              - misses * loss_constant(t, n))
     return total
 
 

@@ -61,9 +61,6 @@ class PowerVector:
     def n(self) -> int:
         return len(self.shares)
 
-    def total(self):
-        return sum(self.shares)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PowerVector):
             return self.mode == other.mode and self.shares == other.shares

@@ -20,7 +20,6 @@ from typing import Sequence
 
 MAX_PLAYERS = 20
 
-_FACTORIALS = [factorial(k) for k in range(MAX_PLAYERS + 1)]
 _RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)")
 
 
@@ -99,11 +98,11 @@ def ordering_weight(s: int, n: int) -> Fraction:
     size s as the head set with a fixed last member."""
     if not 1 <= s <= n:
         raise ValueError(f"need 1 <= s <= n, got s={s}, n={n}")
-    return Fraction(_FACTORIALS[s - 1] * _FACTORIALS[n - s], _FACTORIALS[n])
+    return Fraction(factorial(s - 1) * factorial(n - s), factorial(n))
 
 
 def loss_constant(s: int, n: int) -> Fraction:
     """s!(n-s-1)!/n!: per-outsider loss rate against a coalition of size s."""
     if not 0 <= s <= n - 1:
         raise ValueError(f"need 0 <= s <= n-1, got s={s}, n={n}")
-    return Fraction(_FACTORIALS[s] * _FACTORIALS[n - s - 1], _FACTORIALS[n])
+    return Fraction(factorial(s) * factorial(n - s - 1), factorial(n))

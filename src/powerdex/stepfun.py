@@ -66,10 +66,6 @@ class Discretization:
     def p(self) -> int:
         return len(self.alpha) - 1
 
-    def mesh(self) -> Fraction:
-        """Largest gap between consecutive breakpoints."""
-        return max(b - a for a, b in zip(self.alpha, self.alpha[1:]))
-
     def is_refinement_of(self, other: "Discretization") -> bool:
         return set(other.alpha) <= set(self.alpha)
 
@@ -79,6 +75,7 @@ class Discretization:
 
 def uniform_grid(l: int) -> Discretization:
     """alpha = (0, 1/l, ..., 1)."""
+    check_work(l + 1, f"a grid of {l + 1:,} breakpoints")
     return Discretization(tuple(Fraction(h, l) for h in range(l + 1)))
 
 
@@ -354,6 +351,9 @@ def pinned_covers(g: StepGame) -> list[tuple[Face, Face]]:
     upward, then its covers from below by faces that are not pinned."""
     n, top = g.n, 2 * g.p
     pinned = set(g.faces) | {(0,) * n, (top,) * n}
+    # up to n covers from above and n from below per pinned face
+    check_work(2 * n * len(pinned),
+               f"listing the cover pairs of {len(pinned):,} pinned faces")
     covers = []
     for d in sorted(pinned):
         covers += [(d, _step(d, i, 1)) for i in range(n) if d[i] < top]

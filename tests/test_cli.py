@@ -6,11 +6,13 @@ import time
 
 import pytest
 
+from powerdex import budget
 from powerdex.cli import main
 from powerdex.coalitions import SimpleGame
+from powerdex.embeddings import embed_simple_semiregular
 from powerdex.indices import ssi_coalition
 from powerdex.rational import subset_sums
-from powerdex.serialize import parse_step_game
+from powerdex.serialize import parse_step_game, step_game_to_json
 from powerdex.stepfun import validate
 
 
@@ -403,6 +405,15 @@ sys.exit(code)
      "work budget"),
     ("embed", {"n": 20, "winning": [[1]]}, ["--semiregular"], "work budget"),
     ("embed", {"n": 14, "winning": [[1]]}, ["--semiregular"], "work budget"),
+    # corner read a factorial table sized by the player cap (IndexError at
+    # 48 players); 18 players ran n closed forms over 2^17 teams each
+    ("corner", None, ["--L", ",".join(map(str, range(1, 25))),
+                      "--U", ",".join(map(str, range(25, 49))), "--l", "2"],
+     "player count must be in 1..20"),
+    ("corner", None, ["--L", "1", "--U", ",".join(map(str, range(2, 19))),
+                      "--l", "2"], "work budget"),
+    # table1 built all l + 1 breakpoints of its grid first
+    ("table1", None, ["--l", "3000000"], "work budget"),
 ])
 def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
                                                    extra, needle):
@@ -413,6 +424,26 @@ def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
     assert proc.returncode == 2 and proc.stdout == ""
     assert needle in json.loads(diagnostic)["error"]
     assert float(took) < 1
+
+
+def test_override_heavy_game_exits_2_before_listing_covers(tmp_path, capsys,
+                                                          monkeypatch):
+    # validate charges 2n steps per pinned face (the overrides and the two
+    # corners) before it lists a cover pair, for psi and his-apply alike
+    g = embed_simple_semiregular(SimpleGame.weighted(3, [2, 1, 1, 1]))
+    pinned = len(set(g.faces) | {(0,) * 4, (2,) * 4})
+    path = write(tmp_path, "g.json", step_game_to_json(g))
+    monkeypatch.setattr(budget, "MAX_STEPS", 8 * pinned - 1)
+    for argv in (["psi", path],
+                 ["his-apply", path, "--box", "1,1,1,1", "--eps", "0"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": f"listing the cover pairs of {pinned} pinned faces "
+                     f"exceeds the work budget of {8 * pinned - 1} steps",
+            "type": "ValueError"}
+    monkeypatch.setattr(budget, "MAX_STEPS", 8 * pinned)
+    assert run_cli(["psi", path], capsys)[0] == 0
 
 
 def test_jk_ssi_marginal_at_18_players_under_memory_limit(tmp_path):

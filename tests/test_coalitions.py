@@ -7,18 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import jk_violation
-from powerdex.coalitions import (Coalition, CoalitionFunction, JKGame,
-                                 SimpleGame, all_simple_games,
+from powerdex.coalitions import (CoalitionFunction, JKGame, SimpleGame,
+                                 all_simple_games, mask_of, players_of,
                                  random_monotone_jk, random_simple_game)
 from powerdex.indices import ssi_coalition
 
 
 def test_coalition_basics():
-    c = Coalition.of([1, 3], 3)
-    assert c.players() == (1, 3)
-    assert len(c) == 2 and 3 in c and 2 not in c
+    mask = mask_of([3, 1], 3)
+    assert mask == 0b101 and players_of(mask, 3) == (1, 3)
+    assert players_of(0, 3) == () and players_of(0b111, 3) == (1, 2, 3)
     with pytest.raises(ValueError):
-        Coalition.of([4], 3)
+        mask_of([4], 3)
 
 
 def test_weighted_game_majority():
@@ -70,6 +70,18 @@ def test_simple_jk_round_trip():
 def test_exhaustive_counts():
     # monotone 0/1 games with fixed extremes: 1, 4, 18, 166 for n = 1..4
     assert [len(list(all_simple_games(n))) for n in range(1, 5)] == [1, 4, 18, 166]
+
+
+def test_exhaustive_enumeration_matches_pairwise_definition():
+    # every 0/1 table, in increasing bit order, with v(empty) = 0, v(N) = 1
+    # and a winning coalition still winning whenever one player joins it
+    for n in range(1, 5):
+        size = 1 << n
+        tables = ([bits >> m & 1 for m in range(size)]
+                  for bits in range(1 << size))
+        expected = [t for t in tables if t[0] == 0 and t[-1] == 1 and all(
+            t[m | 1 << i] for m in range(size) if t[m] for i in range(n))]
+        assert [v.inner.nums for v in all_simple_games(n)] == expected
 
 
 def test_random_generators_produce_valid_games(rng):

@@ -14,7 +14,6 @@ from powerdex.stepfun import (Discretization, adjacent_boxes,
 def test_discretization_invariants():
     d = Discretization((F(0), F(1, 4), F(1, 2), F(1)))
     assert d.p == 3
-    assert d.mesh() == F(1, 2)
     with pytest.raises(ValueError):
         Discretization((F(0), F(1, 2)))
     with pytest.raises(ValueError):
