@@ -7,8 +7,9 @@ operations, coarsening and validation.
 from fractions import Fraction as F
 
 from powerdex import (Discretization, appendix_game, boundary_averages,
-                      coarsen, evaluate_step, join_meet, make_regular_step,
-                      psi_exact, refine, validate, zero_game)
+                      box_keys, coarsen, evaluate_step, join_meet,
+                      make_regular_step, psi_exact, refine, validate,
+                      zero_game)
 
 # The running example: grid (0, 1/4, 1/2, 1) with box values 0.1 ... 0.9.
 v = appendix_game()
@@ -28,7 +29,8 @@ assert evaluate_step(fine, (F(1, 16), F(1, 16))) == F(1, 10)
 
 # Coarsening takes minima over the covered boxes and re-averages the faces.
 half = coarsen(v, Discretization((F(0), F(1, 4), F(1))))
-print("coarse box values:", {b: str(v) for b, v in half.boxes.items()})
+print("coarse box values:",
+      {b: str(half.box(b)) for b in box_keys(half.n, half.p)})
 print("coarse shares:", psi_exact(half).shares)
 
 # Pointwise max/min of two games (here: against the all-or-nothing game).

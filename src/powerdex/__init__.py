@@ -35,10 +35,11 @@ _SUBMODULE_NAMES = {
                 "psi_exact", "psi_mc", "psi_point", "psi_product_oracle",
                 "ssi_coalition", "ssi_roll_call"],
     "rational": ["format_rational", "parse_rational"],
-    "stepfun": ["Discretization", "StepGame", "ValidationReport", "coarsen",
-                "evaluate_step", "join_meet", "make_regular_step",
-                "permute_axes", "pointwise_equal", "refine", "uniform_grid",
-                "validate", "zero_game"],
+    "stepfun": ["Discretization", "StepGame", "ValidationReport", "box_keys",
+                "coarsen", "evaluate_step", "face_table", "join_meet",
+                "make_regular_step", "permute_axes", "pointwise_equal",
+                "refine", "regular_completion", "uniform_grid", "validate",
+                "zero_game"],
 }
 _SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
                  for name in names}

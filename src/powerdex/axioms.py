@@ -12,12 +12,15 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import eq, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .his import LocalIncrement, _box_domain, check_local_increment
 from .indices import PowerVector, phi_two_player, psi_exact, psi_point, psi_product_oracle
-from .stepfun import (Discretization, Face, StepGame, join_meet,
-                      make_regular_step, permute_axes)
+from .rational import nondecreasing_along
+from .stepfun import (Discretization, Face, StepGame, box_keys, face_table,
+                      from_face_table, join_meet, make_regular_step,
+                      permute_axes, regular_completion)
 
 Witness = tuple[StepGame, StepGame, LocalIncrement]
 
@@ -29,7 +32,8 @@ class IndexHandle(NamedTuple):
 
 def square_game(g: StepGame) -> StepGame:
     """Pointwise square of a step game (still a step game on the same grid)."""
-    return g.with_values({d: v * v for d, v in g.values.items()})
+    table, den = face_table(g)
+    return from_face_table(g.disc, g.n, [x * x for x in table], den * den, g.tag)
 
 
 def make_handles() -> dict[str, IndexHandle]:
@@ -60,21 +64,10 @@ def make_handles() -> dict[str, IndexHandle]:
 
 def find_null_players(g: StepGame) -> frozenset[int]:
     """Players whose coordinate never changes the value table."""
-    nulls = []
+    table, _ = face_table(g)
     side = 2 * g.p + 1
-    for i in range(g.n):
-        others = itertools.product(range(side), repeat=g.n - 1)
-        ok = True
-        for rest in others:
-            base = rest[:i] + (0,) + rest[i:]
-            ref = g.values[base]
-            if any(g.values[rest[:i] + (d,) + rest[i:]] != ref
-                   for d in range(1, side)):
-                ok = False
-                break
-        if ok:
-            nulls.append(i + 1)
-    return frozenset(nulls)
+    return frozenset(i + 1 for i in range(g.n) if nondecreasing_along(
+        table, side ** (g.n - 1 - i), side, eq))
 
 
 def find_symmetric_pairs(g: StepGame) -> set[tuple[int, int]]:
@@ -83,7 +76,7 @@ def find_symmetric_pairs(g: StepGame) -> set[tuple[int, int]]:
     for i, j in itertools.combinations(range(1, g.n + 1), 2):
         pi = list(range(1, g.n + 1))
         pi[i - 1], pi[j - 1] = j, i
-        if permute_axes(g, pi).values == g.values:
+        if permute_axes(g, pi).same_values(g):
             pairs.add((i, j))
     return pairs
 
@@ -98,9 +91,11 @@ def null_extension(g: StepGame, position: int) -> StepGame:
     # the regular completion of the lifted boxes agrees with the old value
     # away from the lifts of the old overrides and the old corners
     side = 2 * g.p + 1
-    boxes = {lift(b, c): v for b, v in g.boxes.items() for c in range(1, side, 2)}
-    pinned = set(g.faces) | {(0,) * g.n, (side - 1,) * g.n}
-    faces = {lift(d, c): g.values[d] for d in pinned for c in range(side)}
+    boxes = {lift(b, c): g.box(b) for b in box_keys(g.n, g.p)
+             for c in range(1, side, 2)}
+    pinned = set(g.overrides) | {(0,) * g.n, (side - 1,) * g.n}
+    faces = {lift(d, c): regular_completion(g, d) for d in pinned
+             for c in range(side)}
     return StepGame(g.disc, g.n + 1, boxes, faces, "raw")
 
 
@@ -122,7 +117,8 @@ def boundary_face_witness(g: StepGame, player: int, face: Face,
     if any(fi % 2 == 0 for k, fi in enumerate(face) if k != player - 1):
         raise ValueError("remaining coordinates must be intervals")
     sign = 1 if d == 2 * p else -1
-    out = g.with_values({face: g.values[face] + sign * delta}).with_tag("raw")
+    out = g.with_values({face: regular_completion(g, face) + sign * delta}
+                        ).with_tag("raw")
     rest = [k for k in range(1, g.n + 1) if k != player]
     inc = LocalIncrement(g.n, frozenset({player}), delta,
                          _box_domain(g.disc, face, rest))
@@ -151,23 +147,26 @@ def suite_his_witnesses(suite: Sequence[StepGame],
     game at most, wherever a boundary face has monotonicity slack."""
     out: list[Witness] = []
     for g in suite:
-        p = g.p
+        top = 2 * g.p
+        table, den = face_table(g)
+        strides = [(top + 1) ** (g.n - 1 - k) for k in range(g.n)]
         candidates = []
         for player in range(1, g.n + 1):
-            for rest in itertools.product(range(1, 2 * p, 2), repeat=g.n - 1):
-                for d in (2 * p, 0):
+            for rest in itertools.product(range(1, top, 2), repeat=g.n - 1):
+                for d in (top, 0):
                     face = rest[:player - 1] + (d,) + rest[player - 1:]
-                    val = g.values[face]
-                    if d == 2 * p:
-                        room = min((g.values[face[:k] + (face[k] + 1,) + face[k + 1:]] - val
-                                    for k in range(g.n) if face[k] < 2 * p),
-                                   default=Fraction(0))
+                    at = sum(map(mul, face, strides))
+                    val = table[at]
+                    if d == top:
+                        room = min((table[at + strides[k]] - val
+                                    for k in range(g.n) if face[k] < top),
+                                   default=0)
                     else:
-                        room = min((val - g.values[face[:k] + (face[k] - 1,) + face[k + 1:]]
+                        room = min((val - table[at - strides[k]]
                                     for k in range(g.n) if face[k] > 0),
-                                   default=Fraction(0))
+                                   default=0)
                     if room > 0:
-                        candidates.append((player, face, room))
+                        candidates.append((player, face, Fraction(room, den)))
         rng.shuffle(candidates)
         for player, face, room in candidates[:2]:
             out.append(boundary_face_witness(g, player, face, room / 2))

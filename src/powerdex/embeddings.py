@@ -6,12 +6,11 @@ index equals the exact index of its embedding.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .coalitions import CoalitionFunction, JKGame, SimpleGame
-from .stepfun import (Discretization, Face, StepGame, TAG_SEMI_REGULAR,
-                      check_grid, make_regular_step, uniform_grid)
+from .stepfun import (Discretization, StepGame, TAG_SEMI_REGULAR, check_grid,
+                      from_face_table, make_regular_step, uniform_grid)
 
 
 def _embed_on(v: JKGame, disc: Discretization) -> StepGame:
@@ -45,12 +44,14 @@ def embed_coalition_semiregular(cf: CoalitionFunction) -> StepGame:
     tables, which makes the monotonicity guard in ``validate`` observable."""
     n = cf.n
     check_grid(n, 1)
-    disc = Discretization((Fraction(0), Fraction(1)))
-    values: dict[Face, Fraction] = {}
-    for d in itertools.product((0, 1, 2), repeat=n):
-        mask = sum(1 << i for i in range(n) if d[i] == 2)
-        values[d] = cf.values[mask]
-    return StepGame(disc, n, {(1,) * n: cf.values[0]}, values, TAG_SEMI_REGULAR)
+    # the coalition pinned at 1 on each face, in row-major order: on each
+    # axis the digits 0 and 1 leave the player out, 2 puts it in
+    masks = [0]
+    for i in range(n):
+        masks = [m | bit for m in masks for bit in (0, 0, 1 << i)]
+    return from_face_table(Discretization((Fraction(0), Fraction(1))), n,
+                           list(map(cf.nums.__getitem__, masks)), cf.den,
+                           TAG_SEMI_REGULAR)
 
 
 def embed_simple_semiregular(v: SimpleGame) -> StepGame:

@@ -13,7 +13,7 @@ import functools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .stepfun import StepGame, evaluate_step
+from .stepfun import StepGame, evaluate_step, face_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -168,21 +168,16 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
     A point's face fixes the faces of its pinned copies, so faces are cells.
     """
     p = g.p
-    shape = (2 * p + 1,) * g.n
 
     @functools.cache
     def table() -> np.ndarray:
-        # float value of each face in row-major order, NaN until first read;
-        # allocated on the first float call: the exact path never needs it.
-        # The corners and the overrides, whose values are not their adjacent
-        # boxes', are read at once.
+        # every face's value as a float, converted from the integer face
+        # table on the first float call: the exact path never needs it.
+        # int / int rounds correctly, as float(Fraction) does
         import numpy as np
 
-        values = np.full((2 * p + 1) ** g.n, np.nan)
-        pinned = [(0,) * g.n, (2 * p,) * g.n, *g.faces]
-        values[np.ravel_multi_index(np.transpose(pinned), shape)] = [
-            float(g.values[d]) for d in pinned]
-        return values
+        nums, den = face_table(g)
+        return np.array([x / den for x in nums])
 
     def face_index(pts: np.ndarray) -> np.ndarray:
         import numpy as np
@@ -197,37 +192,14 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
             h = np.searchsorted(alpha, col, side="left")
             on_point = alpha[np.minimum(h, p)] == col
             d = np.where(on_point, 2 * h, 2 * h - 1)
-            idx = idx * shape[i] + d
+            idx = idx * (2 * p + 1) + d
         return idx
 
     def exact(x):
         return evaluate_step(g, x)
 
     def array(pts):
-        import numpy as np
-
-        idx, values = face_index(pts), table()
-        # the unread faces, once each (sorted by hand: a plain np.unique
-        # imports numpy.ma, about 15 ms of a request)
-        new = np.sort(idx[np.isnan(values[idx])])
-        new = new[np.diff(new, prepend=-1) > 0]
-        digits = np.unravel_index(new, shape)
-        # with every even digit on the cube boundary, a face other than the
-        # corners and the overrides lies next to one box and takes its value
-        one_box = np.all([(d % 2 == 1) | (d == 0) | (d == 2 * p)
-                          for d in digits], axis=0)
-        # that box's digits: odd ones kept, 0 and 2p moved inward
-        boxes, at = np.unique(
-            np.transpose([np.clip(d[one_box], 1, 2 * p - 1) for d in digits]),
-            axis=0, return_inverse=True)
-        box_values = np.array([float(g.boxes[tuple(b)]) for b in boxes.tolist()],
-                              dtype=np.float64)
-        values[new[one_box]] = box_values[at.reshape(-1)]
-        rest = new[~one_box]
-        for k, d in zip(rest.tolist(),
-                        np.transpose(np.unravel_index(rest, shape)).tolist()):
-            values[k] = float(g.values[tuple(d)])
-        return values[idx]
+        return table()[face_index(pts)]
 
     def cells(pts):
         import numpy as np

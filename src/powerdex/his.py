@@ -19,16 +19,18 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
+from .budget import check_work
 from .indices import PowerVector, _as_evaluable, psi_exact
 from .rational import check_players, loss_constant, ordering_weight
 from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
-                      TAG_SEMI_REGULAR, ValidationReport, adjacent_boxes,
-                      box_faces, face_center, falling_covers,
-                      make_regular_step, pinned_covers, refine, uniform_grid,
-                      validate, zero_game)
+                      TAG_SEMI_REGULAR, ValidationReport, adjacent_count,
+                      box_faces, box_index, face_center, face_table,
+                      falling_covers, make_regular_step, pinned_covers,
+                      refine, regular_completion, validate, zero_game)
 
 
 class IncrementError(ValueError):
@@ -151,19 +153,26 @@ def check_local_increment(u: StepGame, v: StepGame,
     merged = u.disc.merge(v.disc)
     if extra:
         merged = merged.merge(Discretization(tuple(sorted({Fraction(0), Fraction(1), *extra}))))
-    ru, rv = refine(u, merged), refine(v, merged)
+    (old, den_u), (new, den_v) = (face_table(refine(g, merged)) for g in (u, v))
+    eps = Fraction(inc.epsilon)
+    # both tables and eps as integers over one denominator
+    den = lcm(den_u, den_v, eps.denominator)
+    old = [x * (den // den_u) for x in old]
+    new = [x * (den // den_v) for x in new]
+    e = eps.numerator * (den // eps.denominator)
     p = merged.p
-    interior = range(1, 2 * p)
+    top, interior = 2 * p, range(1, 2 * p)
+    strides = [(top + 1) ** (n - 1 - i) for i in range(n)]
     # every domain endpoint is a breakpoint of the merged grid: compare
     # doubled coordinates, a face lying inside the open interval when a < d < b
     # and outside the closed one when d < a or d > b
-    ends = {i: (2 * merged.alpha.index(a), 2 * merged.alpha.index(b))
-            for i, (a, b) in inc.domain.intervals}
+    ends = {i: (2 * merged.alpha.index(lo), 2 * merged.alpha.index(hi))
+            for i, (lo, hi) in inc.domain.intervals}
 
     def witness(t_players, face, expected, got):
         return {"T": tuple(sorted(t_players)), "face": face,
                 "point": face_center(merged, face),
-                "expected": expected, "got": got}
+                "expected": Fraction(expected, den), "got": Fraction(got, den)}
 
     if inc.is_degenerate():
         use_domain = len(inc.coalition) == n
@@ -171,9 +180,9 @@ def check_local_increment(u: StepGame, v: StepGame,
             if use_domain and not all(ends[i][0] < fi < ends[i][1]
                                       for i, fi in enumerate(f, 1)):
                 continue
-            expected = ru.values[f] + inc.epsilon
-            if rv.values[f] != expected:
-                return False, witness(inc.coalition, f, expected, rv.values[f])
+            k = sum(map(mul, f, strides))
+            if new[k] != old[k] + e:
+                return False, witness(inc.coalition, f, old[k] + e, new[k])
         return True, None
 
     coalition = sorted(inc.coalition)
@@ -182,29 +191,35 @@ def check_local_increment(u: StepGame, v: StepGame,
         t_idx = [i for i in range(n) if t_mask >> i & 1]
         free = [i for i in range(n) if not t_mask >> i & 1]
         is_s = t_idx == s_idx
+        # T's coordinates at 2p on the upper face, at 0 on the lower one
+        raised = top * sum(strides[i] for i in t_idx)
         for f in itertools.product(interior, repeat=len(free)):
-            hi = [2 * p] * n
-            lo = [0] * n
-            for i, fi in zip(free, f):
-                hi[i] = fi
-                lo[i] = fi
-            dv = rv.values[tuple(hi)] - rv.values[tuple(lo)]
-            du = ru.values[tuple(hi)] - ru.values[tuple(lo)]
+            lo = sum(strides[i] * fi for i, fi in zip(free, f))
+            dv, du = new[lo + raised] - new[lo], old[lo + raised] - old[lo]
             if not is_s:
                 if dv != du:
-                    t_players = [i + 1 for i in t_idx]
-                    return False, witness(t_players, tuple(hi), du, dv)
+                    return False, witness([i + 1 for i in t_idx],
+                                          _upper_face(n, top, free, f), du, dv)
                 continue
             spans = [(fi, *ends[i + 1]) for i, fi in zip(free, f)]
-            if any(d < a or d > b for d, a, b in spans):
+            if any(d < lo_end or d > hi_end for d, lo_end, hi_end in spans):
                 expected = du  # some coordinate escapes the closed domain
-            elif all(a < d < b for d, a, b in spans):
-                expected = du + inc.epsilon
+            elif all(lo_end < d < hi_end for d, lo_end, hi_end in spans):
+                expected = du + e
             else:
                 continue  # neither fully inside nor fully outside
             if dv != expected:
-                return False, witness(coalition, tuple(hi), expected, dv)
+                return False, witness(coalition, _upper_face(n, top, free, f),
+                                      expected, dv)
     return True, None
+
+
+def _upper_face(n: int, top: int, free: Sequence[int], f: Face) -> Face:
+    """The face with the free coordinates at f and every other one at top."""
+    hi = [top] * n
+    for i, fi in zip(free, f):
+        hi[i] = fi
+    return tuple(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +265,22 @@ def raise_box(u: StepGame, e_bar: Face, eps: Fraction) -> StepGame:
 
     Every face of the box gains eps divided by its number of adjacent boxes
     (the two extreme cube corners stay pinned to 0 and 1), so regularity is
-    preserved; overrides on the box's faces shift with it.
+    preserved; overrides on the box's faces shift with it and stay off the
+    completion, which shifts by as much.
     """
-    corners = {(0,) * u.n, (2 * u.p,) * u.n}
-    boxes = {**u.boxes, e_bar: u.boxes[e_bar] + eps}
-    faces = dict(u.faces)
+    eps = Fraction(eps)
+    n = u.n
+    # over den, eps is a whole multiple of 2^n: each face's share is exact
+    den = lcm(u.den, eps.denominator << n)
+    up, lift = den // u.den, eps.numerator * (den // eps.denominator)
+    nums = [x * up for x in u.nums]
+    nums[box_index(e_bar, u.p)] += lift
+    overrides = {d: x * up for d, x in u.overrides.items()}
+    corners = {(0,) * n, (2 * u.p,) * n}
     for e in box_faces(e_bar):
-        if e in faces and e not in corners:
-            faces[e] += eps / len(adjacent_boxes(e, u.p))
-    return StepGame(u.disc, u.n, boxes, faces, u.tag)
+        if e in overrides and e not in corners:
+            overrides[e] += lift // adjacent_count(e, u.p)
+    return StepGame._of(u.disc, n, nums, den, overrides, u.tag)
 
 
 def apply_box_increment(u: StepGame, e_bar: Face,
@@ -331,9 +353,14 @@ def table1_rows(l: int, eps=1) -> list[dict]:
     one row per local increment the box implies."""
     if l < 2:
         raise ValueError("uniform grid needs l >= 2")
-    e_bar = (2 * l - 1, 1, 2 * l - 1)
+    check_work(l + 1, f"a grid of {l + 1:,} breakpoints")
+    # the box reads only the breakpoints 0, 1/l, (l-1)/l and 1, so the grid
+    # of those four gives it the same intervals and the same bands
+    disc = Discretization(sorted({Fraction(0), Fraction(1, l),
+                                  Fraction(l - 1, l), Fraction(1)}))
+    top = 2 * disc.p - 1
     rows = []
-    for side, inc in box_increments(uniform_grid(l), e_bar, eps):
+    for side, inc in box_increments(disc, (top, 1, top), eps):
         s = tuple(sorted(inc.coalition))
         rows.append({"face": ", ".join(f"x{i}={int(side > 0)}" for i in s),
                      "S": s, "sign": side, "vol": inc.domain.volume(),
@@ -449,19 +476,19 @@ def replay_appendix() -> ReplayResult:
         phase = _phase_grid(target.disc.alpha, l)
         game = refine(game, phase).with_tag(TAG_SEMI_REGULAR)
         for box in boxes:
-            eps = target.boxes[box] - game.boxes[box]
+            eps = target.box(box) - game.box(box)
             for inc, faces in _submoves_for_box(n, phase, box, eps):
                 prev = game
                 game = game.with_values({
-                    e: game.values[e] + eps / len(adjacent_boxes(e, phase.p))
-                    for e in faces})
+                    e: regular_completion(game, e)
+                    + eps / adjacent_count(e, phase.p) for e in faces})
                 shift = his_delta(inc)
                 psi = [a + b for a, b in zip(psi, shift.shares)]
                 ok, _ = check_local_increment(prev, game, inc)
                 k += 1
                 moves.append(ReplayMove(k, inc, tuple(psi),
                                         psi_exact(game).shares, ok))
-    matches = game.disc == target.disc and game.values == target.values
+    matches = game.same_values(target)
     return ReplayResult(initial, moves, game.with_tag(TAG_REGULAR), matches)
 
 
@@ -499,7 +526,7 @@ def build_by_increments(v: StepGame,
         new_boxes = [b for b in itertools.product(range(1, 2 * l, 2), repeat=n)
                      if band in b]
         for box in order(new_boxes):
-            eps = v.boxes[box] - game.boxes[box]
+            eps = v.box(box) - game.box(box)
             if eps < 0:
                 raise IncrementError("target game is not monotone")
             if eps > 0:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from .budget import check_work
 from .evaluables import EvaluableGame, step_game_evaluable
 from .rational import on_one_denominator, subset_sums
-from .stepfun import StepGame, box_numerators
+from .stepfun import StepGame, box_index, face_numerator, locate_face
 
 if TYPE_CHECKING:
     from .coalitions import CoalitionFunction, JKGame, SimpleGame
@@ -259,19 +259,19 @@ def boundary_averages(g: StepGame) -> BoundaryAverages:
     the overrides on faces C reads differ from their box by a known gap,
     added afterwards.
     """
-    n, top = g.n, 2 * g.p
+    n, p, top = g.n, g.p, 2 * g.p
     widths = [b - a for a, b in zip(g.disc.alpha, g.disc.alpha[1:])]
-    nums, den = box_numerators(g)
-    gaps, scale = _ends_table(nums, g.p, on_one_denominator(widths)[0], n, den)
+    nums, den = g.nums, g.den
+    gaps, scale = _ends_table(nums, p, on_one_denominator(widths)[0], n, den)
     table = {t: Fraction(x, scale) for t, x in enumerate(gaps)}
-    pinned = {(0,) * n: Fraction(0), (top,) * n: Fraction(1), **g.faces}
+    pinned = {(0,) * n: 0, (top,) * n: den, **g.overrides}
     for d, val in pinned.items():
         side = {di for di in d if di % 2 == 0}
         if side == {0} or side == {top}:
             box = tuple(min(max(di, 1), top - 1) for di in d)
             vol = prod((widths[di // 2] for di in d if di % 2), start=Fraction(1))
             t = sum(1 << i for i, di in enumerate(d) if di % 2 == 0)
-            gap = vol * (val - g.boxes[box])
+            gap = vol * Fraction(val - nums[box_index(box, p)], den)
             table[t] += gap if top in side else -gap
     return BoundaryAverages(n, table)
 
@@ -308,13 +308,23 @@ def _as_evaluable(v: EvaluableGame | StepGame) -> EvaluableGame:
 def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
     """The single-profile variant: the ordering-weight sum over the pinned
     table c(T) = v(1_T, a) - v(0_T, a) at the constant profile a = alpha,
-    instead of integrating over profiles."""
+    instead of integrating over profiles.  On a step game alpha's face
+    coordinate is found once, and the pinned faces are read in integers."""
     n = v.n
     # two evaluations of an n-coordinate profile per coalition
     check_work(n << (n + 1), "point variant")
     a = Fraction(alpha)
     if a < 0 or a > 1:
         raise ValueError("alpha must lie in [0, 1]")
+    if isinstance(v, StepGame):
+        (at,) = locate_face(v.disc, (a,))
+        top = 2 * v.p
+
+        def face(t: int, side: int) -> tuple[int, ...]:
+            return tuple(side if t >> i & 1 else at for i in range(n))
+        c = [0] + [face_numerator(v, face(t, top)) - face_numerator(v, face(t, 0))
+                   for t in range(1, 1 << n)]
+        return psi_from_c(c, v.den << n, n)
     game = _as_evaluable(v)
 
     def pinned(t: int, side: int) -> Fraction:

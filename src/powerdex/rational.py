@@ -61,6 +61,8 @@ def format_rational(value: Fraction) -> str:
 def on_one_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The numerators of ``xs``, ints or ``Fraction``s, over their least
     common denominator, and that denominator."""
+    if set(map(type, xs)) <= {int}:
+        return list(xs), 1
     den = lcm(*{x.denominator for x in xs})
     return [x.numerator * (den // x.denominator) for x in xs], den
 
@@ -74,11 +76,13 @@ def subset_sums(weights: Sequence[int]) -> list[int]:
     return sums
 
 
-def nondecreasing_along(nums: Sequence[int], stride: int, size: int) -> bool:
-    """Whether a row-major integer table never falls along one axis.
+def nondecreasing_along(nums: Sequence[int], stride: int, size: int,
+                        op=le) -> bool:
+    """Whether a row-major integer table never falls along one axis, or
+    with ``op=eq`` never changes along it.
 
-    The axis has ``size`` entries, ``stride`` apart: nums[k] <= nums[k +
-    stride] for every k whose coordinate (k // stride) % size on it is
+    The axis has ``size`` entries, ``stride`` apart: op(nums[k], nums[k +
+    stride]) for every k whose coordinate (k // stride) % size on it is
     below size - 1.  Compared in slices, either one per block of
     size * stride entries or one per offset into such a block, whichever
     takes fewer.
@@ -90,7 +94,7 @@ def nondecreasing_along(nums: Sequence[int], stride: int, size: int) -> bool:
     else:
         pairs = ((nums[lo:lo + lows], nums[lo + stride:lo + block])
                  for lo in range(0, len(nums), block))
-    return all(all(map(le, a, b)) for a, b in pairs)
+    return all(all(map(op, a, b)) for a, b in pairs)
 
 
 def ordering_weight(s: int, n: int) -> Fraction:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from .rational import check_players, format_rational, parse_rational
 # perfbench/layers.py times the completion rule through this name
 from .stepfun import (Discretization, StepGame, TAG_REGULAR,  # noqa: F401
-                      regular_completion)
+                      box_keys, regular_completion)
 
 if TYPE_CHECKING:
     from .coalitions import CoalitionFunction, JKGame, SimpleGame
@@ -259,13 +259,21 @@ def step_game_to_json(g: StepGame) -> dict:
     """Boxes are keyed by 1-based box indices; for raw and semi-regular
     games a "faces" table lists the values that differ from the regular
     completion of the same boxes (keys are doubled face coordinates)."""
-    boxes = {_key((d + 1) // 2 for d in b): format_rational(g.boxes[b])
-             for b in sorted(g.boxes)}
+    memo: dict[int, str] = {}
+
+    def text(x: int) -> str:
+        # a table repeats a few values: each is formatted once
+        s = memo.get(x)
+        if s is None:
+            s = memo[x] = format_rational(Fraction(x, g.den))
+        return s
+    boxes = {_key((d + 1) // 2 for d in b): text(x)
+             for b, x in zip(box_keys(g.n, g.p), g.nums)}
     out = {"n": g.n, "alpha": [format_rational(a) for a in g.disc.alpha],
            "tag": g.tag, "boxes": boxes}
-    if g.tag != TAG_REGULAR and g.faces:
-        out["faces"] = {_key(d): format_rational(g.faces[d])
-                        for d in sorted(g.faces)}
+    if g.tag != TAG_REGULAR and g.overrides:
+        out["faces"] = {_key(d): text(g.overrides[d])
+                        for d in sorted(g.overrides)}
     return out
 
 

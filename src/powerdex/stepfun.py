@@ -11,12 +11,21 @@ The doubled encoding makes the "exists x <= y" comparability between two
 faces coincide with componentwise <= on the encodings (points are closed,
 intervals open), so monotonicity reduces to cover relations d -> d + e_i.
 
-A step game stores its JSON form: every box value, plus the faces whose
-value differs from the regular completion of the boxes; every other face
-value is derived on access.  A grid is admitted when its (2p+1)^n faces fit
-the work budget (``check_grid``), so every path that walks all faces is
-bounded by that one comparison: n <= 13 players for p = 1, n <= 9 for
-p = 2, n <= 7 for p = 3.
+A step game stores one form, integer numerators over one denominator: every
+box value in row-major order (first coordinate slowest), and the overrides,
+the faces whose value differs from the regular completion of the boxes.
+The completion gives the all-zeros corner 0, the all-ones corner 1 and
+every other face the mean of its adjacent boxes.  A face is read in one of
+two ways, both in integers:
+
+- ``regular_completion(g, d)`` reads one face from its adjacent boxes; the
+  point readers use it (``validate``, the box increments, ``psi_point``);
+- ``face_table(g)`` builds every face once per game, by the per-axis stencil
+  of the completion; the paths that walk every face use it.
+
+A grid is admitted when its (2p+1)^n faces fit the work budget
+(``check_grid``), so every path that walks all faces is bounded by that one
+comparison: n <= 13 players for p = 1, n <= 9 for p = 2, n <= 7 for p = 3.
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ import itertools
 from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from math import gcd
+from operator import add, ne
+from typing import NamedTuple, Sequence
 
 from .budget import check_work
 from .rational import check_players, nondecreasing_along, on_one_denominator
@@ -93,11 +104,17 @@ def face_center(disc: Discretization, d: Face) -> tuple[Fraction, ...]:
                  for di in d)
 
 
-def adjacent_boxes(d: Face, p: int) -> list[Face]:
-    """E(d): the full-dimensional boxes whose closure contains face d."""
-    return list(itertools.product(*(
-        (di,) if di % 2 else (1,) if di == 0 else
-        (di - 1,) if di == 2 * p else (di - 1, di + 1) for di in d)))
+def box_keys(n: int, p: int) -> list[Face]:
+    """Every full-dimensional box of the grid, in row-major order."""
+    return list(itertools.product(range(1, 2 * p, 2), repeat=n))
+
+
+def box_index(b: Face, p: int) -> int:
+    """The position of box b in the row-major box table."""
+    k = 0
+    for bi in b:
+        k = k * p + bi // 2
+    return k
 
 
 def box_faces(e_bar: Face) -> list[Face]:
@@ -106,63 +123,72 @@ def box_faces(e_bar: Face) -> list[Face]:
         *((b + 1, b, b - 1) for b in e_bar))]
 
 
-def regular_completion(boxes: Mapping[Face, Fraction], p: int,
-                       d: Face) -> Fraction:
-    """The value the regular completion gives face d: 0 at the all-zeros
-    corner, 1 at the all-ones corner, the mean of the adjacent boxes
-    elsewhere."""
+def adjacent_count(d: Face, p: int) -> int:
+    """The number of full-dimensional boxes whose closure contains face d:
+    two choices on each coordinate pinned to an inner breakpoint."""
+    return 1 << sum(1 for di in d if di % 2 == 0 and 0 < di < 2 * p)
+
+
+def _face_index(d: Face, side: int) -> int:
+    k = 0
+    for di in d:
+        k = k * side + di
+    return k
+
+
+def _completion(nums: Sequence[int], den: int, p: int, d: Face) -> int:
+    """The regular completion of the boxes ``nums`` / ``den`` at face d, as a
+    numerator over den * 2^n: with k coordinates of d on inner breakpoints,
+    the sum of its 2^k adjacent boxes times 2^(n - k)."""
+    n, top = len(d), 2 * p
     if not any(d):
-        return Fraction(0)
-    if all(di == 2 * p for di in d):
-        return Fraction(1)
-    vals = [boxes[b] for b in adjacent_boxes(d, p)]
-    if len(vals) == 1:
-        return vals[0]
-    # one integer sum over a common denominator, not one Fraction per term
-    nums, den = on_one_denominator(vals)
-    return Fraction(sum(nums), den * len(vals))
+        return 0
+    if all(di == top for di in d):
+        return den << n
+    at, offsets = 0, [0]
+    for i, di in enumerate(d):
+        # the lower adjacent box on this axis; an inner breakpoint has a
+        # second one a row up
+        at = at * p + min(max(di - 1, 0), top - 2) // 2
+        if di % 2 == 0 and 0 < di < top:
+            up = p ** (n - 1 - i)
+            offsets += [o + up for o in offsets]
+    return sum(nums[at + o] for o in offsets) << (n - len(offsets).bit_length() + 1)
 
 
-class FaceValues(Mapping):
-    """Read-only value of a step game at every face, derived on access."""
+def _completion_table(nums: list[int], den: int, n: int, p: int) -> list[int]:
+    """The regular completion of the row-major boxes ``nums`` / ``den`` at
+    every face, row-major, as numerators over den * 2^n.
 
-    def __init__(self, g: "StepGame"):
-        self._g = g
-
-    def __getitem__(self, d: Face) -> Fraction:
-        g = self._g
-        val = g.faces.get(d)
-        if val is None:
-            val = g.boxes.get(d)
-        if val is None:
-            if d not in self:
-                raise KeyError(d)
-            val = regular_completion(g.boxes, g.p, d)
-        return val
-
-    def __contains__(self, d: object) -> bool:
-        return (isinstance(d, tuple) and len(d) == self._g.n
-                and min(d) >= 0 and max(d) <= 2 * self._g.p)
-
-    def __iter__(self) -> Iterator[Face]:
-        return itertools.product(range(2 * self._g.p + 1), repeat=self._g.n)
-
-    def __len__(self) -> int:
-        return (2 * self._g.p + 1) ** self._g.n
-
-    def __eq__(self, other: object) -> bool:
-        # the stored form is canonical: equal tables store equal dicts
-        u = self._g
-        if isinstance(other, FaceValues) and (u.n, u.p) == (other._g.n, other._g.p):
-            return (u.boxes, u.faces) == (other._g.boxes, other._g.faces)
-        return super().__eq__(other)
+    One stencil pass per axis, each doubling the values: an odd face row
+    copies its box row, doubled; an inner even row sums its two neighbours;
+    an end row copies the end box row, doubled.  Then the two corners.
+    """
+    t = nums
+    for _ in range(n):
+        # expand the last axis, whose box row h is the slice t[h::p], and
+        # put its 2p + 1 face rows in front: after n passes the axes are
+        # back in their order
+        rows = [t[h::p] for h in range(p)]
+        twice = [list(map(add, r, r)) for r in rows]
+        faces = [twice[0], twice[0]]
+        for h in range(1, p):
+            faces += [list(map(add, rows[h - 1], rows[h])), twice[h]]
+        t = list(itertools.chain(*faces, twice[-1]))
+    t[0], t[-1] = 0, den << n
+    return t
 
 
 class StepGame:
-    """A step function stored as ``boxes`` (every full-dimensional box) and
-    ``faces`` (only the faces whose value differs from the regular completion
-    of the boxes, so equal functions store equal dicts).  A ``faces`` entry
-    on a box key moves that box; the box's other faces keep their values.
+    """A step function stored as integer numerators over its least
+    denominator ``den``: ``nums``, every full-dimensional box in row-major
+    order, and ``overrides``, only the faces whose value differs from the
+    regular completion of the boxes, so equal functions on one grid store
+    equal forms.
+
+    The constructor takes the JSON form: a mapping of every box to its value
+    and a mapping of faces to values.  A ``faces`` entry on a box key moves
+    that box; the box's other faces keep their values.
     """
 
     def __init__(self, disc: Discretization, n: int,
@@ -172,43 +198,157 @@ class StepGame:
         check_grid(n, disc.p)
         if tag not in _TAGS:
             raise ValueError(f"unknown tag {tag!r}")
-        p = disc.p
-        if len(boxes) != p ** n or not all(
-                len(b) == n and all(bi % 2 == 1 and 0 < bi < 2 * p for bi in b)
-                for b in boxes):
+        p, top = disc.p, 2 * disc.p
+        keys = box_keys(n, p)
+        if len(boxes) != len(keys) or not all(map(boxes.__contains__, keys)):
             raise ValueError("boxes table must cover every full-dimensional box")
-        self.disc, self.n, self.tag = disc, n, tag
-        self.boxes, self.faces = dict(boxes), {}
-        self.values = FaceValues(self)
         overrides = dict(faces or {})
         for d in overrides:
-            if d not in self.values:
+            if not (isinstance(d, tuple) and len(d) == n and min(d) >= 0
+                    and max(d) <= top):
                 raise ValueError(f"face {d} invalid for this grid")
-        moved = {b: v for b, v in overrides.items()
-                 if b in self.boxes and v != self.boxes[b]}
-        for f in {f for b in moved for f in box_faces(b)} - overrides.keys():
-            overrides[f] = self.values[f]
-        self.boxes.update(moved)
-        self.faces = {d: v for d, v in overrides.items()
-                      if d not in self.boxes and v != self.values[d]}
+        vals = [boxes[b] for b in keys]
+        self._store(disc, n, tag, *on_one_denominator(vals), {})
+        moved = {}
+        for b in [d for d in overrides if all(di % 2 for di in d)]:
+            v = overrides.pop(b)
+            if v != vals[box_index(b, p)]:
+                moved[b] = v
+        # the other faces of a moved box keep their values
+        for f in ({f for b in moved for f in box_faces(b)}
+                  - overrides.keys() - moved.keys()):
+            overrides[f] = regular_completion(self, f)
+        for b, v in moved.items():
+            vals[box_index(b, p)] = v
+        nums, den = on_one_denominator([*vals, *overrides.values()])
+        face_nums = nums[len(vals):]
+        del nums[len(vals):]
+        self._store(disc, n, tag, nums, den, {
+            d: x for d, x in zip(overrides, face_nums)
+            if x << n != _completion(nums, den, p, d)})
+
+    def _store(self, disc: Discretization, n: int, tag: str, nums: list[int],
+               den: int, overrides: dict[Face, int]) -> None:
+        """Keep the given form over its least denominator; ``overrides``
+        must hold only faces off the regular completion."""
+        common = gcd(den, *nums, *overrides.values())
+        if common > 1:
+            nums = [x // common for x in nums]
+            overrides = {d: x // common for d, x in overrides.items()}
+            den //= common
+        self.disc, self.n, self.tag = disc, n, tag
+        self.nums, self.den, self.overrides = nums, den, overrides
+        self._table = None
+
+    @classmethod
+    def _of(cls, disc: Discretization, n: int, nums: list[int], den: int,
+            overrides: dict[Face, int], tag: str) -> "StepGame":
+        """The game with the given stored form (see ``_store``)."""
+        g = cls.__new__(cls)
+        g._store(disc, n, tag, nums, den, overrides)
+        return g
 
     @property
     def p(self) -> int:
         return self.disc.p
 
+    def box(self, b: Face) -> Fraction:
+        """The value of the full-dimensional box b."""
+        return Fraction(self.nums[box_index(b, self.p)], self.den)
+
+    @property
+    def values(self) -> Mapping[Face, Fraction]:
+        """Every face's value, each read on its own when looked up.
+        perfbench's workload generator reads games this way; the package
+        reads ``regular_completion`` and ``face_table``."""
+        return _FaceReader(self)
+
     def with_tag(self, tag: str) -> "StepGame":
-        return StepGame(self.disc, self.n, self.boxes, self.faces, tag)
+        if tag not in _TAGS:
+            raise ValueError(f"unknown tag {tag!r}")
+        return StepGame._of(self.disc, self.n, self.nums, self.den,
+                            self.overrides, tag)
 
     def with_values(self, updates: Mapping[Face, Fraction]) -> "StepGame":
         """The same game with the given face values; every other face keeps
         its value."""
-        return StepGame(self.disc, self.n, self.boxes,
-                        {**self.faces, **updates}, self.tag)
+        den = self.den
+        boxes = {b: Fraction(x, den)
+                 for b, x in zip(box_keys(self.n, self.p), self.nums)}
+        faces = {d: Fraction(x, den) for d, x in self.overrides.items()}
+        return StepGame(self.disc, self.n, boxes, {**faces, **updates},
+                        self.tag)
+
+    def same_values(self, other: "StepGame") -> bool:
+        """Whether both games take the same value at every face of one
+        grid, whatever their tags."""
+        return (self.n == other.n and self.disc == other.disc
+                and self.den == other.den and self.nums == other.nums
+                and self.overrides == other.overrides)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, StepGame) and self.n == other.n
-                and self.disc == other.disc and self.tag == other.tag
-                and self.boxes == other.boxes and self.faces == other.faces)
+        return (isinstance(other, StepGame) and self.tag == other.tag
+                and self.same_values(other))
+
+
+class _FaceReader(Mapping):
+    """The read-only mapping ``StepGame.values``: it stores nothing."""
+
+    def __init__(self, g: StepGame):
+        self._g = g
+
+    def __getitem__(self, d: Face) -> Fraction:
+        return regular_completion(self._g, d)
+
+    def __iter__(self):
+        return itertools.product(range(2 * self._g.p + 1), repeat=self._g.n)
+
+    def __len__(self) -> int:
+        return (2 * self._g.p + 1) ** self._g.n
+
+
+def face_numerator(g: StepGame, d: Face) -> int:
+    """The value of g at face d as a numerator over ``g.den << g.n``: its
+    override, or the regular completion of its adjacent boxes."""
+    x = g.overrides.get(d)
+    return _completion(g.nums, g.den, g.p, d) if x is None else x << g.n
+
+
+def regular_completion(g: StepGame, d: Face) -> Fraction:
+    """The value of g at face d, read on its own: its override, or the
+    regular completion of its adjacent boxes."""
+    return Fraction(face_numerator(g, d), g.den << g.n)
+
+
+def face_table(g: StepGame) -> tuple[list[int], int]:
+    """The value of g at every face in row-major order, as numerators over
+    the returned denominator ``g.den << g.n``: the completion stencil, then
+    the overrides.  Built on first call and kept; callers must not change
+    the list."""
+    if g._table is None:
+        n, side = g.n, 2 * g.p + 1
+        table = _completion_table(g.nums, g.den, n, g.p)
+        for d, x in g.overrides.items():
+            table[_face_index(d, side)] = x << n
+        g._table = table
+    return g._table, g.den << g.n
+
+
+def from_face_table(disc: Discretization, n: int, table: list[int], den: int,
+                    tag: str) -> StepGame:
+    """The game with value table[k] / den at the k-th face in row-major
+    order: its boxes, and the faces where it differs from their
+    completion."""
+    p, side = disc.p, 2 * disc.p + 1
+    at = [0]
+    for _ in range(n):
+        at = [k * side + b for k in at for b in range(1, side, 2)]
+    nums = [table[k] for k in at]
+    off = list(map(ne, [x << n for x in table],
+                   _completion_table(nums, den, n, p)))
+    faces = itertools.product(range(side), repeat=n)
+    return StepGame._of(disc, n, nums, den, dict(zip(
+        itertools.compress(faces, off), itertools.compress(table, off))), tag)
 
 
 def locate_face(disc: Discretization, x: Sequence) -> Face:
@@ -230,7 +370,7 @@ def evaluate_step(g: StepGame, x: Sequence) -> Fraction:
     """Value of the step function at a point of the unit cube."""
     if len(x) != g.n:
         raise ValueError(f"point has {len(x)} coordinates, game has {g.n}")
-    return g.values[locate_face(g.disc, x)]
+    return regular_completion(g, locate_face(g.disc, x))
 
 
 def make_regular_step(disc: Discretization, box_values: dict[Face, Fraction],
@@ -250,9 +390,7 @@ def zero_game(n: int, disc: Discretization | None = None) -> StepGame:
     if disc is None:
         disc = Discretization((Fraction(0), Fraction(1)))
     check_grid(n, disc.p)
-    boxes = {b: Fraction(0)
-             for b in itertools.product(range(1, 2 * disc.p, 2), repeat=n)}
-    return make_regular_step(disc, boxes, n)
+    return StepGame._of(disc, n, [0] * disc.p ** n, 1, {}, TAG_REGULAR)
 
 
 def refine(g: StepGame, disc2: Discretization) -> StepGame:
@@ -266,18 +404,21 @@ def refine(g: StepGame, disc2: Discretization) -> StepGame:
     # on every fine face, so only the fine faces inside an override carry it
     inside = [[d2 for d2, d in enumerate(coord_map) if d == d1]
               for d1 in range(2 * g.p + 1)]
-    boxes = {b: g.boxes[tuple(coord_map[di] for di in b)]
-             for b in itertools.product(range(1, 2 * disc2.p, 2), repeat=g.n)}
-    faces = {d2: val for d, val in g.faces.items()
-             for d2 in itertools.product(*(inside[di] for di in d))}
-    return StepGame(disc2, g.n, boxes, faces, TAG_RAW)
+    at = [0]
+    for _ in range(g.n):
+        at = [k * g.p + coord_map[b] // 2 for k in at
+              for b in range(1, 2 * disc2.p, 2)]
+    overrides = {d2: x for d, x in g.overrides.items()
+                 for d2 in itertools.product(*(inside[di] for di in d))}
+    return StepGame._of(disc2, g.n, [g.nums[k] for k in at], g.den, overrides,
+                        TAG_RAW)
 
 
 def pointwise_equal(u: StepGame, v: StepGame) -> bool:
     if u.n != v.n:
         return False
     merged = u.disc.merge(v.disc)
-    return refine(u, merged).values == refine(v, merged).values
+    return refine(u, merged).same_values(refine(v, merged))
 
 
 def join_meet(u: StepGame, v: StepGame) -> tuple[StepGame, StepGame]:
@@ -285,10 +426,10 @@ def join_meet(u: StepGame, v: StepGame) -> tuple[StepGame, StepGame]:
     if u.n != v.n:
         raise ValueError("player counts differ")
     merged = u.disc.merge(v.disc)
-    ru, rv = refine(u, merged), refine(v, merged)
-    pairs = [(d, a, rv.values[d]) for d, a in ru.values.items()]
-    return (ru.with_values({d: max(a, b) for d, a, b in pairs}),
-            ru.with_values({d: min(a, b) for d, a, b in pairs}))
+    (a, da), (b, db) = (face_table(refine(g, merged)) for g in (u, v))
+    a, b = [x * db for x in a], [x * da for x in b]
+    return (from_face_table(merged, u.n, list(map(max, a, b)), da * db, TAG_RAW),
+            from_face_table(merged, u.n, list(map(min, a, b)), da * db, TAG_RAW))
 
 
 def coarsen(v: StepGame, disc2: Discretization) -> StepGame:
@@ -303,9 +444,10 @@ def coarsen(v: StepGame, disc2: Discretization) -> StepGame:
         hi = fine.index(disc2.alpha[h + 1])
         spans.append([2 * t + 1 for t in range(lo, hi)])
     box_values = {}
-    for cb in itertools.product(range(1, 2 * disc2.p, 2), repeat=v.n):
-        covered = itertools.product(*(spans[(c - 1) // 2] for c in cb))
-        box_values[cb] = min(v.boxes[b] for b in covered)
+    for cb in box_keys(v.n, disc2.p):
+        covered = itertools.product(*(spans[c // 2] for c in cb))
+        box_values[cb] = Fraction(min(v.nums[box_index(b, v.p)] for b in covered),
+                                  v.den)
     return make_regular_step(disc2, box_values, v.n)
 
 
@@ -317,8 +459,11 @@ def permute_axes(g: StepGame, pi: Sequence[int]) -> StepGame:
 
     def image(d: Face) -> Face:
         return tuple(d[i] for i in inverse)
-    return StepGame(g.disc, g.n, {image(b): val for b, val in g.boxes.items()},
-                    {image(d): val for d, val in g.faces.items()}, g.tag)
+    nums = [0] * len(g.nums)
+    for b, x in zip(box_keys(g.n, g.p), g.nums):
+        nums[box_index(image(b), g.p)] = x
+    return StepGame._of(g.disc, g.n, nums, g.den,
+                        {image(d): x for d, x in g.overrides.items()}, g.tag)
 
 
 class ValidationReport(NamedTuple):
@@ -334,13 +479,6 @@ class ValidationReport(NamedTuple):
         return self.monotone and self.tag_ok and self.in_range
 
 
-def box_numerators(g: StepGame) -> tuple[list[int], int]:
-    """The box values in row-major order (first coordinate slowest), as
-    numerators over their least common denominator, and that denominator."""
-    return on_one_denominator(
-        [g.boxes[b] for b in itertools.product(range(1, 2 * g.p, 2), repeat=g.n)])
-
-
 def _step(d: Face, i: int, by: int) -> Face:
     return d[:i] + (d[i] + by,) + d[i + 1:]
 
@@ -350,7 +488,7 @@ def pinned_covers(g: StepGame) -> list[tuple[Face, Face]]:
     or a cube corner): for each pinned face in sorted order, its covers
     upward, then its covers from below by faces that are not pinned."""
     n, top = g.n, 2 * g.p
-    pinned = set(g.faces) | {(0,) * n, (top,) * n}
+    pinned = set(g.overrides) | {(0,) * n, (top,) * n}
     # up to n covers from above and n from below per pinned face
     check_work(2 * n * len(pinned),
                f"listing the cover pairs of {len(pinned):,} pinned faces")
@@ -364,9 +502,13 @@ def pinned_covers(g: StepGame) -> list[tuple[Face, Face]]:
 
 def falling_covers(g: StepGame, covers) -> list[str]:
     """A description of each cover pair on which the game falls."""
-    values = g.values
-    return [f"value {values[lo]} at {lo} exceeds {values[hi]} at {hi}"
-            for lo, hi in covers if values[lo] > values[hi]]
+    den, out = g.den << g.n, []
+    for lo, hi in covers:
+        a, b = face_numerator(g, lo), face_numerator(g, hi)
+        if a > b:
+            out.append(f"value {Fraction(a, den)} at {lo} exceeds "
+                       f"{Fraction(b, den)} at {hi}")
+    return out
 
 
 def validate(g: StepGame) -> ValidationReport:
@@ -380,26 +522,28 @@ def validate(g: StepGame) -> ValidationReport:
     row-major box table; a pair is described only when the check fails.
     """
     n, p, top = g.n, g.p, 2 * g.p
-    nums, den = box_numerators(g)
+    nums, den = g.nums, g.den
     boxes_in_range = 0 <= min(nums) and max(nums) <= den
-    stored = itertools.chain(() if boxes_in_range else g.boxes.items(),
-                             g.faces.items())
-    violations = [f"value {val} at face {d} outside [0, 1]"
-                  for d, val in stored if not 0 <= val <= 1]
+    stored = itertools.chain(
+        () if boxes_in_range else zip(box_keys(n, p), nums),
+        g.overrides.items())
+    violations = [f"value {Fraction(x, den)} at face {d} outside [0, 1]"
+                  for d, x in stored if not 0 <= x <= den]
     in_range = not violations
 
     if all(nondecreasing_along(nums, p ** (n - 1 - i), p) for i in range(n)):
         covers = []
     else:
-        covers = [(b, _step(b, i, 2)) for b in g.boxes for i in range(n)
+        covers = [(b, _step(b, i, 2)) for b in box_keys(n, p) for i in range(n)
                   if b[i] + 2 < top]
     broken = [f"monotonicity: {v}"
               for v in falling_covers(g, covers + pinned_covers(g))]
     # regular games follow the completion on every face, semi-regular ones
     # on every face off the cube boundary
-    off_tag = [d for d in sorted(g.faces) if g.tag == TAG_REGULAR or (
+    off_tag = [d for d in sorted(g.overrides) if g.tag == TAG_REGULAR or (
         g.tag == TAG_SEMI_REGULAR and not any(di in (0, top) for di in d))]
     violations += broken + [
-        f"{g.tag}: face {d} has {g.faces[d]}, the regular completion gives "
-        f"{regular_completion(g.boxes, g.p, d)}" for d in off_tag]
+        f"{g.tag}: face {d} has {Fraction(g.overrides[d], den)}, the regular "
+        f"completion gives {Fraction(_completion(nums, den, p, d), den << n)}"
+        for d in off_tag]
     return ValidationReport(not broken, not off_tag, in_range, violations)

@@ -1,11 +1,14 @@
-"""Dense reference for step games, used only as a test oracle: the full face
-table of a box table, a validator that checks every face and every cover
-pair, and the boundary averages read off the full table; the violation list
-of a step game, built by comparing every checked pair as Fractions; and the
-boundary averages of a (j,k) game by their definition, and the first
-violation in a (j,k) table found profile by profile; the grid C-table
-kernel that contracts every axis to three entries; and the Monte-Carlo
-estimator that holds every coalition's pinned deltas at once."""
+"""Dense reference for step games, used only as a test oracle: the adjacent
+boxes of a face and the per-face regular completion as one ``Fraction``
+mean; the full face table of a box table, a validator that checks every
+face and every cover pair, and the boundary averages read off the full
+table; the violation list of a step game, built by comparing every checked
+pair as Fractions; and the boundary averages of a (j,k) game by their
+definition, and the first violation in a (j,k) table found profile by
+profile; the grid C-table kernel that contracts every axis to three
+entries; and the Monte-Carlo estimator that holds every coalition's pinned
+deltas at once.  ``box_dict`` and ``face_values`` read a game's boxes and
+faces as ``Fraction`` dicts for the comparisons."""
 
 import itertools
 from fractions import Fraction
@@ -15,7 +18,42 @@ from powerdex.budget import check_work
 from powerdex.evaluables import EvaluableGame
 from powerdex.indices import MAX_MC_CELLS, PowerVector, _as_evaluable
 from powerdex.rational import ordering_weight
-from powerdex.stepfun import StepGame, adjacent_boxes, regular_completion
+from powerdex.rational import on_one_denominator
+from powerdex.stepfun import StepGame, box_keys, face_table
+
+
+def adjacent_boxes(d, p: int) -> list:
+    """E(d): the full-dimensional boxes whose closure contains face d."""
+    return list(itertools.product(*(
+        (di,) if di % 2 else (1,) if di == 0 else
+        (di - 1,) if di == 2 * p else (di - 1, di + 1) for di in d)))
+
+
+def fraction_completion(boxes: dict, p: int, d) -> Fraction:
+    """The value the regular completion gives face d: 0 at the all-zeros
+    corner, 1 at the all-ones corner, the mean of the adjacent boxes
+    elsewhere, from a dict of ``Fraction`` boxes."""
+    if not any(d):
+        return Fraction(0)
+    if all(di == 2 * p for di in d):
+        return Fraction(1)
+    vals = [boxes[b] for b in adjacent_boxes(d, p)]
+    if len(vals) == 1:
+        return vals[0]
+    nums, den = on_one_denominator(vals)
+    return Fraction(sum(nums), den * len(vals))
+
+
+def box_dict(g) -> dict:
+    """Every box of a step game and its value."""
+    return {b: g.box(b) for b in box_keys(g.n, g.p)}
+
+
+def face_values(g) -> dict:
+    """Every face of a step game and its value, read off ``face_table``."""
+    table, den = face_table(g)
+    faces = itertools.product(range(2 * g.p + 1), repeat=g.n)
+    return {d: Fraction(x, den) for d, x in zip(faces, table)}
 
 
 def dense_completion(p: int, n: int, boxes: dict) -> dict:
@@ -59,17 +97,19 @@ def pairwise_violations(g) -> list[str]:
     value outside [0, 1], then every falling box cover and every falling
     pair at a pinned face, then every face off the claimed tag, each pair
     compared as Fractions."""
-    n, top, values = g.n, 2 * g.p, g.values
-    stored = itertools.chain(g.boxes.items(), g.faces.items())
+    n, top, boxes = g.n, 2 * g.p, box_dict(g)
+    faces = {d: Fraction(x, g.den) for d, x in g.overrides.items()}
+    values = {**dense_completion(g.p, n, boxes), **faces}
+    stored = itertools.chain(boxes.items(), faces.items())
     found = [f"value {val} at face {d} outside [0, 1]"
              for d, val in stored if not 0 <= val <= 1]
 
     def step(d, i, by):
         return d[:i] + (d[i] + by,) + d[i + 1:]
 
-    covers = [(b, step(b, i, 2)) for b in g.boxes for i in range(n)
+    covers = [(b, step(b, i, 2)) for b in boxes for i in range(n)
               if b[i] + 2 < top]
-    pinned = set(g.faces) | {(0,) * n, (top,) * n}
+    pinned = set(faces) | {(0,) * n, (top,) * n}
     for d in sorted(pinned):
         covers += [(d, step(d, i, 1)) for i in range(n) if d[i] < top]
         covers += [(step(d, i, -1), d) for i in range(n)
@@ -77,11 +117,11 @@ def pairwise_violations(g) -> list[str]:
     found += [f"monotonicity: value {values[lo]} at {lo} exceeds "
               f"{values[hi]} at {hi}" for lo, hi in covers
               if values[lo] > values[hi]]
-    off_tag = [d for d in sorted(g.faces) if g.tag == "regular" or (
+    off_tag = [d for d in sorted(faces) if g.tag == "regular" or (
         g.tag == "semi_regular" and not any(di in (0, top) for di in d))]
     return found + [
-        f"{g.tag}: face {d} has {g.faces[d]}, the regular completion gives "
-        f"{regular_completion(g.boxes, g.p, d)}" for d in off_tag]
+        f"{g.tag}: face {d} has {faces[d]}, the regular completion gives "
+        f"{fraction_completion(boxes, g.p, d)}" for d in off_tag]
 
 
 def dense_boundary_averages(disc, n: int, values: dict) -> dict:

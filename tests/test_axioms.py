@@ -41,7 +41,7 @@ def test_find_symmetric_pairs_examples(appendix):
 
 def test_square_game_is_pointwise_square(appendix):
     sq = square_game(appendix)
-    assert sq.values[(1, 1)] == F(1, 100)
+    assert sq.box((1, 1)) == F(1, 100)
     assert validate(sq).monotone
 
 

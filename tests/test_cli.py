@@ -3,9 +3,11 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
 
+import powerdex.stepfun as stepfun
 from powerdex import budget
 from powerdex.cli import main
 from powerdex.coalitions import SimpleGame
@@ -431,7 +433,7 @@ def test_override_heavy_game_exits_2_before_listing_covers(tmp_path, capsys,
     # validate charges 2n steps per pinned face (the overrides and the two
     # corners) before it lists a cover pair, for psi and his-apply alike
     g = embed_simple_semiregular(SimpleGame.weighted(3, [2, 1, 1, 1]))
-    pinned = len(set(g.faces) | {(0,) * 4, (2,) * 4})
+    pinned = len(set(g.overrides) | {(0,) * 4, (2,) * 4})
     path = write(tmp_path, "g.json", step_game_to_json(g))
     monkeypatch.setattr(budget, "MAX_STEPS", 8 * pinned - 1)
     for argv in (["psi", path],
@@ -662,21 +664,127 @@ HIS_APPLY_STDOUT = (
     '"psi_before": ["0", "1", "0"]}\n')
 
 
-@pytest.mark.parametrize("argv,expected", [
-    (["table1", "--l", "3"], TABLE1_L3_MARKDOWN),
-    (["table1", "--l", "3", "--format", "csv"], TABLE1_L3_CSV),
-    (["table1", "--l", "3", "--format", "json"], TABLE1_L3_JSON),
-    (["table1", "--l", "2", "--eps", "0"], TABLE1_L2_EPS0),
-    (["table1", "--l", "2", "--eps", "-1"], TABLE1_L2_EPS_MINUS_1),
+APPENDIX_GAME = {"n": 2, "alpha": ["0", "1/4", "1/2", "1"], "tag": "regular",
+                 "boxes": {"1,1": "1/10", "1,2": "1/5", "2,1": "3/10",
+                           "1,3": "2/5", "3,1": "1/2", "2,2": "3/5",
+                           "2,3": "7/10", "3,2": "4/5", "3,3": "9/10"}}
+# a semi-regular game with an interior override, which is off its tag, and
+# overrides that break monotonicity
+REJECTED_GAME = {"n": 2, "alpha": ["0", "1/2", "1"], "tag": "semi_regular",
+                 "boxes": {"1,1": "1/4", "1,2": "1/2", "2,1": "1/2",
+                           "2,2": "3/4"},
+                 "faces": {"2,2": "9/10", "0,3": "1/3", "4,1": "1/5"}}
+EMBED_SEMIREGULAR_STDOUT = (
+    '{"alpha": ["0", "1"], "boxes": {"1,1,1": "0"}, "faces": {"2,0,2": "1", '
+    '"2,1,2": "1", "2,2,0": "1", "2,2,1": "1"}, "n": 3, '
+    '"tag": "semi_regular"}\n')
+COARSEN_STDOUT = (
+    '{"alpha": ["0", "1/2", "1"], "boxes": {"1,1": "1/10", "1,2": "2/5", '
+    '"2,1": "1/2", "2,2": "9/10"}, "n": 2, "tag": "regular"}\n')
+REPLAY_APPENDIX_STDOUT = (
+    '{"D": [["0", "1"], ["0", "1"]], "S": [], "eps": "1/10", "move": 1, '
+    '"psi_exact": ["1/2", "1/2"], "psi_his": ["1/2", "1/2"], '
+    '"verified": true}\n{"D": [["1/4", "1"], ["1/4", "1"]], "S": [1, 2], '
+    '"eps": "1/2", "move": 2, "psi_exact": ["1/2", "1/2"], '
+    '"psi_his": ["1/2", "1/2"], "verified": true}\n{"D": [["0", "1/4"]], '
+    '"S": [2], "eps": "1/10", "move": 3, "psi_exact": ["39/80", "41/80"], '
+    '"psi_his": ["39/80", "41/80"], "verified": true}\n{"D": [["1/4", "1"]], '
+    '"S": [1], "eps": "-1/10", "move": 4, "psi_exact": ["9/20", "11/20"], '
+    '"psi_his": ["9/20", "11/20"], "verified": true}\n{"D": [["0", "1/4"]], '
+    '"S": [1], "eps": "1/5", "move": 5, "psi_exact": ["19/40", "21/40"], '
+    '"psi_his": ["19/40", "21/40"], "verified": true}\n{"D": [["1/4", "1"]], '
+    '"S": [2], "eps": "-1/5", "move": 6, "psi_exact": ["11/20", "9/20"], '
+    '"psi_his": ["11/20", "9/20"], "verified": true}\n{"D": [["1/2", "1"], '
+    '["1/2", "1"]], "S": [1, 2], "eps": "3/10", "move": 7, '
+    '"psi_exact": ["11/20", "9/20"], "psi_his": ["11/20", "9/20"], '
+    '"verified": true}\n{"D": [["1/4", "1/2"]], "S": [2], "eps": "1/10", '
+    '"move": 8, "psi_exact": ["43/80", "37/80"], "psi_his": ["43/80", '
+    '"37/80"], "verified": true}\n{"D": [["0", "1/4"]], "S": [2], '
+    '"eps": "1/5", "move": 9, "psi_exact": ["41/80", "39/80"], '
+    '"psi_his": ["41/80", "39/80"], "verified": true}\n{"D": [["1/2", "1"]], '
+    '"S": [1], "eps": "-1/5", "move": 10, "psi_exact": ["37/80", "43/80"], '
+    '"psi_his": ["37/80", "43/80"], "verified": true}\n{"D": [["1/4", '
+    '"1/2"]], "S": [1], "eps": "1/5", "move": 11, "psi_exact": ["39/80", '
+    '"41/80"], "psi_his": ["39/80", "41/80"], "verified": true}\n{"D": [["0", '
+    '"1/4"]], "S": [1], "eps": "1/5", "move": 12, "psi_exact": ["41/80", '
+    '"39/80"], "psi_his": ["41/80", "39/80"], '
+    '"verified": true}\n{"D": [["1/2", "1"]], "S": [2], "eps": "-1/5", '
+    '"move": 13, "psi_exact": ["9/16", "7/16"], "psi_his": ["9/16", "7/16"], '
+    '"verified": true}\n{"matches_target": true, "move": "final", '
+    '"shares": ["9/16", "7/16"], "tracks_agree": true}\n')
+AXIOMS_PSI_SQUARE_STDOUT = (
+    '{"games": 4, "index": "psi_square", "passed": ["anonymity", '
+    '"efficiency", "null_player", "positivity", "symmetry", "transfer"], '
+    '"violations": {"his": ["S={2}: constants (Fraction(9, 20), Fraction(9, '
+    '20)) vs (13/20, 13/20) across witnesses (eps=1/10, vol=1/2)", '
+    '"S={1}: constants (Fraction(9, 20), Fraction(9, 20)) vs (13/20, '
+    '13/20) across witnesses (eps=1/10, vol=1/2)", '
+    '"S={2}: constants (Fraction(9, 20), Fraction(9, 20)) vs (13/20, '
+    '13/20) across witnesses (eps=1/10, vol=2/3)", '
+    '"S={1}: constants (Fraction(9, 20), Fraction(9, 20)) vs (13/20, '
+    '13/20) across witnesses (eps=1/10, vol=2/3)", '
+    '"S={2}: constants (Fraction(91, 144), Fraction(91, 288)) vs (25/144, '
+    '25/288) across witnesses (eps=1/48, vol=361/576)", '
+    '"S={2}: constants (Fraction(91, 144), Fraction(91, 288)) vs (23/36, '
+    '23/72) across witnesses (eps=1/12, vol=25/576)", '
+    '"S={1}: constants (Fraction(19, 48), Fraction(19, 96)) vs (67/144, '
+    '67/288) across witnesses (eps=1/16, vol=9/64)"]}}\n')
+PSI_REJECTED_STDERR = (
+    '{"error": "invalid step game: 6 violations, '
+    'first 5: monotonicity: value 3/8 at (0, 2) exceeds 1/3 at (0, '
+    '3); monotonicity: value 9/10 at (2, 2) exceeds 5/8 at (3, '
+    '2); monotonicity: value 9/10 at (2, 2) exceeds 5/8 at (2, '
+    '3); monotonicity: value 1/2 at (3, 1) exceeds 1/5 at (4, '
+    '1); monotonicity: value 1/2 at (4, 0) exceeds 1/5 at (4, 1)", '
+    '"type": "InputError"}\n')
+
+
+@pytest.mark.parametrize("argv,game,expected", [
+    (["table1", "--l", "3"], None, TABLE1_L3_MARKDOWN),
+    (["table1", "--l", "3", "--format", "csv"], None, TABLE1_L3_CSV),
+    (["table1", "--l", "3", "--format", "json"], None, TABLE1_L3_JSON),
+    (["table1", "--l", "2", "--eps", "0"], None, TABLE1_L2_EPS0),
+    (["table1", "--l", "2", "--eps", "-1"], None, TABLE1_L2_EPS_MINUS_1),
     (["his-apply", "{game}", "--box", "2,1,2", "--eps", "1/2"],
-     HIS_APPLY_STDOUT),
+     HIS_APPLY_GAME, HIS_APPLY_STDOUT),
+    (["embed", "--semiregular", "{game}"],
+     {"n": 3, "winning": [[1, 2], [1, 3]]}, EMBED_SEMIREGULAR_STDOUT),
+    (["coarsen", "{game}", "--alpha", "0,1/2,1"], APPENDIX_GAME,
+     COARSEN_STDOUT),
+    (["replay-appendix"], None, REPLAY_APPENDIX_STDOUT),
+    (["axioms", "--index", "psi_square", "--players", "3", "--random", "2"],
+     None, AXIOMS_PSI_SQUARE_STDOUT),
+    # refused: nothing on stdout, and the violations on stderr
+    (["psi", "{game}"], REJECTED_GAME, PSI_REJECTED_STDERR),
 ], ids=["table1-markdown", "table1-csv", "table1-json", "table1-eps0",
-        "table1-eps-1", "his-apply"])
-def test_pinned_stdout(tmp_path, capsys, argv, expected):
-    path = write(tmp_path, "g.json", HIS_APPLY_GAME)
-    code, out, _ = run_cli([a.replace("{game}", path) for a in argv], capsys)
-    assert code == 0
-    assert out == expected
+        "table1-eps-1", "his-apply", "embed-semiregular", "coarsen",
+        "replay-appendix", "axioms", "psi-rejected"])
+def test_pinned_stdout(tmp_path, capsys, argv, game, expected):
+    path = write(tmp_path, "g.json", game)
+    code, out, err = run_cli([a.replace("{game}", path) for a in argv], capsys)
+    if game is REJECTED_GAME:
+        assert (code, out, err) == (2, "", expected)
+    else:
+        assert (code, out) == (0, expected)
+
+
+def test_point_readers_never_build_the_face_table(tmp_path, capsys,
+                                                 monkeypatch):
+    # psi, psi-point and his-build validate their game and read single
+    # faces; none of them may build the dense face table, which costs
+    # (2p + 1)^n entries per game
+    def built(*args):
+        raise AssertionError("the face table was built")
+    monkeypatch.setattr(stepfun, "_completion_table", built)
+    game = {"n": 3, "alpha": ["0", "1/3", "1/2", "1"], "tag": "regular",
+            "boxes": {",".join(map(str, k)): str(F(sum(k) - 3, 6))
+                      for k in itertools.product((1, 2, 3), repeat=3)}}
+    path = write(tmp_path, "g.json", game)
+    for argv in (["psi", path], ["psi-point", path, "--alpha", "1/3"],
+                 ["psi-point", path, "--alpha", "2/5"], ["his-build", path]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        assert out
 
 
 def test_ssi_at_the_player_cap(tmp_path, capsys):

@@ -13,8 +13,8 @@ from powerdex.indices import psi_exact
 from powerdex.rational import loss_constant, ordering_weight
 from powerdex.sampling import random_regular_game
 from powerdex.stepfun import (Discretization, coarsen, make_regular_step,
-                              pointwise_equal, refine, uniform_grid,
-                              validate, zero_game)
+                              pointwise_equal, refine, regular_completion,
+                              uniform_grid, validate, zero_game)
 
 APPENDIX_PSI = [
     ("u0", (F(1, 2), F(1, 2))),
@@ -93,8 +93,8 @@ def test_check_local_increment_appendix_move(appendix):
     u2 = refine(coarsen(appendix, Discretization((F(0), F(1, 4), F(1)))),
                 Discretization((F(0), F(1, 4), F(1))))
     # rebuild u2 -> u3: +0.1 on the x2=1 edge over (0, 1/4)
-    u3 = u2.with_values({(1, 4): u2.values[(1, 4)] + F(1, 10),
-                         (2, 4): u2.values[(2, 4)] + F(1, 20)})
+    u3 = u2.with_values({(1, 4): regular_completion(u2, (1, 4)) + F(1, 10),
+                         (2, 4): regular_completion(u2, (2, 4)) + F(1, 20)})
     inc = LocalIncrement(2, frozenset({2}), F(1, 10), Domain.of({1: (0, F(1, 4))}))
     ok, witness = check_local_increment(u2, u3, inc)
     assert ok, witness
@@ -144,8 +144,9 @@ def test_apply_box_increment_phase_one_keeps_half_half():
     out, delta = apply_box_increment(z, (1, 1), F(1, 10))
     assert delta.shares == (F(0), F(0))
     assert psi_exact(out).shares == (F(1, 2), F(1, 2))
-    assert out.values[(1, 1)] == F(1, 10)
-    assert out.values[(0, 0)] == 0 and out.values[(2, 2)] == 1
+    assert out.box((1, 1)) == F(1, 10)
+    assert regular_completion(out, (0, 0)) == 0
+    assert regular_completion(out, (2, 2)) == 1
 
 
 def test_apply_box_increment_rejects_monotonicity_breaks():
@@ -162,9 +163,9 @@ def test_his_consistency_random_increments(rng):
         p = rng.randrange(1, 4) if n < 4 else rng.randrange(1, 3)
         g = random_regular_game(rng, n, p)
         box = tuple(rng.randrange(1, 2 * g.p, 2) for _ in range(n))
-        room = [g.values[box[:i] + (box[i] + 2,) + box[i + 1:]] - g.values[box]
+        room = [g.box(box[:i] + (box[i] + 2,) + box[i + 1:]) - g.box(box)
                 for i in range(n) if box[i] + 2 <= 2 * g.p - 1]
-        top = min(room) if room else 1 - g.values[box]
+        top = min(room) if room else 1 - g.box(box)
         if top <= 0:
             continue
         eps = top * F(rng.randrange(1, 4), 3)
@@ -236,7 +237,7 @@ def test_table1_rows_exact():
 def test_build_by_increments_appendix(appendix):
     result = build_by_increments(appendix)
     assert result.psi == (F(9, 16), F(7, 16))
-    assert result.final.values == appendix.values
+    assert result.final.same_values(appendix)
     phase2 = [s for s in result.steps if s.phase == 2][-1]
     assert phase2.psi == (F(11, 20), F(9, 20))
     # each phase ends on the coarsening of the target
@@ -284,7 +285,7 @@ def test_build_order_independence(appendix, rng):
         lex = build_by_increments(g)
         for _ in range(2):
             alt = build_by_increments(g, box_order=random_descending)
-            assert alt.final.values == lex.final.values
+            assert alt.final.same_values(lex.final)
             assert alt.psi == lex.psi
 
 

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from dense_oracle import adjacent_boxes, face_values
 from powerdex.sampling import random_regular_game
-from powerdex.stepfun import (Discretization, adjacent_boxes,
-                              coarsen, evaluate_step, join_meet,
-                              make_regular_step, permute_axes,
-                              pointwise_equal, refine, uniform_grid, validate,
-                              zero_game)
+from powerdex.stepfun import (Discretization, coarsen, evaluate_step,
+                              join_meet, make_regular_step, permute_axes,
+                              pointwise_equal, refine, regular_completion,
+                              uniform_grid, validate, zero_game)
 
 
 def test_discretization_invariants():
@@ -22,12 +22,12 @@ def test_discretization_invariants():
 
 def test_regular_completion_examples(appendix):
     # the face at x1=1 over the top band averages the single adjacent box
-    assert appendix.values[(6, 5)] == F(9, 10)
+    assert regular_completion(appendix, (6, 5)) == F(9, 10)
     # forced corners
-    assert appendix.values[(6, 6)] == 1
-    assert appendix.values[(0, 0)] == 0
+    assert regular_completion(appendix, (6, 6)) == 1
+    assert regular_completion(appendix, (0, 0)) == 0
     # point x1=1/2, x2 in (0,1/4): average of boxes worth 0.3 and 0.5
-    assert appendix.values[(4, 1)] == F(2, 5)
+    assert regular_completion(appendix, (4, 1)) == F(2, 5)
 
 
 def test_make_regular_step_rejects_bad_input():
@@ -48,8 +48,8 @@ def test_evaluate_step_examples(appendix):
 
 def test_zero_game_shape():
     z = zero_game(2)
-    assert z.values[(2, 2)] == 1
-    assert all(v == 0 for d, v in z.values.items() if d != (2, 2))
+    assert regular_completion(z, (2, 2)) == 1
+    assert all(v == 0 for d, v in face_values(z).items() if d != (2, 2))
 
 
 def test_refine_is_pointwise_identity(appendix, rng):
@@ -66,18 +66,18 @@ def test_refine_is_pointwise_identity(appendix, rng):
 def test_refine_zero_game():
     z = zero_game(2)
     r = refine(z, Discretization((F(0), F(1, 2), F(1))))
-    assert r.values[(4, 4)] == 1
-    assert all(v == 0 for d, v in r.values.items() if d != (4, 4))
+    assert regular_completion(r, (4, 4)) == 1
+    assert all(v == 0 for d, v in face_values(r).items() if d != (4, 4))
 
 
 def test_coarsen_examples(appendix):
     half = coarsen(appendix, Discretization((F(0), F(1, 4), F(1))))
-    assert half.values[(3, 3)] == F(3, 5)
-    assert half.values[(1, 3)] == F(1, 5)
-    assert half.values[(3, 1)] == F(3, 10)
-    assert half.values[(1, 1)] == F(1, 10)
+    assert half.box((3, 3)) == F(3, 5)
+    assert half.box((1, 3)) == F(1, 5)
+    assert half.box((3, 1)) == F(3, 10)
+    assert half.box((1, 1)) == F(1, 10)
     single = coarsen(appendix, Discretization((F(0), F(1))))
-    assert single.values[(1, 1)] == F(1, 10)
+    assert single.box((1, 1)) == F(1, 10)
     # identity on the game's own grid
     assert coarsen(appendix, appendix.disc) == appendix
 
@@ -85,19 +85,20 @@ def test_coarsen_examples(appendix):
 def test_refine_then_coarsen_round_trip(appendix):
     finer = Discretization((F(0), F(1, 8), F(1, 4), F(1, 2), F(1)))
     back = coarsen(refine(appendix, finer), appendix.disc)
-    assert back.values == appendix.values
+    assert back.same_values(appendix)
 
 
 def test_join_meet_identities(appendix, rng):
     u = random_regular_game(rng, 2, 2)
     v = random_regular_game(rng, 2, 3)
     hi, lo = join_meet(u, v)
-    ru = refine(u, hi.disc)
-    rv = refine(v, hi.disc)
-    for d in hi.values:
-        assert hi.values[d] >= max(ru.values[d], rv.values[d]) - 0  # max
-        assert hi.values[d] + lo.values[d] == ru.values[d] + rv.values[d]
-        assert lo.values[d] <= min(ru.values[d], rv.values[d])
+    hi_v, lo_v = face_values(hi), face_values(lo)
+    ru = face_values(refine(u, hi.disc))
+    rv = face_values(refine(v, hi.disc))
+    for d in hi_v:
+        assert hi_v[d] >= max(ru[d], rv[d]) - 0  # max
+        assert hi_v[d] + lo_v[d] == ru[d] + rv[d]
+        assert lo_v[d] <= min(ru[d], rv[d])
     # idempotence
     hii, loo = join_meet(u, u)
     assert pointwise_equal(hii, u) and pointwise_equal(loo, u)
@@ -130,11 +131,12 @@ def test_regular_averaging_invariant(rng):
     for _ in range(20):
         g = random_regular_game(rng, rng.randrange(1, 4), rng.randrange(1, 4))
         corners = {(0,) * g.n, (2 * g.p,) * g.n}
-        for d in g.values:
+        values = face_values(g)
+        for d in values:
             if all(di % 2 == 1 for di in d) or d in corners:
                 continue
             adj = adjacent_boxes(d, g.p)
-            assert g.values[d] * len(adj) == sum(g.values[b] for b in adj)
+            assert values[d] * len(adj) == sum(values[b] for b in adj)
         assert validate(g).ok
 
 

@@ -1,6 +1,7 @@
-"""Property tests: the box-native step game (boxes plus face overrides)
-against the dense face table of ``dense_oracle``."""
+"""Property tests: the box-native step game (integer boxes plus face
+overrides) against the dense face table of ``dense_oracle``."""
 
+import itertools
 import random
 from fractions import Fraction as F
 from math import floor
@@ -10,15 +11,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import (dense_boundary_averages, dense_completion,
-                          dense_validate, pairwise_violations)
+import powerdex.stepfun as stepfun
+from dense_oracle import (adjacent_boxes, box_dict, dense_boundary_averages,
+                          dense_completion, dense_validate, face_values,
+                          pairwise_violations)
 from powerdex.evaluables import EvaluableGame, step_game_evaluable
 from powerdex.his import IncrementError, apply_box_increment, raise_box
 from powerdex.indices import boundary_averages, psi_exact, psi_mc
 from powerdex.sampling import random_discretization, random_regular_game
 from powerdex.serialize import parse_step_game, step_game_to_json
-from powerdex.stepfun import (Discretization, FaceValues, StepGame,
-                              adjacent_boxes, box_faces, validate)
+from powerdex.stepfun import (Discretization, StepGame, box_faces, box_keys,
+                              face_table, regular_completion, validate)
 
 TAGS = ("raw", "semi_regular", "regular")
 values = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=12)
@@ -34,19 +37,24 @@ def dense_games(draw, players=st.integers(1, 3), monotone=False,
     the completion of the boxes, then each override written over it.  With
     ``monotone`` each override lies between its cover neighbours, so the
     game stays monotone.  With ``coprime`` the breakpoints are multiples of
-    1/997 and the values have denominators near 10^6.  Four players get at
-    most two intervals."""
+    1/997, the override values have denominators near 10^6, and each box
+    value v becomes floor(v q) / q for a prime q drawn per value (7907,
+    7919 or one near 10^6), so the boxes mix coprime denominators and stay
+    monotone.  Four players get at most two intervals."""
     n = draw(players)
     p = draw(st.integers(1, 3 if n < 4 else 2))
     disc = random_discretization(random.Random(draw(st.integers(0, 99))), p)
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    boxes = random_regular_game(rng, n, p).boxes
+    boxes = box_dict(random_regular_game(rng, n, p))
     if coprime:
         cuts = draw(st.lists(st.integers(1, 996), min_size=p - 1,
                              max_size=p - 1, unique=True))
         disc = Discretization((F(0), *sorted(F(c, 997) for c in cuts), F(1)))
-        q = draw(st.sampled_from((999_983, 999_979, 524_287)))
-        boxes = {b: F(floor(v * q), q) for b, v in boxes.items()}
+        # box values are multiples of 1/12, and floor(v q) / q lies within
+        # 1/q of v: equal values stay equal and unequal ones keep their order
+        q = {v: draw(st.sampled_from((999_983, 999_979, 524_287, 7919, 7907)))
+             for v in sorted(set(boxes.values()))}
+        boxes = {b: F(floor(v * q[v]), q[v]) for b, v in boxes.items()}
     table = dense_completion(p, n, boxes)
     faces = list(table)
     overrides = {}
@@ -70,7 +78,7 @@ def dense_games(draw, players=st.integers(1, 3), monotone=False,
 @given(dense_games() | dense_games(coprime=True))
 def test_box_native_form_matches_dense_table(case):
     g, table = case
-    assert dict(g.values) == table
+    assert face_values(g) == table
     report = validate(g)
     assert (report.monotone, report.tag_ok, report.in_range) == \
         dense_validate(g.p, g.n, table, g.tag)
@@ -87,7 +95,7 @@ def test_with_values_keeps_every_other_face(case, data):
     updates = {d: data.draw(values) for d in
                data.draw(st.lists(st.sampled_from(faces), max_size=4))}
     table.update(updates)
-    assert dict(g.with_values(updates).values) == table
+    assert face_values(g.with_values(updates)) == table
 
 
 @settings(max_examples=60)
@@ -97,9 +105,9 @@ def test_box_increment_delta_is_exact_share_difference(seed, n, p, scale):
     rng = random.Random(seed)
     g = random_regular_game(rng, n, p if n < 4 else min(p, 2))
     box = tuple(rng.randrange(1, 2 * g.p, 2) for _ in range(n))
-    room = [g.boxes[box[:i] + (box[i] + 2,) + box[i + 1:]] - g.boxes[box]
+    room = [g.box(box[:i] + (box[i] + 2,) + box[i + 1:]) - g.box(box)
             for i in range(n) if box[i] + 2 < 2 * g.p]
-    eps = min(room, default=1 - g.boxes[box]) * F(scale, 3)
+    eps = min(room, default=1 - g.box(box)) * F(scale, 3)
     out, delta = apply_box_increment(g, box, eps)
     assert validate(out).ok
     assert delta.shares == tuple(a - b for a, b in
@@ -115,7 +123,7 @@ def test_box_increment_with_overrides_matches_dense_table(case, tag, data):
     # the exact share difference whenever the result stays monotone
     g, table = case
     g = g.with_tag(tag)
-    box = data.draw(st.sampled_from(sorted(g.boxes)))
+    box = data.draw(st.sampled_from(box_keys(g.n, g.p)))
     eps = data.draw(st.sampled_from((F(0), F(1, 1000), F(1, 48), F(1, 3))))
     corners = {(0,) * g.n, (2 * g.p,) * g.n}
     for d in box_faces(box):
@@ -126,7 +134,7 @@ def test_box_increment_with_overrides_matches_dense_table(case, tag, data):
             apply_box_increment(g, box, eps)
         return
     out, delta = apply_box_increment(g, box, eps)
-    assert dict(out.values) == table
+    assert face_values(out) == table
     assert delta.shares == tuple(a - b for a, b in
                                  zip(psi_exact(out).shares, psi_exact(g).shares))
 
@@ -139,7 +147,7 @@ def test_box_increment_checks_what_whole_game_validate_finds(case, data):
     # checked locally give the verdict, count and text of validate
     g, _ = case
     assume(validate(g).monotone)
-    box = data.draw(st.sampled_from(sorted(g.boxes)))
+    box = data.draw(st.sampled_from(box_keys(g.n, g.p)))
     eps = data.draw(st.sampled_from((F(0), F(1, 999_983), F(1, 48), F(1, 3),
                                      F(1))))
     broken = [v.removeprefix("monotonicity: ")
@@ -213,20 +221,27 @@ def test_psi_mc_rejects_sample_points_outside_the_cube(bad):
         psi_mc(g, 50, 0, sampler)
 
 
-def test_psi_mc_derives_each_reached_face_once(monkeypatch):
-    # uniform samples sit in open intervals, and pinning sends a coordinate
-    # to 0 or 2p: at most (p + 2)^n faces are reached, of (2p + 1)^n
-    g = random_regular_game(random.Random(1), 5, 4)
-    derived = []
-    read = FaceValues.__getitem__
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to the ``stepfun`` function
+    ``name``."""
+    calls, inner = [], getattr(stepfun, name)
 
-    def counted(self, d):
-        derived.append(d)
-        return read(self, d)
-    monkeypatch.setattr(FaceValues, "__getitem__", counted)
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(stepfun, name, counted)
+    return calls
+
+
+def test_psi_mc_builds_the_face_table_once(monkeypatch):
+    # the float path converts the integer face table, built once by the
+    # stencil, and reads no face on its own
+    g = random_regular_game(random.Random(1), 5, 4)
+    builds = count_calls(monkeypatch, "_completion_table")
+    reads = count_calls(monkeypatch, "_completion")
     psi_mc(g, 20_000, 0)
-    assert len(derived) == len(set(derived))
-    assert 0 < len(derived) <= 6 ** 5 < 9 ** 5
+    psi_mc(g, 5_000, 1)
+    assert len(builds) == 1 and reads == []
 
 
 def test_psi_exact_derives_no_face(monkeypatch):
@@ -235,7 +250,21 @@ def test_psi_exact_derives_no_face(monkeypatch):
     g = g.with_tag("raw").with_values({(0, 3, 1, 5): F(1, 3)})
     expected = psi_exact(g)
 
-    def derived(self, d):
-        raise AssertionError(f"face {d} derived")
-    monkeypatch.setattr(FaceValues, "__getitem__", derived)
+    def derived(*args):
+        raise AssertionError("a face was derived")
+    monkeypatch.setattr(stepfun, "_completion_table", derived)
+    monkeypatch.setattr(stepfun, "_completion", derived)
     assert psi_exact(g) == expected
+
+
+@settings(max_examples=200)
+@given(dense_games(st.integers(1, 4)) |
+       dense_games(st.integers(1, 4), coprime=True))
+def test_face_table_and_face_reads_match_dense_oracle(case):
+    # the stencil-built table and the one-face read both give every face
+    # the oracle's Fraction completion with the overrides written in
+    g, table = case
+    faces = list(itertools.product(range(2 * g.p + 1), repeat=g.n))
+    nums, den = face_table(g)
+    assert [F(x, den) for x in nums] == [table[d] for d in faces]
+    assert [regular_completion(g, d) for d in faces] == [table[d] for d in faces]
