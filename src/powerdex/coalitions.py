@@ -53,14 +53,16 @@ def _without(i: int, n: int) -> int:
 class CoalitionFunction:
     """A total map 2^N -> Q, stored as the integer numerators ``nums`` over
     their least common denominator ``den``.  Not required to be monotone or
-    0/1-valued."""
+    0/1-valued.  With ``den``, ``values`` are already those numerators."""
 
-    def __init__(self, n: int, values: Sequence[Fraction | int]):
+    def __init__(self, n: int, values: Sequence[Fraction | int],
+                 den: int | None = None):
         check_players(n)
         if len(values) != 1 << n:
             raise ValueError(f"need a total table with {1 << n} entries")
         self.n = n
-        self.nums, self.den = on_one_denominator(values)
+        self.nums, self.den = (on_one_denominator(values) if den is None
+                               else (values, den))
 
     @cached_property
     def values(self) -> list[Fraction]:

@@ -13,11 +13,13 @@ value it refuses.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from .rational import check_players, format_rational, parse_rational
+from .rational import (MAX_PLAYERS, check_players, format_rational,
+                       on_one_denominator, parse_rational)
 # perfbench/layers.py times the completion rule through this name
 from .stepfun import (Discretization, StepGame, TAG_REGULAR,  # noqa: F401
                       box_keys, regular_completion)
@@ -90,11 +92,6 @@ def _rational(value, path: tuple) -> Fraction:
         return parse_rational(value)
     except ValueError as exc:
         raise _error(path, str(exc)) from None
-
-
-def _level(value, path: tuple) -> int:
-    """A (j,k) level: a JSON integer."""
-    return _typed(value, int, path)
 
 
 def _member(obj: dict, key: str, kind: type, default=_REQUIRED):
@@ -171,38 +168,42 @@ def coalition_function_to_json(cf: CoalitionFunction) -> dict:
     return {"n": cf.n, "values": values}
 
 
-def _canonical_values(raw: dict, n: int) -> list[Fraction] | None:
-    """The values of a total coalition table in mask order, when ``raw``
-    spells every key as ``coalition_function_to_json`` writes it and every
-    value is a string that ``_rational`` reads; otherwise None, and the
-    table goes through ``_table``, which accepts the same tables and gives
-    the diagnostics for all others.
+def _in_key_order(raw: dict, blocks, *args) -> list:
+    """The values of ``raw``, which holds as many keys as ``blocks(*args)``
+    yields, in the order of those keys, None for a missing one; the keys are
+    compared a block at a time while they come in that order."""
+    keys = iter(raw)
+    if all(list(itertools.islice(keys, len(b))) == b for b in blocks(*args)):
+        return list(raw.values())
+    return list(map(raw.get, itertools.chain.from_iterable(blocks(*args))))
 
-    Each mask's spelling is looked up instead of each key being parsed.
-    The spellings are joined from two half tables, one for the low players
-    and one for the high ones, so no 2^n-entry table of spellings is held.
-    """
-    if len(raw) != 1 << n:
-        return None
+
+def _coalition_blocks(n: int) -> Iterator[list[str]]:
+    """The keys ``coalition_function_to_json`` writes, a block per coalition
+    of the high players joined to a half table for the low ones."""
     h = (n + 1) // 2
     low = [_coalition_key(m, h) for m in range(1 << h)]
-    get, found = raw.get, []
-    for m in range(1 << (n - h)):
-        high = _coalition_key(m, n - h, h + 1)
-        if high:
-            found.append(get(high))
-            high = "," + high
-            found += map(get, [lo + high for lo in low[1:]])
-        else:
-            found += map(get, low)
-    # a missing key reads as None, like a JSON null, which _table refuses
-    if set(map(type, found)) != {str}:
+    for high in (_coalition_key(m, n - h, h + 1) for m in range(1 << (n - h))):
+        tail = "," + high
+        yield [high, *[lo + tail for lo in low[1:]]] if high else low
+
+
+def _total_table(raw: dict, n: int) -> tuple[list[int], int] | None:
+    """A total table's numerators in mask order over their least common
+    denominator, if keyed as ``coalition_function_to_json`` writes it with
+    values ``_rational`` reads; else None, for ``_table`` to read or refuse."""
+    if len(raw) != 1 << n:
+        return None
+    found = _in_key_order(raw, _coalition_blocks, n)
+    # None (a missing key or a JSON null) and booleans are not str or int
+    if not set(map(type, found)) <= {str, int}:
         return None
     try:
-        memo = {text: _rational(text, ()) for text in set(found)}
+        read = {x: _rational(x, ()) for x in set(found)}
     except ValueError:
         return None
-    return list(map(memo.__getitem__, found))
+    nums, den = on_one_denominator(list(read.values()))
+    return list(map(dict(zip(read, nums)).__getitem__, found)), den
 
 
 def parse_coalition_input(obj: dict) -> CoalitionFunction:
@@ -214,9 +215,9 @@ def parse_coalition_input(obj: dict) -> CoalitionFunction:
     n = _member(obj, "n", int)
     if "values" in obj:
         check_players(n)
-        values = _canonical_values(_member(obj, "values", dict), n)
-        if values is not None:
-            return CoalitionFunction(n, values)
+        total = _total_table(_member(obj, "values", dict), n)
+        if total is not None:
+            return CoalitionFunction(n, total[0], den=total[1])
         table = _table(obj, "values", 1, n, _rational,
                        key=lambda players: mask_of(players, n))
         if len(table) != 1 << n:
@@ -244,12 +245,29 @@ def jk_game_to_json(v: JKGame) -> dict:
     return {"n": v.n, "j": v.j, "k": v.k, "values": values}
 
 
+def _profile_blocks(n: int, j: int) -> Iterator[list[str]]:
+    """The keys ``jk_game_to_json`` writes, first voter slowest, a block per
+    profile of the first n // 2 voters joined to a half table for the rest."""
+    tails = [_key(t) for t in itertools.product(range(j), repeat=(n + 1) // 2)]
+    for head in map(_key, itertools.product(range(j), repeat=n // 2)):
+        yield [f"{head},{t}" for t in tails] if head else tails
+
+
 def parse_jk_game(obj: dict) -> JKGame:
     from .coalitions import JKGame
 
     _typed(obj, dict, ())
     n, j, k = (_member(obj, key, int) for key in ("n", "j", "k"))
-    return JKGame(n, j, k, _table(obj, "values", 0, j - 1, _level, arity=n))
+    raw = _member(obj, "values", dict)
+    # integer levels keyed as jk_game_to_json writes, else _table; n is
+    # bounded first, so that j ** n stays small
+    if 1 <= n <= MAX_PLAYERS and j >= 2 and len(raw) == j ** n:
+        levels = _in_key_order(raw, _profile_blocks, n, j)
+        if set(map(type, levels)) == {int}:
+            return JKGame(n, j, k, dict(zip(
+                itertools.product(range(j), repeat=n), levels)))
+    return JKGame(n, j, k, _table(obj, "values", 0, j - 1, arity=n,
+                                  value=lambda x, path: _typed(x, int, path)))
 
 
 # ---------------------------------------------------------------------------

@@ -738,6 +738,36 @@ PSI_REJECTED_STDERR = (
     '1); monotonicity: value 1/2 at (4, 0) exceeds 1/5 at (4, 1)", '
     '"type": "InputError"}\n')
 
+# a coalition table and a (j,k) table as the writers spell them, with their
+# keys in reverse order and with their keys respelled: every spelling the
+# readers accept gives the same stdout
+SSI_GAME = {"n": 3, "values": dict(zip(
+    ["", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"],
+    ["0", "1/2", "1/3", "1", "0", "2/3", "1/2", "2"]))}
+SSI_INT_GAME = {"n": 3, "values": dict(zip(
+    ["", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3"], [0, 0, 0, 1, 0, 1, 2, 3]))}
+SSI_STDOUT = ('{"index": "ssi", "mode": "exact", '
+              '"shares": ["8/9", "13/18", "7/18"]}\n')
+SSI_INT_STDOUT = ('{"index": "ssi", "mode": "exact", '
+                  '"shares": ["2/3", "7/6", "7/6"]}\n')
+JK_GAME = {"n": 3, "j": 3, "k": 3, "values": {
+    ",".join(map(str, x)): int(level) for x, level in zip(
+        itertools.product(range(3), repeat=3), "011222222012222222112222222")}}
+JK_SHARES = '"shares": ["5/36", "7/12", "5/18"]}\n'
+
+
+def _reversed_keys(game: dict) -> dict:
+    return {**game, "values": dict(reversed(game["values"].items()))}
+
+
+def _respelled(game: dict, respell) -> dict:
+    return {**game, "values": {respell(k): v for k, v in game["values"].items()}}
+
+
+SSI_RESPELLED = _respelled(
+    SSI_GAME, lambda k: " " + " , ".join(reversed(k.split(","))) + " ")
+JK_RESPELLED = _respelled(JK_GAME, lambda k: " " + k.replace(",", " , ") + " ")
+
 
 @pytest.mark.parametrize("argv,game,expected", [
     (["table1", "--l", "3"], None, TABLE1_L3_MARKDOWN),
@@ -754,11 +784,23 @@ PSI_REJECTED_STDERR = (
     (["replay-appendix"], None, REPLAY_APPENDIX_STDOUT),
     (["axioms", "--index", "psi_square", "--players", "3", "--random", "2"],
      None, AXIOMS_PSI_SQUARE_STDOUT),
+    (["ssi", "{game}"], SSI_GAME, SSI_STDOUT),
+    (["ssi", "{game}"], SSI_INT_GAME, SSI_INT_STDOUT),
+    (["ssi", "{game}"], _reversed_keys(SSI_GAME), SSI_STDOUT),
+    (["ssi", "{game}"], SSI_RESPELLED, SSI_STDOUT),
+    *[(["jk-ssi", "{game}", "--form", form], game,
+       f'{{"index": "jk-ssi-{form}", "mode": "exact", {JK_SHARES}')
+      for form in ("marginal", "pivot")
+      for game in (JK_GAME, _reversed_keys(JK_GAME), JK_RESPELLED)],
     # refused: nothing on stdout, and the violations on stderr
     (["psi", "{game}"], REJECTED_GAME, PSI_REJECTED_STDERR),
 ], ids=["table1-markdown", "table1-csv", "table1-json", "table1-eps0",
         "table1-eps-1", "his-apply", "embed-semiregular", "coarsen",
-        "replay-appendix", "axioms", "psi-rejected"])
+        "replay-appendix", "axioms", "ssi-canonical", "ssi-int",
+        "ssi-reversed", "ssi-respelled",
+        *[f"jk-ssi-{form}-{spelling}" for form in ("marginal", "pivot")
+          for spelling in ("canonical", "reversed", "respelled")],
+        "psi-rejected"])
 def test_pinned_stdout(tmp_path, capsys, argv, game, expected):
     path = write(tmp_path, "g.json", game)
     code, out, err = run_cli([a.replace("{game}", path) for a in argv], capsys)

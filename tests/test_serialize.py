@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerdex.coalitions import CoalitionFunction, SimpleGame, random_monotone_jk
+import powerdex.serialize as serialize
+from powerdex.coalitions import (CoalitionFunction, JKGame, SimpleGame,
+                                 random_monotone_jk)
 from powerdex.embeddings import embed_simple_semiregular
 from powerdex.indices import psi_exact, psi_mc
+from powerdex.rational import on_one_denominator
 from powerdex.sampling import random_regular_game
 from powerdex.serialize import (coalition_function_to_json, jk_game_to_json,
                                 parse_coalition_input, parse_jk_game,
@@ -141,9 +144,9 @@ def coalition_tables(draw, max_players=6):
     return cf, coalition_function_to_json(cf)
 
 
-def _parse_error(obj) -> str:
-    with pytest.raises(ValueError) as caught:
-        parse_coalition_input(obj)
+def _parse_error(obj, reader=parse_coalition_input) -> str:
+    with pytest.raises((TypeError, ValueError)) as caught:
+        reader(obj)
     return str(caught.value)
 
 
@@ -176,11 +179,90 @@ def test_coalition_reader_spellings(drawn, rng):
     assert _parse_error({"n": n, "values": dict(
         items[:at] + [(key, "1/0")] + items[at + 1:])}) \
         == f"""values["{key}"]: rational '1/0' has a zero denominator"""
+    assert _parse_error({"n": n, "values": dict(
+        items[:at] + [(key, True)] + items[at + 1:])}) \
+        == f"""values["{key}"]: key '{key}' must be a JSON string or integer, not boolean"""
     if n >= 2:
         pairs = items[:at] + [("2,1", "0")] + items[at:]
         later = max(("1,2", "2,1"), key=[k for k, _ in pairs].index)
         assert _parse_error({"n": n, "values": dict(pairs)}) \
             == f"""values["{later}"]: key '{later}' repeats an earlier key"""
+
+
+@st.composite
+def jk_tables(draw, max_players=4):
+    """A (j,k) table as jk_game_to_json writes it, with its JKGame."""
+    n = draw(st.integers(1, max_players))
+    j, k = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    v = random_monotone_jk(draw(st.randoms(use_true_random=False)), n, j, k)
+    return v, jk_game_to_json(v)
+
+
+@settings(max_examples=60)
+@given(jk_tables(), st.randoms(use_true_random=False))
+def test_jk_reader_spellings(drawn, rng):
+    v, obj = drawn
+    n, j = v.n, v.j
+    items = list(obj["values"].items())
+    assert parse_jk_game(obj) == v
+
+    def pairs_error(pairs) -> str:
+        return _parse_error({**obj, "values": dict(pairs)}, parse_jk_game)
+
+    def parsed(pairs) -> JKGame:
+        return parse_jk_game({**obj, "values": dict(pairs)})
+    assert parsed(rng.sample(items, len(items))) == v
+    assert parsed((" " + k.replace(",", " , ") + " ", x) for k, x in items) == v
+    assert parsed(("0" + k.replace(",", ",0"), x) for k, x in items) == v
+
+    # each refused table gives the diagnostic of the general reader
+    at = rng.randrange(len(items))
+    key, level = items[at]
+    profile = tuple(map(int, key.split(",")))
+    assert pairs_error(items[:at] + items[at + 1:]) \
+        == f"missing value at {profile}"
+    extra = ",".join([str(j), *key.split(",")[1:]])
+    assert pairs_error(items[:at] + [(extra, 0)] + items[at:]) \
+        == f"""values["{extra}"]: key '{extra}' has an integer outside 0..{j - 1}"""
+    for bad, kind in ((str(level), "string"), (True, "boolean"),
+                      (float(level), "number")):
+        assert pairs_error(items[:at] + [(key, bad)] + items[at + 1:]) \
+            == f"""values["{key}"]: key '{key}' must be a JSON integer, not {kind}"""
+    longer = key + ",0"
+    assert pairs_error(items[:at] + [(longer, 0)] + items[at + 1:]) \
+        == f"""values["{longer}"]: key '{longer}' needs {n} comma-separated integers, not {n + 1}"""
+    pairs = items[:at] + [(" " + key, level)] + items[at:]
+    later = max((key, " " + key), key=[k for k, _ in pairs].index)
+    assert pairs_error(pairs) \
+        == f"""values["{later}"]: key '{later}' repeats an earlier key"""
+
+
+def test_canonical_tables_never_reach_the_general_reader(monkeypatch, rng):
+    # tables keyed as the writers key them, with string or integer values
+    # and their keys in any order, are read without parsing a key
+    def general(*args, **kwargs):
+        raise AssertionError("the general table reader was called")
+    monkeypatch.setattr(serialize, "_table", general)
+
+    def orders(obj):
+        items = list(obj["values"].items())
+        return [obj, {**obj, "values": dict(rng.sample(items, len(items)))}]
+    for n in (1, 2, 5, 8):
+        cf = CoalitionFunction(n, [F(rng.randrange(-3, 4), rng.randrange(1, 5))
+                                   for _ in range(1 << n)])
+        ints = CoalitionFunction(n, [rng.randrange(-3, 4)
+                                     for _ in range(1 << n)])
+        int_obj = {"n": n, "values": {
+            k: int(x) for k, x in coalition_function_to_json(ints)["values"].items()}}
+        for expected, obj in ((cf, coalition_function_to_json(cf)),
+                              (ints, coalition_function_to_json(ints)),
+                              (ints, int_obj)):
+            for spelled in orders(obj):
+                assert parse_coalition_input(spelled) == expected
+    for n, j, k in ((1, 2, 2), (2, 3, 4), (3, 4, 3), (4, 2, 2), (5, 3, 2)):
+        v = random_monotone_jk(rng, n, j, k)
+        for spelled in orders(jk_game_to_json(v)):
+            assert parse_jk_game(spelled) == v
 
 
 @st.composite
@@ -208,8 +290,16 @@ def test_equal_tables_compare_equal_however_built(drawn):
     built.append(parse_coalition_input({"n": n, "values": {
         " " + " , ".join(reversed(k.split(","))) + " ": v
         for k, v in obj["values"].items()}}))
+    built.append(parse_coalition_input(
+        {"n": n, "values": dict(reversed(obj["values"].items()))}))
+    if all(x.denominator == 1 for x in values):
+        built.append(parse_coalition_input({"n": n, "values": {
+            k: int(v) for k, v in obj["values"].items()}}))
     den = lcm(*(x.denominator for x in values))
     for cf in built:
+        # the readers hold their tables in the lowest terms of
+        # on_one_denominator, which __eq__ compares
+        assert (cf.nums, cf.den) == on_one_denominator(values)
         assert cf == built[0]
         assert (cf.nums, cf.den) == (built[0].nums, built[0].den)
         assert cf.den == den
