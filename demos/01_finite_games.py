@@ -19,9 +19,9 @@ print("roll call, everyone votes yes:   ", ssi_roll_call(game, "all_yes").shares
 print("roll call, all vote vectors:     ", ssi_roll_call(game, "uniform_half").shares)
 
 # Graded votes: three approval levels in, two out.  The outcome passes when
-# the levels sum to at least 3.
-levels = {x: (1 if x[0] + x[1] >= 3 else 0)
-          for x in itertools.product(range(3), repeat=2)}
+# the levels sum to at least 3.  A game lists the output level of every
+# approval profile in row-major order, the first voter's level slowest.
+levels = [int(x + y >= 3) for x, y in itertools.product(range(3), repeat=2)]
 jk = JKGame(2, 3, 2, levels)
 print("\n(3,2) threshold game")
 print("pivot form:   ", jk_ssi_pivot(jk).shares)

@@ -185,71 +185,75 @@ class SimpleGame:
 
 
 class JKGame:
-    """Monotone map J^n -> K with J={0..j-1}, K={0..k-1}, fixed extremes."""
+    """Monotone map J^n -> K with J={0..j-1}, K={0..k-1}, fixed extremes,
+    stored as ``levels``: the level of every profile in row-major order,
+    first voter slowest.  A list shorter than j^n misses the profile after
+    its last entry."""
 
-    def __init__(self, n: int, j: int, k: int, values: dict[Level, int]):
+    def __init__(self, n: int, j: int, k: int, levels: list[int]):
         check_players(n)
         if j < 2 or k < 2:
             raise ValueError("need j, k >= 2")
-        self.n, self.j, self.k = n, j, k
-        self.values = dict(values)
-        # the levels row-major, first voter slowest, checked as one list; a
-        # table with fewer than j^n entries misses a profile, and the list
-        # is not built
-        levels = (list(map(self.values.get, self.profiles()))
-                  if len(self.values) >= j ** n else [None])
-        try:
-            whole = (None not in levels
-                     and 0 <= min(levels) and max(levels) <= k - 1)
-        except TypeError:
-            whole = False
-        if not whole:
-            # the first missing or out-of-range profile, in profile order
-            for x in self.profiles():
-                if x not in self.values:
-                    raise ValueError(f"missing value at {x}")
-                if not 0 <= self.values[x] <= k - 1:
-                    raise ValueError(f"value at {x} outside 0..{k - 1}")
+        self.n, self.j, self.k, self.levels = n, j, k, levels
+        if levels and not (0 <= min(levels) and max(levels) <= k - 1):
+            r = next(r for r, x in enumerate(levels) if not 0 <= x <= k - 1)
+            raise ValueError(f"value at {self._profile(r)} outside 0..{k - 1}")
+        if len(levels) != j ** n:
+            raise ValueError(f"need {j ** n} levels, one per profile"
+                             if len(levels) > j ** n else
+                             f"missing value at {self._profile(len(levels))}")
         if levels[0] != 0 or levels[-1] != k - 1:
             raise ValueError("extreme profiles must map to 0 and k-1")
-        if not all(nondecreasing_along(levels, j ** (n - 1 - i), j)
-                   for i in range(n)):
+        strides = [j ** (n - 1 - i) for i in range(n)]
+        if not all(nondecreasing_along(levels, s, j) for s in strides):
             # the first falling cover, in profile order
-            for x in self.profiles():
-                for i in range(n):
-                    if x[i] + 1 < j:
-                        y = x[:i] + (x[i] + 1,) + x[i + 1:]
-                        if self.values[x] > self.values[y]:
-                            raise ValueError(
-                                f"not monotone between {x} and {y}")
+            for r, x in enumerate(levels):
+                for s in strides:
+                    if r // s % j + 1 < j and x > levels[r + s]:
+                        raise ValueError(
+                            f"not monotone between {self._profile(r)} and "
+                            f"{self._profile(r + s)}")
 
-    def value(self, x: Level) -> int:
-        return self.values[tuple(x)]
+    def _profile(self, r: int) -> Level:
+        """The profile in row-major position r."""
+        n, j = self.n, self.j
+        return tuple(r // j ** (n - 1 - i) % j for i in range(n))
 
-    def profiles(self) -> Iterator[Level]:
-        return itertools.product(range(self.j), repeat=self.n)
+    def value(self, x: Sequence[int]) -> int:
+        """The level at profile x, which must lie in J^n."""
+        j, r = self.j, 0
+        for xi in x:
+            if not 0 <= xi < j:
+                break
+            r = r * j + xi
+        else:
+            if len(x) == self.n:
+                return self.levels[r]
+        raise ValueError(f"profile {tuple(x)} outside {{0..{j - 1}}}^{self.n}")
 
     @classmethod
     def from_simple(cls, v: SimpleGame) -> "JKGame":
         """A simple game as the isomorphic (2,2) game."""
-        vals = {}
-        for x in itertools.product(range(2), repeat=v.n):
-            mask = sum(1 << i for i in range(v.n) if x[i])
-            vals[x] = v.inner.nums[mask]
-        return cls(v.n, 2, 2, vals)
+        return cls(v.n, 2, 2, list(map(v.inner.nums.__getitem__,
+                                       _rows_of_masks(v.n))))
 
     def to_simple(self) -> SimpleGame:
         if (self.j, self.k) != (2, 2):
             raise ValueError("only (2,2) games are simple games")
-        table = [0] * (1 << self.n)
-        for x, val in self.values.items():
-            mask = sum(1 << i for i in range(self.n) if x[i])
-            table[mask] = val
-        return SimpleGame(CoalitionFunction(self.n, table))
+        return SimpleGame(CoalitionFunction(self.n, list(map(
+            self.levels.__getitem__, _rows_of_masks(self.n)))))
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, JKGame) and (self.n, self.j, self.k) ==
-                (other.n, other.j, other.k) and self.values == other.values)
+        return (isinstance(other, JKGame) and
+                (self.n, self.j, self.k, self.levels) ==
+                (other.n, other.j, other.k, other.levels))
+
+
+def _rows_of_masks(n: int) -> list[int]:
+    """The row-major position of each coalition's (2,2) profile, indexed by
+    mask: player i's bit moves to place n - 1 - i, so the list is its own
+    inverse."""
+    return subset_sums([1 << (n - 1 - i) for i in range(n)])
 
 
 def all_simple_games(n: int) -> Iterator[SimpleGame]:
@@ -268,21 +272,15 @@ def all_simple_games(n: int) -> Iterator[SimpleGame]:
 
 def random_monotone_jk(rng, n: int, j: int, k: int) -> JKGame:
     """Random monotone (j,k) game: a random table closed upward by maxima."""
-    raw = {}
-    for x in itertools.product(range(j), repeat=n):
-        raw[x] = rng.randrange(k)
-    raw[(0,) * n] = 0
-    raw[(j - 1,) * n] = k - 1
-    vals: dict[Level, int] = {}
-    for x in sorted(raw, key=sum):
-        best = raw[x]
-        for i in range(n):
-            if x[i] > 0:
-                y = x[:i] + (x[i] - 1,) + x[i + 1:]
-                best = max(best, vals[y])
-        vals[x] = best
-    vals[(j - 1,) * n] = k - 1
-    return JKGame(n, j, k, vals)
+    levels = [rng.randrange(k) for _ in range(j ** n)]
+    levels[0], levels[-1] = 0, k - 1
+    for i in range(n):
+        # a running max along voter i's axis
+        s = j ** (n - 1 - i)
+        for r in range(s, len(levels)):
+            if r // s % j:
+                levels[r] = max(levels[r], levels[r - s])
+    return JKGame(n, j, k, levels)
 
 
 def random_simple_game(rng, n: int) -> SimpleGame:

@@ -9,17 +9,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coalitions import CoalitionFunction, JKGame, SimpleGame
-from .stepfun import (Discretization, StepGame, TAG_SEMI_REGULAR, check_grid,
-                      from_face_table, make_regular_step, uniform_grid)
+from .stepfun import (Discretization, StepGame, TAG_REGULAR, TAG_SEMI_REGULAR,
+                      check_grid, from_face_table, uniform_grid)
 
 
 def _embed_on(v: JKGame, disc: Discretization) -> StepGame:
     """The box at level profile e worth v(e)/(k-1) on a grid with j boxes
     per axis, lower-dimensional faces averaged."""
     check_grid(v.n, disc.p)
-    boxes = {tuple(2 * ei + 1 for ei in e): Fraction(v.values[e], v.k - 1)
-             for e in v.profiles()}
-    return make_regular_step(disc, boxes, v.n)
+    # the boxes in row-major order are the profiles in row-major order
+    return StepGame._of(disc, v.n, list(v.levels), v.k - 1, {}, TAG_REGULAR)
 
 
 def embed_jk(v: JKGame) -> StepGame:

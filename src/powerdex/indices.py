@@ -221,8 +221,8 @@ def jk_ssi_pivot(v: JKGame) -> PowerVector:
             for pos in pi:
                 lo_prof[pos] = x[pos]
                 hi_prof[pos] = x[pos]
-                new_lo = v.values[tuple(lo_prof)]
-                new_hi = v.values[tuple(hi_prof)]
+                new_lo = v.value(lo_prof)
+                new_hi = v.value(hi_prof)
                 counts[pos] += (hi - lo) - (new_hi - new_lo)
                 lo, hi = new_lo, new_hi
     denom = factorial(n) * j ** n * (k - 1)
@@ -230,8 +230,7 @@ def jk_ssi_pivot(v: JKGame) -> PowerVector:
 
 
 def _jk_ends(v: JKGame) -> tuple[list[int], int]:
-    flat = [v.values[x] for x in v.profiles()]
-    return _ends_table(flat, v.j, [1] * v.j, v.n, v.k - 1)
+    return _ends_table(v.levels, v.j, [1] * v.j, v.n, v.k - 1)
 
 
 def jk_boundary_averages(v: JKGame) -> dict[int, Fraction]:

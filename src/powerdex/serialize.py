@@ -13,6 +13,7 @@ value it refuses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -162,10 +163,10 @@ def _coalition(value, path: tuple, n: int) -> list[int]:
 # coalition games
 
 def coalition_function_to_json(cf: CoalitionFunction) -> dict:
-    values = {}
-    for mask in range(1 << cf.n):
-        values[_coalition_key(mask, cf.n)] = format_rational(cf.values[mask])
-    return {"n": cf.n, "values": values}
+    # a table repeats a few values: each is formatted once
+    text = functools.cache(lambda x: format_rational(Fraction(x, cf.den)))
+    keys = itertools.chain.from_iterable(_coalition_blocks(cf.n))
+    return {"n": cf.n, "values": dict(zip(keys, map(text, cf.nums)))}
 
 
 def _in_key_order(raw: dict, blocks, *args) -> list:
@@ -241,7 +242,8 @@ def parse_simple_game(obj: dict) -> SimpleGame:
 
 
 def jk_game_to_json(v: JKGame) -> dict:
-    values = {_key(x): int(lvl) for x, lvl in sorted(v.values.items())}
+    values = dict(zip(itertools.chain.from_iterable(_profile_blocks(v.n, v.j)),
+                      v.levels))
     return {"n": v.n, "j": v.j, "k": v.k, "values": values}
 
 
@@ -264,10 +266,15 @@ def parse_jk_game(obj: dict) -> JKGame:
     if 1 <= n <= MAX_PLAYERS and j >= 2 and len(raw) == j ** n:
         levels = _in_key_order(raw, _profile_blocks, n, j)
         if set(map(type, levels)) == {int}:
-            return JKGame(n, j, k, dict(zip(
-                itertools.product(range(j), repeat=n), levels)))
-    return JKGame(n, j, k, _table(obj, "values", 0, j - 1, arity=n,
-                                  value=lambda x, path: _typed(x, int, path)))
+            return JKGame(n, j, k, levels)
+    # keyed by row-major position; the rows up to the first missing one,
+    # which a short table lacks among its first len(table)
+    table = _table(obj, "values", 0, j - 1, arity=n,
+                   key=lambda x: functools.reduce(lambda r, xi: r * j + xi,
+                                                  x, 0),
+                   value=lambda x, path: _typed(x, int, path))
+    return JKGame(n, j, k, list(map(table.__getitem__, itertools.takewhile(
+        table.__contains__, range(len(table))))))
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +284,8 @@ def step_game_to_json(g: StepGame) -> dict:
     """Boxes are keyed by 1-based box indices; for raw and semi-regular
     games a "faces" table lists the values that differ from the regular
     completion of the same boxes (keys are doubled face coordinates)."""
-    memo: dict[int, str] = {}
-
-    def text(x: int) -> str:
-        # a table repeats a few values: each is formatted once
-        s = memo.get(x)
-        if s is None:
-            s = memo[x] = format_rational(Fraction(x, g.den))
-        return s
+    # a table repeats a few values: each is formatted once
+    text = functools.cache(lambda x: format_rational(Fraction(x, g.den)))
     boxes = {_key((d + 1) // 2 for d in b): text(x)
              for b, x in zip(box_keys(g.n, g.p), g.nums)}
     out = {"n": g.n, "alpha": [format_rational(a) for a in g.disc.alpha],

@@ -3,9 +3,9 @@ boxes of a face and the per-face regular completion as one ``Fraction``
 mean; the full face table of a box table, a validator that checks every
 face and every cover pair, and the boundary averages read off the full
 table; the violation list of a step game, built by comparing every checked
-pair as Fractions; and the boundary averages of a (j,k) game by their
-definition, and the first violation in a (j,k) table found profile by
-profile; the grid C-table kernel that contracts every axis to three
+pair as Fractions; the embedding of a (j,k) game built from a dict of its
+boxes, the boundary averages of a (j,k) game by their definition, and the
+first violation in a (j,k) table found profile by profile; the grid C-table kernel that contracts every axis to three
 entries; and the Monte-Carlo estimator that holds every coalition's pinned
 deltas at once.  ``box_dict`` and ``face_values`` read a game's boxes and
 faces as ``Fraction`` dicts for the comparisons."""
@@ -19,7 +19,7 @@ from powerdex.evaluables import EvaluableGame
 from powerdex.indices import MAX_MC_CELLS, PowerVector, _as_evaluable
 from powerdex.rational import ordering_weight
 from powerdex.rational import on_one_denominator
-from powerdex.stepfun import StepGame, box_keys, face_table
+from powerdex.stepfun import StepGame, box_keys, face_table, make_regular_step
 
 
 def adjacent_boxes(d, p: int) -> list:
@@ -168,6 +168,15 @@ def jk_violation(n: int, j: int, k: int, values: dict) -> str | None:
     return None
 
 
+def dict_embedding(v, disc) -> StepGame:
+    """A (j,k) game's embedding on a grid with j boxes per axis, built from
+    a ``Fraction`` dict keyed by box: the box at profile e is worth
+    v(e)/(k-1), and the regular completion fills the other faces."""
+    boxes = {tuple(2 * ei + 1 for ei in e): Fraction(v.value(e), v.k - 1)
+             for e in itertools.product(range(v.j), repeat=v.n)}
+    return make_regular_step(disc, boxes, v.n)
+
+
 def dense_jk_boundary_averages(v) -> dict:
     """C(v,T) for every coalition bitmask T of a (j,k) game: the mean over
     the free voters' levels of the gap between T at level j-1 and T at level
@@ -179,7 +188,7 @@ def dense_jk_boundary_averages(v) -> dict:
                                   for i in range(n)))
         downs = itertools.product(*([0] if t_mask >> i & 1 else range(j)
                                     for i in range(n)))
-        gap = sum(v.values[x] - v.values[y] for x, y in zip(ups, downs))
+        gap = sum(v.value(x) - v.value(y) for x, y in zip(ups, downs))
         table[t_mask] = Fraction(gap, (v.k - 1) * j ** (n - t_mask.bit_count()))
     return table
 

@@ -416,6 +416,13 @@ sys.exit(code)
                       "--l", "2"], "work budget"),
     # table1 built all l + 1 breakpoints of its grid first
     ("table1", None, ["--l", "3000000"], "work budget"),
+    # a short table names its first missing profile without listing the
+    # profiles; with 10^12 levels per voter the walk used to run out of
+    # memory
+    ("jk-ssi", {"n": 20, "j": 1000, "k": 2, "values": {",".join("0" * 20): 0}},
+     [], f"missing value at {(0,) * 19 + (1,)}"),
+    ("jk-ssi", {"n": 1, "j": 10 ** 12, "k": 2, "values": {"0": 0}}, [],
+     "missing value at (1,)"),
 ])
 def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
                                                    extra, needle):
@@ -754,6 +761,19 @@ JK_GAME = {"n": 3, "j": 3, "k": 3, "values": {
     ",".join(map(str, x)): int(level) for x, level in zip(
         itertools.product(range(3), repeat=3), "011222222012222222112222222")}}
 JK_SHARES = '"shares": ["5/36", "7/12", "5/18"]}\n'
+EMBED_JK_STDOUT = (
+    '{"alpha": ["0", "1/3", "2/3", "1"], "boxes": {"1,1,1": "0", '
+    '"1,1,2": "1/2", "1,1,3": "1/2", "1,2,1": "1", "1,2,2": "1", '
+    '"1,2,3": "1", "1,3,1": "1", "1,3,2": "1", "1,3,3": "1", "2,1,1": "0", '
+    '"2,1,2": "1/2", "2,1,3": "1", "2,2,1": "1", "2,2,2": "1", "2,2,3": "1", '
+    '"2,3,1": "1", "2,3,2": "1", "2,3,3": "1", "3,1,1": "1/2", '
+    '"3,1,2": "1/2", "3,1,3": "1", "3,2,1": "1", "3,2,2": "1", "3,2,3": "1", '
+    '"3,3,1": "1", "3,3,2": "1", "3,3,3": "1"}, "n": 3, "tag": "regular"}\n')
+JK_23_GAME = {"n": 2, "j": 2, "k": 3,
+              "values": {"0,0": 0, "0,1": 1, "1,0": 0, "1,1": 2}}
+EMBED_TAU_STDOUT = (
+    '{"alpha": ["0", "1/4", "1"], "boxes": {"1,1": "0", "1,2": "1/2", '
+    '"2,1": "0", "2,2": "1"}, "n": 2, "tag": "regular"}\n')
 
 
 def _reversed_keys(game: dict) -> dict:
@@ -779,6 +799,8 @@ JK_RESPELLED = _respelled(JK_GAME, lambda k: " " + k.replace(",", " , ") + " ")
      HIS_APPLY_GAME, HIS_APPLY_STDOUT),
     (["embed", "--semiregular", "{game}"],
      {"n": 3, "winning": [[1, 2], [1, 3]]}, EMBED_SEMIREGULAR_STDOUT),
+    (["embed", "{game}"], JK_GAME, EMBED_JK_STDOUT),
+    (["embed", "{game}", "--tau", "1/4"], JK_23_GAME, EMBED_TAU_STDOUT),
     (["coarsen", "{game}", "--alpha", "0,1/2,1"], APPENDIX_GAME,
      COARSEN_STDOUT),
     (["replay-appendix"], None, REPLAY_APPENDIX_STDOUT),
@@ -795,7 +817,8 @@ JK_RESPELLED = _respelled(JK_GAME, lambda k: " " + k.replace(",", " , ") + " ")
     # refused: nothing on stdout, and the violations on stderr
     (["psi", "{game}"], REJECTED_GAME, PSI_REJECTED_STDERR),
 ], ids=["table1-markdown", "table1-csv", "table1-json", "table1-eps0",
-        "table1-eps-1", "his-apply", "embed-semiregular", "coarsen",
+        "table1-eps-1", "his-apply", "embed-semiregular", "embed-jk",
+        "embed-tau", "coarsen",
         "replay-appendix", "axioms", "ssi-canonical", "ssi-int",
         "ssi-reversed", "ssi-respelled",
         *[f"jk-ssi-{form}-{spelling}" for form in ("marginal", "pivot")

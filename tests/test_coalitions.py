@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ from powerdex.coalitions import (CoalitionFunction, JKGame, SimpleGame,
                                  all_simple_games, mask_of, players_of,
                                  random_monotone_jk, random_simple_game)
 from powerdex.indices import ssi_coalition
+from powerdex.serialize import parse_jk_game
 
 
 def test_coalition_basics():
@@ -52,19 +54,45 @@ def test_maximal_losing_and_add_winning():
 
 
 def test_jk_game_validation():
-    vals = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
-    v = JKGame(2, 2, 2, vals)
-    assert v.value((1, 1)) == 1
-    bad = dict(vals)
-    bad[(0, 1)] = 1
-    bad[(1, 1)] = 0
+    # levels of (0, 0), (0, 1), (1, 0), (1, 1)
+    v = JKGame(2, 2, 2, [0, 0, 0, 1])
+    assert v.value((1, 1)) == 1 and v.value([1, 0]) == 0
     with pytest.raises(ValueError):
-        JKGame(2, 2, 2, bad)
+        JKGame(2, 2, 2, [0, 1, 0, 0])
+    with pytest.raises(ValueError, match="need 4 levels"):
+        JKGame(2, 2, 2, [0, 0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("x", [(2, 0), (0, -1), (1,), (1, 1, 0)])
+def test_jk_game_value_refuses_a_profile_outside_the_cube(x):
+    # row-major arithmetic would read another profile's level, or none
+    with pytest.raises(ValueError, match="outside"):
+        JKGame(2, 2, 2, [0, 0, 0, 1]).value(x)
 
 
 def test_simple_jk_round_trip():
     v = SimpleGame.weighted(3, [2, 1, 1])
-    assert JKGame.from_simple(v).to_simple() == v
+    jk = JKGame.from_simple(v)
+    # voter 1 is the slowest coordinate of the profile
+    assert jk.levels == [0, 0, 0, 0, 0, 1, 1, 1]
+    assert jk.to_simple() == v
+    for n in range(1, 5):
+        for v in all_simple_games(n):
+            assert JKGame.from_simple(v).to_simple() == v
+
+
+def test_simple_jk_round_trip_on_weighted_games(rng):
+    for n in range(1, 11):
+        for _ in range(5):
+            weights = [rng.randrange(1, 6) for _ in range(n)]
+            v = SimpleGame.weighted(rng.randrange(1, sum(weights) + 1), weights)
+            jk = JKGame.from_simple(v)
+            assert jk.to_simple() == v
+            # each profile's level is the coalition of its approving voters
+            for x in ((rng.randrange(2) for _ in range(n)) for _ in range(20)):
+                x = tuple(x)
+                assert jk.value(x) == v.value(
+                    [i + 1 for i in range(n) if x[i]])
 
 
 def test_exhaustive_counts():
@@ -91,7 +119,20 @@ def test_random_generators_produce_valid_games(rng):
     for _ in range(50):
         jk = random_monotone_jk(rng, rng.randrange(1, 4),
                                 rng.randrange(2, 4), rng.randrange(2, 4))
-        assert jk.values[(0,) * jk.n] == 0
+        assert jk.value((0,) * jk.n) == 0
+        assert jk.value((jk.j - 1,) * jk.n) == jk.k - 1
+
+
+@pytest.mark.parametrize("seed, shape, levels", [
+    (0, (2, 3, 3), [0, 1, 1, 1, 2, 2, 1, 2, 2]),
+    (1, (3, 2, 4), [0, 0, 2, 2, 3, 3, 3, 3]),
+    (2, (1, 4, 3), [0, 0, 0, 2]),
+    (3, (3, 3, 2), [0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1,
+                    0, 1, 1, 1, 1, 1, 1, 1, 1]),
+])
+def test_random_monotone_jk_draws_pinned_games(seed, shape, levels):
+    # tests seed the generator to draw fixed games: a seed keeps its game
+    assert random_monotone_jk(random.Random(seed), *shape).levels == levels
 
 
 def test_zero_one_tables_keep_their_values_and_shares():
@@ -197,32 +238,34 @@ def test_jk_game_words_the_first_violation_profile_by_profile(rng, n, j, k,
                                                               data):
     # a monotone table with a few profiles dropped or set to any level in
     # -1..k, so it may miss a profile, leave the range, move an extreme or
-    # fall along any axis
-    values = dict(random_monotone_jk(rng, n, j, k).values)
-    profiles = sorted(values)
+    # fall along any axis, read from its JSON with the keys in profile
+    # order or reversed
+    profiles = list(itertools.product(range(j), repeat=n))
+    values = dict(zip(profiles, random_monotone_jk(rng, n, j, k).levels))
     for _ in range(data.draw(st.integers(0, 3))):
         x = data.draw(st.sampled_from(profiles))
         if data.draw(st.booleans()):
             values.pop(x, None)
         else:
             values[x] = data.draw(st.integers(-1, k))
+    keyed = [(",".join(map(str, x)), level) for x, level in values.items()]
+    if data.draw(st.booleans()):
+        keyed.reverse()
+    obj = {"n": n, "j": j, "k": k, "values": dict(keyed)}
     expected = jk_violation(n, j, k, values)
     if expected is None:
-        assert JKGame(n, j, k, values).values == values
+        assert parse_jk_game(obj).levels == list(map(values.get, profiles))
     else:
         with pytest.raises(ValueError) as refused:
-            JKGame(n, j, k, values)
+            parse_jk_game(obj)
         assert str(refused.value) == expected
 
 
 def test_jk_game_refuses_a_fall_along_its_last_axis_only():
-    one = {(0,): 0, (1,): 2, (2,): 1, (3,): 2}
     with pytest.raises(ValueError) as refused:
-        JKGame(1, 4, 3, one)
+        JKGame(1, 4, 3, [0, 2, 1, 2])
     assert str(refused.value) == "not monotone between (1,) and (2,)"
     # monotone along the first voter's axis, falling once along the second
-    two = {(0, 0): 0, (0, 1): 1, (0, 2): 0, (1, 0): 1, (1, 1): 1, (1, 2): 1,
-           (2, 0): 2, (2, 1): 2, (2, 2): 2}
     with pytest.raises(ValueError) as refused:
-        JKGame(2, 3, 3, two)
+        JKGame(2, 3, 3, [0, 1, 0, 1, 1, 1, 2, 2, 2])
     assert str(refused.value) == "not monotone between (0, 1) and (0, 2)"

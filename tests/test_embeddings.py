@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction as F
 
+from dense_oracle import dict_embedding
 from powerdex.coalitions import (CoalitionFunction, JKGame, SimpleGame,
                                  all_simple_games, random_monotone_jk)
 from powerdex.embeddings import (embed_2k_tau, embed_coalition_semiregular,
@@ -9,7 +10,8 @@ from powerdex.indices import (boundary_averages, jk_boundary_averages,
                               jk_ssi_marginal, jk_ssi_pivot, psi_exact,
                               ssi_coalition)
 from powerdex.axioms import find_null_players
-from powerdex.stepfun import validate
+from powerdex.serialize import step_game_to_json
+from powerdex.stepfun import Discretization, uniform_grid, validate
 
 
 def test_embed_jk_grid_shape():
@@ -21,9 +23,8 @@ def test_embed_jk_grid_shape():
 
 
 def test_embed_jk_threshold_example():
-    vals = {x: (1 if x[0] + x[1] >= 3 else 0)
-            for x in itertools.product(range(3), repeat=2)}
-    v = JKGame(2, 3, 2, vals)
+    v = JKGame(2, 3, 2, [int(x + y >= 3) for x, y in
+                         itertools.product(range(3), repeat=2)])
     g = embed_jk(v)
     assert g.disc.alpha == (F(0), F(1, 3), F(2, 3), F(1))
     assert psi_exact(g) == jk_ssi_pivot(v)
@@ -53,12 +54,26 @@ def test_random_jk_coincidence(rng):
         assert shares == jk_ssi_pivot(v) == jk_ssi_marginal(v)
 
 
+def test_embeddings_match_the_box_dict_construction(rng):
+    for _ in range(60):
+        v = random_monotone_jk(rng, rng.randrange(1, 4), rng.randrange(2, 5),
+                               rng.randrange(2, 6))
+        g = embed_jk(v)
+        expected = dict_embedding(v, uniform_grid(v.j))
+        assert g == expected
+        assert step_game_to_json(g) == step_game_to_json(expected)
+        if v.j == 2:
+            tau = F(rng.randrange(1, 9), 9)
+            assert embed_2k_tau(v, tau) == dict_embedding(
+                v, Discretization((F(0), tau, F(1))))
+
+
 def test_tau_embedding_examples(rng):
     v = JKGame.from_simple(SimpleGame.weighted(3, [2, 1, 1]))
     for tau in (F(1, 4), F(1, 2), F(3, 4)):
         assert psi_exact(embed_2k_tau(v, tau)).shares == (F(2, 3), F(1, 6), F(1, 6))
     assert embed_2k_tau(v, F(1, 2)) == embed_jk(v)
-    sym = JKGame(2, 2, 3, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2})
+    sym = JKGame(2, 2, 3, [0, 1, 1, 2])
     assert psi_exact(embed_2k_tau(sym, F(3, 4))).shares == (F(1, 2), F(1, 2))
 
 

@@ -51,9 +51,8 @@ def test_roll_call_equals_coalition_form_exhaustively():
 
 
 def _threshold_jk():
-    vals = {x: (1 if x[0] + x[1] >= 3 else 0)
-            for x in itertools.product(range(3), repeat=2)}
-    return JKGame(2, 3, 2, vals)
+    return JKGame(2, 3, 2, [int(x + y >= 3) for x, y in
+                            itertools.product(range(3), repeat=2)])
 
 
 def test_jk_pivot_examples():
@@ -63,9 +62,7 @@ def test_jk_pivot_examples():
     assert jk_ssi_pivot(jk) == jk_ssi_marginal(jk)
     assert jk_ssi_pivot(jk).shares == (F(1, 2), F(1, 2))
     # ignored coordinate gets zero
-    vals = {x: min(x[0], 1) for x in itertools.product(range(2), repeat=2)}
-    vals[(1, 1)] = 1
-    null2 = JKGame(2, 2, 2, vals)
+    null2 = JKGame(2, 2, 2, [0, 0, 1, 1])
     assert jk_ssi_pivot(null2).shares[1] == 0
 
 
@@ -74,7 +71,7 @@ def test_jk_marginal_examples():
     assert jk_ssi_marginal(embed).shares == (F(2, 3), F(1, 6), F(1, 6))
     c = jk_boundary_averages(embed)
     assert c[0] == 0 and c[0b111] == 1
-    sym3 = JKGame(2, 3, 3, {x: min(x) for x in itertools.product(range(3), repeat=2)})
+    sym3 = JKGame(2, 3, 3, list(map(min, itertools.product(range(3), repeat=2))))
     assert jk_ssi_marginal(sym3).shares == (F(1, 2), F(1, 2))
 
 
@@ -169,8 +166,7 @@ def test_product_oracle_agrees_with_mc():
 def test_enumeration_caps_raise():
     with pytest.raises(ValueError):
         ssi_roll_call(SimpleGame.weighted(5, [1] * 9), "uniform_half")
-    big = {x: max(x) for x in itertools.product(range(3), repeat=6)}
-    big[(0,) * 6] = 0
+    big = list(map(max, itertools.product(range(3), repeat=6)))
     with pytest.raises(ValueError):
         jk_ssi_pivot(JKGame(6, 3, 3, big))
 

@@ -118,10 +118,9 @@ def test_ends_table_matches_the_three_entry_contraction_on_jk_tables(rng, j,
     n = data.draw(st.integers(1, {2: 9, 3: 6, 4: 5}[j]))
     k = data.draw(st.integers(2, 6))
     v = random_monotone_jk(rng, n, j, k)
-    flat = [v.values[x] for x in v.profiles()]
-    nums, den = _ends_table(flat, j, [1] * j, n, k - 1)
+    nums, den = _ends_table(v.levels, j, [1] * j, n, k - 1)
     assert ({t: F(x, den) for t, x in enumerate(nums)}
-            == dense_ends_table(flat, j, [1] * j, n, k - 1))
+            == dense_ends_table(v.levels, j, [1] * j, n, k - 1))
 
 
 @settings(max_examples=60)

@@ -8,21 +8,26 @@ import sys
 import powerdex
 
 # Runs in a fresh interpreter: the watched modules loaded by the import
-# alone, then after each request in turn.
+# alone, then after each named request in turn.
 _PROBE = """
 import contextlib, io, json, sys
 
 import powerdex.cli
 
-step, coalition = sys.argv[1:]
+step, coalition, jk, *labels = sys.argv[1:]
 watched = ("numpy", "dataclasses", "powerdex.coalitions", "powerdex.his",
-           "powerdex.axioms", "powerdex.montecarlo")
+           "powerdex.axioms", "powerdex.montecarlo", "powerdex.embeddings")
+requests = {"psi": ["psi", step],
+            "psi-point": ["psi-point", step, "--alpha", "1/3"],
+            "his-build": ["his-build", step],
+            "ssi": ["ssi", coalition],
+            "jk-ssi-marginal": ["jk-ssi", jk],
+            "jk-ssi-pivot": ["jk-ssi", jk, "--form", "pivot"],
+            "embed": ["embed", jk],
+            "mc": ["psi", step, "--mc", "--samples", "100"]}
 report = {"import": [m for m in watched if m in sys.modules]}
-for label, argv in (("psi", ["psi", step]),
-                    ("psi-point", ["psi-point", step, "--alpha", "1/3"]),
-                    ("his-build", ["his-build", step]),
-                    ("ssi", ["ssi", coalition]),
-                    ("mc", ["psi", step, "--mc", "--samples", "100"])):
+for label in labels:
+    argv = requests[label]
     with contextlib.redirect_stdout(io.StringIO()):
         assert powerdex.cli.main(argv) == 0, argv
     report[label] = [m for m in watched if m in sys.modules]
@@ -30,15 +35,20 @@ print(json.dumps(report))
 """
 
 
-def _probe(tmp_path) -> dict:
+def _probe(tmp_path, labels=("psi", "psi-point", "his-build", "ssi",
+                              "mc")) -> dict:
     step = tmp_path / "step.json"
     step.write_text(json.dumps(
         {"n": 2, "alpha": ["0", "1/2", "1"], "tag": "regular",
          "boxes": {"1,1": "0", "1,2": "1/4", "2,1": "1/2", "2,2": "1"}}))
     coalition = tmp_path / "coalition.json"
     coalition.write_text(json.dumps({"n": 3, "winning": [[1, 2], [1, 3]]}))
+    jk = tmp_path / "jk.json"
+    jk.write_text(json.dumps({"n": 2, "j": 3, "k": 2, "values": {
+        "0,0": 0, "0,1": 0, "0,2": 0, "1,0": 0, "1,1": 0, "1,2": 1,
+        "2,0": 0, "2,1": 1, "2,2": 1}}))
     proc = subprocess.run([sys.executable, "-c", _PROBE, str(step),
-                           str(coalition)],
+                           str(coalition), str(jk), *labels],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -59,6 +69,15 @@ def test_step_game_requests_load_no_dataclasses_or_coalitions(tmp_path):
             for k, v in report.items() if k != "mc"} == {
         "import": [], "psi": [], "psi-point": [], "his-build": [],
         "ssi": ["powerdex.coalitions"]}
+
+
+def test_jk_requests_load_coalitions_and_no_other_subcommand_module(tmp_path):
+    # both forms of jk-ssi, then embed of the same (j,k) table
+    report = _probe(tmp_path, ("jk-ssi-marginal", "jk-ssi-pivot", "embed"))
+    assert report == {
+        "import": [], "jk-ssi-marginal": ["powerdex.coalitions"],
+        "jk-ssi-pivot": ["powerdex.coalitions"],
+        "embed": ["powerdex.coalitions", "powerdex.embeddings"]}
 
 
 def test_every_public_name_resolves_and_is_listed():

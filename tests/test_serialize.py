@@ -104,7 +104,7 @@ def test_power_vector_serialization(appendix):
 def test_keys_allow_whitespace_around_each_integer():
     v = parse_jk_game({"n": 2, "j": 2, "k": 2,
                        "values": {"0,0": 0, " 0 , 1": 0, "1,0 ": 0, "1, 1": 1}})
-    assert v.values == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}
+    assert v.levels == [0, 0, 0, 1]
     cf = parse_coalition_input({"n": 2, "values": {" ": "0", "1": "0",
                                                    " 2": "0", "2 ,1": "1"}})
     assert cf.values == [0, 0, 0, 1]
