@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 from .his import LocalIncrement, _box_domain, check_local_increment
 from .indices import PowerVector, phi_two_player, psi_exact, psi_point, psi_product_oracle
 from .rational import nondecreasing_along
-from .stepfun import (Discretization, Face, StepGame, box_keys, face_table,
+from .stepfun import (Discretization, Face, StepGame, check_grid, face_table,
                       from_face_table, join_meet, make_regular_step,
                       permute_axes, regular_completion)
 
@@ -82,21 +82,17 @@ def find_symmetric_pairs(g: StepGame) -> set[tuple[int, int]]:
 
 
 def null_extension(g: StepGame, position: int) -> StepGame:
-    """Insert a null player at the given 1-based position.  The result is
-    raw: copying values breaks the box-averaging identity near the old
-    extreme corners."""
-    def lift(d: Face, c: int) -> Face:
-        return d[:position - 1] + (c,) + d[position - 1:]
-
-    # the regular completion of the lifted boxes agrees with the old value
-    # away from the lifts of the old overrides and the old corners
+    """Insert a null player at the given 1-based position, each face's
+    value copied along the new axis.  The result is raw: copying values
+    breaks the box-averaging identity near the old extreme corners."""
+    check_grid(g.n + 1, g.p)
+    table, den = face_table(g)
     side = 2 * g.p + 1
-    boxes = {lift(b, c): g.box(b) for b in box_keys(g.n, g.p)
-             for c in range(1, side, 2)}
-    pinned = set(g.overrides) | {(0,) * g.n, (side - 1,) * g.n}
-    faces = {lift(d, c): regular_completion(g, d) for d in pinned
-             for c in range(side)}
-    return StepGame(g.disc, g.n + 1, boxes, faces, "raw")
+    # each block of faces that agree before the new axis repeats along it
+    block = side ** (g.n - position + 1)
+    return from_face_table(g.disc, g.n + 1, [
+        x for k in range(0, len(table), block)
+        for x in table[k:k + block] * side], den, "raw")
 
 
 # ---------------------------------------------------------------------------

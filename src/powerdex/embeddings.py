@@ -16,9 +16,8 @@ from .stepfun import (Discretization, StepGame, TAG_REGULAR, TAG_SEMI_REGULAR,
 def _embed_on(v: JKGame, disc: Discretization) -> StepGame:
     """The box at level profile e worth v(e)/(k-1) on a grid with j boxes
     per axis, lower-dimensional faces averaged."""
-    check_grid(v.n, disc.p)
     # the boxes in row-major order are the profiles in row-major order
-    return StepGame._of(disc, v.n, list(v.levels), v.k - 1, {}, TAG_REGULAR)
+    return StepGame(disc, v.n, list(v.levels), v.k - 1, tag=TAG_REGULAR)
 
 
 def embed_jk(v: JKGame) -> StepGame:

@@ -280,7 +280,7 @@ def raise_box(u: StepGame, e_bar: Face, eps: Fraction) -> StepGame:
     for e in box_faces(e_bar):
         if e in overrides and e not in corners:
             overrides[e] += lift // adjacent_count(e, u.p)
-    return StepGame._of(u.disc, n, nums, den, overrides, u.tag)
+    return StepGame(u.disc, n, nums, den, overrides, u.tag)
 
 
 def apply_box_increment(u: StepGame, e_bar: Face,

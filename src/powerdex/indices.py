@@ -64,7 +64,9 @@ class PowerVector:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PowerVector):
             return self.mode == other.mode and self.shares == other.shares
-        return tuple(self.shares) == tuple(other)
+        if isinstance(other, (tuple, list)):
+            return tuple(self.shares) == tuple(other)
+        return NotImplemented
 
 
 class BoundaryAverages(NamedTuple):
@@ -213,18 +215,20 @@ def jk_ssi_pivot(v: JKGame) -> PowerVector:
     # n! orderings times j^n approval profiles, n votes each
     check_work(factorial(n) * j ** n * n, "pivot enumeration")
     counts = [0] * n
-    for pi in itertools.permutations(range(n)):
-        for x in itertools.product(range(j), repeat=n):
-            lo_prof = [0] * n
-            hi_prof = [j - 1] * n
-            lo, hi = 0, k - 1
+    levels, strides = v.levels, [j ** (n - 1 - i) for i in range(n)]
+    top, orders = j ** n - 1, list(itertools.permutations(range(n)))
+    for x in itertools.product(range(j), repeat=n):
+        up = [xi * s for xi, s in zip(x, strides)]
+        down = [(j - 1 - xi) * s for xi, s in zip(x, strides)]
+        for pi in orders:
+            # the rows with the uncast votes at the lowest and highest level
+            lo_row, hi_row, gap = 0, top, k - 1
             for pos in pi:
-                lo_prof[pos] = x[pos]
-                hi_prof[pos] = x[pos]
-                new_lo = v.value(lo_prof)
-                new_hi = v.value(hi_prof)
-                counts[pos] += (hi - lo) - (new_hi - new_lo)
-                lo, hi = new_lo, new_hi
+                lo_row += up[pos]
+                hi_row -= down[pos]
+                new_gap = levels[hi_row] - levels[lo_row]
+                counts[pos] += gap - new_gap
+                gap = new_gap
     denom = factorial(n) * j ** n * (k - 1)
     return _exact(Fraction(c, denom) for c in counts)
 

@@ -23,7 +23,8 @@ from .rational import (MAX_PLAYERS, check_players, format_rational,
                        on_one_denominator, parse_rational)
 # perfbench/layers.py times the completion rule through this name
 from .stepfun import (Discretization, StepGame, TAG_REGULAR,  # noqa: F401
-                      box_keys, regular_completion)
+                      box_keys, box_numerators, check_grid, check_tag,
+                      regular_completion)
 
 if TYPE_CHECKING:
     from .coalitions import CoalitionFunction, JKGame, SimpleGame
@@ -297,7 +298,8 @@ def step_game_to_json(g: StepGame) -> dict:
 
 
 def parse_step_game(obj: dict) -> StepGame:
-    # nothing grid-sized is built here: StepGame checks the grid first
+    """The game of a JSON step game: the boxes table must be total, and a
+    "faces" entry sets a face the way ``StepGame.with_values`` does."""
     _typed(obj, dict, ())
     disc = Discretization(tuple(_rational(a, ("alpha", i)) for i, a
                                 in enumerate(_member(obj, "alpha", list))))
@@ -307,7 +309,11 @@ def parse_step_game(obj: dict) -> StepGame:
     boxes = _table(obj, "boxes", 1, p, _rational, arity=n,
                    key=lambda idx: tuple(2 * i - 1 for i in idx))
     faces = _table(obj, "faces", 0, 2 * p, _rational, arity=n, default={})
-    return StepGame(disc, n, boxes, faces, tag)
+    # nothing grid-sized is built before the grid is checked
+    check_grid(n, p)
+    check_tag(tag)
+    g = StepGame(disc, n, *box_numerators(boxes, n, p), tag=tag)
+    return g.with_values(faces) if faces else g
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ import itertools
 from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd
-from operator import add, ne
+from math import gcd, lcm, prod
+from operator import add, mul, ne
 from typing import NamedTuple, Sequence
 
 from .budget import check_work
@@ -98,6 +98,11 @@ def check_grid(n: int, p: int) -> None:
     check_work((2 * p + 1) ** n, f"a grid of {2 * p + 1}^{n} faces")
 
 
+def check_tag(tag: str) -> None:
+    if tag not in _TAGS:
+        raise ValueError(f"unknown tag {tag!r}")
+
+
 def face_center(disc: Discretization, d: Face) -> tuple[Fraction, ...]:
     # doubled coordinate d spans alpha[d // 2] .. alpha[(d + 1) // 2]
     return tuple((disc.alpha[di // 2] + disc.alpha[(di + 1) // 2]) / 2
@@ -117,6 +122,16 @@ def box_index(b: Face, p: int) -> int:
     return k
 
 
+def box_numerators(boxes: Mapping[Face, Fraction], n: int,
+                   p: int) -> tuple[list[int], int]:
+    """The values of a box table that holds every box of an admitted grid,
+    in row-major order, as numerators over their least common denominator."""
+    keys = box_keys(n, p)
+    if len(boxes) != len(keys) or not all(map(boxes.__contains__, keys)):
+        raise ValueError("boxes table must cover every full-dimensional box")
+    return on_one_denominator(list(map(boxes.__getitem__, keys)))
+
+
 def box_faces(e_bar: Face) -> list[Face]:
     """All 3^n faces of a box, in descending lexicographic order."""
     return [tuple(f) for f in itertools.product(
@@ -129,11 +144,18 @@ def adjacent_count(d: Face, p: int) -> int:
     return 1 << sum(1 for di in d if di % 2 == 0 and 0 < di < 2 * p)
 
 
-def _face_index(d: Face, side: int) -> int:
-    k = 0
-    for di in d:
-        k = k * side + di
-    return k
+def _boxes_among(faces: Mapping, n: int, top: int) -> list[Face]:
+    """The keys of ``faces`` that are boxes, whose coordinates (so their
+    product) are all odd; refuses the first key that is not a face of n
+    coordinates in 0..top."""
+    # every key's coordinates at once; a malformed key adds -1
+    coords = set(itertools.chain.from_iterable(
+        d if isinstance(d, tuple) and len(d) == n else (-1,) for d in faces))
+    if coords and (min(coords) < 0 or max(coords) > top):
+        bad = next(d for d in faces if not isinstance(d, tuple) or len(d) != n
+                   or min(d) < 0 or max(d) > top)
+        raise ValueError(f"face {bad} invalid for this grid")
+    return list(itertools.compress(faces, map((1).__and__, map(prod, faces))))
 
 
 def _completion(nums: Sequence[int], den: int, p: int, d: Face) -> int:
@@ -149,7 +171,7 @@ def _completion(nums: Sequence[int], den: int, p: int, d: Face) -> int:
     for i, di in enumerate(d):
         # the lower adjacent box on this axis; an inner breakpoint has a
         # second one a row up
-        at = at * p + min(max(di - 1, 0), top - 2) // 2
+        at = at * p + (di - (di > 0)) // 2
         if di % 2 == 0 and 0 < di < top:
             up = p ** (n - 1 - i)
             offsets += [o + up for o in offsets]
@@ -186,51 +208,23 @@ class StepGame:
     regular completion of the boxes, so equal functions on one grid store
     equal forms.
 
-    The constructor takes the JSON form: a mapping of every box to its value
-    and a mapping of faces to values.  A ``faces`` entry on a box key moves
-    that box; the box's other faces keep their values.
+    The constructor takes that form and reduces it to the least
+    denominator.  It does not compare an override with the completion:
+    each producer hands it only faces off the completion.  Arbitrary face
+    values go through ``with_values``, which drops the ones on the
+    completion; ``make_regular_step`` takes a box mapping of ``Fraction``.
     """
 
-    def __init__(self, disc: Discretization, n: int,
-                 boxes: Mapping[Face, Fraction],
-                 faces: Mapping[Face, Fraction] | None = None,
+    def __init__(self, disc: Discretization, n: int, nums: list[int],
+                 den: int = 1, overrides: dict[Face, int] | None = None,
                  tag: str = TAG_RAW):
         check_grid(n, disc.p)
-        if tag not in _TAGS:
-            raise ValueError(f"unknown tag {tag!r}")
-        p, top = disc.p, 2 * disc.p
-        keys = box_keys(n, p)
-        if len(boxes) != len(keys) or not all(map(boxes.__contains__, keys)):
-            raise ValueError("boxes table must cover every full-dimensional box")
-        overrides = dict(faces or {})
-        for d in overrides:
-            if not (isinstance(d, tuple) and len(d) == n and min(d) >= 0
-                    and max(d) <= top):
-                raise ValueError(f"face {d} invalid for this grid")
-        vals = [boxes[b] for b in keys]
-        self._store(disc, n, tag, *on_one_denominator(vals), {})
-        moved = {}
-        for b in [d for d in overrides if all(di % 2 for di in d)]:
-            v = overrides.pop(b)
-            if v != vals[box_index(b, p)]:
-                moved[b] = v
-        # the other faces of a moved box keep their values
-        for f in ({f for b in moved for f in box_faces(b)}
-                  - overrides.keys() - moved.keys()):
-            overrides[f] = regular_completion(self, f)
-        for b, v in moved.items():
-            vals[box_index(b, p)] = v
-        nums, den = on_one_denominator([*vals, *overrides.values()])
-        face_nums = nums[len(vals):]
-        del nums[len(vals):]
-        self._store(disc, n, tag, nums, den, {
-            d: x for d, x in zip(overrides, face_nums)
-            if x << n != _completion(nums, den, p, d)})
-
-    def _store(self, disc: Discretization, n: int, tag: str, nums: list[int],
-               den: int, overrides: dict[Face, int]) -> None:
-        """Keep the given form over its least denominator; ``overrides``
-        must hold only faces off the regular completion."""
+        check_tag(tag)
+        if len(nums) != disc.p ** n:
+            raise ValueError(f"{len(nums)} box values for {disc.p ** n} boxes")
+        overrides = {} if overrides is None else overrides
+        for b in _boxes_among(overrides, n, 2 * disc.p):
+            raise ValueError(f"face {b} is a box: its value goes in nums")
         common = gcd(den, *nums, *overrides.values())
         if common > 1:
             nums = [x // common for x in nums]
@@ -239,14 +233,6 @@ class StepGame:
         self.disc, self.n, self.tag = disc, n, tag
         self.nums, self.den, self.overrides = nums, den, overrides
         self._table = None
-
-    @classmethod
-    def _of(cls, disc: Discretization, n: int, nums: list[int], den: int,
-            overrides: dict[Face, int], tag: str) -> "StepGame":
-        """The game with the given stored form (see ``_store``)."""
-        g = cls.__new__(cls)
-        g._store(disc, n, tag, nums, den, overrides)
-        return g
 
     @property
     def p(self) -> int:
@@ -264,20 +250,37 @@ class StepGame:
         return _FaceReader(self)
 
     def with_tag(self, tag: str) -> "StepGame":
-        if tag not in _TAGS:
-            raise ValueError(f"unknown tag {tag!r}")
-        return StepGame._of(self.disc, self.n, self.nums, self.den,
-                            self.overrides, tag)
+        return StepGame(self.disc, self.n, self.nums, self.den, self.overrides,
+                        tag)
 
     def with_values(self, updates: Mapping[Face, Fraction]) -> "StepGame":
         """The same game with the given face values; every other face keeps
-        its value."""
-        den = self.den
-        boxes = {b: Fraction(x, den)
-                 for b, x in zip(box_keys(self.n, self.p), self.nums)}
-        faces = {d: Fraction(x, den) for d, x in self.overrides.items()}
-        return StepGame(self.disc, self.n, boxes, {**faces, **updates},
-                        self.tag)
+        its value.  A value on a box key moves that box alone: its other
+        faces keep their values, as overrides where the moved box's
+        completion no longer gives them.  Of the faces touched, those equal
+        to the new completion are dropped."""
+        n, p = self.n, self.p
+        boxes = _boxes_among(updates, n, 2 * p)
+        # over den << n every face value of this game is a whole numerator
+        den = lcm(self.den, *{v.denominator for v in updates.values()}) << n
+        up = den // self.den
+        nums = [x * up for x in self.nums]
+        faces = {d: x * up for d, x in self.overrides.items()}
+        faces.update((d, v.numerator * (den // v.denominator))
+                     for d, v in updates.items())
+        moved = {}
+        for b in boxes:
+            x, k = faces.pop(b), box_index(b, p)
+            if x != nums[k]:
+                moved[b] = nums[k] = x
+        for f in ({f for b in moved for f in box_faces(b)}
+                  - faces.keys() - moved.keys()):
+            faces[f] = face_numerator(self, f) * (up >> n)
+        touched = set(updates).union(*map(box_faces, moved))
+        return StepGame(self.disc, n, nums, den, {
+            d: x for d, x in faces.items()
+            if d not in touched or x << n != _completion(nums, den, p, d)},
+            self.tag)
 
     def same_values(self, other: "StepGame") -> bool:
         """Whether both games take the same value at every face of one
@@ -327,9 +330,10 @@ def face_table(g: StepGame) -> tuple[list[int], int]:
     the list."""
     if g._table is None:
         n, side = g.n, 2 * g.p + 1
+        strides = [side ** (n - 1 - i) for i in range(n)]
         table = _completion_table(g.nums, g.den, n, g.p)
         for d, x in g.overrides.items():
-            table[_face_index(d, side)] = x << n
+            table[sum(map(mul, d, strides))] = x << n
         g._table = table
     return g._table, g.den << g.n
 
@@ -347,7 +351,7 @@ def from_face_table(disc: Discretization, n: int, table: list[int], den: int,
     off = list(map(ne, [x << n for x in table],
                    _completion_table(nums, den, n, p)))
     faces = itertools.product(range(side), repeat=n)
-    return StepGame._of(disc, n, nums, den, dict(zip(
+    return StepGame(disc, n, nums, den, dict(zip(
         itertools.compress(faces, off), itertools.compress(table, off))), tag)
 
 
@@ -359,10 +363,7 @@ def locate_face(disc: Discretization, x: Sequence) -> Face:
         if xi < 0 or xi > 1:
             raise ValueError(f"coordinate {xi} outside [0, 1]")
         h = bisect_left(disc.alpha, xi)
-        if disc.alpha[h] == xi:
-            d.append(2 * h)
-        else:
-            d.append(2 * h - 1)
+        d.append(2 * h if disc.alpha[h] == xi else 2 * h - 1)
     return tuple(d)
 
 
@@ -376,13 +377,13 @@ def evaluate_step(g: StepGame, x: Sequence) -> Fraction:
 def make_regular_step(disc: Discretization, box_values: dict[Face, Fraction],
                       n: int) -> StepGame:
     """Regular step game from values on the full-dimensional boxes."""
-    table: dict[Face, Fraction] = {}
-    for b, v in box_values.items():
-        v = Fraction(v)
+    table = dict(zip(box_values, map(Fraction, box_values.values())))
+    for v in table.values():
         if v < 0 or v > 1:
             raise ValueError(f"box value {v} outside [0, 1]")
-        table[b] = v
-    return StepGame(disc, n, table, tag=TAG_REGULAR)
+    check_grid(n, disc.p)
+    return StepGame(disc, n, *box_numerators(table, n, disc.p),
+                    tag=TAG_REGULAR)
 
 
 def zero_game(n: int, disc: Discretization | None = None) -> StepGame:
@@ -390,7 +391,7 @@ def zero_game(n: int, disc: Discretization | None = None) -> StepGame:
     if disc is None:
         disc = Discretization((Fraction(0), Fraction(1)))
     check_grid(n, disc.p)
-    return StepGame._of(disc, n, [0] * disc.p ** n, 1, {}, TAG_REGULAR)
+    return StepGame(disc, n, [0] * disc.p ** n, tag=TAG_REGULAR)
 
 
 def refine(g: StepGame, disc2: Discretization) -> StepGame:
@@ -410,8 +411,7 @@ def refine(g: StepGame, disc2: Discretization) -> StepGame:
               for b in range(1, 2 * disc2.p, 2)]
     overrides = {d2: x for d, x in g.overrides.items()
                  for d2 in itertools.product(*(inside[di] for di in d))}
-    return StepGame._of(disc2, g.n, [g.nums[k] for k in at], g.den, overrides,
-                        TAG_RAW)
+    return StepGame(disc2, g.n, [g.nums[k] for k in at], g.den, overrides)
 
 
 def pointwise_equal(u: StepGame, v: StepGame) -> bool:
@@ -437,18 +437,12 @@ def coarsen(v: StepGame, disc2: Discretization) -> StepGame:
     fine boxes it covers; remaining faces by the regular completion."""
     if not v.disc.is_refinement_of(disc2):
         raise ValueError("target breakpoints must be a subset of the source")
-    fine = v.disc.alpha
-    spans = []
-    for h in range(disc2.p):
-        lo = fine.index(disc2.alpha[h])
-        hi = fine.index(disc2.alpha[h + 1])
-        spans.append([2 * t + 1 for t in range(lo, hi)])
-    box_values = {}
-    for cb in box_keys(v.n, disc2.p):
-        covered = itertools.product(*(spans[c // 2] for c in cb))
-        box_values[cb] = Fraction(min(v.nums[box_index(b, v.p)] for b in covered),
-                                  v.den)
-    return make_regular_step(disc2, box_values, v.n)
+    cuts = [v.disc.alpha.index(a) for a in disc2.alpha]
+    spans = [range(2 * lo + 1, 2 * hi, 2) for lo, hi in zip(cuts, cuts[1:])]
+    nums = [min(v.nums[box_index(b, v.p)]
+                for b in itertools.product(*(spans[c // 2] for c in cb)))
+            for cb in box_keys(v.n, disc2.p)]
+    return StepGame(disc2, v.n, nums, v.den, tag=TAG_REGULAR)
 
 
 def permute_axes(g: StepGame, pi: Sequence[int]) -> StepGame:
@@ -462,8 +456,8 @@ def permute_axes(g: StepGame, pi: Sequence[int]) -> StepGame:
     nums = [0] * len(g.nums)
     for b, x in zip(box_keys(g.n, g.p), g.nums):
         nums[box_index(image(b), g.p)] = x
-    return StepGame._of(g.disc, g.n, nums, g.den,
-                        {image(d): x for d, x in g.overrides.items()}, g.tag)
+    return StepGame(g.disc, g.n, nums, g.den,
+                     {image(d): x for d, x in g.overrides.items()}, g.tag)
 
 
 class ValidationReport(NamedTuple):

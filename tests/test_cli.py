@@ -681,6 +681,31 @@ REJECTED_GAME = {"n": 2, "alpha": ["0", "1/2", "1"], "tag": "semi_regular",
                  "boxes": {"1,1": "1/4", "1,2": "1/2", "2,1": "1/2",
                            "2,2": "3/4"},
                  "faces": {"2,2": "9/10", "0,3": "1/3", "4,1": "1/5"}}
+# a monotone raw game whose boxes mix the denominators 5, 7 and 3 and whose
+# faces move the box "2,2" (face "3,3") alone, repeat the completion at
+# "4,5" and leave it at "6,1"
+FACES_GAME = {"n": 2, "alpha": ["0", "1/4", "3/5", "1"], "tag": "raw",
+              "boxes": {"1,1": "1/7", "1,2": "1/5", "1,3": "2/5",
+                        "2,1": "1/5", "2,2": "2/7", "2,3": "3/7",
+                        "3,1": "2/7", "3,2": "1/3", "3,3": "4/7"},
+              "faces": {"3,3": "3/10", "4,5": "1/2", "6,1": "3/10"}}
+FACES_PSI_STDOUT = (
+    '{"C": {"": "0", "1": "649/4200", "1,2": "1", "2": "181/700"}, '
+    '"index": "psi", "mode": "exact", "shares": ["3763/8400", "4637/8400"]}\n')
+FACES_PSI_POINT_STDOUT = (
+    '{"index": "psi-point", "mode": "exact", "shares": ["19/42", "23/42"]}\n')
+FACES_HIS_APPLY_STDOUT = (
+    '{"delta": ["13/3360", "-13/3360"], "game": {"alpha": ["0", "1/4", "3/5", '
+    '"1"], "boxes": {"1,1": "1/7", "1,2": "1/5", "1,3": "2/5", "2,1": "1/5", '
+    '"2,2": "3/10", "2,3": "3/7", "3,1": "25/84", "3,2": "1/3", "3,3": "4/7"}, '
+    '"faces": {"2,2": "29/140", "2,3": "17/70", "2,4": "23/70", '
+    '"3,2": "17/70", "3,4": "5/14", "4,2": "67/240", "4,3": "13/42", '
+    '"4,4": "17/42", "6,1": "131/420"}, "n": 2, "tag": "raw"}, '
+    '"psi_after": ["7591/16800", "9209/16800"], '
+    '"psi_before": ["3763/8400", "4637/8400"]}\n')
+FACES_COARSEN_STDOUT = (
+    '{"alpha": ["0", "3/5", "1"], "boxes": {"1,1": "1/7", "1,2": "2/5", '
+    '"2,1": "2/7", "2,2": "4/7"}, "n": 2, "tag": "regular"}\n')
 EMBED_SEMIREGULAR_STDOUT = (
     '{"alpha": ["0", "1"], "boxes": {"1,1,1": "0"}, "faces": {"2,0,2": "1", '
     '"2,1,2": "1", "2,2,0": "1", "2,2,1": "1"}, "n": 3, '
@@ -803,6 +828,13 @@ JK_RESPELLED = _respelled(JK_GAME, lambda k: " " + k.replace(",", " , ") + " ")
     (["embed", "{game}", "--tau", "1/4"], JK_23_GAME, EMBED_TAU_STDOUT),
     (["coarsen", "{game}", "--alpha", "0,1/2,1"], APPENDIX_GAME,
      COARSEN_STDOUT),
+    (["psi", "{game}", "--with-c"], FACES_GAME, FACES_PSI_STDOUT),
+    (["psi-point", "{game}", "--alpha", "1/3"], FACES_GAME,
+     FACES_PSI_POINT_STDOUT),
+    (["his-apply", "{game}", "--box", "3,1", "--eps", "1/84"], FACES_GAME,
+     FACES_HIS_APPLY_STDOUT),
+    (["coarsen", "{game}", "--alpha", "0,3/5,1"], FACES_GAME,
+     FACES_COARSEN_STDOUT),
     (["replay-appendix"], None, REPLAY_APPENDIX_STDOUT),
     (["axioms", "--index", "psi_square", "--players", "3", "--random", "2"],
      None, AXIOMS_PSI_SQUARE_STDOUT),
@@ -818,8 +850,8 @@ JK_RESPELLED = _respelled(JK_GAME, lambda k: " " + k.replace(",", " , ") + " ")
     (["psi", "{game}"], REJECTED_GAME, PSI_REJECTED_STDERR),
 ], ids=["table1-markdown", "table1-csv", "table1-json", "table1-eps0",
         "table1-eps-1", "his-apply", "embed-semiregular", "embed-jk",
-        "embed-tau", "coarsen",
-        "replay-appendix", "axioms", "ssi-canonical", "ssi-int",
+        "embed-tau", "coarsen", "faces-psi", "faces-psi-point",
+        "faces-his-apply", "faces-coarsen", "replay-appendix", "axioms", "ssi-canonical", "ssi-int",
         "ssi-reversed", "ssi-respelled",
         *[f"jk-ssi-{form}-{spelling}" for form in ("marginal", "pivot")
           for spelling in ("canonical", "reversed", "respelled")],

@@ -17,6 +17,14 @@ from powerdex.sampling import random_regular_game
 from powerdex.stepfun import zero_game
 
 
+def test_power_vector_compares_with_sequences_only():
+    pv = ssi_coalition(SimpleGame.weighted(1, [1, 1]))
+    assert pv == (F(1, 2), F(1, 2)) and pv == [F(1, 2), F(1, 2)]
+    assert pv != (F(1, 2),) and pv != "ab" and pv != 1
+    assert not pv == None and pv != None  # noqa: E711
+    assert pv in [None, pv] and None not in [pv]
+
+
 def test_ssi_weighted_examples():
     assert ssi_coalition(SimpleGame.weighted(3, [2, 1, 1])).shares == \
         (F(2, 3), F(1, 6), F(1, 6))

@@ -5,10 +5,11 @@ import pytest
 
 from dense_oracle import adjacent_boxes, face_values
 from powerdex.sampling import random_regular_game
-from powerdex.stepfun import (Discretization, coarsen, evaluate_step,
-                              join_meet, make_regular_step, permute_axes,
-                              pointwise_equal, refine, regular_completion,
-                              uniform_grid, validate, zero_game)
+from powerdex.stepfun import (Discretization, StepGame, coarsen,
+                              evaluate_step, join_meet, make_regular_step,
+                              permute_axes, pointwise_equal, refine,
+                              regular_completion, uniform_grid, validate,
+                              zero_game)
 
 
 def test_discretization_invariants():
@@ -36,6 +37,29 @@ def test_make_regular_step_rejects_bad_input():
         make_regular_step(disc, {(1,): F(3, 2)}, 1)
     with pytest.raises(ValueError):
         make_regular_step(disc, {}, 1)
+
+
+def test_constructor_refuses_a_malformed_stored_form():
+    disc = Discretization((F(0), F(1, 2), F(1)))
+    nums = [0, 1, 1, 2]
+    with pytest.raises(ValueError, match="3 box values for 4 boxes"):
+        StepGame(disc, 2, nums[:3], 2)
+    with pytest.raises(ValueError, match=r"face \(3, 1\) is a box"):
+        StepGame(disc, 2, nums, 2, {(0, 1): 1, (3, 1): 1})
+    for off in ((5, 0), (0, -1), (1,), (0, 1, 2), "0,1"):
+        with pytest.raises(ValueError, match="invalid for this grid"):
+            StepGame(disc, 2, nums, 2, {(0, 1): 1, off: 1})
+        with pytest.raises(ValueError, match="invalid for this grid"):
+            StepGame(disc, 2, nums, 2).with_values({off: F(1, 2)})
+    with pytest.raises(ValueError, match="unknown tag 'semi'"):
+        StepGame(disc, 2, nums, 2, tag="semi")
+
+
+def test_constructor_reduces_to_the_least_denominator():
+    disc = Discretization((F(0), F(1, 2), F(1)))
+    g = StepGame(disc, 2, [0, 2, 2, 4], 4, {(0, 1): 2})
+    assert (g.nums, g.den, g.overrides) == ([0, 1, 1, 2], 2, {(0, 1): 1})
+    assert g.box((3, 3)) == 1 and regular_completion(g, (0, 1)) == F(1, 2)
 
 
 def test_evaluate_step_examples(appendix):

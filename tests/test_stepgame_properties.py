@@ -15,13 +15,21 @@ import powerdex.stepfun as stepfun
 from dense_oracle import (adjacent_boxes, box_dict, dense_boundary_averages,
                           dense_completion, dense_validate, face_values,
                           pairwise_violations)
+from powerdex.axioms import null_extension, square_game
+from powerdex.coalitions import (CoalitionFunction, SimpleGame,
+                                 random_monotone_jk)
+from powerdex.embeddings import (embed_2k_tau, embed_coalition_semiregular,
+                                 embed_jk, embed_simple_semiregular)
 from powerdex.evaluables import EvaluableGame, step_game_evaluable
 from powerdex.his import IncrementError, apply_box_increment, raise_box
 from powerdex.indices import boundary_averages, psi_exact, psi_mc
+from powerdex.rational import format_rational
 from powerdex.sampling import random_discretization, random_regular_game
 from powerdex.serialize import parse_step_game, step_game_to_json
-from powerdex.stepfun import (Discretization, StepGame, box_faces, box_keys,
-                              face_table, regular_completion, validate)
+from powerdex.stepfun import (Discretization, box_faces, box_keys, coarsen,
+                              face_table, from_face_table, join_meet,
+                              make_regular_step, permute_axes, refine,
+                              regular_completion, validate)
 
 TAGS = ("raw", "semi_regular", "regular")
 values = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=12)
@@ -32,9 +40,10 @@ wide_values = st.fractions(min_value=F(-1, 2), max_value=F(3, 2),
 @st.composite
 def dense_games(draw, players=st.integers(1, 3), monotone=False,
                 coprime=False):
-    """A game drawn as boxes plus overrides (box keys, corners and values
-    outside [0, 1] included), with the dense table the old parser built:
-    the completion of the boxes, then each override written over it.  With
+    """A game read from its JSON form, boxes plus faces (box keys, corners
+    and values outside [0, 1] included), with the dense table the old
+    parser built: the completion of the boxes, then each face written over
+    it, a box key moving that box alone.  With
     ``monotone`` each override lies between its cover neighbours, so the
     game stays monotone.  With ``coprime`` the breakpoints are multiples of
     1/997, the override values have denominators near 10^6, and each box
@@ -71,7 +80,17 @@ def dense_games(draw, players=st.integers(1, 3), monotone=False,
         fresh = wide_values if coprime else values
         overrides[d] = draw(fresh) if shift is None else table[d] + shift
     table.update(overrides)
-    return StepGame(disc, n, boxes, overrides, draw(st.sampled_from(TAGS))), table
+    g = parse_step_game({
+        "n": n, "alpha": list(map(format_rational, disc.alpha)),
+        "tag": draw(st.sampled_from(TAGS)),
+        "boxes": {_key((bi + 1) // 2 for bi in b): format_rational(v)
+                  for b, v in boxes.items()},
+        "faces": {_key(d): format_rational(v) for d, v in overrides.items()}})
+    return g, table
+
+
+def _key(coords) -> str:
+    return ",".join(map(str, coords))
 
 
 @settings(max_examples=300)
@@ -96,6 +115,63 @@ def test_with_values_keeps_every_other_face(case, data):
                data.draw(st.lists(st.sampled_from(faces), max_size=4))}
     table.update(updates)
     assert face_values(g.with_values(updates)) == table
+
+
+@settings(max_examples=100)
+@given(dense_games() | dense_games(coprime=True), st.data())
+def test_with_values_leaves_its_receiver_unchanged(case, data):
+    g, table = case
+    before = (list(g.nums), g.den, dict(g.overrides), g.tag)
+    updates = {d: data.draw(values) for d in
+               data.draw(st.lists(st.sampled_from(list(table)), max_size=4))}
+    g.with_values(updates)
+    assert (g.nums, g.den, g.overrides, g.tag) == before
+    assert face_values(g) == table
+
+
+def canonical(g):
+    """The game with g's values, rebuilt from its face table."""
+    return from_face_table(g.disc, g.n, *face_table(g), g.tag)
+
+
+@settings(max_examples=100)
+@given(dense_games() | dense_games(coprime=True), st.data())
+def test_every_producer_stores_the_canonical_form(case, data):
+    # the constructor keeps the overrides it is handed, so each producer
+    # must hand it exactly the faces off the completion
+    g, table = case
+    n, p = g.n, g.p
+    updates = {d: data.draw(values) for d in
+               data.draw(st.lists(st.sampled_from(list(table)), max_size=4))}
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    h = random_regular_game(rng, n, 2)
+    inner = [a for a in g.disc.alpha[1:-1] if data.draw(st.booleans())]
+    produced = [
+        g, g.with_values(updates), make_regular_step(h.disc, box_dict(h), n),
+        refine(g, g.disc.merge(h.disc)),
+        permute_axes(g, data.draw(st.permutations(range(1, n + 1)))),
+        raise_box(g, data.draw(st.sampled_from(box_keys(n, p))),
+                  data.draw(st.sampled_from((F(0), F(1, 48), F(1, 3))))),
+        null_extension(g, data.draw(st.integers(1, n + 1))),
+        coarsen(g, Discretization((F(0), *inner, F(1)))),
+        *join_meet(g, h), square_game(g)]
+    for out in produced:
+        assert out == canonical(out)
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(2, 4),
+       st.integers(2, 4))
+def test_embeddings_store_the_canonical_form(seed, n, j, k):
+    rng = random.Random(seed)
+    table = [F(rng.randrange(k), k - 1) for _ in range(1 << n)]
+    weights = [rng.randrange(1, 4) for _ in range(n)]
+    for out in (embed_jk(random_monotone_jk(rng, n, j, k)),
+                embed_2k_tau(random_monotone_jk(rng, n, 2, k), F(1, j + 1)),
+                embed_coalition_semiregular(CoalitionFunction(n, table)),
+                embed_simple_semiregular(SimpleGame.weighted(
+                    sum(weights) // 2 + 1, weights))):
+        assert out == canonical(out)
 
 
 @settings(max_examples=60)
