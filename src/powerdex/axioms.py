@@ -85,6 +85,8 @@ def null_extension(g: StepGame, position: int) -> StepGame:
     """Insert a null player at the given 1-based position, each face's
     value copied along the new axis.  The result is raw: copying values
     breaks the box-averaging identity near the old extreme corners."""
+    if not 1 <= position <= g.n + 1:
+        raise ValueError(f"position {position} outside 1..{g.n + 1}")
     check_grid(g.n + 1, g.p)
     table, den = face_table(g)
     side = 2 * g.p + 1

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .budget import check_work
 from .indices import PowerVector, _as_evaluable, psi_exact
-from .rational import check_players, loss_constant, ordering_weight
+from .rational import (check_players, loss_constant, on_one_denominator,
+                       ordering_weight)
 from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
                       TAG_SEMI_REGULAR, ValidationReport, adjacent_count,
                       box_faces, box_index, face_center, face_table,
@@ -232,6 +233,31 @@ def _box_domain(disc: Discretization, box: Face,
                           disc.alpha[(box[i - 1] + 1) // 2]) for i in players})
 
 
+def _box_shift(disc: Discretization, e_bar: Face) -> tuple[list[int], int]:
+    """The summed ``his_delta`` of ``box_increments(disc, e_bar, 1)``, as
+    numerators over n! * D**n, D the grid's common denominator.  A team of s
+    of a band's m players spans D**s * w**(m-s) * rest / D**n (w the band's
+    width) and moves members by weight[s], outsiders by -weight[s + 1]."""
+    n, top = len(e_bar), 2 * disc.p - 1
+    if any(b % 2 == 0 or not 1 <= b <= top for b in e_bar):
+        raise IncrementError(f"{e_bar} is not a full-dimensional box")
+    ends, den = on_one_denominator(disc.alpha)
+    weight = [0] + [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)]
+    shift = [0] * n
+    for side, level, w in ((1, top, den - ends[-2]), (-1, 1, ends[1])):
+        m = e_bar.count(level)
+        rest = prod(ends[(b + 1) // 2] - ends[b // 2] for b in e_bar if b != level)
+        member = outsider = 0
+        for s in range(1, min(m, n - 1) + 1):
+            c = side * den ** s * rest * w ** (m - s)
+            member += c * (weight[s] * comb(m - 1, s - 1)
+                           - weight[s + 1] * comb(m - 1, s))
+            outsider -= c * weight[s + 1] * comb(m, s)
+        shift = [x + (member if b == level else outsider)
+                 for x, b in zip(shift, e_bar)]
+    return shift, factorial(n) * den ** n
+
+
 def box_increments(disc: Discretization, e_bar: Face,
                    eps) -> list[tuple[int, LocalIncrement]]:
     """The local increments implied by raising the box e_bar by eps, each
@@ -293,8 +319,8 @@ def apply_box_increment(u: StepGame, e_bar: Face,
     own covers e_bar -> e_bar + 2e_i and the pairs at a pinned face whose
     lower face lies on the box; only those are checked, and a refusal lists
     the same violations as ``validate`` of the raised game.  The returned
-    delta sums the shifts of the implied local increments and equals the
-    exact index difference.
+    delta sums the shifts of the implied local increments (``_box_shift``)
+    and equals the exact index difference.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -303,9 +329,7 @@ def apply_box_increment(u: StepGame, e_bar: Face,
     if len(e_bar) != u.n:
         raise IncrementError(f"box {e_bar} does not fit the game's "
                              f"{u.n} players")
-    delta = [Fraction(0)] * u.n
-    for _, inc in box_increments(u.disc, e_bar, eps):
-        delta = [d + s for d, s in zip(delta, his_delta(inc).shares)]
+    shift, den = _box_shift(u.disc, e_bar)
     out = raise_box(u, e_bar, eps)
     on_box = set(box_faces(e_bar))
     covers = [(e_bar, e_bar[:i] + (b + 2,) + e_bar[i + 1:])
@@ -316,7 +340,8 @@ def apply_box_increment(u: StepGame, e_bar: Face,
         more = ", first 3" if len(broken) > 3 else ""
         raise IncrementError(f"increment breaks monotonicity: {len(broken)} "
                              f"violations{more}: " + "; ".join(broken[:3]))
-    return out, PowerVector(tuple(delta), "exact")
+    return out, PowerVector(tuple(Fraction(eps.numerator * x, eps.denominator * den)
+                                  for x in shift), "exact")
 
 
 def corner_increase(L: Sequence[int], U: Sequence[int], eps, l: int,
@@ -517,22 +542,25 @@ def build_by_increments(v: StepGame,
     alpha = v.disc.alpha
     n, p = v.n, v.p
     game = zero_game(n)
-    psi = [Fraction(1, n)] * n
+    nums, den, psi = [1] * n, n, (Fraction(1, n),) * n  # shares: nums / den
     steps: list[BuildStep] = []
     for l in range(1, p + 1):
-        phase = _phase_grid(alpha, l)
-        game = refine(game, phase).with_tag(TAG_REGULAR)
+        game = refine(game, _phase_grid(alpha, l)).with_tag(TAG_REGULAR)
         band = 2 * l - 1
         new_boxes = [b for b in itertools.product(range(1, 2 * l, 2), repeat=n)
                      if band in b]
         for box in order(new_boxes):
-            eps = v.box(box) - game.box(box)
+            target, now = v.nums[box_index(box, p)], game.nums[box_index(box, l)]
+            eps = Fraction(target * game.den - now * v.den, v.den * game.den)
             if eps < 0:
                 raise IncrementError("target game is not monotone")
-            if eps > 0:
-                game, delta = apply_box_increment(game, box, eps)
-            else:
-                delta = PowerVector((Fraction(0),) * n, "exact")
-            psi = [a + b for a, b in zip(psi, delta.shares)]
-            steps.append(BuildStep(l, box, eps, delta.shares, tuple(psi)))
-    return BuildResult(steps, game, tuple(psi))
+            if not eps:  # nothing to raise: every share stays
+                steps.append(BuildStep(l, box, eps, (eps,) * n, psi))
+                continue
+            game, delta = apply_box_increment(game, box, eps)
+            common = lcm(den, *(x.denominator for x in delta.shares))
+            nums = [a * (common // den) + x.numerator * (common // x.denominator)
+                    for a, x in zip(nums, delta.shares)]
+            den, psi = common, tuple(Fraction(a, common) for a in nums)
+            steps.append(BuildStep(l, box, eps, delta.shares, psi))
+    return BuildResult(steps, game, psi)

@@ -3,10 +3,10 @@
 Grid coordinates, step-game values and exact index shares in this package
 are `fractions.Fraction` values, which are always stored in lowest terms with
 a positive denominator and never round.  Tables over 2^N (coalition tables,
-C-tables on their way to the combine kernel) are integer numerators over one
-common denominator instead, with a ``Fraction`` built only where a value is
-read or written out.  Floating point appears only in the Monte-Carlo
-estimator.
+C-tables on their way to the combine kernel) and the share shifts of box
+increments are integer numerators over one common denominator instead, with
+a ``Fraction`` built only where a value is read or written out.  Floating
+point appears only in the Monte-Carlo estimator.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Serialize to the canonical "p/q" form ("3/4", "-1/3", "1", "0")."""
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def on_one_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:

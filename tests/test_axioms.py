@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from powerdex.axioms import (check_axioms, crafted_his_witnesses,
                              find_null_players, find_symmetric_pairs,
                              make_handles, null_extension, separation_demo,
@@ -30,6 +32,16 @@ def test_find_null_players_examples(appendix):
     assert find_null_players(zero_game(3)) == frozenset()
     g = null_extension(random_regular_game(random.Random(3), 2, 2), 2)
     assert find_null_players(g) == frozenset({2})
+
+
+def test_null_extension_refuses_a_position_outside_the_players():
+    g = random_regular_game(random.Random(3), 2, 2)
+    for position in (0, 4):
+        with pytest.raises(ValueError, match=f"position {position} outside 1..3"):
+            null_extension(g, position)
+    # both ends are valid: the null player goes first or last
+    assert find_null_players(null_extension(g, 1)) == frozenset({1})
+    assert find_null_players(null_extension(g, 3)) == frozenset({3})
 
 
 def test_find_symmetric_pairs_examples(appendix):

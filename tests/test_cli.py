@@ -744,6 +744,107 @@ REPLAY_APPENDIX_STDOUT = (
     '"move": 13, "psi_exact": ["9/16", "7/16"], "psi_his": ["9/16", "7/16"], '
     '"verified": true}\n{"matches_target": true, "move": "final", '
     '"shares": ["9/16", "7/16"], "tracks_agree": true}\n')
+# a regular monotone n=3, p=3 game on breakpoints over 7 and 15, so the grid's
+# common denominator is 105 = 3 * 5 * 7, with box values over the coprime
+# denominators 11 to 31; stdout captured before the box increments summed
+# their shifts in integers
+HIS_BUILD_GAME = {
+    "n": 3, "alpha": ["0", "2/7", "8/15", "1"], "tag": "regular",
+    "boxes": {
+        "1,1,1": "0", "1,1,2": "1/13", "1,1,3": "3/17", "1,2,1": "4/19",
+        "1,2,2": "8/23", "1,2,3": "13/29", "1,3,1": "10/31", "1,3,2": "4/11",
+        "1,3,3": "7/13", "2,1,1": "3/17", "2,1,2": "5/19", "2,1,3": "9/23",
+        "2,2,1": "13/29", "2,2,2": "17/31", "2,2,3": "7/11", "2,3,1": "6/13",
+        "2,3,2": "10/17", "2,3,3": "14/19", "3,1,1": "9/23", "3,1,2": "15/29",
+        "3,1,3": "20/31", "3,2,1": "7/11", "3,2,2": "10/13", "3,2,3": "15/17",
+        "3,3,1": "14/19", "3,3,2": "20/23", "3,3,3": "28/29"}}
+HIS_BUILD_STDOUT = (
+    '{"box": [1, 1, 1], "delta": ["0", "0", "0"], "eps": "0", "phase": 1, '
+    '"psi": ["1/3", "1/3", "1/3"]}\n'
+    '{"box": [2, 2, 2], "delta": ["0", "0", "0"], "eps": "17/31", "phase": 2, '
+    '"psi": ["1/3", "1/3", "1/3"]}\n'
+    '{"box": [2, 2, 1], "delta": ["13/174", "13/174", "-13/87"], '
+    '"eps": "13/29", "phase": 2, "psi": ["71/174", "71/174", "16/87"]}\n'
+    '{"box": [2, 1, 2], "delta": ["5/114", "-5/57", "5/114"], "eps": "5/19", '
+    '"phase": 2, "psi": ["249/551", "353/1102", "251/1102"]}\n'
+    '{"box": [2, 1, 1], "delta": ["1/17", "-1/34", "-1/34"], "eps": "3/17", '
+    '"phase": 2, "psi": ["4784/9367", "2725/9367", "1858/9367"]}\n'
+    '{"box": [1, 2, 2], "delta": ["-8/69", "4/69", "4/69"], "eps": "8/23", '
+    '"phase": 2, "psi": ["255160/646323", "225493/646323", "165670/646323"]}\n'
+    '{"box": [1, 2, 1], "delta": ["-2/57", "4/57", "-2/57"], "eps": "4/19", '
+    '"phase": 2, "psi": ["77494/215441", "90283/215441", "47664/215441"]}\n'
+    '{"box": [1, 1, 2], "delta": ["-1/78", "-1/78", "1/39"], "eps": "1/13", '
+    '"phase": 2, "psi": ["5829091/16804398", "6826633/16804398", '
+    '"2074337/8402199"]}\n'
+    '{"box": [3, 3, 3], "delta": ["0", "0", "0"], "eps": "375/899", "phase": 3, '
+    '"psi": ["5829091/16804398", "6826633/16804398", "2074337/8402199"]}\n'
+    '{"box": [3, 3, 2], "delta": ["65494/3368925", "65494/3368925", '
+    '"-130988/3368925"], "eps": "229/713", "phase": 3, '
+    '"psi": ["300555907823/820474732350", "349260895973/820474732350", '
+    '"85328964277/410237366175"]}\n'
+    '{"box": [3, 3, 1], "delta": ["53159/1735650", "53159/1735650", '
+    '"-53159/867825"], "eps": "159/551", "phase": 3, '
+    '"psi": ["162842588572/410237366175", "187195082647/410237366175", '
+    '"60199694956/410237366175"]}\n'
+    '{"box": [3, 2, 3], "delta": ["50336/2490075", "-100672/2490075", '
+    '"50336/2490075"], "eps": "176/527", "phase": 3, '
+    '"psi": ["19015043804/45581929575", "8124260539/19535112675", '
+    '"4566166708/27349157745"]}\n'
+    '{"box": [3, 2, 2], "delta": ["4628/1025325", "-2314/1025325", '
+    '"-2314/1025325"], "eps": "89/403", "phase": 3, '
+    '"psi": ["1210909551976/2871661563225", "1187785403071/2871661563225", '
+    '"472966608178/2871661563225"]}\n'
+    '{"box": [3, 2, 1], "delta": ["5668/703395", "988/703395", "-6656/703395"], '
+    '"eps": "60/319", "phase": 3, "psi": ["13574545344476/31588277195475", '
+    '"13110008839121/31588277195475", "4903723011878/31588277195475"]}\n'
+    '{"box": [3, 1, 3], "delta": ["1003/24738", "-1003/12369", "1003/24738"], '
+    '"eps": "225/589", "phase": 3, "psi": ["1563714654883/3325081810050", '
+    '"10548521085296/31588277195475", "12368933777581/63176554390950"]}\n'
+    '{"box": [3, 1, 2], "delta": ["5668/520695", "-6656/520695", "52/27405"], '
+    '"eps": "140/551", "phase": 3, "psi": ["10132761247019/21058851463650", '
+    '"3381576939472/10529425731825", "4162936337687/21058851463650"]}\n'
+    '{"box": [3, 1, 1], "delta": ["668/13685", "-334/13685", "-334/13685"], '
+    '"eps": "84/391", "phase": 3, "psi": ["11160697876739/21058851463650", '
+    '"3124592782042/10529425731825", "3648968022827/21058851463650"]}\n'
+    '{"box": [2, 3, 3], "delta": ["-21164/927675", "10582/927675", '
+    '"10582/927675"], "eps": "111/589", "phase": 3, '
+    '"psi": ["10680260727547/21058851463650", "648940413868/2105885146365", '
+    '"3889186597423/21058851463650"]}\n'
+    '{"box": [2, 3, 2], "delta": ["-338/830025", "676/830025", "-338/830025"], '
+    '"eps": "21/527", "phase": 3, "psi": ["10671685212599/21058851463650", '
+    '"191369269664/619377984225", "155224443299/842354058546"]}\n'
+    '{"box": [2, 3, 1], "delta": ["19/191835", "109/191835", "-128/191835"], '
+    '"eps": "5/377", "phase": 3, "psi": ["32021312861627/63176554390950", '
+    '"575163594437/1858133952675", "331419409099/1805044411170"]}\n'
+    '{"box": [2, 2, 3], "delta": ["-676/751905", "-676/751905", "1352/751905"], '
+    '"eps": "30/341", "phase": 3, "psi": ["4566359142341/9025222055850", '
+    '"573493039577/1858133952675", "2342655409789/12635310878190"]}\n'
+    '{"box": [2, 1, 3], "delta": ["104/108675", "-13312/2064825", '
+    '"11336/2064825"], "eps": "56/437", "phase": 3, '
+    '"psi": ["4574996115829/9025222055850", "29553346531/97796523825", '
+    '"12060119721121/63176554390950"]}\n'
+    '{"box": [1, 3, 3], "delta": ["-19057/470925", "19057/941850", '
+    '"19057/941850"], "eps": "57/299", "phase": 3, '
+    '"psi": ["120279170273/257863487310", "12612848239/39118609530", '
+    '"1333840776808/6317655439095"]}\n'
+    '{"box": [1, 3, 2], "delta": ["-6656/8367975", "5668/8367975", '
+    '"988/8367975"], "eps": "4/253", "phase": 3, '
+    '"psi": ["9806048411591/21058851463650", "21065575009/65197682550", '
+    '"2224311162076/10529425731825"]}\n'
+    '{"box": [1, 3, 1], "delta": ["-1837/144305", "3674/144305", '
+    '"-1837/144305"], "eps": "66/589", "phase": 3, '
+    '"psi": ["9537969619181/21058851463650", "61683515233/176965138350", '
+    '"2090271765871/10529425731825"]}\n'
+    '{"box": [1, 2, 3], "delta": ["-111488/22061025", "16549/22061025", '
+    '"94939/22061025"], "eps": "67/667", "phase": 3, '
+    '"psi": ["28294638665159/63176554390950", "1298141565139/3716267905350", '
+    '"6406754559214/31588277195475"]}\n'
+    '{"box": [1, 1, 3], "delta": ["-1837/162435", "-1837/162435", '
+    '"3674/162435"], "eps": "22/221", "phase": 3, '
+    '"psi": ["27580166227469/63176554390950", "3050562024239/9025222055850", '
+    '"7121226996904/31588277195475"]}\n'
+    '{"final": true, "psi": ["27580166227469/63176554390950", '
+    '"3050562024239/9025222055850", "7121226996904/31588277195475"]}\n')
 AXIOMS_PSI_SQUARE_STDOUT = (
     '{"games": 4, "index": "psi_square", "passed": ["anonymity", '
     '"efficiency", "null_player", "positivity", "symmetry", "transfer"], '
@@ -835,6 +936,7 @@ JK_RESPELLED = _respelled(JK_GAME, lambda k: " " + k.replace(",", " , ") + " ")
      FACES_HIS_APPLY_STDOUT),
     (["coarsen", "{game}", "--alpha", "0,3/5,1"], FACES_GAME,
      FACES_COARSEN_STDOUT),
+    (["his-build", "{game}"], HIS_BUILD_GAME, HIS_BUILD_STDOUT),
     (["replay-appendix"], None, REPLAY_APPENDIX_STDOUT),
     (["axioms", "--index", "psi_square", "--players", "3", "--random", "2"],
      None, AXIOMS_PSI_SQUARE_STDOUT),
@@ -851,7 +953,8 @@ JK_RESPELLED = _respelled(JK_GAME, lambda k: " " + k.replace(",", " , ") + " ")
 ], ids=["table1-markdown", "table1-csv", "table1-json", "table1-eps0",
         "table1-eps-1", "his-apply", "embed-semiregular", "embed-jk",
         "embed-tau", "coarsen", "faces-psi", "faces-psi-point",
-        "faces-his-apply", "faces-coarsen", "replay-appendix", "axioms", "ssi-canonical", "ssi-int",
+        "faces-his-apply", "faces-coarsen", "his-build", "replay-appendix",
+        "axioms", "ssi-canonical", "ssi-int",
         "ssi-reversed", "ssi-respelled",
         *[f"jk-ssi-{form}-{spelling}" for form in ("marginal", "pivot")
           for spelling in ("canonical", "reversed", "respelled")],

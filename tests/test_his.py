@@ -1,9 +1,13 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import powerdex.his as his
 from powerdex.his import (Domain, IncrementError, LocalIncrement,
                           apply_box_increment, appendix_game, box_increments,
                           build_by_increments, check_local_increment,
@@ -12,9 +16,10 @@ from powerdex.his import (Domain, IncrementError, LocalIncrement,
 from powerdex.indices import psi_exact
 from powerdex.rational import loss_constant, ordering_weight
 from powerdex.sampling import random_regular_game
-from powerdex.stepfun import (Discretization, coarsen, make_regular_step,
-                              pointwise_equal, refine, regular_completion,
-                              uniform_grid, validate, zero_game)
+from powerdex.stepfun import (Discretization, box_keys, coarsen,
+                              make_regular_step, pointwise_equal, refine,
+                              regular_completion, uniform_grid, validate,
+                              zero_game)
 
 APPENDIX_PSI = [
     ("u0", (F(1, 2), F(1, 2))),
@@ -338,3 +343,76 @@ def test_replay_submove_totals_match_box_increments():
     build = build_by_increments(appendix_game())
     for step in build.steps:
         assert totals[step.box] == step.delta
+
+
+PRIMES = (7, 11, 13, 17, 19, 23, 29)
+
+
+@st.composite
+def coprime_games(draw):
+    """A regular monotone game with n <= 4 on a grid whose inner
+    breakpoints have distinct prime denominators, its box values each
+    floor(v q) / q for a prime q per value (v a multiple of 1/12, q >= 13,
+    so the order of the values is kept)."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 3 if n < 4 else 2))
+    qs = draw(st.permutations(PRIMES))[:p - 1]
+    cuts = sorted(F(draw(st.integers(1, q - 1)), q) for q in qs)
+    disc = Discretization((F(0), *cuts, F(1)))
+    g = random_regular_game(random.Random(draw(st.integers(0, 2 ** 32))), n, p)
+    q = {v: draw(st.sampled_from((13, 17, 19, 23, 7919)))
+         for v in sorted({g.box(b) for b in box_keys(n, p)})}
+    return make_regular_step(disc, {
+        b: F(floor(g.box(b) * q[g.box(b)]), q[g.box(b)])
+        for b in box_keys(n, p)}, n)
+
+
+@settings(max_examples=150)
+@given(coprime_games(), st.fractions(min_value=0, max_value=2,
+                                     max_denominator=60))
+def test_box_shift_sums_the_local_increments(g, eps):
+    # the integer kernel against the per-increment Fraction path, on
+    # every box of the grid
+    for box in box_keys(g.n, g.p):
+        shift, den = his._box_shift(g.disc, box)
+        expected = [F(0)] * g.n
+        for _, inc in box_increments(g.disc, box, eps):
+            expected = [a + b for a, b in zip(expected, his_delta(inc).shares)]
+        assert [eps * F(x, den) for x in shift] == expected
+
+
+@settings(max_examples=80)
+@given(coprime_games())
+def test_build_accumulates_the_applied_deltas(v):
+    # the integer running shares against a Fraction re-accumulation of
+    # apply_box_increment's deltas, replayed from the recorded steps
+    result = build_by_increments(v)
+    game, psi = zero_game(v.n), [F(1, v.n)] * v.n
+    for step in result.steps:
+        if step.phase != game.p:
+            grid = his._phase_grid(v.disc.alpha, step.phase)
+            game = refine(game, grid).with_tag("regular")
+        assert step.eps == v.box(step.box) - game.box(step.box)
+        delta = (F(0),) * v.n
+        if step.eps:
+            game, pv = apply_box_increment(game, step.box, step.eps)
+            delta = pv.shares
+        psi = [a + b for a, b in zip(psi, delta)]
+        assert (step.delta, step.psi) == (delta, tuple(psi))
+    assert result.final == game and result.final.same_values(v)
+    assert result.psi == tuple(psi) == psi_exact(v).shares
+
+
+def test_box_increments_build_no_per_coalition_objects(monkeypatch):
+    # the build and the box increment sum their shifts in integers: neither
+    # may go back to one LocalIncrement and Domain per implied coalition
+    def refused(*args, **kwargs):
+        raise AssertionError("a per-coalition object was built")
+    monkeypatch.setattr(his.LocalIncrement, "__init__", refused)
+    monkeypatch.setattr(his.Domain, "of", refused)
+    g = appendix_game()
+    result = build_by_increments(g)
+    assert result.psi == (F(9, 16), F(7, 16))
+    out, delta = apply_box_increment(g, (3, 1), F(1, 10))
+    assert delta.shares == tuple(a - b for a, b in zip(
+        psi_exact(out).shares, psi_exact(g).shares))
