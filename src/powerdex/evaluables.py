@@ -18,6 +18,12 @@ from .stepfun import StepGame, evaluate_step, face_table
 if TYPE_CHECKING:
     import numpy as np
 
+# step-game faces are located FACE_BLOCK_ROWS points at a time, so temporaries
+# stay in cache; below SEARCH_FROM_P (at most 128: uint8 counters) by 2p
+# comparisons, from there on by binary search (the two tie near p = 64, n = 1)
+FACE_BLOCK_ROWS = 1 << 13
+SEARCH_FROM_P = 64
+
 
 class EvaluableGame:
     """A function [0,1]^n -> [0,1], monotone when the flag says so.
@@ -163,9 +169,9 @@ def counterexample_game(n: int = 2) -> EvaluableGame:
 
 
 def step_game_evaluable(g: StepGame) -> EvaluableGame:
-    """Wrap a step game; the float path resolves faces by binary search, with
-    exact breakpoint hits (the forced 0/1 coordinates) landing on point faces.
-    A point's face fixes the faces of its pinned copies, so faces are cells.
+    """Wrap a step game; the float path locates faces a block of rows at a
+    time, exact breakpoint hits (the forced 0/1 coordinates) landing on point
+    faces.  A point's face fixes its pinned copies' faces: faces are cells.
     """
     p = g.p
 
@@ -183,16 +189,30 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
         import numpy as np
 
         alpha = np.array([float(a) for a in g.disc.alpha])
-        # NaN fails both comparisons, so it is rejected too
-        if not (np.all(pts >= 0.0) and np.all(pts <= 1.0)):
-            raise ValueError("point outside the unit cube")
-        idx = np.zeros(pts.shape[0], dtype=np.int64)
-        for i in range(g.n):
-            col = pts[:, i]
-            h = np.searchsorted(alpha, col, side="left")
-            on_point = alpha[np.minimum(h, p)] == col
-            d = np.where(on_point, 2 * h, 2 * h - 1)
-            idx = idx * (2 * p + 1) + d
+        idx = np.empty(len(pts), dtype=np.int64)
+        for lo in range(0, len(pts), FACE_BLOCK_ROWS):
+            block = pts[lo:lo + FACE_BLOCK_ROWS]
+            # NaN makes min and max NaN, which fails both comparisons
+            if not (block.min() >= 0.0 and block.max() <= 1.0):
+                raise ValueError("point outside the unit cube")
+            # a coordinate's digit is #(alpha < x) + #(alpha <= x) - 1:
+            # 2h - 1 inside band h, 2h on breakpoint h
+            if p < SEARCH_FROM_P:
+                # in the cube x >= 0 always holds and x > 1 never does
+                digit = (block > 0.0).astype(np.uint8)
+                for a in alpha[1:p]:
+                    digit += block > a
+                    digit += block >= a
+                digit += block >= 1.0
+            else:
+                h = np.searchsorted(alpha, block, side="left")
+                digit = 2 * h - 1
+                digit += alpha[np.minimum(h, p)] == block
+            out = idx[lo:lo + len(block)]
+            out[:] = digit[:, 0]
+            for i in range(1, g.n):
+                out *= 2 * p + 1
+                out += digit[:, i]
         return idx
 
     def exact(x):

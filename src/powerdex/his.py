@@ -364,7 +364,7 @@ def corner_increase(L: Sequence[int], U: Sequence[int], eps, l: int,
     for base, side in ((L, -1), (U, 1)):
         # every team of size t has the same weights: count those holding i
         for t in range(1, len(base) + 1):
-            hits = sum(i in team for team in itertools.combinations(base, t))
+            hits = comb(len(base) - 1, t - 1) if i in base else 0
             misses = comb(len(base), t) - hits
             scale = side * eps / Fraction(l) ** (n - t)
             total += scale * (hits * ordering_weight(t, n)

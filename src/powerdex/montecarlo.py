@@ -58,6 +58,9 @@ def estimate(game: EvaluableGame, samples: int, seed: int, sampler=None,
         np.asarray(sampler(rng, samples, n), dtype=np.float64)
     if len(pts) != samples:
         raise ValueError(f"sampler returned {len(pts)} points, not {samples}")
+    # a NaN fails both comparisons; game.cells refuses an empty array's shape
+    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
+        raise ValueError("point outside the unit cube")
     reps, inverse = game.cells(pts)
     cells, coalitions = len(reps), 1 << n
 

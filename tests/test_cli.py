@@ -408,12 +408,12 @@ sys.exit(code)
     ("embed", {"n": 20, "winning": [[1]]}, ["--semiregular"], "work budget"),
     ("embed", {"n": 14, "winning": [[1]]}, ["--semiregular"], "work budget"),
     # corner read a factorial table sized by the player cap (IndexError at
-    # 48 players); 18 players ran n closed forms over 2^17 teams each
+    # 48 players); its --eps goes through the same parser as a game file
     ("corner", None, ["--L", ",".join(map(str, range(1, 25))),
                       "--U", ",".join(map(str, range(25, 49))), "--l", "2"],
      "player count must be in 1..20"),
-    ("corner", None, ["--L", "1", "--U", ",".join(map(str, range(2, 19))),
-                      "--l", "2"], "work budget"),
+    ("corner", None, ["--L", "1", "--U", "2", "--l", "2",
+                      "--eps", "1e999999999"], "'1e999999999'"),
     # table1 built all l + 1 breakpoints of its grid first
     ("table1", None, ["--l", "3000000"], "work budget"),
     # a short table names its first missing profile without listing the
@@ -433,6 +433,18 @@ def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
     assert proc.returncode == 2 and proc.stdout == ""
     assert needle in json.loads(diagnostic)["error"]
     assert float(took) < 1
+
+
+def test_corner_at_the_player_cap_exits_0_fast_under_memory_limit():
+    # the corner increase used to enumerate every team of each side, and
+    # the CLI refused this split by the work budget
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, "corner",
+                           "--L", "1", "--U", ",".join(map(str, range(2, 21))),
+                           "--l", "2"], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0 and float(proc.stderr) < 1
+    deltas = json.loads(proc.stdout)["delta"]
+    assert len(deltas) == 20 and sum(map(F, deltas.values())) == 0
 
 
 def test_override_heavy_game_exits_2_before_listing_covers(tmp_path, capsys,

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 
 import powerdex.montecarlo as montecarlo
 from dense_oracle import dense_psi_mc
-from powerdex.evaluables import (EvaluableGame, counterexample_game,
+from powerdex.evaluables import (FACE_BLOCK_ROWS, SEARCH_FROM_P,
+                                 EvaluableGame, counterexample_game,
                                  product_power_game, step_game_evaluable,
                                  weighted_mean_game, weighted_median_game)
 from powerdex.indices import psi_mc, psi_point
 from powerdex.sampling import random_regular_game
+from powerdex.stepfun import Discretization, StepGame, face_table
 from test_stepgame_properties import breakpoint_sampler, dense_games
 
 # what a chunk of cells is cut to, against the number of sample points
@@ -99,28 +101,103 @@ def test_step_evaluable_reads_the_dense_table(case, rng):
     assert got.tolist() == [float(table[d]) for d in faces]
 
 
-@settings(max_examples=100)
-@given(dense_games(st.integers(1, 4)), st.integers(1, 300),
-       st.integers(0, 2 ** 32))
-def test_step_cells_are_the_sorted_distinct_faces(case, samples, seed):
-    # the cells hook against np.unique over each point's face index, the
-    # face located one coordinate at a time in Python floats
-    g, _ = case
-    pts = breakpoint_sampler(g.disc.alpha)(np.random.default_rng(seed),
-                                           samples, g.n)
+def bisect_faces(g, pts):
+    """Each point's face index, located one coordinate at a time in Python
+    floats."""
     marks = [float(a) for a in g.disc.alpha]
-
-    def face(point):
+    faces = []
+    for point in pts.tolist():
         k = 0
         for x in point:
             h = bisect_left(marks, x)
             k = k * (2 * g.p + 1) + (2 * h if marks[h] == x else 2 * h - 1)
-        return k
-    _, first, inverse = np.unique([face(x) for x in pts.tolist()],
-                                  return_index=True, return_inverse=True)
+        faces.append(k)
+    return faces
+
+
+def assert_cells_are_the_sorted_distinct_faces(g, pts):
+    # the cells hook against np.unique over the bisect face indices
+    _, first, inverse = np.unique(bisect_faces(g, pts), return_index=True,
+                                  return_inverse=True)
     reps, got = step_game_evaluable(g).cells(pts)
     assert np.array_equal(reps, pts[first])
     assert got.dtype == inverse.dtype and np.array_equal(got, inverse)
+
+
+@settings(max_examples=100)
+@given(dense_games(st.integers(1, 4)), st.integers(1, 300),
+       st.integers(0, 2 ** 32))
+def test_step_cells_are_the_sorted_distinct_faces(case, samples, seed):
+    g, _ = case
+    pts = breakpoint_sampler(g.disc.alpha)(np.random.default_rng(seed),
+                                           samples, g.n)
+    assert_cells_are_the_sorted_distinct_faces(g, pts)
+
+
+def grid_game(n, cuts):
+    """A step game on the breakpoints cuts/997 whose boxes all differ."""
+    disc = Discretization([F(0), *(F(c, 997) for c in sorted(cuts)), F(1)])
+    boxes = disc.p ** n
+    return StepGame(disc, n, list(range(boxes)), boxes)
+
+
+@pytest.mark.parametrize("p", [1, 3, SEARCH_FROM_P - 1, SEARCH_FROM_P, 100])
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_faces_on_both_sides_of_the_search_switch(n, p):
+    # comparisons below SEARCH_FROM_P, binary search from there on, over
+    # more rows than one block; each coordinate is uniform, a breakpoint
+    # (0 and 1 included), a float neighbour of one, or -0.0
+    rng = np.random.default_rng(100 * n + p)
+    g = grid_game(n, rng.choice(np.arange(1, 997), p - 1, replace=False))
+    marks = np.array([float(a) for a in g.disc.alpha])
+    pool = np.concatenate([rng.random(50), marks, np.nextafter(marks, 0.0),
+                           np.nextafter(marks, 1.0), [-0.0]])
+    pts = rng.choice(pool, (2 * FACE_BLOCK_ROWS + 7, n))
+    assert_cells_are_the_sorted_distinct_faces(g, pts)
+    nums, den = face_table(g)
+    assert (step_game_evaluable(g).eval_array(pts).tolist()
+            == [nums[k] / den for k in bisect_faces(g, pts)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, -5e-324,
+                                 np.nextafter(1.0, 2.0)])
+@pytest.mark.parametrize("p", [2, SEARCH_FROM_P])
+def test_step_hooks_refuse_a_point_outside_the_cube_in_a_later_block(p, bad):
+    pts = np.random.default_rng(p).random((2 * FACE_BLOCK_ROWS, 2))
+    pts[FACE_BLOCK_ROWS + 5, 1] = bad
+    ev = step_game_evaluable(grid_game(2, range(1, p)))
+    for hook in (ev.cells, ev.eval_array):
+        with pytest.raises(ValueError, match="^point outside the unit cube$"):
+            hook(pts)
+
+
+def test_step_cells_peak_memory_stays_below_three_floats_per_sample():
+    # the perfbench blackbox game at seed 3: faces are located a block of
+    # rows at a time, so no (samples, n) temporary is held
+    g = random_regular_game(random.Random(3), 6, 2)
+    pts = np.random.default_rng(3).random((150_000, 6))
+    ev = step_game_evaluable(g)
+    tracemalloc.start()
+    try:
+        ev.cells(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * 150_000
+
+
+@pytest.mark.parametrize("game", [
+    weighted_mean_game([F(1, 2), F(1, 2)]), product_power_game([F(1, 2), 1]),
+    weighted_median_game([F(1, 3), F(2, 3)])], ids=lambda v: v.name)
+@pytest.mark.parametrize("sampler", [
+    lambda rng, m, n: rng.random((m, n)) * 2 - 0.5,
+    lambda rng, m, n: np.full((m, n), np.nan),
+    lambda rng, m, n: np.vstack([rng.random((m - 1, n)),
+                                 np.full((1, n), np.nextafter(1.0, 2.0))]),
+], ids=["wide", "nan", "one-above"])
+def test_psi_mc_refuses_sampled_points_outside_the_cube(game, sampler):
+    with pytest.raises(ValueError, match="^point outside the unit cube$"):
+        psi_mc(game, 200, 0, sampler)
 
 
 @settings(max_examples=150)
