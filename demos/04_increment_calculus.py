@@ -12,7 +12,7 @@ from powerdex import (apply_box_increment, appendix_game,
                       build_by_increments, corner_increase, his_delta,
                       make_regular_step, potential_influence, psi_exact,
                       replay_appendix, table1_rows, uniform_grid)
-from powerdex.his import Domain, LocalIncrement
+from powerdex.increments import Domain, LocalIncrement
 
 v = appendix_game()
 print("potential influence of {1} at x2=1/8:",

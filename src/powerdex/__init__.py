@@ -22,24 +22,26 @@ _SUBMODULE_NAMES = {
                    "random_simple_game"],
     "embeddings": ["embed_2k_tau", "embed_coalition_semiregular", "embed_jk",
                    "embed_simple_semiregular"],
-    "evaluables": ["EvaluableGame", "counterexample_game",
-                   "product_power_game", "step_game_evaluable",
-                   "weighted_mean_game", "weighted_median_game"],
-    "his": ["BuildResult", "Domain", "IncrementError", "LocalIncrement",
-            "ReplayResult", "apply_box_increment", "appendix_game",
-            "box_increments", "build_by_increments", "check_local_increment",
-            "corner_increase", "his_delta", "potential_influence",
-            "replay_appendix", "table1_rows"],
+    "evaluables": ["EvaluableGame", "step_game_evaluable"],
+    "families": ["counterexample_game", "product_power_game",
+                 "weighted_mean_game", "weighted_median_game"],
+    "his": ["BuildResult", "IncrementError", "apply_box_increment",
+            "appendix_game", "build_by_increments"],
+    "increments": ["Domain", "LocalIncrement", "ReplayResult",
+                   "box_increments", "check_local_increment",
+                   "corner_increase", "his_delta", "potential_influence",
+                   "replay_appendix", "table1_rows"],
     "indices": ["BoundaryAverages", "PowerVector", "boundary_averages",
-                "jk_ssi_marginal", "jk_ssi_pivot", "phi_two_player",
-                "psi_exact", "psi_mc", "psi_point", "psi_product_oracle",
-                "ssi_coalition", "ssi_roll_call"],
+                "jk_ssi_marginal", "psi_exact", "psi_mc", "psi_point",
+                "ssi_coalition"],
+    "oracles": ["jk_ssi_pivot", "phi_two_player", "psi_product_oracle",
+                "ssi_roll_call"],
     "rational": ["format_rational", "parse_rational"],
     "stepfun": ["Discretization", "StepGame", "ValidationReport", "box_keys",
-                "coarsen", "evaluate_step", "face_table", "join_meet",
-                "make_regular_step", "permute_axes", "pointwise_equal",
-                "refine", "regular_completion", "uniform_grid", "validate",
+                "evaluate_step", "face_table", "make_regular_step", "refine",
+                "regular_completion", "uniform_grid", "validate",
                 "zero_game"],
+    "transforms": ["coarsen", "join_meet", "permute_axes", "pointwise_equal"],
 }
 _SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
                  for name in names}

@@ -15,12 +15,13 @@ from fractions import Fraction
 from operator import eq, mul
 from typing import Callable, NamedTuple, Sequence
 
-from .his import LocalIncrement, _box_domain, check_local_increment
-from .indices import PowerVector, phi_two_player, psi_exact, psi_point, psi_product_oracle
+from .increments import LocalIncrement, _box_domain, check_local_increment
+from .indices import PowerVector, psi_exact, psi_point
+from .oracles import phi_two_player, psi_product_oracle
 from .rational import nondecreasing_along
 from .stepfun import (Discretization, Face, StepGame, check_grid, face_table,
-                      from_face_table, join_meet, make_regular_step,
-                      permute_axes, regular_completion)
+                      make_regular_step, regular_completion)
+from .transforms import from_face_table, join_meet, permute_axes
 
 Witness = tuple[StepGame, StepGame, LocalIncrement]
 
@@ -282,7 +283,7 @@ def separation_demo() -> dict:
     shares; the two parameter values where they would agree are irrational,
     bracketed here by exact sign changes.
     """
-    from .evaluables import counterexample_game
+    from .families import counterexample_game
 
     game = counterexample_game(2)
     psi = psi_product_oracle([1, 2]).shares

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from .coalitions import CoalitionFunction, JKGame, SimpleGame
 from .stepfun import (Discretization, StepGame, TAG_REGULAR, TAG_SEMI_REGULAR,
-                      check_grid, from_face_table, uniform_grid)
+                      check_grid, uniform_grid)
+from .transforms import from_face_table
 
 
 def _embed_on(v: JKGame, disc: Discretization) -> StepGame:

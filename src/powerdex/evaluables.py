@@ -2,8 +2,8 @@
 
 An evaluable game exposes an exact path (rational points in, rational value
 out) used by the closed-form index computations, and a vectorized float path
-used by the Monte-Carlo estimator.  The built-in families are monotone with
-v(0)=0 and v(1)=1 by construction.  numpy is imported on the float path
+used by the Monte-Carlo estimator.  This module wraps step games; the
+built-in families are in ``families``.  numpy is imported on the float path
 only, so exact work never loads it.
 """
 
@@ -23,6 +23,13 @@ if TYPE_CHECKING:
 # comparisons, from there on by binary search (the two tie near p = 64, n = 1)
 FACE_BLOCK_ROWS = 1 << 13
 SEARCH_FROM_P = 64
+
+
+def check_in_cube(pts: np.ndarray) -> None:
+    """Refuse points with a NaN or a coordinate outside [0, 1]."""
+    # NaN makes min and max NaN, which fails both comparisons
+    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
+        raise ValueError("point outside the unit cube")
 
 
 class EvaluableGame:
@@ -80,94 +87,6 @@ class EvaluableGame:
         return (pts, None) if self._cells is None else self._cells(pts)
 
 
-def weighted_mean_game(weights: Sequence) -> EvaluableGame:
-    """v(x) = sum_i w_i x_i with nonnegative weights summing to 1."""
-    w = [Fraction(x) for x in weights]
-    if any(x < 0 for x in w) or sum(w) != 1:
-        raise ValueError("weights must be nonnegative and sum to 1")
-
-    def exact(x):
-        return sum(wi * xi for wi, xi in zip(w, x))
-
-    def array(pts):
-        # a running sum over the columns, so each point's value is the same
-        # in any batch: a matrix product rounds a row by its position in
-        # the batch (BLAS blocks rows) and takes another path for one row
-        out = pts[:, 0] * float(w[0])
-        for i in range(1, len(w)):
-            out += pts[:, i] * float(w[i])
-        return out
-
-    return EvaluableGame(len(w), exact, array, True, "weighted_mean")
-
-
-def product_power_game(exponents: Sequence) -> EvaluableGame:
-    """v(x) = prod_i x_i^{a_i} with a_i >= 0; a zero exponent makes the
-    player a null player.  Exact evaluation needs integer exponents."""
-    exps = [Fraction(e) for e in exponents]
-    if any(e < 0 for e in exps):
-        raise ValueError("exponents must be nonnegative")
-    n = len(exps)
-    all_int = all(e.denominator == 1 for e in exps)
-    floats = [float(e) for e in exps]
-
-    def exact(x):
-        out = Fraction(1)
-        for e, xi in zip(exps, x):
-            out *= Fraction(xi) ** int(e)
-        return out
-
-    def array(pts):
-        import numpy as np
-
-        ef = np.array(floats)
-        out = np.ones(pts.shape[0])
-        for i in range(n):
-            if ef[i] != 0.0:
-                out *= pts[:, i] ** ef[i]
-        return out
-
-    return EvaluableGame(n, exact if all_int else None, array, True,
-                         "product_power")
-
-
-def weighted_median_game(weights: Sequence) -> EvaluableGame:
-    """v(x) = inf{t : sum of weights of players with x_i <= t reaches 1/2}."""
-    w = [Fraction(x) for x in weights]
-    if any(x < 0 for x in w) or sum(w) != 1:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    n = len(w)
-    half = Fraction(1, 2)
-
-    def exact(x):
-        order = sorted(range(n), key=lambda i: x[i])
-        acc = Fraction(0)
-        for i in order:
-            acc += w[i]
-            if acc >= half:
-                return Fraction(x[i])
-        return Fraction(x[order[-1]])
-
-    def array(pts):
-        import numpy as np
-
-        m = pts.shape[0]
-        order = np.argsort(pts, axis=1)
-        ws = np.asarray([float(x) for x in w])[order]
-        cum = np.cumsum(ws, axis=1)
-        idx = np.argmax(cum >= 0.5, axis=1)
-        return pts[np.arange(m), order[np.arange(m), idx]]
-
-    return EvaluableGame(n, exact, array, True, "weighted_median")
-
-
-def counterexample_game(n: int = 2) -> EvaluableGame:
-    """v(x) = x_1 * x_2^2, padded with null players beyond the first two."""
-    if n < 2:
-        raise ValueError("needs at least two players")
-    return product_power_game([1, 2] + [0] * (n - 2))
-
-
 def step_game_evaluable(g: StepGame) -> EvaluableGame:
     """Wrap a step game; the float path locates faces a block of rows at a
     time, exact breakpoint hits (the forced 0/1 coordinates) landing on point
@@ -192,9 +111,7 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
         idx = np.empty(len(pts), dtype=np.int64)
         for lo in range(0, len(pts), FACE_BLOCK_ROWS):
             block = pts[lo:lo + FACE_BLOCK_ROWS]
-            # NaN makes min and max NaN, which fails both comparisons
-            if not (block.min() >= 0.0 and block.max() <= 1.0):
-                raise ValueError("point outside the unit cube")
+            check_in_cube(block)
             # a coordinate's digit is #(alpha < x) + #(alpha <= x) - 1:
             # 2h - 1 inside band h, 2h on breakpoint h
             if p < SEARCH_FROM_P:

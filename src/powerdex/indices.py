@@ -3,7 +3,8 @@ its (j,k)-level generalizations, and the boundary-average index for games on
 the unit cube (exact on step games, Monte-Carlo for black boxes).
 
 Everything except the Monte-Carlo estimator is exact rational arithmetic,
-and only that estimator imports numpy.
+and only that estimator imports numpy.  The enumerating oracles and closed
+forms that the tests check these kernels against are in ``oracles``.
 """
 
 from __future__ import annotations
@@ -168,71 +169,6 @@ def ssi_coalition(v: CoalitionFunction | SimpleGame) -> PowerVector:
     return psi_from_c(cf.nums, cf.den, cf.n)
 
 
-def ssi_roll_call(v: SimpleGame, vote_model: str = "all_yes") -> PowerVector:
-    """Exact pivot-count average over all orderings of the voters.
-
-    ``all_yes``: everyone votes yes and the pivot makes the coalition win.
-    ``uniform_half``: all vote vectors weighted equally; the pivot is the
-    first voter whose vote settles the outcome.
-    """
-    n = v.n
-    # n! orderings, times 2^n vote vectors under uniform_half, n voters each
-    votes = 1 << n if vote_model == "uniform_half" else 1
-    check_work(factorial(n) * votes * n, "roll call enumeration")
-    vals = v.inner.nums
-    counts = [0] * n
-    full = (1 << n) - 1
-    if vote_model == "all_yes":
-        for pi in itertools.permutations(range(n)):
-            m = 0
-            for pos in pi:
-                m |= 1 << pos
-                if vals[m] == 1:
-                    counts[pos] += 1
-                    break
-        return _exact(Fraction(c, factorial(n)) for c in counts)
-    if vote_model == "uniform_half":
-        for pi in itertools.permutations(range(n)):
-            for x in range(1 << n):
-                yes, rest = 0, full
-                for pos in pi:
-                    bit = 1 << pos
-                    rest ^= bit
-                    if x & bit:
-                        yes |= bit
-                    if vals[yes] == vals[yes | rest]:
-                        counts[pos] += 1
-                        break
-        return _exact(Fraction(c, factorial(n) * (1 << n)) for c in counts)
-    raise ValueError(f"unknown vote model {vote_model!r}")
-
-
-def jk_ssi_pivot(v: JKGame) -> PowerVector:
-    """Index by roll-call uncertainty reduction: each voter is credited with
-    the number of output levels their vote rules out, over all orderings and
-    approval profiles."""
-    n, j, k = v.n, v.j, v.k
-    # n! orderings times j^n approval profiles, n votes each
-    check_work(factorial(n) * j ** n * n, "pivot enumeration")
-    counts = [0] * n
-    levels, strides = v.levels, [j ** (n - 1 - i) for i in range(n)]
-    top, orders = j ** n - 1, list(itertools.permutations(range(n)))
-    for x in itertools.product(range(j), repeat=n):
-        up = [xi * s for xi, s in zip(x, strides)]
-        down = [(j - 1 - xi) * s for xi, s in zip(x, strides)]
-        for pi in orders:
-            # the rows with the uncast votes at the lowest and highest level
-            lo_row, hi_row, gap = 0, top, k - 1
-            for pos in pi:
-                lo_row += up[pos]
-                hi_row -= down[pos]
-                new_gap = levels[hi_row] - levels[lo_row]
-                counts[pos] += gap - new_gap
-                gap = new_gap
-    denom = factorial(n) * j ** n * (k - 1)
-    return _exact(Fraction(c, denom) for c in counts)
-
-
 def _jk_ends(v: JKGame) -> tuple[list[int], int]:
     return _ends_table(v.levels, v.j, [1] * v.j, v.n, v.k - 1)
 
@@ -287,18 +223,6 @@ def psi_exact(g: StepGame) -> PowerVector:
     out = psi_from_c(*on_one_denominator([c[m] for m in range(1 << g.n)]), g.n)
     out.c_table = c
     return out
-
-
-def phi_two_player(a: Sequence, v: StepGame) -> PowerVector:
-    """The two-voter family Phi^a_i = a_i + a_j C(v,{i}) - a_i C(v,{j})."""
-    if v.n != 2:
-        raise ValueError("defined for two-player games only")
-    a1, a2 = (Fraction(x) for x in a)
-    if a1 < 0 or a2 < 0 or a1 + a2 != 1:
-        raise ValueError("parameters must be nonnegative and sum to 1")
-    c = boundary_averages(v)
-    c1, c2 = c.table[0b01], c.table[0b10]
-    return _exact((a1 + a2 * c1 - a1 * c2, a2 + a1 * c2 - a2 * c1))
 
 
 # ---------------------------------------------------------------------------
@@ -362,31 +286,3 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
     shares, errors, c_table = estimate(game, samples, seed, sampler)
     return PowerVector(shares, "mc", errors, samples=samples, seed=seed,
                        c_table=c_table)
-
-
-def psi_product_oracle(exponents: Sequence) -> PowerVector:
-    """Closed form for v(x) = prod x_i^{a_i} with positive exponents:
-    Psi_i = ((n-1)! + a_i * sum_{T not containing i} |T|!(n-1-|T|)! *
-    prod_{j in T}(a_j+1)) / (n! * prod_j (a_j+1))."""
-    a = [Fraction(e) for e in exponents]
-    n = len(a)
-    # n players times 2^(n-1) coalitions of the others, n - 1 factors each
-    check_work(n * n * (1 << n) // 2, "product oracle")
-    if any(e <= 0 for e in a):
-        raise ValueError("exponents must be positive")
-    lam = Fraction(1)
-    for e in a:
-        lam *= e + 1
-    shares = []
-    for i in range(n):
-        others = [x for k, x in enumerate(a) if k != i]
-        acc = Fraction(0)
-        for t_mask in range(1 << (n - 1)):
-            t = t_mask.bit_count()
-            prod = Fraction(1)
-            for k in range(n - 1):
-                if t_mask >> k & 1:
-                    prod *= others[k] + 1
-            acc += factorial(t) * factorial(n - 1 - t) * prod
-        shares.append((factorial(n - 1) + a[i] * acc) / (factorial(n) * lam))
-    return _exact(shares)

@@ -14,14 +14,13 @@ from powerdex.coalitions import (CoalitionFunction, JKGame, SimpleGame,
                                  random_simple_game)
 from powerdex.embeddings import (embed_2k_tau, embed_coalition_semiregular,
                                  embed_jk)
-from powerdex.evaluables import counterexample_game
-from powerdex.his import (apply_box_increment, appendix_game,
-                          build_by_increments, corner_increase,
-                          replay_appendix, table1_rows)
+from powerdex.families import counterexample_game
+from powerdex.his import apply_box_increment, appendix_game, build_by_increments
+from powerdex.increments import corner_increase, replay_appendix, table1_rows
 from powerdex.indices import (boundary_averages, jk_boundary_averages,
-                              jk_ssi_marginal, jk_ssi_pivot, psi_exact,
-                              psi_mc, psi_point, psi_product_oracle,
+                              jk_ssi_marginal, psi_exact, psi_mc, psi_point,
                               ssi_coalition)
+from powerdex.oracles import jk_ssi_pivot, psi_product_oracle
 from powerdex.rational import loss_constant, ordering_weight
 from powerdex.sampling import random_regular_game
 from powerdex.stepfun import make_regular_step, uniform_grid, validate

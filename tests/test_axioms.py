@@ -9,7 +9,7 @@ from powerdex.axioms import (check_axioms, crafted_his_witnesses,
                              square_game)
 from powerdex.coalitions import JKGame, SimpleGame
 from powerdex.embeddings import embed_jk
-from powerdex.his import check_local_increment
+from powerdex.increments import check_local_increment
 from powerdex.indices import psi_exact
 from powerdex.sampling import random_regular_game
 from powerdex.stepfun import validate, zero_game
@@ -91,7 +91,7 @@ def test_crafted_witnesses_are_valid_increments():
 
 
 def test_transfer_identity_exact_on_random_pairs(rng):
-    from powerdex.stepfun import join_meet
+    from powerdex.transforms import join_meet
     for _ in range(100):
         u = random_regular_game(rng, 2, rng.randrange(1, 4))
         v = random_regular_game(rng, 2, rng.randrange(1, 4))

@@ -8,9 +8,10 @@ import pytest
 
 from powerdex.budget import MAX_STEPS, check_work
 from powerdex.coalitions import SimpleGame, all_simple_games
-from powerdex.evaluables import EvaluableGame, counterexample_game
-from powerdex.indices import (psi_mc, psi_point, psi_product_oracle,
-                              ssi_roll_call)
+from powerdex.evaluables import EvaluableGame
+from powerdex.families import counterexample_game
+from powerdex.indices import psi_mc, psi_point
+from powerdex.oracles import psi_product_oracle, ssi_roll_call
 from powerdex.stepfun import check_grid
 
 
@@ -28,8 +29,8 @@ def test_budget_admits_its_bound_and_refuses_one_more_step():
     # 16 * 2^17 steps
     lambda: psi_point(counterexample_game(16), F(1, 3)),
     lambda: psi_mc(counterexample_game(16), 1, 0),
-    # 15^2 * 2^14 steps
-    lambda: psi_product_oracle([1] * 15),
+    # 1415^2 steps
+    lambda: psi_product_oracle([1] * 1415),
     # 2^32 * 2^5 steps
     lambda: list(all_simple_games(5)),
 ], ids=["all_yes", "uniform_half", "point", "mc", "oracle", "simple_games"])
@@ -38,6 +39,14 @@ def test_enumerations_over_the_budget_raise_at_once(run):
     with pytest.raises(ValueError, match="exceeds the work budget"):
         run()
     assert time.perf_counter() - start < 1
+
+
+def test_product_oracle_answers_the_player_cap_at_once():
+    # refused from 15 players on while it summed over every coalition
+    start = time.perf_counter()
+    pv = psi_product_oracle([1] * 20)
+    assert time.perf_counter() - start < 0.01
+    assert pv.shares == (F(1, 20),) * 20
 
 
 def test_psi_mc_refuses_21_players_before_it_draws():

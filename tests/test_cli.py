@@ -1042,3 +1042,43 @@ def test_bare_memory_error_names_the_request(tmp_path, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "psi: out of memory",
                                "type": "MemoryError"}
+
+
+# every subcommand whose handler is in ``commands``, on a small input
+_MOVED = [
+    ["embed", "{jk}"],
+    ["coarsen", "{step}", "--alpha", "0,1/4,1"],
+    ["his-apply", "{step}", "--box", "3,3", "--eps", "1/20"],
+    ["replay-appendix"],
+    ["table1", "--l", "2", "--format", "csv"],
+    ["corner", "--L", "1", "--U", "2", "--l", "2"],
+    ["axioms", "--index", "psi_exact", "--random", "1"],
+    ["separation-demo"],
+    ["rollcall", "{coalition}"],
+    ["jk-ssi", "{jk}"],
+]
+
+
+@pytest.mark.parametrize("argv", _MOVED, ids=lambda argv: argv[0])
+def test_moved_command_under_python_m_prints_what_main_prints(tmp_path, capsys,
+                                                              argv):
+    from powerdex.his import appendix_game
+
+    paths = {
+        "step": write(tmp_path, "step.json", step_game_to_json(appendix_game())),
+        "jk": write(tmp_path, "jk.json", {"n": 2, "j": 2, "k": 2, "values": {
+            "0,0": 0, "0,1": 0, "1,0": 0, "1,1": 1}}),
+        "coalition": write(tmp_path, "coalition.json",
+                           {"n": 3, "winning": [[1, 2], [1, 3]]})}
+    argv = [a.format(**paths) for a in argv]
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0 and expected
+    # -X importtime logs every import on stderr: cli runs as __main__, and
+    # ``commands`` must not import it a second time as powerdex.cli
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "powerdex.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, expected)
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
+    assert "powerdex.commands" in imported
+    assert "powerdex.cli" not in imported

@@ -7,8 +7,8 @@ from powerdex.coalitions import (CoalitionFunction, JKGame, SimpleGame,
 from powerdex.embeddings import (embed_2k_tau, embed_coalition_semiregular,
                                  embed_jk, embed_simple_semiregular)
 from powerdex.indices import (boundary_averages, jk_boundary_averages,
-                              jk_ssi_marginal, jk_ssi_pivot, psi_exact,
-                              ssi_coalition)
+                              jk_ssi_marginal, psi_exact, ssi_coalition)
+from powerdex.oracles import jk_ssi_pivot
 from powerdex.axioms import find_null_players
 from powerdex.serialize import step_game_to_json
 from powerdex.stepfun import Discretization, uniform_grid, validate

@@ -8,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powerdex.his as his
-from powerdex.his import (Domain, IncrementError, LocalIncrement,
-                          apply_box_increment, appendix_game, box_increments,
-                          build_by_increments, check_local_increment,
-                          corner_increase, his_delta, potential_influence,
-                          replay_appendix, table1_rows)
+import powerdex.increments as increments
+from powerdex.his import (IncrementError, apply_box_increment, appendix_game,
+                          build_by_increments)
+from powerdex.increments import (Domain, LocalIncrement, box_increments,
+                                 check_local_increment, corner_increase,
+                                 his_delta, potential_influence,
+                                 replay_appendix, table1_rows)
 from powerdex.indices import psi_exact
 from powerdex.rational import loss_constant, ordering_weight
 from powerdex.sampling import random_regular_game
-from powerdex.stepfun import (Discretization, box_keys, coarsen,
-                              make_regular_step, pointwise_equal, refine,
-                              regular_completion, uniform_grid, validate,
-                              zero_game)
+from powerdex.stepfun import (Discretization, box_keys, make_regular_step,
+                              refine, regular_completion, uniform_grid,
+                              validate, zero_game)
+from powerdex.transforms import coarsen, pointwise_equal
 
 APPENDIX_PSI = [
     ("u0", (F(1, 2), F(1, 2))),
@@ -408,8 +410,8 @@ def test_box_increments_build_no_per_coalition_objects(monkeypatch):
     # may go back to one LocalIncrement and Domain per implied coalition
     def refused(*args, **kwargs):
         raise AssertionError("a per-coalition object was built")
-    monkeypatch.setattr(his.LocalIncrement, "__init__", refused)
-    monkeypatch.setattr(his.Domain, "of", refused)
+    monkeypatch.setattr(increments.LocalIncrement, "__init__", refused)
+    monkeypatch.setattr(increments.Domain, "of", refused)
     g = appendix_game()
     result = build_by_increments(g)
     assert result.psi == (F(9, 16), F(7, 16))

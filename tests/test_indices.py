@@ -5,14 +5,14 @@ import pytest
 
 from powerdex.coalitions import (CoalitionFunction, JKGame, SimpleGame,
                                  all_simple_games, random_monotone_jk)
-from powerdex.evaluables import (counterexample_game, product_power_game,
-                                 weighted_mean_game, weighted_median_game)
 from powerdex.embeddings import embed_simple_semiregular
+from powerdex.families import (counterexample_game, product_power_game,
+                               weighted_mean_game, weighted_median_game)
 from powerdex.indices import (boundary_averages, jk_boundary_averages,
-                              jk_ssi_marginal, jk_ssi_pivot, phi_two_player,
-                              psi_exact, psi_mc, psi_point,
-                              psi_product_oracle, ssi_coalition,
-                              ssi_roll_call)
+                              jk_ssi_marginal, psi_exact, psi_mc, psi_point,
+                              ssi_coalition)
+from powerdex.oracles import (jk_ssi_pivot, phi_two_player,
+                              psi_product_oracle, ssi_roll_call)
 from powerdex.sampling import random_regular_game
 from powerdex.stepfun import zero_game
 

@@ -14,8 +14,9 @@ from dense_oracle import dense_ends_table, dense_jk_boundary_averages
 from powerdex.coalitions import CoalitionFunction, SimpleGame, random_monotone_jk
 from powerdex.evaluables import step_game_evaluable
 from powerdex.indices import (_ends_table, jk_boundary_averages,
-                              jk_ssi_marginal, jk_ssi_pivot, psi_point,
-                              ssi_coalition, ssi_roll_call)
+                              jk_ssi_marginal, psi_from_c, psi_point,
+                              ssi_coalition)
+from powerdex.oracles import jk_ssi_pivot, psi_product_oracle, ssi_roll_call
 from powerdex.rational import on_one_denominator
 from powerdex.sampling import random_regular_game
 
@@ -81,6 +82,22 @@ def test_kernel_matches_roll_call(v):
 def test_kernel_matches_jk_pivot(rng, shape):
     v = random_monotone_jk(rng, *shape)
     assert jk_ssi_marginal(v) == jk_ssi_pivot(v)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.fractions(min_value=F(1, 30), max_value=10,
+                             max_denominator=30), min_size=1, max_size=10))
+def test_product_oracle_matches_the_kernel_on_its_c_table(exponents):
+    # v(x) = prod x_j^a_j: E[X^a] = 1/(a+1) for X uniform on [0, 1], and
+    # v(0_T, .) = 0 for T nonempty, so C(T) = prod over j not in T of that
+    n = len(exponents)
+    c = [F(0)] + [F(1)] * ((1 << n) - 1)
+    for t in range(1, 1 << n):
+        for j, a in enumerate(exponents):
+            if not t >> j & 1:
+                c[t] /= a + 1
+    assert (psi_product_oracle(exponents).shares
+            == psi_from_c(*on_one_denominator(c), n).shares)
 
 
 @settings(max_examples=80)

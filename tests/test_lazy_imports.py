@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import powerdex
 
 # Runs in a fresh interpreter: the watched modules loaded by the import
@@ -16,14 +18,19 @@ import powerdex.cli
 
 step, coalition, jk, *labels = sys.argv[1:]
 watched = ("numpy", "dataclasses", "powerdex.coalitions", "powerdex.his",
-           "powerdex.axioms", "powerdex.montecarlo", "powerdex.embeddings")
+           "powerdex.axioms", "powerdex.montecarlo", "powerdex.embeddings",
+           "powerdex.commands", "powerdex.increments", "powerdex.oracles",
+           "powerdex.families", "powerdex.transforms")
 requests = {"psi": ["psi", step],
             "psi-point": ["psi-point", step, "--alpha", "1/3"],
             "his-build": ["his-build", step],
             "ssi": ["ssi", coalition],
-            "jk-ssi-marginal": ["jk-ssi", jk],
+            "jk-ssi-marginal": ["jk-ssi", jk, "--form", "marginal"],
             "jk-ssi-pivot": ["jk-ssi", jk, "--form", "pivot"],
             "embed": ["embed", jk],
+            "rollcall": ["rollcall", coalition],
+            "table1": ["table1", "--l", "2"],
+            "replay-appendix": ["replay-appendix"],
             "mc": ["psi", step, "--mc", "--samples", "100"]}
 report = {"import": [m for m in watched if m in sys.modules]}
 for label in labels:
@@ -74,10 +81,32 @@ def test_step_game_requests_load_no_dataclasses_or_coalitions(tmp_path):
 def test_jk_requests_load_coalitions_and_no_other_subcommand_module(tmp_path):
     # both forms of jk-ssi, then embed of the same (j,k) table
     report = _probe(tmp_path, ("jk-ssi-marginal", "jk-ssi-pivot", "embed"))
+    cli = ["powerdex.coalitions", "powerdex.commands"]
     assert report == {
-        "import": [], "jk-ssi-marginal": ["powerdex.coalitions"],
-        "jk-ssi-pivot": ["powerdex.coalitions"],
-        "embed": ["powerdex.coalitions", "powerdex.embeddings"]}
+        "import": [], "jk-ssi-marginal": cli,
+        "jk-ssi-pivot": [*cli, "powerdex.oracles"],
+        "embed": ["powerdex.coalitions", "powerdex.embeddings", *cli[1:],
+                  "powerdex.oracles", "powerdex.transforms"]}
+
+
+# the modules that hold what no index request runs
+MOVED = ("powerdex.commands", "powerdex.increments", "powerdex.oracles",
+         "powerdex.families", "powerdex.transforms")
+
+
+def test_index_requests_load_no_moved_module(tmp_path):
+    report = _probe(tmp_path)
+    assert {k: [m for m in v if m in MOVED] for k, v in report.items()} == {
+        k: [] for k in ("import", "psi", "psi-point", "his-build", "ssi", "mc")}
+
+
+@pytest.mark.parametrize("label, module", [
+    ("table1", "powerdex.increments"), ("replay-appendix", "powerdex.increments"),
+    ("rollcall", "powerdex.oracles"), ("jk-ssi-pivot", "powerdex.oracles")])
+def test_moved_commands_load_their_module(tmp_path, label, module):
+    report = _probe(tmp_path, (label,))
+    assert report["import"] == []
+    assert {"powerdex.commands", module} <= set(report[label])
 
 
 def test_every_public_name_resolves_and_is_listed():

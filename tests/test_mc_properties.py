@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import powerdex.montecarlo as montecarlo
 from dense_oracle import dense_psi_mc
 from powerdex.evaluables import (FACE_BLOCK_ROWS, SEARCH_FROM_P,
-                                 EvaluableGame, counterexample_game,
-                                 product_power_game, step_game_evaluable,
-                                 weighted_mean_game, weighted_median_game)
+                                 EvaluableGame, step_game_evaluable)
+from powerdex.families import (counterexample_game, product_power_game,
+                               weighted_mean_game, weighted_median_game)
 from powerdex.indices import psi_mc, psi_point
 from powerdex.sampling import random_regular_game
 from powerdex.stepfun import Discretization, StepGame, face_table
@@ -198,6 +198,21 @@ def test_step_cells_peak_memory_stays_below_three_floats_per_sample():
 def test_psi_mc_refuses_sampled_points_outside_the_cube(game, sampler):
     with pytest.raises(ValueError, match="^point outside the unit cube$"):
         psi_mc(game, 200, 0, sampler)
+
+
+@pytest.mark.parametrize("game, points", [
+    (weighted_mean_game([1 / 2, 1 / 2]), [[2, 3], [np.nan, 0.5]]),
+    (weighted_median_game([1 / 2, 1 / 2]), [[-1, 3]]),
+    (product_power_game([1, 2]), [[0.5, 0.5], [0.5, np.nextafter(1.0, 2.0)]]),
+    (counterexample_game(3), [[0.5, 0.5, 0.5], [0.5, -5e-324, 0.5]]),
+], ids=["mean", "median", "product", "counterexample"])
+def test_families_refuse_points_outside_the_cube_as_eval_exact_does(game,
+                                                                    points):
+    with pytest.raises(ValueError, match="^point outside the unit cube$"):
+        game.eval_array(points)
+    inside = [x for x in points if all(0 <= c <= 1 for c in x)]
+    assert game.eval_array(np.array(inside).reshape(-1, game.n)).tolist() == [
+        float(game.eval_exact([F(c) for c in x])) for x in inside]
 
 
 @settings(max_examples=150)

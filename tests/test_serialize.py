@@ -19,7 +19,7 @@ from powerdex.serialize import (coalition_function_to_json, jk_game_to_json,
                                 parse_simple_game, parse_step_game,
                                 power_vector_to_json, simple_game_to_json,
                                 step_game_to_json)
-from powerdex.stepfun import join_meet
+from powerdex.transforms import join_meet
 from test_kernel_properties import LARGE_DENOMINATORS
 
 

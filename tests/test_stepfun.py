@@ -5,11 +5,11 @@ import pytest
 
 from dense_oracle import adjacent_boxes, face_values
 from powerdex.sampling import random_regular_game
-from powerdex.stepfun import (Discretization, StepGame, coarsen,
-                              evaluate_step, join_meet, make_regular_step,
-                              permute_axes, pointwise_equal, refine,
-                              regular_completion, uniform_grid, validate,
-                              zero_game)
+from powerdex.stepfun import (Discretization, StepGame, evaluate_step,
+                              make_regular_step, refine, regular_completion,
+                              uniform_grid, validate, zero_game)
+from powerdex.transforms import (coarsen, join_meet, permute_axes,
+                                 pointwise_equal)
 
 
 def test_discretization_invariants():

@@ -26,10 +26,11 @@ from powerdex.indices import boundary_averages, psi_exact, psi_mc
 from powerdex.rational import format_rational
 from powerdex.sampling import random_discretization, random_regular_game
 from powerdex.serialize import parse_step_game, step_game_to_json
-from powerdex.stepfun import (Discretization, box_faces, box_keys, coarsen,
-                              face_table, from_face_table, join_meet,
-                              make_regular_step, permute_axes, refine,
+from powerdex.stepfun import (Discretization, box_faces, box_keys,
+                              face_table, make_regular_step, refine,
                               regular_completion, validate)
+from powerdex.transforms import (coarsen, from_face_table, join_meet,
+                                 permute_axes)
 
 TAGS = ("raw", "semi_regular", "regular")
 values = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=12)
