@@ -25,8 +25,8 @@ _SUBMODULE_NAMES = {
     "evaluables": ["EvaluableGame", "step_game_evaluable"],
     "families": ["counterexample_game", "product_power_game",
                  "weighted_mean_game", "weighted_median_game"],
-    "his": ["BuildResult", "IncrementError", "apply_box_increment",
-            "appendix_game", "build_by_increments"],
+    "his": ["BuildResult", "apply_box_increment", "appendix_game",
+            "build_by_increments"],
     "increments": ["Domain", "LocalIncrement", "ReplayResult",
                    "box_increments", "check_local_increment",
                    "corner_increase", "his_delta", "potential_influence",
@@ -37,10 +37,10 @@ _SUBMODULE_NAMES = {
     "oracles": ["jk_ssi_pivot", "phi_two_player", "psi_product_oracle",
                 "ssi_roll_call"],
     "rational": ["format_rational", "parse_rational"],
-    "stepfun": ["Discretization", "StepGame", "ValidationReport", "box_keys",
-                "evaluate_step", "face_table", "make_regular_step", "refine",
-                "regular_completion", "uniform_grid", "validate",
-                "zero_game"],
+    "stepfun": ["Discretization", "IncrementError", "StepGame",
+                "ValidationReport", "box_keys", "evaluate_step", "face_table",
+                "make_regular_step", "refine", "regular_completion",
+                "uniform_grid", "validate", "zero_game"],
     "transforms": ["coarsen", "join_meet", "permute_axes", "pointwise_equal"],
 }
 _SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()

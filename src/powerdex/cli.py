@@ -100,16 +100,12 @@ def _cmd_his_build(args) -> None:
     g = parse_step_game(_read_json(args.game))
     result = his.build_by_increments(g, report=_valid_report(g))
     for step in result.steps:
-        print(json.dumps({
-            "phase": step.phase,
-            "box": [(d + 1) // 2 for d in step.box],
-            "eps": format_rational(step.eps),
-            "delta": [format_rational(x) for x in step.delta],
-            "psi": [format_rational(x) for x in step.psi],
-        }, sort_keys=True))
-    print(json.dumps({"final": True,
-                      "psi": [format_rational(x) for x in result.psi]},
-                     sort_keys=True))
+        _emit({"phase": step.phase,
+               "box": [(d + 1) // 2 for d in step.box],
+               "eps": format_rational(step.eps),
+               "delta": [format_rational(x) for x in step.delta],
+               "psi": [format_rational(x) for x in step.psi]})
+    _emit({"final": True, "psi": [format_rational(x) for x in result.psi]})
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,25 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from operator import le
+from operator import add, le
 from typing import Iterable, Iterator, Sequence
 
 from .budget import check_work
-from .rational import (check_players, nondecreasing_along, on_one_denominator,
-                       subset_sums)
+from .rational import check_players, nondecreasing_along, on_one_denominator
 
 Level = tuple[int, ...]
 
 # the eight table entries that one byte of a bit-per-coalition integer holds
 _BYTE_BITS = [[b >> k & 1 for k in range(8)] for b in range(256)]
+
+
+def subset_sums(weights: Sequence[int]) -> list[int]:
+    """The table over 2^N of each coalition's total weight: each player
+    doubles the table, its new half being the old one plus its weight."""
+    sums = [0]
+    for x in weights:
+        sums += [*map(add, sums, itertools.repeat(x))]
+    return sums
 
 
 def mask_of(players: Iterable[int], n: int) -> int:

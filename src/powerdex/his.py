@@ -18,18 +18,21 @@ from typing import Callable, NamedTuple
 
 from .indices import PowerVector
 from .rational import on_one_denominator
-from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
-                      ValidationReport, adjacent_count, box_faces, box_index,
-                      falling_covers, make_regular_step, pinned_covers,
-                      refine, validate, zero_game)
-
-
-class IncrementError(ValueError):
-    """An increment would break monotonicity or violates a precondition."""
+# IncrementError is also read from here, as his.IncrementError
+from .stepfun import (Discretization, Face, IncrementError,  # noqa: F401
+                      StepGame, TAG_REGULAR, ValidationReport, box_faces,
+                      box_index, falling_covers, make_regular_step,
+                      pinned_covers, refine, validate, zero_game)
 
 
 # ---------------------------------------------------------------------------
 # box increments
+
+def adjacent_count(d: Face, p: int) -> int:
+    """The number of full-dimensional boxes whose closure contains face d:
+    two choices on each coordinate pinned to an inner breakpoint."""
+    return 1 << sum(1 for di in d if di % 2 == 0 and 0 < di < 2 * p)
+
 
 def _box_shift(disc: Discretization, e_bar: Face) -> tuple[list[int], int]:
     """The summed ``his_delta`` of ``box_increments(disc, e_bar, 1)`` (both

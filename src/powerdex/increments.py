@@ -20,13 +20,11 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .budget import check_work
-from .his import IncrementError, _phase_grid, appendix_game
 from .indices import PowerVector, _as_evaluable, psi_exact
 from .rational import check_players, loss_constant, ordering_weight
-from .stepfun import (Discretization, Face, StepGame, TAG_REGULAR,
-                      TAG_SEMI_REGULAR, adjacent_count, box_faces,
-                      face_center, face_table, refine, regular_completion,
-                      zero_game)
+from .stepfun import (Discretization, Face, IncrementError, StepGame,
+                      TAG_REGULAR, TAG_SEMI_REGULAR, box_faces, face_center,
+                      face_table, refine, regular_completion, zero_game)
 
 
 class Domain(NamedTuple):
@@ -363,6 +361,8 @@ def replay_appendix() -> ReplayResult:
     claimed (S, eps, D), and scored twice: by accumulated deltas and by an
     independent exact recomputation of the index of the rebuilt game.
     """
+    from .his import _phase_grid, adjacent_count, appendix_game
+
     target = appendix_game()
     n = target.n
     game = zero_game(n)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .budget import check_work
 from .evaluables import EvaluableGame, step_game_evaluable
-from .rational import on_one_denominator, subset_sums
+from .rational import on_one_denominator
 from .stepfun import StepGame, box_index, face_numerator, locate_face
 
 if TYPE_CHECKING:
@@ -27,6 +27,8 @@ if TYPE_CHECKING:
 # so this cap on samples * 2^n bounds its run time; montecarlo's chunks
 # bound its memory
 MAX_MC_CELLS = 1 << 27
+
+_NEXT_SIZE = bytes(range(1, 256)) + b"\0"  # b -> b + 1
 
 
 class PowerVector:
@@ -93,25 +95,28 @@ def psi_from_c(nums: Sequence[int], den: int, n: int) -> PowerVector:
     The table is given as integer numerators num[S] = c[S] * den, one for
     every coalition bitmask S in 0..2^n-1, so the sum runs in integers.
     With w(s) = (s-1)!(n-s)! and w(0) = w(n+1) = 0, player i's share
-    times n! * den is base plus the sum over S containing i of y[S],
-    where y[S] = num[S] (w(|S|) + w(|S|+1)) and base = -sum over S of
-    num[S] w(|S|+1) (Mann & Shapley's grouping of the terms by coalition
-    size).  The sums over S containing i come from halving the table once
-    per player.
+    times n! * den is base plus with_i, the sum over S containing i of
+    num[S] (w(|S|) + w(|S|+1)), where base = -sum over S of num[S] w(|S|+1)
+    (Mann & Shapley's grouping of the terms by coalition size); with_i
+    comes from halving the table once per player.  As s w(s) = (n-s) w(s+1)
+    for 0 < s < n, the shares of any table sum to (num[N] - num[0]) / den
+    (efficiency), so n * base = n! (num[N] - num[0]) - sum of with_i.
     """
     w = [0] + [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)] + [0]
-    after = w[1:]
-    both = list(map(add, w, after))
-    sizes = subset_sums([1] * n)
-    base = -sum(map(mul, nums, map(after.__getitem__, sizes)))
+    both = list(map(add, w, w[1:]))
+    sizes = bytearray(1)  # |S| for every mask S: each player doubles it
+    for _ in range(n):
+        sizes += sizes.translate(_NEXT_SIZE)
     y = list(map(mul, nums, map(both.__getitem__, sizes)))
     with_i = [0] * n
     for i in reversed(range(n)):
         # the top half of y holds the coalitions containing player i;
         # folding it onto the bottom half drops player i from every mask
-        half = 1 << i
-        with_i[i] = sum(y[half:])
-        y = list(map(add, y[:half], y[half:]))
+        top = y[1 << i:]
+        del y[1 << i:]
+        with_i[i] = sum(top)
+        y = list(map(add, y, top))
+    base = (factorial(n) * (nums[-1] - nums[0]) - sum(with_i)) // n
     scale = factorial(n) * den
     return _exact(Fraction(base + t, scale) for t in with_i)
 

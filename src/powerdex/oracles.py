@@ -111,7 +111,9 @@ def psi_product_oracle(exponents: Sequence) -> PowerVector:
     D^(n-1-t)."""
     a = [Fraction(e) for e in exponents]
     n = len(a)
-    check_work(n * n, "product oracle")  # n elementary sums per player
+    # n elementary sums per player, on integers of about n log2(n D) bits:
+    # charged n^3, as their cost grows with n too
+    check_work(n ** 3, "product oracle")
     if any(e <= 0 for e in a):
         raise ValueError("exponents must be positive")
     nums, den = on_one_denominator(a)

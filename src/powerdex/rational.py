@@ -11,11 +11,10 @@ point appears only in the Monte-Carlo estimator.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add, le
+from operator import le
 from typing import Sequence
 
 MAX_PLAYERS = 20
@@ -65,15 +64,6 @@ def on_one_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:
         return list(xs), 1
     den = lcm(*{x.denominator for x in xs})
     return [x.numerator * (den // x.denominator) for x in xs], den
-
-
-def subset_sums(weights: Sequence[int]) -> list[int]:
-    """The table over 2^N of each coalition's total weight: each player
-    doubles the table, its new half being the old one plus its weight."""
-    sums = [0]
-    for x in weights:
-        sums += [*map(add, sums, itertools.repeat(x))]
-    return sums
 
 
 def nondecreasing_along(nums: Sequence[int], stride: int, size: int,

@@ -13,6 +13,7 @@ value it refuses.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -38,12 +39,6 @@ _REQUIRED = object()
 
 def _key(parts) -> str:
     return ",".join(str(x) for x in parts)
-
-
-def _coalition_key(mask: int, n: int, first: int = 1) -> str:
-    """The comma-separated players of a coalition bitmask of n players,
-    the one on bit 0 numbered ``first``."""
-    return _key(first + i for i in range(n) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +161,46 @@ def _coalition(value, path: tuple, n: int) -> list[int]:
 def coalition_function_to_json(cf: CoalitionFunction) -> dict:
     # a table repeats a few values: each is formatted once
     text = functools.cache(lambda x: format_rational(Fraction(x, cf.den)))
-    keys = itertools.chain.from_iterable(_coalition_blocks(cf.n))
+    keys = itertools.chain.from_iterable(
+        block.split("\n") for _, block in _coalition_blocks(cf.n))
     return {"n": cf.n, "values": dict(zip(keys, map(text, cf.nums)))}
 
 
 def _in_key_order(raw: dict, blocks, *args) -> list:
     """The values of ``raw``, which holds as many keys as ``blocks(*args)``
-    yields, in the order of those keys, None for a missing one; the keys are
-    compared a block at a time while they come in that order."""
+    counts, in the order of those keys, None for a missing one.  While the
+    keys come in that order they are compared a block at a time, joined by
+    newlines: both sides join as many keys, so equal texts hold as many
+    newlines, and as no expected key holds one, the keys match one by one."""
     keys = iter(raw)
-    if all(list(itertools.islice(keys, len(b))) == b for b in blocks(*args)):
-        return list(raw.values())
-    return list(map(raw.get, itertools.chain.from_iterable(blocks(*args))))
+    with contextlib.suppress(TypeError):  # a key that is not a string
+        if all("\n".join(itertools.islice(keys, count)) == b
+               for count, b in blocks(*args)):
+            return list(raw.values())
+    return list(map(raw.get, itertools.chain.from_iterable(
+        b.split("\n") for _, b in blocks(*args))))
 
 
-def _coalition_blocks(n: int) -> Iterator[list[str]]:
-    """The keys ``coalition_function_to_json`` writes, a block per coalition
-    of the high players joined to a half table for the low ones."""
+def _spellings(n: int, first: int = 1) -> list[str]:
+    """The comma-separated players of every coalition bitmask of n players,
+    the one on bit 0 numbered ``first``, in mask order: each player doubles
+    the table, its new half being the old one with it."""
+    out = [""]
+    for i in map(str, range(first, first + n)):
+        out += [k + "," + i if k else i for k in out]
+    return out
+
+
+def _coalition_blocks(n: int) -> Iterator[tuple[int, str]]:
+    """The keys ``coalition_function_to_json`` writes, a block per
+    coalition of the high players joined to a half table for the low ones,
+    each block as its number of keys and the keys joined by newlines."""
     h = (n + 1) // 2
-    low = [_coalition_key(m, h) for m in range(1 << h)]
-    for high in (_coalition_key(m, n - h, h + 1) for m in range(1 << (n - h))):
+    low = _spellings(h)
+    yield len(low), "\n".join(low)
+    for high in _spellings(n - h, h + 1)[1:]:
         tail = "," + high
-        yield [high, *[lo + tail for lo in low[1:]]] if high else low
+        yield len(low), high + "\n" + (tail + "\n").join(low[1:]) + tail
 
 
 def _total_table(raw: dict, n: int) -> tuple[list[int], int] | None:
@@ -243,17 +256,19 @@ def parse_simple_game(obj: dict) -> SimpleGame:
 
 
 def jk_game_to_json(v: JKGame) -> dict:
-    values = dict(zip(itertools.chain.from_iterable(_profile_blocks(v.n, v.j)),
-                      v.levels))
-    return {"n": v.n, "j": v.j, "k": v.k, "values": values}
+    keys = itertools.chain.from_iterable(
+        block.split("\n") for _, block in _profile_blocks(v.n, v.j))
+    return {"n": v.n, "j": v.j, "k": v.k, "values": dict(zip(keys, v.levels))}
 
 
-def _profile_blocks(n: int, j: int) -> Iterator[list[str]]:
+def _profile_blocks(n: int, j: int) -> Iterator[tuple[int, str]]:
     """The keys ``jk_game_to_json`` writes, first voter slowest, a block per
-    profile of the first n // 2 voters joined to a half table for the rest."""
+    profile of the first n // 2 voters joined to a half table for the rest,
+    each block as ``_coalition_blocks`` gives it."""
     tails = [_key(t) for t in itertools.product(range(j), repeat=(n + 1) // 2)]
     for head in map(_key, itertools.product(range(j), repeat=n // 2)):
-        yield [f"{head},{t}" for t in tails] if head else tails
+        yield len(tails), (head + "," + ("\n" + head + ",").join(tails)
+                           if head else "\n".join(tails))
 
 
 def parse_jk_game(obj: dict) -> JKGame:
@@ -329,11 +344,7 @@ def power_vector_to_json(pv: PowerVector, index: str,
         out["samples"] = pv.samples
         out["seed"] = pv.seed
     if with_c and pv.c_table is not None:
-        n = pv.n
-        table = {}
-        for mask in sorted(pv.c_table):
-            label = _coalition_key(mask, n)
-            val = pv.c_table[mask]
-            table[label] = format_rational(val) if isinstance(val, Fraction) else val
-        out["C"] = table
+        labels = _spellings(pv.n)
+        out["C"] = {labels[t]: format_rational(x) if isinstance(x, Fraction) else x
+                    for t, x in sorted(pv.c_table.items())}
     return out

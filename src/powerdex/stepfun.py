@@ -137,14 +137,7 @@ def box_numerators(boxes: Mapping[Face, Fraction], n: int,
 
 def box_faces(e_bar: Face) -> list[Face]:
     """All 3^n faces of a box, in descending lexicographic order."""
-    return [tuple(f) for f in itertools.product(
-        *((b + 1, b, b - 1) for b in e_bar))]
-
-
-def adjacent_count(d: Face, p: int) -> int:
-    """The number of full-dimensional boxes whose closure contains face d:
-    two choices on each coordinate pinned to an inner breakpoint."""
-    return 1 << sum(1 for di in d if di % 2 == 0 and 0 < di < 2 * p)
+    return list(itertools.product(*((b + 1, b, b - 1) for b in e_bar)))
 
 
 def _boxes_among(faces: Mapping, n: int, top: int) -> list[Face]:
@@ -411,6 +404,10 @@ class ValidationReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.monotone and self.tag_ok and self.in_range
+
+
+class IncrementError(ValueError):
+    """An increment would break monotonicity or violates a precondition."""
 
 
 def _step(d: Face, i: int, by: int) -> Face:

@@ -29,8 +29,8 @@ def test_budget_admits_its_bound_and_refuses_one_more_step():
     # 16 * 2^17 steps
     lambda: psi_point(counterexample_game(16), F(1, 3)),
     lambda: psi_mc(counterexample_game(16), 1, 0),
-    # 1415^2 steps
-    lambda: psi_product_oracle([1] * 1415),
+    # 126^3 steps; charged n^2, 1,414 players were admitted and took 28 s
+    lambda: psi_product_oracle([1] * 126),
     # 2^32 * 2^5 steps
     lambda: list(all_simple_games(5)),
 ], ids=["all_yes", "uniform_half", "point", "mc", "oracle", "simple_games"])
@@ -47,6 +47,14 @@ def test_product_oracle_answers_the_player_cap_at_once():
     pv = psi_product_oracle([1] * 20)
     assert time.perf_counter() - start < 0.01
     assert pv.shares == (F(1, 20),) * 20
+
+
+def test_product_oracle_answers_the_largest_admitted_input_at_once():
+    # 125^3 steps fit the budget
+    start = time.perf_counter()
+    pv = psi_product_oracle([1] * 125)
+    assert time.perf_counter() - start < 0.1
+    assert pv.shares == (F(1, 125),) * 125
 
 
 def test_psi_mc_refuses_21_players_before_it_draws():

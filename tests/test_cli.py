@@ -10,10 +10,9 @@ import pytest
 import powerdex.stepfun as stepfun
 from powerdex import budget
 from powerdex.cli import main
-from powerdex.coalitions import SimpleGame
+from powerdex.coalitions import SimpleGame, subset_sums
 from powerdex.embeddings import embed_simple_semiregular
 from powerdex.indices import ssi_coalition
-from powerdex.rational import subset_sums
 from powerdex.serialize import parse_step_game, step_game_to_json
 from powerdex.stepfun import validate
 

@@ -114,6 +114,46 @@ def test_kernel_matches_direct_sum_on_rational_tables(cf):
     assert ssi_coalition(cf).shares == direct_sum(cf)
 
 
+def explicit_shares(nums: list[int], den: int, n: int) -> tuple:
+    """The sum over S containing i of num[S] w(|S|), minus the sum over S
+    without i of num[S] w(|S|+1), over n! * den, with w(s) = (s-1)!(n-s)!
+    for 1 <= s <= n and w(n+1) = 0."""
+    def w(s: int) -> int:
+        return factorial(s - 1) * factorial(n - s) if s <= n else 0
+
+    return tuple(F(sum(x * w(m.bit_count()) if m >> i & 1
+                       else -x * w(m.bit_count() + 1)
+                       for m, x in enumerate(nums)), factorial(n) * den)
+                 for i in range(n))
+
+
+@settings(max_examples=100)
+@given(st.randoms(use_true_random=False), st.integers(1, 8),
+       st.integers(1, 10 ** 6), st.integers(1, 10 ** 12))
+def test_kernel_matches_the_explicit_sum_and_is_efficient(rng, n, den, size):
+    # integer tables with negative entries, not monotone, over den >= 1
+    nums = [rng.randrange(-size, size + 1) for _ in range(1 << n)]
+    shares = psi_from_c(nums, den, n).shares
+    assert shares == explicit_shares(nums, den, n)
+    assert sum(shares) == F(nums[-1] - nums[0], den)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 7), st.data())
+def test_kernel_matches_the_explicit_sum_and_roll_call_on_zero_one_tables(
+        n, data):
+    generators = data.draw(st.lists(st.integers(1, (1 << n) - 1),
+                                    min_size=1, max_size=5))
+    v = SimpleGame.from_winning(
+        n, [[i + 1 for i in range(n) if g >> i & 1] for g in generators])
+    nums = v.inner.nums
+    assert set(nums) <= {0, 1} and v.inner.den == 1
+    shares = psi_from_c(nums, 1, n).shares
+    assert shares == explicit_shares(nums, 1, n)
+    assert shares == ssi_roll_call(v, "all_yes").shares
+    assert sum(shares) == nums[-1] - nums[0]
+
+
 # pairwise coprime denominators near 2^20 and one Mersenne prime, so the
 # common denominator of a table is a product of several of them
 LARGE_DENOMINATORS = (999_983, 999_979, 1_000_003, 524_287)

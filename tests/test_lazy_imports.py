@@ -30,6 +30,7 @@ requests = {"psi": ["psi", step],
             "embed": ["embed", jk],
             "rollcall": ["rollcall", coalition],
             "table1": ["table1", "--l", "2"],
+            "corner": ["corner", "--L", "1", "--U", "2,3", "--l", "2"],
             "replay-appendix": ["replay-appendix"],
             "mc": ["psi", step, "--mc", "--samples", "100"]}
 report = {"import": [m for m in watched if m in sys.modules]}
@@ -107,6 +108,17 @@ def test_moved_commands_load_their_module(tmp_path, label, module):
     report = _probe(tmp_path, (label,))
     assert report["import"] == []
     assert {"powerdex.commands", module} <= set(report[label])
+
+
+def test_increment_tables_load_no_his_and_his_build_no_increments(tmp_path):
+    # IncrementError lives in stepfun, so neither module imports the other
+    # at its top
+    report = _probe(tmp_path, ("table1", "corner"))
+    assert ["powerdex.his" in report[k] for k in report] == [False] * 3
+    assert "powerdex.increments" in report["table1"]
+    report = _probe(tmp_path, ("his-build",))
+    assert "powerdex.his" in report["his-build"]
+    assert "powerdex.increments" not in report["his-build"]
 
 
 def test_every_public_name_resolves_and_is_listed():

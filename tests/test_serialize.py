@@ -265,6 +265,86 @@ def test_canonical_tables_never_reach_the_general_reader(monkeypatch, rng):
             assert parse_jk_game(spelled) == v
 
 
+class _Reached(Exception):
+    pass
+
+
+def _general_reader_reached(monkeypatch, read, obj) -> bool:
+    """Whether reading ``obj`` calls the general table reader."""
+    def general(*args, **kwargs):
+        raise _Reached
+    monkeypatch.setattr(serialize, "_table", general)
+    try:
+        read(obj)
+    except _Reached:
+        return True
+    finally:
+        monkeypatch.undo()
+    return False
+
+
+@pytest.mark.parametrize("n, j", [(2, None), (4, None), (7, None),
+                                  (2, 2), (3, 3), (5, 2)])
+def test_a_key_holding_a_newline_reaches_the_general_reader(monkeypatch, rng,
+                                                            n, j):
+    # one key spelled with the next one after a newline, the key count
+    # unchanged: newline-joined, the block holds one key too few
+    if j is None:
+        read = parse_coalition_input
+        obj = coalition_function_to_json(CoalitionFunction(
+            n, [F(rng.randrange(-3, 4), rng.randrange(1, 5))
+                for _ in range(1 << n)]))
+    else:
+        read = parse_jk_game
+        obj = jk_game_to_json(random_monotone_jk(rng, n, j, 3))
+    items = list(obj["values"].items())
+    for at in (1, len(items) // 2, len(items) - 2):
+        bad = items[at][0] + "\n" + items[at + 1][0]
+        spelled = {**obj, "values": dict(
+            items[:at] + [(bad, items[at][1])] + items[at + 1:])}
+        assert _general_reader_reached(monkeypatch, read, spelled)
+        assert _parse_error(spelled, read) == (
+            f"values[{json.dumps(bad)}]: key {bad!r} is not comma-separated "
+            "integers")
+
+
+def test_keys_out_of_block_order_give_the_same_game(monkeypatch, rng):
+    # two keys swapped in the last block, or the whole table shuffled: the
+    # keys are looked up by their spelling, without the general reader
+    for n, j in ((6, None), (7, None), (4, 3), (5, 2)):
+        if j is None:
+            read, expected = parse_coalition_input, CoalitionFunction(
+                n, [F(rng.randrange(-3, 4), rng.randrange(1, 5))
+                    for _ in range(1 << n)])
+            obj = coalition_function_to_json(expected)
+        else:
+            read = parse_jk_game
+            expected = random_monotone_jk(rng, n, j, 3)
+            obj = jk_game_to_json(expected)
+        items = list(obj["values"].items())
+        swapped = items[:-2] + items[:-3:-1]
+        for pairs in (swapped, rng.sample(items, len(items))):
+            spelled = {**obj, "values": dict(pairs)}
+            assert not _general_reader_reached(monkeypatch, read, spelled)
+            assert read(spelled) == expected
+
+
+@pytest.mark.parametrize("read, obj", [
+    (parse_coalition_input, {"n": 2, "values": {0: "0", 1: "0", 2: "0",
+                                                3: "1"}}),
+    (parse_coalition_input, {"n": 2, "values": {"": "0", "1": "0", "2": "0",
+                                                (1, 2): "1"}}),
+    (parse_jk_game, {"n": 2, "j": 2, "k": 2, "values": {
+        "0,0": 0, "0,1": 0, "1,0": 0, (1, 1): 1}}),
+])
+def test_a_library_table_with_a_key_that_is_not_a_string(monkeypatch, read,
+                                                         obj):
+    # such a table goes to the general reader, whose key parser refuses it
+    assert _general_reader_reached(monkeypatch, read, obj)
+    with pytest.raises(AttributeError, match="has no attribute 'strip'"):
+        read(obj)
+
+
 @st.composite
 def rational_tables(draw, max_players=6):
     """n and a table of 2^n Fractions: integral, over small denominators,
