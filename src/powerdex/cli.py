@@ -8,8 +8,10 @@ error, with a machine-readable diagnostic on stderr.
 This module holds the index requests (``ssi``, ``psi``, ``psi-point``,
 ``his-build``); the handlers of every other subcommand are in ``commands``,
 imported when one of them runs.  Modules that only some requests use
-(``his``, ``coalitions``, and numpy on the Monte-Carlo path) are imported
-when those requests run, so a process compiles what its request runs.
+(``stepfun`` for step games, ``his``, ``coalitions``, ``evaluables`` and
+numpy on the Monte-Carlo path) are imported when those requests run, and
+the parser is built for the named subcommand alone, so a process compiles
+and builds what its request runs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .indices import psi_exact, psi_mc, psi_point, ssi_coalition
 from .rational import format_rational, parse_rational
 from .serialize import (parse_coalition_input, parse_step_game,
                         power_vector_to_json)
-from .stepfun import validate
 
 if TYPE_CHECKING:
     from .stepfun import StepGame, ValidationReport
@@ -31,6 +32,17 @@ if TYPE_CHECKING:
 
 class InputError(ValueError):
     pass
+
+
+def __getattr__(name: str):
+    """``validate``, which perfbench/layers.py rebinds, imported with
+    ``stepfun`` on first use (PEP 562)."""
+    if name != "validate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .stepfun import validate
+
+    globals()[name] = validate
+    return validate
 
 
 def _read_json(path: str) -> dict:
@@ -56,7 +68,8 @@ def _emit(obj) -> None:
 
 def _valid_report(g: StepGame) -> ValidationReport:
     """``validate(g)``, refused unless the game passes."""
-    report = validate(g)
+    # through the module attribute, so that a rebinding of it takes effect
+    report = sys.modules[__name__].validate(g)
     if not report.ok:
         found = report.violations
         more = ", first 5" if len(found) > 5 else ""
@@ -110,108 +123,137 @@ def _cmd_his_build(args) -> None:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _UsageError(Exception):
+    """A usage error of a parser built for one subcommand, raised instead of
+    printed: that parser's top-level usage line would list only it."""
+
+
+class _QuietParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when ``command`` names one, of
+    that one alone, which raises ``_UsageError`` where the full parser
+    prints a usage error and exits."""
+    parser = (argparse.ArgumentParser if command is None else _QuietParser)(
         prog="powerdex",
         description="Exact power indices for committee decisions on {0,1}, "
                     "graded and interval scales.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ssi", help="index of a coalition function")
-    p.add_argument("game")
-    p.set_defaults(func=_cmd_ssi)
+    def add(name: str, text: str) -> argparse.ArgumentParser | None:
+        """The subparser ``name``, if this parser holds it."""
+        return (sub.add_parser(name, help=text)
+                if command in (None, name) else None)
 
-    p = sub.add_parser("rollcall", help="ordering-enumeration index oracle")
-    p.add_argument("game")
-    p.add_argument("--model", choices=["all_yes", "uniform_half"],
-                   default="all_yes")
-    p.set_defaults(func="_cmd_rollcall")
+    if p := add("ssi", "index of a coalition function"):
+        p.add_argument("game")
+        p.set_defaults(func=_cmd_ssi)
 
-    p = sub.add_parser("jk-ssi", help="index of a (j,k) game")
-    p.add_argument("game")
-    p.add_argument("--form", choices=["pivot", "marginal"], default="pivot")
-    p.set_defaults(func="_cmd_jk_ssi")
+    if p := add("rollcall", "ordering-enumeration index oracle"):
+        p.add_argument("game")
+        p.add_argument("--model", choices=["all_yes", "uniform_half"],
+                       default="all_yes")
+        p.set_defaults(func="_cmd_rollcall")
 
-    p = sub.add_parser("psi", help="index of a step game")
-    p.add_argument("game")
-    p.add_argument("--mc", action="store_true",
-                   help="Monte-Carlo estimate instead of the exact index")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--with-c", action="store_true",
-                   help="include the boundary-average table")
-    p.set_defaults(func=_cmd_psi)
+    if p := add("jk-ssi", "index of a (j,k) game"):
+        p.add_argument("game")
+        p.add_argument("--form", choices=["pivot", "marginal"],
+                       default="pivot")
+        p.set_defaults(func="_cmd_jk_ssi")
 
-    p = sub.add_parser("psi-point", help="single-profile index variant")
-    p.add_argument("game")
-    p.add_argument("--alpha", required=True)
-    p.set_defaults(func=_cmd_psi_point)
+    if p := add("psi", "index of a step game"):
+        p.add_argument("game")
+        p.add_argument("--mc", action="store_true",
+                       help="Monte-Carlo estimate instead of the exact index")
+        p.add_argument("--samples", type=int, default=100_000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--with-c", action="store_true",
+                       help="include the boundary-average table")
+        p.set_defaults(func=_cmd_psi)
 
-    p = sub.add_parser("embed", help="embed a finite game as a step game")
-    p.add_argument("game")
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--tau", default=None,
-                      help="skewed two-level embedding at this breakpoint")
-    kind.add_argument("--semiregular", action="store_true",
-                      help="winning-set embedding of a simple game")
-    p.set_defaults(func="_cmd_embed")
+    if p := add("psi-point", "single-profile index variant"):
+        p.add_argument("game")
+        p.add_argument("--alpha", required=True)
+        p.set_defaults(func=_cmd_psi_point)
 
-    p = sub.add_parser("coarsen", help="project a step game onto a sub-grid")
-    p.add_argument("game")
-    p.add_argument("--alpha", required=True,
-                   help='comma-separated breakpoints, e.g. "0,1/4,1"')
-    p.set_defaults(func="_cmd_coarsen")
+    if p := add("embed", "embed a finite game as a step game"):
+        p.add_argument("game")
+        kind = p.add_mutually_exclusive_group()
+        kind.add_argument("--tau", default=None,
+                          help="skewed two-level embedding at this breakpoint")
+        kind.add_argument("--semiregular", action="store_true",
+                          help="winning-set embedding of a simple game")
+        p.set_defaults(func="_cmd_embed")
 
-    p = sub.add_parser("his-apply", help="raise one box and report the delta")
-    p.add_argument("game")
-    p.add_argument("--box", required=True,
-                   help='1-based box indices, e.g. "2,1"')
-    p.add_argument("--eps", required=True)
-    p.set_defaults(func="_cmd_his_apply")
+    if p := add("coarsen", "project a step game onto a sub-grid"):
+        p.add_argument("game")
+        p.add_argument("--alpha", required=True,
+                       help='comma-separated breakpoints, e.g. "0,1/4,1"')
+        p.set_defaults(func="_cmd_coarsen")
 
-    p = sub.add_parser("his-build",
-                       help="rebuild a regular game by box increments")
-    p.add_argument("game")
-    p.set_defaults(func=_cmd_his_build)
+    if p := add("his-apply", "raise one box and report the delta"):
+        p.add_argument("game")
+        p.add_argument("--box", required=True,
+                       help='1-based box indices, e.g. "2,1"')
+        p.add_argument("--eps", required=True)
+        p.set_defaults(func="_cmd_his_apply")
 
-    p = sub.add_parser("replay-appendix",
-                       help="replay the worked two-player construction")
-    p.set_defaults(func="_cmd_replay_appendix")
+    if p := add("his-build", "rebuild a regular game by box increments"):
+        p.add_argument("game")
+        p.set_defaults(func=_cmd_his_build)
 
-    p = sub.add_parser("table1", help="effect table of a uniform box increase")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--eps", default="1")
-    p.add_argument("--format", choices=["markdown", "csv", "json"],
-                   default="markdown")
-    p.set_defaults(func="_cmd_table1")
+    if p := add("replay-appendix",
+                "replay the worked two-player construction"):
+        p.set_defaults(func="_cmd_replay_appendix")
 
-    p = sub.add_parser("corner", help="corner-box increase deltas (closed form)")
-    p.add_argument("--L", required=True, help='players pinned low, e.g. "2"')
-    p.add_argument("--U", required=True, help='players pinned high, e.g. "1,3"')
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--eps", default="1")
-    p.set_defaults(func="_cmd_corner")
+    if p := add("table1", "effect table of a uniform box increase"):
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--eps", default="1")
+        p.add_argument("--format", choices=["markdown", "csv", "json"],
+                       default="markdown")
+        p.set_defaults(func="_cmd_table1")
 
-    p = sub.add_parser("axioms", help="axiom battery for a registered index")
-    p.add_argument("--index", required=True)
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--suite", help="JSON file with a list of step games")
-    src.add_argument("--random", type=int, default=20,
-                     help="number of random games")
-    p.add_argument("--players", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "markdown"], default="json")
-    p.set_defaults(func="_cmd_axioms")
+    if p := add("corner", "corner-box increase deltas (closed form)"):
+        p.add_argument("--L", required=True,
+                       help='players pinned low, e.g. "2"')
+        p.add_argument("--U", required=True,
+                       help='players pinned high, e.g. "1,3"')
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--eps", default="1")
+        p.set_defaults(func="_cmd_corner")
 
-    p = sub.add_parser("separation-demo",
-                       help="exact index vs profile-pinned variants")
-    p.set_defaults(func="_cmd_separation_demo")
+    if p := add("axioms", "axiom battery for a registered index"):
+        p.add_argument("--index", required=True)
+        src = p.add_mutually_exclusive_group()
+        src.add_argument("--suite",
+                         help="JSON file with a list of step games")
+        src.add_argument("--random", type=int, default=20,
+                         help="number of random games")
+        p.add_argument("--players", type=int, default=2)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=["json", "markdown"],
+                       default="json")
+        p.set_defaults(func="_cmd_axioms")
+
+    if p := add("separation-demo", "exact index vs profile-pinned variants"):
+        p.set_defaults(func="_cmd_separation_demo")
+    if not sub.choices:  # ``command`` names no subcommand
+        return build_parser()
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+    except _UsageError:
+        # the full parser prints the message under the usage line that
+        # lists every subcommand, and exits
+        args = build_parser().parse_args(argv)
     try:
         if isinstance(args.func, str):  # a handler in ``commands``
             from . import commands

@@ -17,7 +17,6 @@ from .rational import check_players, format_rational, parse_rational
 from .serialize import (json_type, parse_coalition_input, parse_jk_game,
                         parse_simple_game, power_vector_to_json,
                         step_game_to_json)
-from .stepfun import Discretization, check_grid, zero_game
 
 if TYPE_CHECKING:
     from .increments import Domain
@@ -77,6 +76,7 @@ def _cmd_jk_ssi(args) -> None:
 def _cmd_embed(args) -> None:
     from .coalitions import SimpleGame
     from .embeddings import embed_2k_tau, embed_jk, embed_simple_semiregular
+    from .stepfun import check_grid
 
     obj = _read_json(args.game)
     if args.tau is not None:
@@ -92,6 +92,7 @@ def _cmd_embed(args) -> None:
 
 
 def _cmd_coarsen(args) -> None:
+    from .stepfun import Discretization
     from .transforms import coarsen
 
     g = _validated_step_game(_read_json(args.game))
@@ -188,6 +189,7 @@ def _cmd_axioms(args) -> None:
 
     from . import axioms as ax
     from .sampling import random_regular_game
+    from .stepfun import zero_game
 
     handles = ax.make_handles()
     if args.index not in handles:

@@ -4,24 +4,27 @@ the unit cube (exact on step games, Monte-Carlo for black boxes).
 
 Everything except the Monte-Carlo estimator is exact rational arithmetic,
 and only that estimator imports numpy.  The enumerating oracles and closed
-forms that the tests check these kernels against are in ``oracles``.
+forms that the tests check these kernels against are in ``oracles``.  The
+step-game modules are imported by the functions that run them, so the
+coalition and (j,k) kernels compile neither ``stepfun`` nor ``evaluables``.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import factorial, prod
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .budget import check_work
-from .evaluables import EvaluableGame, step_game_evaluable
 from .rational import on_one_denominator
-from .stepfun import StepGame, box_index, face_numerator, locate_face
 
 if TYPE_CHECKING:
     from .coalitions import CoalitionFunction, JKGame, SimpleGame
+    from .evaluables import EvaluableGame
+    from .stepfun import StepGame
 
 # psi_mc evaluates the game at 2^(n+1) pinned copies of every sample point,
 # so this cap on samples * 2^n bounds its run time; montecarlo's chunks
@@ -203,6 +206,8 @@ def boundary_averages(g: StepGame) -> BoundaryAverages:
     the overrides on faces C reads differ from their box by a known gap,
     added afterwards.
     """
+    from .stepfun import box_index
+
     n, p, top = g.n, g.p, 2 * g.p
     widths = [b - a for a, b in zip(g.disc.alpha, g.disc.alpha[1:])]
     nums, den = g.nums, g.den
@@ -233,8 +238,23 @@ def psi_exact(g: StepGame) -> PowerVector:
 # ---------------------------------------------------------------------------
 # black-box games
 
+def __getattr__(name: str):
+    """``step_game_evaluable``, imported with ``evaluables`` on first use
+    (PEP 562)."""
+    if name != "step_game_evaluable":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .evaluables import step_game_evaluable
+
+    globals()[name] = step_game_evaluable
+    return step_game_evaluable
+
+
 def _as_evaluable(v: EvaluableGame | StepGame) -> EvaluableGame:
-    return step_game_evaluable(v) if isinstance(v, StepGame) else v
+    from .stepfun import StepGame
+
+    # through the module attribute, so that a rebinding of it takes effect
+    return (sys.modules[__name__].step_game_evaluable(v)
+            if isinstance(v, StepGame) else v)
 
 
 def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
@@ -248,6 +268,8 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
     a = Fraction(alpha)
     if a < 0 or a > 1:
         raise ValueError("alpha must lie in [0, 1]")
+    from .stepfun import StepGame, face_numerator, locate_face
+
     if isinstance(v, StepGame):
         (at,) = locate_face(v.disc, (a,))
         top = 2 * v.p

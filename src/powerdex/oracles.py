@@ -112,11 +112,14 @@ def psi_product_oracle(exponents: Sequence) -> PowerVector:
     a = [Fraction(e) for e in exponents]
     n = len(a)
     # n elementary sums per player, on integers of about n log2(n D) bits:
-    # charged n^3, as their cost grows with n too
+    # charged n^3 log(n D) / log(n), as their cost grows with n and D too.
+    # n^3 alone is charged first, so that D is computed for few exponents
     check_work(n ** 3, "product oracle")
     if any(e <= 0 for e in a):
         raise ValueError("exponents must be positive")
     nums, den = on_one_denominator(a)
+    check_work(n ** 3 * (n * den).bit_length() // (n.bit_length() or 1),
+               "product oracle")
     b = [x + den for x in nums]
     e = [1] + [0] * n
     for k, x in enumerate(b, 1):

@@ -8,7 +8,8 @@ Reading goes through one set of typed accessors and one keyed-table reader
 shared by the four grid-keyed tables (coalition and (j,k) ``values``,
 step-game ``boxes`` and ``faces``), so each input rule is checked the same
 way wherever it applies, and each diagnostic names the JSON path of the
-value it refuses.
+value it refuses.  The step-game readers and writers import ``stepfun``
+when they run, so reading a coalition or (j,k) table does not compile it.
 """
 
 from __future__ import annotations
@@ -22,14 +23,22 @@ from typing import TYPE_CHECKING, Iterator
 
 from .rational import (MAX_PLAYERS, check_players, format_rational,
                        on_one_denominator, parse_rational)
-# perfbench/layers.py times the completion rule through this name
-from .stepfun import (Discretization, StepGame, TAG_REGULAR,  # noqa: F401
-                      box_keys, box_numerators, check_grid, check_tag,
-                      regular_completion)
 
 if TYPE_CHECKING:
     from .coalitions import CoalitionFunction, JKGame, SimpleGame
     from .indices import PowerVector
+    from .stepfun import StepGame
+
+
+def __getattr__(name: str):
+    """``regular_completion``, which perfbench/layers.py rebinds, imported
+    with ``stepfun`` on first use (PEP 562)."""
+    if name != "regular_completion":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .stepfun import regular_completion
+
+    globals()[name] = regular_completion
+    return regular_completion
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
@@ -210,11 +219,19 @@ def _total_table(raw: dict, n: int) -> tuple[list[int], int] | None:
     if len(raw) != 1 << n:
         return None
     found = _in_key_order(raw, _coalition_blocks, n)
-    # None (a missing key or a JSON null) and booleans are not str or int
-    if not set(map(type, found)) <= {str, int}:
+    try:
+        distinct = set(found)
+    except TypeError:  # an array or object value
+        return None
+    # None (a missing key or a JSON null) and booleans are not str or int.
+    # A str equals only a str, so when every distinct value is one no other
+    # value hides behind it; a bool or a float can equal an int, and then
+    # every entry is looked at
+    if (set(map(type, distinct)) != {str}
+            and not set(map(type, found)) <= {str, int}):
         return None
     try:
-        read = {x: _rational(x, ()) for x in set(found)}
+        read = {x: _rational(x, ()) for x in distinct}
     except ValueError:
         return None
     nums, den = on_one_denominator(list(read.values()))
@@ -300,6 +317,8 @@ def step_game_to_json(g: StepGame) -> dict:
     """Boxes are keyed by 1-based box indices; for raw and semi-regular
     games a "faces" table lists the values that differ from the regular
     completion of the same boxes (keys are doubled face coordinates)."""
+    from .stepfun import TAG_REGULAR, box_keys
+
     # a table repeats a few values: each is formatted once
     text = functools.cache(lambda x: format_rational(Fraction(x, g.den)))
     boxes = {_key((d + 1) // 2 for d in b): text(x)
@@ -315,6 +334,9 @@ def step_game_to_json(g: StepGame) -> dict:
 def parse_step_game(obj: dict) -> StepGame:
     """The game of a JSON step game: the boxes table must be total, and a
     "faces" entry sets a face the way ``StepGame.with_values`` does."""
+    from .stepfun import (Discretization, StepGame, TAG_REGULAR,
+                          box_numerators, check_grid, check_tag)
+
     _typed(obj, dict, ())
     disc = Discretization(tuple(_rational(a, ("alpha", i)) for i, a
                                 in enumerate(_member(obj, "alpha", list))))

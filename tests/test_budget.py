@@ -57,6 +57,22 @@ def test_product_oracle_answers_the_largest_admitted_input_at_once():
     assert pv.shares == (F(1, 125),) * 125
 
 
+def test_product_oracle_charges_the_common_denominator():
+    # charged n^3 alone, the exponents k/(k+1) were admitted and took 0.74 s
+    # on integers carrying D = lcm(2..126), a 182-bit denominator
+    exponents = [F(k, k + 1) for k in range(1, 126)]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="product oracle exceeds the work"):
+        psi_product_oracle(exponents)
+    assert time.perf_counter() - start < 0.01
+    # fewer players with a large D still pass; D = 1 is charged n^3, so
+    # [1] * 125 is answered (above)
+    start = time.perf_counter()
+    pv = psi_product_oracle(exponents[:40])
+    assert time.perf_counter() - start < 0.1
+    assert sum(pv.shares) == 1
+
+
 def test_psi_mc_refuses_21_players_before_it_draws():
     # used to draw and evaluate for about 30 s, then raise IndexError from
     # the factorial table behind ordering_weight

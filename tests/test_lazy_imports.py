@@ -16,11 +16,8 @@ import contextlib, io, json, sys
 
 import powerdex.cli
 
-step, coalition, jk, *labels = sys.argv[1:]
-watched = ("numpy", "dataclasses", "powerdex.coalitions", "powerdex.his",
-           "powerdex.axioms", "powerdex.montecarlo", "powerdex.embeddings",
-           "powerdex.commands", "powerdex.increments", "powerdex.oracles",
-           "powerdex.families", "powerdex.transforms")
+step, coalition, jk, watched, *labels = sys.argv[1:]
+watched = json.loads(watched)
 requests = {"psi": ["psi", step],
             "psi-point": ["psi-point", step, "--alpha", "1/3"],
             "his-build": ["his-build", step],
@@ -43,8 +40,14 @@ print(json.dumps(report))
 """
 
 
+WATCHED = ("numpy", "dataclasses", "powerdex.coalitions", "powerdex.his",
+           "powerdex.axioms", "powerdex.montecarlo", "powerdex.embeddings",
+           "powerdex.commands", "powerdex.increments", "powerdex.oracles",
+           "powerdex.families", "powerdex.transforms")
+
+
 def _probe(tmp_path, labels=("psi", "psi-point", "his-build", "ssi",
-                              "mc")) -> dict:
+                              "mc"), watched=WATCHED) -> dict:
     step = tmp_path / "step.json"
     step.write_text(json.dumps(
         {"n": 2, "alpha": ["0", "1/2", "1"], "tag": "regular",
@@ -56,7 +59,8 @@ def _probe(tmp_path, labels=("psi", "psi-point", "his-build", "ssi",
         "0,0": 0, "0,1": 0, "0,2": 0, "1,0": 0, "1,1": 0, "1,2": 1,
         "2,0": 0, "2,1": 1, "2,2": 1}}))
     proc = subprocess.run([sys.executable, "-c", _PROBE, str(step),
-                           str(coalition), str(jk), *labels],
+                           str(coalition), str(jk), json.dumps(watched),
+                           *labels],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -119,6 +123,21 @@ def test_increment_tables_load_no_his_and_his_build_no_increments(tmp_path):
     report = _probe(tmp_path, ("his-build",))
     assert "powerdex.his" in report["his-build"]
     assert "powerdex.increments" not in report["his-build"]
+
+
+def test_only_step_game_requests_load_stepfun_and_only_mc_evaluables(
+        tmp_path):
+    # the coalition and (j,k) requests first, as each request adds to what
+    # the one process has loaded
+    report = _probe(tmp_path, ("ssi", "jk-ssi-marginal", "jk-ssi-pivot",
+                               "rollcall", "psi", "psi-point", "his-build",
+                               "mc"),
+                    watched=("powerdex.stepfun", "powerdex.evaluables"))
+    step = ["powerdex.stepfun"]
+    assert report == {
+        "import": [], "ssi": [], "jk-ssi-marginal": [], "jk-ssi-pivot": [],
+        "rollcall": [], "psi": step, "psi-point": step, "his-build": step,
+        "mc": [*step, "powerdex.evaluables"]}
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -3,6 +3,9 @@ for the length of a replay and wraps the step-game evaluable, so renaming a
 name it reads breaks only the traced benchmark run.  Checked here without
 running the benchmark."""
 
+import contextlib
+import io
+import json
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -48,3 +51,22 @@ def test_timed_evaluable_gives_the_step_game_values(layers):
             == [plain.eval_exact(x) for x in points])
     floats = np.array(points, dtype=np.float64)
     assert np.array_equal(timed.eval_array(floats), plain.eval_array(floats))
+
+
+def test_traced_requests_count_a_call_on_every_layer(layers, tmp_path):
+    # a name that a lazy import reads past its module attribute would keep
+    # its identity test above and still read 0 calls here
+    step = tmp_path / "step.json"
+    step.write_text(json.dumps(
+        {"n": 2, "alpha": ["0", "1/2", "1"], "tag": "regular",
+         "boxes": {"1,1": "0", "1,2": "1/4", "2,1": "1/2", "2,2": "1"}}))
+    coalition = tmp_path / "coalition.json"
+    coalition.write_text(json.dumps({"n": 3, "winning": [[1, 2], [1, 3]]}))
+    tracer = layers.Tracer()
+    with layers._rebound(tracer), contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["psi", str(step)], ["ssi", str(coalition)],
+                     ["psi", str(step), "--mc", "--samples", "10"]):
+            assert cli.main(argv) == 0, argv
+    spans = ("stepfun.validate", "serialize.parse_step_game",
+             "indices.psi_from_c", "evaluables.eval_array")
+    assert [name for name in spans if tracer.calls[name] == 0] == []

@@ -189,6 +189,21 @@ def test_coalition_reader_spellings(drawn, rng):
             == f"""values["{later}"]: key '{later}' repeats an earlier key"""
 
 
+@pytest.mark.parametrize("quota, at, odd, kind", [
+    (1, 3, True, "boolean"), (1, 3, 1.0, "number"),
+    (2, 1, False, "boolean"), (2, 1, 0.0, "number")])
+def test_a_value_equal_to_an_earlier_integer_is_refused(quota, at, odd, kind):
+    # a set of the values keeps one of 1 and True (or 0 and 0.0), so only
+    # the distinct values of a table of strings are enough to type-check
+    cf = SimpleGame.weighted(quota, [1, 1]).inner
+    values = {k: int(F(v)) for k, v in
+              coalition_function_to_json(cf)["values"].items()}
+    key = list(values)[at]
+    assert _parse_error({"n": 2, "values": {**values, key: odd}}) == (
+        f"""values["{key}"]: key '{key}' must be a JSON string or """
+        f"integer, not {kind}")
+
+
 @st.composite
 def jk_tables(draw, max_players=4):
     """A (j,k) table as jk_game_to_json writes it, with its JKGame."""
