@@ -270,7 +270,20 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """The process entry, of the console script and of ``python -m``:
+    ``main``, then exit with its code.  Freezing the heap first keeps the
+    interpreter's last collection from walking every module's cycles; only
+    here, because ``main`` also runs in processes that go on.  ``gc`` is
+    imported here, so that ``import powerdex.cli`` loads nothing more."""
+    import gc
+
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
     # registered under its name, so that ``commands`` does not run it again
     sys.modules[__spec__.name] = sys.modules[__name__]
-    sys.exit(main())
+    run()

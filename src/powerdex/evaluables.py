@@ -56,14 +56,21 @@ class EvaluableGame:
         self.name = name
 
     def eval_exact(self, x: Sequence) -> Fraction:
-        if self._exact is None:
-            raise NotImplementedError(f"{self.name} has no exact evaluation")
+        exact = self.exact_unchecked()
         pt = tuple(Fraction(v) for v in x)
         if len(pt) != self.n:
             raise ValueError(f"point has {len(pt)} coordinates, game has {self.n}")
         if any(v < 0 or v > 1 for v in pt):
             raise ValueError("point outside the unit cube")
-        return Fraction(self._exact(pt))
+        return Fraction(exact(pt))
+
+    def exact_unchecked(self) -> Callable:
+        """The exact callable that ``eval_exact`` wraps, for a caller that
+        builds its points as n-tuples of ``Fraction`` in [0, 1] itself and
+        converts each value with ``Fraction``."""
+        if self._exact is None:
+            raise NotImplementedError(f"{self.name} has no exact evaluation")
+        return self._exact
 
     def _points(self, points) -> np.ndarray:
         import numpy as np

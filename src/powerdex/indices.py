@@ -279,10 +279,14 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
         c = [0] + [face_numerator(v, face(t, top)) - face_numerator(v, face(t, 0))
                    for t in range(1, 1 << n)]
         return psi_from_c(c, v.den << n, n)
-    game = _as_evaluable(v)
+    # the points are built here of Fractions in [0, 1], so eval_exact's
+    # conversion and range check of every coordinate are skipped
+    exact = _as_evaluable(v).exact_unchecked()
+    sides = (Fraction(0), Fraction(1))
 
     def pinned(t: int, side: int) -> Fraction:
-        return game.eval_exact([side if t >> i & 1 else a for i in range(n)])
+        return Fraction(exact(tuple(sides[side] if t >> i & 1 else a
+                                    for i in range(n))))
 
     c = [Fraction(0)] + [pinned(t, 1) - pinned(t, 0) for t in range(1, 1 << n)]
     return psi_from_c(*on_one_denominator(c), n)

@@ -1081,3 +1081,60 @@ def test_moved_command_under_python_m_prints_what_main_prints(tmp_path, capsys,
     imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
     assert "powerdex.commands" in imported
     assert "powerdex.cli" not in imported
+
+
+# ---------------------------------------------------------------------------
+# the process entry: ``run`` freezes the heap after ``main``, ``main`` never
+
+def _small_step_game(tmp_path):
+    from powerdex.his import appendix_game
+
+    return write(tmp_path, "step.json", step_game_to_json(appendix_game()))
+
+
+def test_main_in_process_never_freezes_the_heap(tmp_path, capsys):
+    import gc
+
+    frozen = gc.get_freeze_count()
+    assert run_cli(["psi", _small_step_game(tmp_path)], capsys)[0] == 0
+    assert gc.get_freeze_count() == frozen
+    assert run_cli(["psi", str(tmp_path / "missing.json")], capsys)[0] == 2
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("code", [0, 2])
+def test_run_freezes_once_after_main_and_exits_with_its_code(monkeypatch,
+                                                             code):
+    import gc
+
+    import powerdex.cli as cli
+
+    calls = []
+
+    def fake_main():
+        calls.append("main")
+        return code
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == code
+    assert calls == ["main", "freeze"]
+
+
+def test_python_m_psi_prints_what_main_prints(tmp_path, capsys):
+    path = _small_step_game(tmp_path)
+    code, expected, _ = run_cli(["psi", path], capsys)
+    assert code == 0 and expected
+    proc = subprocess.run([sys.executable, "-m", "powerdex.cli", "psi", path],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+def test_python_m_missing_file_exits_2_with_the_diagnostic(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    code, _, expected = run_cli(["psi", path], capsys)
+    assert code == 2 and json.loads(expected)["type"] == "InputError"
+    proc = subprocess.run([sys.executable, "-m", "powerdex.cli", "psi", path],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)

@@ -6,6 +6,7 @@ import pytest
 from powerdex.coalitions import (CoalitionFunction, JKGame, SimpleGame,
                                  all_simple_games, random_monotone_jk)
 from powerdex.embeddings import embed_simple_semiregular
+from powerdex.evaluables import EvaluableGame
 from powerdex.families import (counterexample_game, product_power_game,
                                weighted_mean_game, weighted_median_game)
 from powerdex.indices import (boundary_averages, jk_boundary_averages,
@@ -155,6 +156,38 @@ def test_psi_point_is_efficient(rng):
     for _ in range(10):
         g = random_regular_game(rng, rng.randrange(1, 4), 2)
         assert sum(psi_point(g, F(1, 3)).shares) == 1
+
+
+def test_psi_point_hands_the_exact_callable_built_fraction_points():
+    # psi_point builds its points itself, so they skip eval_exact's checks;
+    # the game still sees two n-tuples of Fractions in [0, 1] per coalition
+    inner = weighted_mean_game([F(1, 2), F(1, 3), F(1, 6)])
+    seen = []
+
+    def exact(x):
+        seen.append(x)
+        return inner.eval_exact(x)
+    game = EvaluableGame(3, exact, None)
+    a = F(2, 7)
+    pv = psi_point(game, a)
+    assert len(seen) == 2 * (2 ** 3 - 1)
+    assert all(type(x) is tuple and len(x) == 3 for x in seen)
+    assert all(type(c) is F and 0 <= c <= 1 for x in seen for c in x)
+    # an additive game's shares are its weights
+    assert pv.shares == (F(1, 2), F(1, 3), F(1, 6))
+    with pytest.raises(NotImplementedError):
+        psi_point(EvaluableGame(2, None, None, name="floats only"), a)
+
+
+def test_eval_exact_keeps_its_checks():
+    game = weighted_mean_game([F(1, 2), F(1, 2)])
+    assert game.eval_exact([0, "1/2"]) == F(1, 4)
+    with pytest.raises(ValueError, match="^point outside the unit cube$"):
+        game.eval_exact([F(1, 2), F(3, 2)])
+    with pytest.raises(ValueError, match="point has 1 coordinates"):
+        game.eval_exact([F(1, 2)])
+    with pytest.raises(NotImplementedError):
+        EvaluableGame(2, None, None).eval_exact([0, 0])
 
 
 def test_product_oracle_examples():
