@@ -198,6 +198,8 @@ def _cmd_axioms(args) -> None:
     if args.suite:
         suite = _validated_suite(args.suite)
     else:
+        if args.random < 0:
+            raise InputError(f"--random must be >= 0, got {args.random}")
         rng = random.Random(args.seed)
         suite = [random_regular_game(rng, args.players, rng.randrange(1, 4))
                  for _ in range(args.random)]

@@ -5,8 +5,8 @@ increment per nonempty proper coalition pinned to the top or bottom of the
 cube on the box's outer band; no other face carries a nonzero delta, so the
 box's share delta is the sum of those increments' shifts.  Iterating boxes
 grid-by-grid builds any regular monotone step game from the all-or-nothing
-game.  The local increments themselves, their verification and the worked
-two-player replay are in ``increments``.
+game, on one list of integer box values per phase.  The local increments,
+their verification and the worked two-player replay are in ``increments``.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .indices import PowerVector
 from .rational import on_one_denominator
 # IncrementError is also read from here, as his.IncrementError
 from .stepfun import (Discretization, Face, IncrementError,  # noqa: F401
-                      StepGame, TAG_REGULAR, ValidationReport, box_faces,
-                      box_index, falling_covers, make_regular_step,
-                      pinned_covers, refine, validate, zero_game)
+                      StepGame, TAG_REGULAR, ValidationReport, _step,
+                      box_faces, box_index, falling_covers, make_regular_step,
+                      pinned_covers, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,13 @@ def _box_shift(disc: Discretization, e_bar: Face) -> tuple[list[int], int]:
         shift = [x + (member if b == level else outsider)
                  for x, b in zip(shift, e_bar)]
     return shift, factorial(n) * den ** n
+
+
+def _refuse(broken: list[str]) -> None:
+    if broken:
+        more = ", first 3" if len(broken) > 3 else ""
+        raise IncrementError(f"increment breaks monotonicity: {len(broken)} "
+                             f"violations{more}: " + "; ".join(broken[:3]))
 
 
 def raise_box(u: StepGame, e_bar: Face, eps: Fraction) -> StepGame:
@@ -101,19 +108,14 @@ def apply_box_increment(u: StepGame, e_bar: Face,
         raise IncrementError("box increments take eps >= 0")
     e_bar = tuple(e_bar)
     if len(e_bar) != u.n:
-        raise IncrementError(f"box {e_bar} does not fit the game's "
-                             f"{u.n} players")
+        raise IncrementError(f"box {e_bar} does not fit the game's {u.n} players")
     shift, den = _box_shift(u.disc, e_bar)
     out = raise_box(u, e_bar, eps)
     on_box = set(box_faces(e_bar))
-    covers = [(e_bar, e_bar[:i] + (b + 2,) + e_bar[i + 1:])
+    covers = [(e_bar, _step(e_bar, i, 2))
               for i, b in enumerate(e_bar) if b + 2 < 2 * u.p]
     covers += [c for c in pinned_covers(out) if c[0] in on_box]
-    broken = falling_covers(out, covers)
-    if broken:
-        more = ", first 3" if len(broken) > 3 else ""
-        raise IncrementError(f"increment breaks monotonicity: {len(broken)} "
-                             f"violations{more}: " + "; ".join(broken[:3]))
+    _refuse(falling_covers(out, covers))
     return out, PowerVector(tuple(Fraction(eps.numerator * x, eps.denominator * den)
                                   for x in shift), "exact")
 
@@ -157,43 +159,38 @@ def build_by_increments(v: StepGame,
     """Rebuild a regular monotone step game from the all-or-nothing game by
     per-box increments, one grid refinement phase at a time.
 
-    Each phase l works on the grid (0, a_1, ..., a_{l-1}, 1) and raises every
-    box with a coordinate in the newest band by the gap between the target
-    and the current value of its lowest fine box, in a descending linear
-    extension of the componentwise order (descending lexicographic by
-    default; the total effect is order-independent).  The phase grid's bands
-    are the fine bands 0..l-2 plus one that starts at fine band l-1, so a
-    phase box and its lowest fine box have the same key.
-
-    ``report`` is ``validate(v)`` when the caller has already made it.
+    Phase l keeps the box numerators over ``v.den`` of the grid (0, a_1, ...,
+    a_{l-1}, 1) in one list, as ``refine`` of the last phase leaves them, and
+    sets each box with a coordinate in its last band (fine band l-1 on) to
+    the target at its key, in a descending linear extension of the
+    componentwise order (lexicographic by default; the result is the same
+    for all).  Only covers to a raised box's upper neighbours can fall; those
+    are refused as by ``apply_box_increment``.  ``report`` is ``validate(v)``.
     """
-    if report is None:
-        report = validate(v)
+    report = validate(v) if report is None else report
     if v.tag != TAG_REGULAR or not report.ok:
         raise ValueError("build requires a validated regular monotone game")
     order = box_order or (lambda boxes: sorted(boxes, reverse=True))
-    alpha = v.disc.alpha
-    n, p = v.n, v.p
-    game = zero_game(n)
-    nums, den, psi = [1] * n, n, (Fraction(1, n),) * n  # shares: nums / den
-    steps: list[BuildStep] = []
-    for l in range(1, p + 1):
-        game = refine(game, _phase_grid(alpha, l)).with_tag(TAG_REGULAR)
-        band = 2 * l - 1
-        new_boxes = [b for b in itertools.product(range(1, 2 * l, 2), repeat=n)
-                     if band in b]
-        for box in order(new_boxes):
-            target, now = v.nums[box_index(box, p)], game.nums[box_index(box, l)]
-            eps = Fraction(target * game.den - now * v.den, v.den * game.den)
-            if eps < 0:
+    vals, psi, steps = [0], (Fraction(1, v.n),) * v.n, []
+    for l in range(1, v.p + 1):
+        grid, band = _phase_grid(v.disc.alpha, l), 2 * l - 1
+        boxes = list(itertools.product(range(1, band + 1, 2), repeat=v.n))
+        vals = [vals[box_index([min(b, band - 2) for b in e], l - 1)]
+                if l > 1 else 0 for e in boxes]
+        for box in order([e for e in boxes if band in e]):
+            k, target = box_index(box, l), v.nums[box_index(box, v.p)]
+            rise = target - vals[k]
+            if rise < 0:
                 raise IncrementError("target game is not monotone")
-            if not eps:  # nothing to raise: every share stays
-                steps.append(BuildStep(l, box, eps, (eps,) * n, psi))
-                continue
-            game, delta = apply_box_increment(game, box, eps)
-            common = lcm(den, *(x.denominator for x in delta.shares))
-            nums = [a * (common // den) + x.numerator * (common // x.denominator)
-                    for a, x in zip(nums, delta.shares)]
-            den, psi = common, tuple(Fraction(a, common) for a in nums)
-            steps.append(BuildStep(l, box, eps, delta.shares, psi))
-    return BuildResult(steps, game, psi)
+            eps, delta = Fraction(rise, v.den), (Fraction(0),) * v.n
+            if rise:  # else nothing moves: every share stays
+                vals[k] = target
+                ups = [_step(box, i, 2) for i, b in enumerate(box) if b < band]
+                _refuse([f"value {Fraction(target, v.den)} at {box} exceeds "
+                         f"{Fraction(vals[box_index(u, l)], v.den)} at {u}"
+                         for u in ups if vals[box_index(u, l)] < target])
+                shift, d = _box_shift(grid, box)
+                delta = tuple(Fraction(rise * x, v.den * d) for x in shift)
+                psi = tuple(a + x for a, x in zip(psi, delta))
+            steps.append(BuildStep(l, box, eps, delta, psi))
+    return BuildResult(steps, v, psi)

@@ -422,6 +422,8 @@ sys.exit(code)
      [], f"missing value at {(0,) * 19 + (1,)}"),
     ("jk-ssi", {"n": 1, "j": 10 ** 12, "k": 2, "values": {"0": 0}}, [],
      "missing value at (1,)"),
+    # a negative count ran only the two salted games and exited 0
+    ("axioms", None, ["--index", "psi_exact", "--random", "-5"], "--random"),
 ])
 def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
                                                    extra, needle):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import powerdex.his as his
 import powerdex.increments as increments
+import powerdex.stepfun as stepfun
 from powerdex.his import (IncrementError, apply_box_increment, appendix_game,
                           build_by_increments)
 from powerdex.increments import (Domain, LocalIncrement, box_increments,
@@ -274,8 +275,10 @@ def test_build_phase_ends_at_coarsening(appendix):
     assert pointwise_equal(partial, expected)
 
 
-def test_build_order_independence(appendix, rng):
-    def random_descending(boxes):
+def _random_descending(rng):
+    """A box order that draws a random descending linear extension of the
+    componentwise order."""
+    def order(boxes):
         remaining = list(boxes)
         out = []
         while remaining:
@@ -286,12 +289,32 @@ def test_build_order_independence(appendix, rng):
             out.append(pick)
             remaining.remove(pick)
         return out
+    return order
 
+
+def _applied_chain(v, order):
+    """The build replayed as a chain of ``apply_box_increment`` games in the
+    given box order: the text of its first refusal, or None."""
+    game = zero_game(v.n)
+    for l in range(1, v.p + 1):
+        game = refine(game, his._phase_grid(v.disc.alpha, l)).with_tag("regular")
+        new = [b for b in itertools.product(range(1, 2 * l, 2), repeat=v.n)
+               if 2 * l - 1 in b]
+        for box in order(new):
+            if eps := v.box(box) - game.box(box):
+                try:
+                    game, _ = apply_box_increment(game, box, eps)
+                except IncrementError as exc:
+                    return str(exc)
+    return None
+
+
+def test_build_order_independence(appendix, rng):
     games = [appendix] + [random_regular_game(rng, 2, 3) for _ in range(3)]
     for g in games:
         lex = build_by_increments(g)
         for _ in range(2):
-            alt = build_by_increments(g, box_order=random_descending)
+            alt = build_by_increments(g, box_order=_random_descending(rng))
             assert alt.final.same_values(lex.final)
             assert alt.psi == lex.psi
 
@@ -384,11 +407,13 @@ def test_box_shift_sums_the_local_increments(g, eps):
 
 
 @settings(max_examples=80)
-@given(coprime_games())
-def test_build_accumulates_the_applied_deltas(v):
-    # the integer running shares against a Fraction re-accumulation of
-    # apply_box_increment's deltas, replayed from the recorded steps
-    result = build_by_increments(v)
+@given(coprime_games(), st.booleans(), st.randoms(use_true_random=False))
+def test_build_accumulates_the_applied_deltas(v, lex, rng):
+    # the running shares against a Fraction re-accumulation of
+    # apply_box_increment's deltas, replayed from the recorded steps, in
+    # the default order or a random descending linear extension
+    result = build_by_increments(v, box_order=None if lex
+                                 else _random_descending(rng))
     game, psi = zero_game(v.n), [F(1, v.n)] * v.n
     for step in result.steps:
         if step.phase != game.p:
@@ -403,6 +428,41 @@ def test_build_accumulates_the_applied_deltas(v):
         assert (step.delta, step.psi) == (delta, tuple(psi))
     assert result.final == game and result.final.same_values(v)
     assert result.psi == tuple(psi) == psi_exact(v).shares
+
+
+def test_ascending_order_is_refused_as_the_applied_chain(appendix, rng):
+    # an ascending order raises a box before its upper neighbours, so it is
+    # no linear extension: the build refuses the first raise that leaves a
+    # neighbour box lower, with the text the apply_box_increment chain gives
+    games = [appendix] + [random_regular_game(rng, rng.randint(2, 3), 3)
+                          for _ in range(12)]
+    refused = 0
+    for g in games:
+        expected = _applied_chain(g, sorted)
+        if expected is None:
+            result = build_by_increments(g, box_order=sorted)
+            assert result.psi == psi_exact(g).shares
+            continue
+        refused += 1
+        with pytest.raises(IncrementError) as caught:
+            build_by_increments(g, box_order=sorted)
+        assert str(caught.value) == expected
+    assert refused > 1
+
+
+def test_build_constructs_no_step_game(monkeypatch, rng):
+    # the build works on one box list per phase: no intermediate game, so
+    # none of raise_box, refine or zero_game runs
+    games = [appendix_game(), random_regular_game(rng, 3, 3)]
+    expected = [psi_exact(g).shares for g in games]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the build constructed a StepGame")
+    monkeypatch.setattr(stepfun.StepGame, "__init__", refused)
+    results = [build_by_increments(g) for g in games]
+    assert results[0].psi == (F(9, 16), F(7, 16))
+    assert [r.psi for r in results] == expected
+    assert all(r.final is g for r, g in zip(results, games))
 
 
 def test_box_increments_build_no_per_coalition_objects(monkeypatch):
