@@ -2,9 +2,10 @@
 
 An evaluable game exposes an exact path (rational points in, rational value
 out) used by the closed-form index computations, and a vectorized float path
-used by the Monte-Carlo estimator.  This module wraps step games; the
-built-in families are in ``families``.  numpy is imported on the float path
-only, so exact work never loads it.
+used by the Monte-Carlo estimator; ``EvaluableGame`` refuses a point
+outside the cube on both.  This module wraps step games; the built-in
+families are in ``families``.  numpy is imported on the float path only,
+so exact work never loads it.
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ FACE_BLOCK_ROWS = 1 << 13
 SEARCH_FROM_P = 64
 
 
-def check_in_cube(pts: np.ndarray) -> None:
-    """Refuse points with a NaN or a coordinate outside [0, 1]."""
-    # NaN makes min and max NaN, which fails both comparisons
-    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
-        raise ValueError("point outside the unit cube")
-
-
 class EvaluableGame:
-    """A function [0,1]^n -> [0,1], monotone when the flag says so.
+    """A function [0,1]^n -> [0,1] of n >= 1 players, monotone when the
+    flag says so.  ``eval_array`` and ``cells`` refuse what ``eval_exact``
+    refuses, so the ``array`` and ``cells`` hooks see only cube points.
 
     ``array`` must give each point the same value whatever other points
     share the call, because the Monte-Carlo estimator batches points as its
@@ -48,6 +44,8 @@ class EvaluableGame:
                  array: Callable[[np.ndarray], np.ndarray],
                  monotone: bool = True, name: str = "custom",
                  cells: Callable | None = None):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"player count must be an integer >= 1, not {n!r}")
         self.n = n
         self._exact = exact
         self._array = array
@@ -78,6 +76,9 @@ class EvaluableGame:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"expected an (m, {self.n}) array")
+        # NaN makes min and max NaN, which fails both comparisons
+        if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
+            raise ValueError("point outside the unit cube")
         return pts
 
     def eval_array(self, points: np.ndarray) -> np.ndarray:
@@ -118,7 +119,6 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
         idx = np.empty(len(pts), dtype=np.int64)
         for lo in range(0, len(pts), FACE_BLOCK_ROWS):
             block = pts[lo:lo + FACE_BLOCK_ROWS]
-            check_in_cube(block)
             # a coordinate's digit is #(alpha < x) + #(alpha <= x) - 1:
             # 2h - 1 inside band h, 2h on breakpoint h
             if p < SEARCH_FROM_P:

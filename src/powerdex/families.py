@@ -1,24 +1,16 @@
 """Built-in black-box families: weighted mean, weighted median, products of
 powers and the separating counterexample x_1 * x_2^2.
 
-Each is monotone with v(0)=0 and v(1)=1 by construction, and its float
-path refuses points outside the cube as its exact path does.
+Each is monotone with v(0)=0 and v(1)=1 by construction.  ``EvaluableGame``
+refuses points outside the cube on both paths, so no family checks them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .evaluables import EvaluableGame, check_in_cube
-
-
-def _in_cube(array: Callable) -> Callable:
-    """``array``, refusing points outside the cube as ``eval_exact`` does."""
-    def checked(pts):
-        check_in_cube(pts)
-        return array(pts)
-    return checked
+from .evaluables import EvaluableGame
 
 
 def weighted_mean_game(weights: Sequence) -> EvaluableGame:
@@ -39,7 +31,7 @@ def weighted_mean_game(weights: Sequence) -> EvaluableGame:
             out += pts[:, i] * float(w[i])
         return out
 
-    return EvaluableGame(len(w), exact, _in_cube(array), True, "weighted_mean")
+    return EvaluableGame(len(w), exact, array, True, "weighted_mean")
 
 
 def product_power_game(exponents: Sequence) -> EvaluableGame:
@@ -68,7 +60,7 @@ def product_power_game(exponents: Sequence) -> EvaluableGame:
                 out *= pts[:, i] ** ef[i]
         return out
 
-    return EvaluableGame(n, exact if all_int else None, _in_cube(array), True,
+    return EvaluableGame(n, exact if all_int else None, array, True,
                          "product_power")
 
 
@@ -99,7 +91,7 @@ def weighted_median_game(weights: Sequence) -> EvaluableGame:
         idx = np.argmax(cum >= 0.5, axis=1)
         return pts[np.arange(m), order[np.arange(m), idx]]
 
-    return EvaluableGame(n, exact, _in_cube(array), True, "weighted_median")
+    return EvaluableGame(n, exact, array, True, "weighted_median")
 
 
 def counterexample_game(n: int = 2) -> EvaluableGame:

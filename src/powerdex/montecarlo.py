@@ -50,17 +50,15 @@ def estimate(game: EvaluableGame, samples: int, seed: int, sampler=None,
 
     The game is evaluated once per cell of ``game.cells``.  Each player's
     per-cell values go into one n x cells array, expanded to one entry per
-    sample only where they are averaged.
+    sample only where they are averaged.  ``game.cells`` converts the
+    sampled points and refuses any outside the cube.
     """
     n = game.n
     rng = np.random.default_rng(seed)
     pts = rng.random((samples, n)) if sampler is None else \
-        np.asarray(sampler(rng, samples, n), dtype=np.float64)
+        sampler(rng, samples, n)
     if len(pts) != samples:
         raise ValueError(f"sampler returned {len(pts)} points, not {samples}")
-    # a NaN fails both comparisons; game.cells refuses an empty array's shape
-    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
-        raise ValueError("point outside the unit cube")
     reps, inverse = game.cells(pts)
     cells, coalitions = len(reps), 1 << n
 

@@ -179,6 +179,14 @@ def test_psi_point_hands_the_exact_callable_built_fraction_points():
         psi_point(EvaluableGame(2, None, None, name="floats only"), a)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, True], ids=repr)
+def test_evaluable_game_refuses_a_player_count_below_one_or_not_an_int(n):
+    with pytest.raises(ValueError) as refused:
+        EvaluableGame(n, lambda x: x[0], lambda pts: pts[:, 0])
+    assert str(refused.value) == (
+        f"player count must be an integer >= 1, not {n!r}")
+
+
 def test_eval_exact_keeps_its_checks():
     game = weighted_mean_game([F(1, 2), F(1, 2)])
     assert game.eval_exact([0, "1/2"]) == F(1, 4)

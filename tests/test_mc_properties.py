@@ -205,11 +205,13 @@ def test_psi_mc_refuses_sampled_points_outside_the_cube(game, sampler):
     (weighted_median_game([1 / 2, 1 / 2]), [[-1, 3]]),
     (product_power_game([1, 2]), [[0.5, 0.5], [0.5, np.nextafter(1.0, 2.0)]]),
     (counterexample_game(3), [[0.5, 0.5, 0.5], [0.5, -5e-324, 0.5]]),
-], ids=["mean", "median", "product", "counterexample"])
+    (EvaluableGame(2, lambda x: x[0], lambda pts: pts[:, 0]), [[2, 3]]),
+], ids=["mean", "median", "product", "counterexample", "user-built"])
 def test_families_refuse_points_outside_the_cube_as_eval_exact_does(game,
                                                                     points):
-    with pytest.raises(ValueError, match="^point outside the unit cube$"):
-        game.eval_array(points)
+    for hook in (game.eval_array, game.cells):
+        with pytest.raises(ValueError, match="^point outside the unit cube$"):
+            hook(points)
     inside = [x for x in points if all(0 <= c <= 1 for c in x)]
     assert game.eval_array(np.array(inside).reshape(-1, game.n)).tolist() == [
         float(game.eval_exact([F(c) for c in x])) for x in inside]
