@@ -21,7 +21,7 @@ from .rational import on_one_denominator
 # IncrementError is also read from here, as his.IncrementError
 from .stepfun import (Discretization, Face, IncrementError,  # noqa: F401
                       StepGame, TAG_REGULAR, ValidationReport, _step,
-                      box_faces, box_index, falling_covers, make_regular_step,
+                      box_index, falling_covers, make_regular_step,
                       pinned_covers, validate)
 
 
@@ -60,6 +60,11 @@ def _box_shift(disc: Discretization, e_bar: Face) -> tuple[list[int], int]:
     return shift, factorial(n) * den ** n
 
 
+def _on_box(d: Face, e_bar: Face) -> bool:
+    """Whether face d lies on the closed box e_bar."""
+    return all(abs(di - b) <= 1 for di, b in zip(d, e_bar))
+
+
 def _refuse(broken: list[str]) -> None:
     if broken:
         more = ", first 3" if len(broken) > 3 else ""
@@ -84,8 +89,8 @@ def raise_box(u: StepGame, e_bar: Face, eps: Fraction) -> StepGame:
     nums[box_index(e_bar, u.p)] += lift
     overrides = {d: x * up for d, x in u.overrides.items()}
     corners = {(0,) * n, (2 * u.p,) * n}
-    for e in box_faces(e_bar):
-        if e in overrides and e not in corners:
+    for e in overrides:
+        if e not in corners and _on_box(e, e_bar):
             overrides[e] += lift // adjacent_count(e, u.p)
     return StepGame(u.disc, n, nums, den, overrides, u.tag)
 
@@ -111,10 +116,9 @@ def apply_box_increment(u: StepGame, e_bar: Face,
         raise IncrementError(f"box {e_bar} does not fit the game's {u.n} players")
     shift, den = _box_shift(u.disc, e_bar)
     out = raise_box(u, e_bar, eps)
-    on_box = set(box_faces(e_bar))
     covers = [(e_bar, _step(e_bar, i, 2))
               for i, b in enumerate(e_bar) if b + 2 < 2 * u.p]
-    covers += [c for c in pinned_covers(out) if c[0] in on_box]
+    covers += [c for c in pinned_covers(out) if _on_box(c[0], e_bar)]
     _refuse(falling_covers(out, covers))
     return out, PowerVector(tuple(Fraction(eps.numerator * x, eps.denominator * den)
                                   for x in shift), "exact")

@@ -19,7 +19,6 @@ from math import comb, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .budget import check_work
 from .indices import PowerVector, _as_evaluable, psi_exact
 from .rational import check_players, loss_constant, ordering_weight
 from .stepfun import (Discretization, Face, IncrementError, StepGame,
@@ -281,7 +280,6 @@ def table1_rows(l: int, eps=1) -> list[dict]:
     one row per local increment the box implies."""
     if l < 2:
         raise ValueError("uniform grid needs l >= 2")
-    check_work(l + 1, f"a grid of {l + 1:,} breakpoints")
     # the box reads only the breakpoints 0, 1/l, (l-1)/l and 1, so the grid
     # of those four gives it the same intervals and the same bands
     disc = Discretization(sorted({Fraction(0), Fraction(1, l),

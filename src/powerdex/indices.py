@@ -37,8 +37,8 @@ _NEXT_SIZE = bytes(range(1, 256)) + b"\0"  # b -> b + 1
 class PowerVector:
     """Per-player shares, exact rationals or MC estimates with errors.
 
-    ``c_table``, the C-table the shares came from, may be set afterwards,
-    or given as a function that computes it on first read.
+    ``c_table``, the C-table the shares came from, may be given as a
+    function that computes it on first read.
     """
 
     def __init__(self, shares: tuple, mode: str = "exact",
@@ -46,17 +46,13 @@ class PowerVector:
                  seed: int | None = None,
                  c_table: dict | Callable[[], dict] | None = None):
         self.shares, self.mode, self.stderr = shares, mode, stderr
-        self.samples, self.seed, self.c_table = samples, seed, c_table
+        self.samples, self.seed, self._c_table = samples, seed, c_table
 
     @property
     def c_table(self) -> dict | None:
         if callable(self._c_table):
             self._c_table = self._c_table()
         return self._c_table
-
-    @c_table.setter
-    def c_table(self, table: dict | Callable[[], dict] | None) -> None:
-        self._c_table = table
 
     def __repr__(self) -> str:
         return (f"PowerVector(shares={self.shares!r}, mode={self.mode!r}, "
@@ -76,16 +72,22 @@ class PowerVector:
 
 
 class BoundaryAverages(NamedTuple):
-    """The table T -> C(v, T): average outcome gap between coalition T at
-    full support and at no support, keyed by coalition bitmask."""
+    """C(v, T), the average outcome gap between coalition T at full and at
+    no support: integer numerators by coalition bitmask over ``den``."""
 
     n: int
-    table: dict[int, Fraction]
+    nums: list[int]
+    den: int
+
+    @property
+    def table(self) -> dict[int, Fraction]:
+        """C(v, T) keyed by coalition bitmask, built on each read."""
+        return {t: Fraction(x, self.den) for t, x in enumerate(self.nums)}
 
     def get(self, players) -> Fraction:
         from .coalitions import mask_of
 
-        return self.table[mask_of(players, self.n)]
+        return Fraction(self.nums[mask_of(players, self.n)], self.den)
 
 
 def _exact(shares) -> PowerVector:
@@ -208,31 +210,29 @@ def boundary_averages(g: StepGame) -> BoundaryAverages:
     """
     from .stepfun import box_index
 
-    n, p, top = g.n, g.p, 2 * g.p
-    widths = [b - a for a, b in zip(g.disc.alpha, g.disc.alpha[1:])]
-    nums, den = g.nums, g.den
-    gaps, scale = _ends_table(nums, p, on_one_denominator(widths)[0], n, den)
-    table = {t: Fraction(x, scale) for t, x in enumerate(gaps)}
-    pinned = {(0,) * n: 0, (top,) * n: den, **g.overrides}
+    n, p, top, alpha = g.n, g.p, 2 * g.p, g.disc.alpha
+    widths, w = on_one_denominator([b - a for a, b in zip(alpha, alpha[1:])])
+    nums, den = _ends_table(g.nums, p, widths, n, g.den)
+    pinned = {(0,) * n: 0, (top,) * n: g.den, **g.overrides}
     for d, val in pinned.items():
         side = {di for di in d if di % 2 == 0}
         if side == {0} or side == {top}:
             box = tuple(min(max(di, 1), top - 1) for di in d)
-            vol = prod((widths[di // 2] for di in d if di % 2), start=Fraction(1))
             t = sum(1 << i for i, di in enumerate(d) if di % 2 == 0)
-            gap = vol * Fraction(val - nums[box_index(box, p)], den)
-            table[t] += gap if top in side else -gap
-    return BoundaryAverages(n, table)
+            # over g.den * w^n: a width numerator per free axis, w per T axis
+            vol = prod(widths[di // 2] if di % 2 else w for di in d)
+            gap = vol * (val - g.nums[box_index(box, p)])
+            nums[t] += gap if top in side else -gap
+    return BoundaryAverages(n, nums, den)
 
 
 def psi_exact(g: StepGame) -> PowerVector:
     """Exact index of a step game via its boundary averages.  Only values on
     faces touching the cube boundary enter, so raw and semi-regular tables
-    are accepted as-is."""
-    c = boundary_averages(g).table
-    out = psi_from_c(*on_one_denominator([c[m] for m in range(1 << g.n)]), g.n)
-    out.c_table = c
-    return out
+    are accepted as-is.  The ``Fraction`` C-table is built when read."""
+    c = boundary_averages(g)
+    return PowerVector(psi_from_c(c.nums, c.den, g.n).shares,
+                       c_table=lambda: c.table)
 
 
 # ---------------------------------------------------------------------------

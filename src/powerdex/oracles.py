@@ -95,7 +95,7 @@ def phi_two_player(a: Sequence, v: StepGame) -> PowerVector:
     if a1 < 0 or a2 < 0 or a1 + a2 != 1:
         raise ValueError("parameters must be nonnegative and sum to 1")
     c = boundary_averages(v)
-    c1, c2 = c.table[0b01], c.table[0b10]
+    c1, c2 = c.get([1]), c.get([2])
     return _exact((a1 + a2 * c1 - a1 * c2, a2 + a1 * c2 - a2 * c1))
 
 

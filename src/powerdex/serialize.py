@@ -314,10 +314,11 @@ def parse_jk_game(obj: dict) -> JKGame:
 # step games
 
 def step_game_to_json(g: StepGame) -> dict:
-    """Boxes are keyed by 1-based box indices; for raw and semi-regular
-    games a "faces" table lists the values that differ from the regular
-    completion of the same boxes (keys are doubled face coordinates)."""
-    from .stepfun import TAG_REGULAR, box_keys
+    """Boxes are keyed by 1-based box indices; a "faces" table, written
+    when the game stores overrides, lists the values that differ from the
+    regular completion of the same boxes (keys are doubled face
+    coordinates)."""
+    from .stepfun import box_keys
 
     # a table repeats a few values: each is formatted once
     text = functools.cache(lambda x: format_rational(Fraction(x, g.den)))
@@ -325,7 +326,7 @@ def step_game_to_json(g: StepGame) -> dict:
              for b, x in zip(box_keys(g.n, g.p), g.nums)}
     out = {"n": g.n, "alpha": [format_rational(a) for a in g.disc.alpha],
            "tag": g.tag, "boxes": boxes}
-    if g.tag != TAG_REGULAR and g.overrides:
+    if g.overrides:
         out["faces"] = {_key(d): text(g.overrides[d])
                         for d in sorted(g.overrides)}
     return out

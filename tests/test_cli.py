@@ -240,6 +240,18 @@ def test_table1_csv(capsys):
     assert len(out.strip().splitlines()) == 5
 
 
+def test_table1_at_a_large_l_builds_only_four_breakpoints(capsys):
+    # the box reads the breakpoints 0, 1/l, (l-1)/l and 1 alone, so l is
+    # not charged as a grid of l + 1 breakpoints
+    l = 3_000_000
+    code, out, _ = run_cli(["table1", "--l", str(l), "--format", "json"],
+                           capsys)
+    assert code == 0
+    assert [(r["S"], r["vol"]) for r in json.loads(out)] == [
+        ("{1,3}", f"1/{l}"), ("{1}", f"1/{l * l}"), ("{3}", f"1/{l * l}"),
+        ("{2}", f"1/{l * l}")]
+
+
 def test_corner_cli(capsys):
     code, out, _ = run_cli(["corner", "--L", "2", "--U", "1,3", "--l", "2",
                             "--eps", "1"], capsys)
@@ -413,8 +425,8 @@ sys.exit(code)
      "player count must be in 1..20"),
     ("corner", None, ["--L", "1", "--U", "2", "--l", "2",
                       "--eps", "1e999999999"], "'1e999999999'"),
-    # table1 built all l + 1 breakpoints of its grid first
-    ("table1", None, ["--l", "3000000"], "work budget"),
+    # table1's box needs a grid of at least two intervals per axis
+    ("table1", None, ["--l", "1"], "l >= 2"),
     # a short table names its first missing profile without listing the
     # profiles; with 10^12 levels per voter the walk used to run out of
     # memory

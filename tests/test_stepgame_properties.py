@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import powerdex.indices as indices
 import powerdex.stepfun as stepfun
 from dense_oracle import (adjacent_boxes, box_dict, dense_boundary_averages,
                           dense_completion, dense_validate, face_values,
@@ -103,8 +104,7 @@ def test_box_native_form_matches_dense_table(case):
     assert (report.monotone, report.tag_ok, report.in_range) == \
         dense_validate(g.p, g.n, table, g.tag)
     assert report.violations == pairwise_violations(g)
-    if g.tag != "regular" or report.tag_ok:  # regular games emit no "faces"
-        assert parse_step_game(step_game_to_json(g)) == g
+    assert parse_step_game(step_game_to_json(g)) == g
 
 
 @settings(max_examples=100)
@@ -332,6 +332,24 @@ def test_psi_exact_derives_no_face(monkeypatch):
     monkeypatch.setattr(stepfun, "_completion_table", derived)
     monkeypatch.setattr(stepfun, "_completion", derived)
     assert psi_exact(g) == expected
+
+
+def test_psi_exact_builds_no_fraction_table(monkeypatch):
+    # the C-table stays in integers over one denominator: the 2^n-entry
+    # Fraction table is built only when c_table is read
+    g = random_regular_game(random.Random(2), 10, 1).with_tag("raw")
+    g = g.with_values({(0, 0) + (1,) * 8: F(1, 7), (2,) * 3 + (1,) * 7: F(5, 7)})
+    made = []
+
+    class Counted(F):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+    monkeypatch.setattr(indices, "Fraction", Counted)
+    pv = psi_exact(g)
+    assert len(g.overrides) == 2 and len(made) < 1 << g.n
+    assert pv.c_table == boundary_averages(g).table == dense_boundary_averages(
+        g.disc, g.n, face_values(g))
 
 
 @settings(max_examples=200)
