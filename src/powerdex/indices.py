@@ -26,9 +26,11 @@ if TYPE_CHECKING:
     from .evaluables import EvaluableGame
     from .stepfun import StepGame
 
-# psi_mc evaluates the game at 2^(n+1) pinned copies of every sample point,
-# so this cap on samples * 2^n bounds its run time; montecarlo's chunks
-# bound its memory
+# psi_mc evaluates the game at 2^(n+1) pinned copies of every sample point
+# and keeps up to 16n + 32 bytes per sample (the points, the per-player
+# values and the reductions' temporaries), so this cap on
+# samples * (2^n + 16n + 32) bounds its run time and those arrays' memory;
+# montecarlo's chunks bound the rest
 MAX_MC_CELLS = 1 << 27
 
 _NEXT_SIZE = bytes(range(1, 256)) + b"\0"  # b -> b + 1
@@ -309,9 +311,10 @@ def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
         raise ValueError("need at least one sample")
     # two evaluation passes per coalition, then n combine passes over them
     check_work(n << (n + 1), "Monte-Carlo estimate")
-    if samples << n > MAX_MC_CELLS:
-        raise ValueError(f"samples * 2^n = {samples << n} exceeds the "
-                         f"Monte-Carlo cap of {MAX_MC_CELLS} cells")
+    cost = samples * ((1 << n) + 16 * n + 32)
+    if cost > MAX_MC_CELLS:
+        raise ValueError(f"samples * (2^n + 16n + 32) = {cost} exceeds the "
+                         f"Monte-Carlo cap of {MAX_MC_CELLS}")
     from .montecarlo import estimate
 
     shares, errors, c_table = estimate(game, samples, seed, sampler)

@@ -7,9 +7,9 @@ tables) so identical inputs serialize byte-identically.
 Reading goes through one set of typed accessors and one keyed-table reader
 shared by the four grid-keyed tables (coalition and (j,k) ``values``,
 step-game ``boxes`` and ``faces``), so each input rule is checked the same
-way wherever it applies, and each diagnostic names the JSON path of the
-value it refuses.  The step-game readers and writers import ``stepfun``
-when they run, so reading a coalition or (j,k) table does not compile it.
+way wherever it applies and each diagnostic names the JSON path of the
+value it refuses; the three total tables are first read in writer order.
+Of the readers only the step-game one imports ``stepfun``, when it runs.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _member(obj: dict, key: str, kind: type, default=_REQUIRED):
 
 
 def _table(obj: dict, name: str, lo: int, hi: int, value, key=tuple,
-           arity: int | None = None, default=_REQUIRED) -> dict:
+           arity: int | None = None) -> dict:
     """The keyed table ``obj[name]`` as {key(coordinates): value}.
 
     Each key is comma-separated integers, with whitespace allowed around
@@ -123,7 +123,7 @@ def _table(obj: dict, name: str, lo: int, hi: int, value, key=tuple,
     """
     out: dict = {}
     memo: dict[str, object] = {}
-    for text, raw in _member(obj, name, dict, default).items():
+    for text, raw in _member(obj, name, dict).items():
         try:
             coords = tuple(map(int, text.split(","))) if text.strip() else ()
         except ValueError:
@@ -151,6 +151,46 @@ def _table(obj: dict, name: str, lo: int, hi: int, value, key=tuple,
     return out
 
 
+def _keys(blocks) -> Iterator[str]:
+    return itertools.chain.from_iterable(b.split("\n") for _, b in blocks)
+
+
+def _in_key_order(raw: dict, size: int, blocks, *args) -> list | None:
+    """If ``raw`` holds ``size`` keys, its values in the order of the keys
+    ``blocks(*args)`` gives, None for a missing one; else None.  While the
+    keys come in that order they are compared a block at a time, joined by
+    newlines: both sides join as many keys, so equal texts hold as many
+    newlines, and as no expected key holds one, the keys match one by one."""
+    if len(raw) != size:
+        return None
+    keys = iter(raw)
+    with contextlib.suppress(TypeError):  # a key that is not a string
+        if all("\n".join(itertools.islice(keys, count)) == b
+               for count, b in blocks(*args)):
+            return list(raw.values())
+    return list(map(raw.get, _keys(blocks(*args))))
+
+
+def _numerators(found: list | None) -> tuple[list[int], int] | None:
+    """The values found as numerators over one denominator, or None."""
+    try:
+        distinct = set(found)
+    except TypeError:  # no table, or an array or object value
+        return None
+    # None (a missing key or a JSON null) and booleans are not str or int.
+    # A str equals only a str, so distinct values all str hide no other; a
+    # bool or a float can equal an int, and then every entry is looked at
+    if (set(map(type, distinct)) != {str}
+            and not set(map(type, found)) <= {str, int}):
+        return None
+    try:
+        read = {x: _rational(x, ()) for x in distinct}
+    except ValueError:
+        return None
+    nums, den = on_one_denominator(list(read.values()))
+    return list(map(dict(zip(read, nums)).__getitem__, found)), den
+
+
 def _coalition(value, path: tuple, n: int) -> list[int]:
     """A coalition written as an array of distinct players in 1..n."""
     from .coalitions import mask_of
@@ -170,24 +210,8 @@ def _coalition(value, path: tuple, n: int) -> list[int]:
 def coalition_function_to_json(cf: CoalitionFunction) -> dict:
     # a table repeats a few values: each is formatted once
     text = functools.cache(lambda x: format_rational(Fraction(x, cf.den)))
-    keys = itertools.chain.from_iterable(
-        block.split("\n") for _, block in _coalition_blocks(cf.n))
+    keys = _keys(_coalition_blocks(cf.n))
     return {"n": cf.n, "values": dict(zip(keys, map(text, cf.nums)))}
-
-
-def _in_key_order(raw: dict, blocks, *args) -> list:
-    """The values of ``raw``, which holds as many keys as ``blocks(*args)``
-    counts, in the order of those keys, None for a missing one.  While the
-    keys come in that order they are compared a block at a time, joined by
-    newlines: both sides join as many keys, so equal texts hold as many
-    newlines, and as no expected key holds one, the keys match one by one."""
-    keys = iter(raw)
-    with contextlib.suppress(TypeError):  # a key that is not a string
-        if all("\n".join(itertools.islice(keys, count)) == b
-               for count, b in blocks(*args)):
-            return list(raw.values())
-    return list(map(raw.get, itertools.chain.from_iterable(
-        b.split("\n") for _, b in blocks(*args))))
 
 
 def _spellings(n: int, first: int = 1) -> list[str]:
@@ -212,32 +236,6 @@ def _coalition_blocks(n: int) -> Iterator[tuple[int, str]]:
         yield len(low), high + "\n" + (tail + "\n").join(low[1:]) + tail
 
 
-def _total_table(raw: dict, n: int) -> tuple[list[int], int] | None:
-    """A total table's numerators in mask order over their least common
-    denominator, if keyed as ``coalition_function_to_json`` writes it with
-    values ``_rational`` reads; else None, for ``_table`` to read or refuse."""
-    if len(raw) != 1 << n:
-        return None
-    found = _in_key_order(raw, _coalition_blocks, n)
-    try:
-        distinct = set(found)
-    except TypeError:  # an array or object value
-        return None
-    # None (a missing key or a JSON null) and booleans are not str or int.
-    # A str equals only a str, so when every distinct value is one no other
-    # value hides behind it; a bool or a float can equal an int, and then
-    # every entry is looked at
-    if (set(map(type, distinct)) != {str}
-            and not set(map(type, found)) <= {str, int}):
-        return None
-    try:
-        read = {x: _rational(x, ()) for x in distinct}
-    except ValueError:
-        return None
-    nums, den = on_one_denominator(list(read.values()))
-    return list(map(dict(zip(read, nums)).__getitem__, found)), den
-
-
 def parse_coalition_input(obj: dict) -> CoalitionFunction:
     """Accepts {"n", "winning": [...]} (closed upward unless "closure" is
     false) or {"n", "values": {"players": "p/q"}} with a total table."""
@@ -247,9 +245,10 @@ def parse_coalition_input(obj: dict) -> CoalitionFunction:
     n = _member(obj, "n", int)
     if "values" in obj:
         check_players(n)
-        total = _total_table(_member(obj, "values", dict), n)
-        if total is not None:
-            return CoalitionFunction(n, total[0], den=total[1])
+        total = _numerators(_in_key_order(_member(obj, "values", dict),
+                                          1 << n, _coalition_blocks, n))
+        if total:
+            return CoalitionFunction(n, *total)
         table = _table(obj, "values", 1, n, _rational,
                        key=lambda players: mask_of(players, n))
         if len(table) != 1 << n:
@@ -273,17 +272,16 @@ def parse_simple_game(obj: dict) -> SimpleGame:
 
 
 def jk_game_to_json(v: JKGame) -> dict:
-    keys = itertools.chain.from_iterable(
-        block.split("\n") for _, block in _profile_blocks(v.n, v.j))
+    keys = _keys(_profile_blocks(v.n, range(v.j)))
     return {"n": v.n, "j": v.j, "k": v.k, "values": dict(zip(keys, v.levels))}
 
 
-def _profile_blocks(n: int, j: int) -> Iterator[tuple[int, str]]:
-    """The keys ``jk_game_to_json`` writes, first voter slowest, a block per
-    profile of the first n // 2 voters joined to a half table for the rest,
-    each block as ``_coalition_blocks`` gives it."""
-    tails = [_key(t) for t in itertools.product(range(j), repeat=(n + 1) // 2)]
-    for head in map(_key, itertools.product(range(j), repeat=n // 2)):
+def _profile_blocks(n: int, digits: range) -> Iterator[tuple[int, str]]:
+    """The keys of (j,k) profiles (digits 0..j-1) and step-game boxes (1..p),
+    first coordinate slowest, a block per profile of the first n // 2 joined
+    to a half table for the rest, each block as ``_coalition_blocks``."""
+    tails = [_key(t) for t in itertools.product(digits, repeat=(n + 1) // 2)]
+    for head in map(_key, itertools.product(digits, repeat=n // 2)):
         yield len(tails), (head + "," + ("\n" + head + ",").join(tails)
                            if head else "\n".join(tails))
 
@@ -296,9 +294,9 @@ def parse_jk_game(obj: dict) -> JKGame:
     raw = _member(obj, "values", dict)
     # integer levels keyed as jk_game_to_json writes, else _table; n is
     # bounded first, so that j ** n stays small
-    if 1 <= n <= MAX_PLAYERS and j >= 2 and len(raw) == j ** n:
-        levels = _in_key_order(raw, _profile_blocks, n, j)
-        if set(map(type, levels)) == {int}:
+    if 1 <= n <= MAX_PLAYERS and j >= 2:
+        levels = _in_key_order(raw, j ** n, _profile_blocks, n, range(j))
+        if set(map(type, levels or ())) == {int}:
             return JKGame(n, j, k, levels)
     # keyed by row-major position; the rows up to the first missing one,
     # which a short table lacks among its first len(table)
@@ -318,14 +316,11 @@ def step_game_to_json(g: StepGame) -> dict:
     when the game stores overrides, lists the values that differ from the
     regular completion of the same boxes (keys are doubled face
     coordinates)."""
-    from .stepfun import box_keys
-
     # a table repeats a few values: each is formatted once
     text = functools.cache(lambda x: format_rational(Fraction(x, g.den)))
-    boxes = {_key((d + 1) // 2 for d in b): text(x)
-             for b, x in zip(box_keys(g.n, g.p), g.nums)}
+    keys = _keys(_profile_blocks(g.n, range(1, g.p + 1)))
     out = {"n": g.n, "alpha": [format_rational(a) for a in g.disc.alpha],
-           "tag": g.tag, "boxes": boxes}
+           "tag": g.tag, "boxes": dict(zip(keys, map(text, g.nums)))}
     if g.overrides:
         out["faces"] = {_key(d): text(g.overrides[d])
                         for d in sorted(g.overrides)}
@@ -344,13 +339,18 @@ def parse_step_game(obj: dict) -> StepGame:
     n = _member(obj, "n", int)
     tag = _member(obj, "tag", str, TAG_REGULAR)
     p = disc.p
-    boxes = _table(obj, "boxes", 1, p, _rational, arity=n,
-                   key=lambda idx: tuple(2 * i - 1 for i in idx))
-    faces = _table(obj, "faces", 0, 2 * p, _rational, arity=n, default={})
+    # boxes keyed as step_game_to_json writes, else _table; n is bounded
+    # first, so that p ** n stays small
+    total = 1 <= n <= MAX_PLAYERS and _numerators(_in_key_order(_member(
+        obj, "boxes", dict), p ** n, _profile_blocks, n, range(1, p + 1)))
+    boxes = {} if total else _table(obj, "boxes", 1, p, _rational, arity=n,
+                                    key=lambda b: tuple(2 * i - 1 for i in b))
+    faces = "faces" in obj and _table(obj, "faces", 0, 2 * p, _rational,
+                                      arity=n)
     # nothing grid-sized is built before the grid is checked
     check_grid(n, p)
     check_tag(tag)
-    g = StepGame(disc, n, *box_numerators(boxes, n, p), tag=tag)
+    g = StepGame(disc, n, *(total or box_numerators(boxes, n, p)), tag=tag)
     return g.with_values(faces) if faces else g
 
 

@@ -238,9 +238,10 @@ def dense_psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
         raise ValueError("need at least one sample")
     # two evaluation passes per coalition, then n combine passes over them
     check_work(n << (n + 1), "Monte-Carlo estimate")
-    if samples << n > MAX_MC_CELLS:
-        raise ValueError(f"samples * 2^n = {samples << n} exceeds the "
-                         f"Monte-Carlo cap of {MAX_MC_CELLS} cells")
+    cost = samples * ((1 << n) + 16 * n + 32)
+    if cost > MAX_MC_CELLS:
+        raise ValueError(f"samples * (2^n + 16n + 32) = {cost} exceeds the "
+                         f"Monte-Carlo cap of {MAX_MC_CELLS}")
     import numpy as np
 
     rng = np.random.default_rng(seed)

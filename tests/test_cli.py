@@ -436,6 +436,11 @@ sys.exit(code)
      "missing value at (1,)"),
     # a negative count ran only the two salted games and exited 0
     ("axioms", None, ["--index", "psi_exact", "--random", "-5"], "--random"),
+    # samples * 2^n was at the cap, and the per-sample arrays (512 MB each)
+    # ran out of memory after 2 s
+    ("psi", {"n": 1, "alpha": ["0", "1"], "tag": "regular",
+             "boxes": {"1": "1/2"}}, ["--mc", "--samples", str(1 << 26)],
+     "Monte-Carlo cap"),
 ])
 def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
                                                    extra, needle):

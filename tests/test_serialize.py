@@ -19,6 +19,7 @@ from powerdex.serialize import (coalition_function_to_json, jk_game_to_json,
                                 parse_simple_game, parse_step_game,
                                 power_vector_to_json, simple_game_to_json,
                                 step_game_to_json)
+from powerdex.stepfun import StepGame
 from powerdex.transforms import join_meet
 from test_kernel_properties import LARGE_DENOMINATORS
 
@@ -252,6 +253,51 @@ def test_jk_reader_spellings(drawn, rng):
         == f"""values["{later}"]: key '{later}' repeats an earlier key"""
 
 
+@st.composite
+def step_tables(draw, max_boxes=256):
+    """A step game's JSON as step_game_to_json writes it, with its game."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 4).filter(lambda p: p ** n <= max_boxes))
+    g = random_regular_game(draw(st.randoms(use_true_random=False)), n, p)
+    g = g.with_tag(draw(st.sampled_from(("raw", "semi_regular", "regular"))))
+    return g, step_game_to_json(g)
+
+
+@settings(max_examples=60)
+@given(step_tables(), st.randoms(use_true_random=False))
+def test_box_reader_spellings(drawn, rng):
+    g, obj = drawn
+    p = g.p
+    items = list(obj["boxes"].items())
+    assert parse_step_game(obj) == g
+
+    def pairs_error(pairs) -> str:
+        return _parse_error({**obj, "boxes": dict(pairs)}, parse_step_game)
+
+    def parsed(pairs):
+        return parse_step_game({**obj, "boxes": dict(pairs)})
+    assert parsed(rng.sample(items, len(items))) == g
+    assert parsed((" " + k.replace(",", " , ") + " ", x) for k, x in items) == g
+    assert parsed(("0" + k.replace(",", ",0"), x) for k, x in items) == g
+
+    # each refused table gives the diagnostic of the general reader
+    at = rng.randrange(len(items))
+    key, value = items[at]
+    assert pairs_error(items[:at] + items[at + 1:]) \
+        == "boxes table must cover every full-dimensional box"
+    extra = ",".join([str(p + 1), *key.split(",")[1:]])
+    assert pairs_error(items[:at] + [(extra, "0")] + items[at:]) \
+        == f"""boxes["{extra}"]: key '{extra}' has an integer outside 1..{p}"""
+    assert pairs_error(items[:at] + [(key, "1/0")] + items[at + 1:]) \
+        == f"""boxes["{key}"]: rational '1/0' has a zero denominator"""
+    assert pairs_error(items[:at] + [(key, True)] + items[at + 1:]) \
+        == f"""boxes["{key}"]: key '{key}' must be a JSON string or integer, not boolean"""
+    pairs = items[:at] + [(" " + key, value)] + items[at:]
+    later = max((key, " " + key), key=[k for k, _ in pairs].index)
+    assert pairs_error(pairs) \
+        == f"""boxes["{later}"]: key '{later}' repeats an earlier key"""
+
+
 def test_canonical_tables_never_reach_the_general_reader(monkeypatch, rng):
     # tables keyed as the writers key them, with string or integer values
     # and their keys in any order, are read without parsing a key
@@ -259,9 +305,9 @@ def test_canonical_tables_never_reach_the_general_reader(monkeypatch, rng):
         raise AssertionError("the general table reader was called")
     monkeypatch.setattr(serialize, "_table", general)
 
-    def orders(obj):
-        items = list(obj["values"].items())
-        return [obj, {**obj, "values": dict(rng.sample(items, len(items)))}]
+    def orders(obj, name="values"):
+        items = list(obj[name].items())
+        return [obj, {**obj, name: dict(rng.sample(items, len(items)))}]
     for n in (1, 2, 5, 8):
         cf = CoalitionFunction(n, [F(rng.randrange(-3, 4), rng.randrange(1, 5))
                                    for _ in range(1 << n)])
@@ -274,10 +320,21 @@ def test_canonical_tables_never_reach_the_general_reader(monkeypatch, rng):
                               (ints, int_obj)):
             for spelled in orders(obj):
                 assert parse_coalition_input(spelled) == expected
-    for n, j, k in ((1, 2, 2), (2, 3, 4), (3, 4, 3), (4, 2, 2), (5, 3, 2)):
+    # (2, 11, 3) and p = 11 have two-digit keys
+    for n, j, k in ((1, 2, 2), (2, 3, 4), (3, 4, 3), (4, 2, 2), (5, 3, 2),
+                    (2, 11, 3)):
         v = random_monotone_jk(rng, n, j, k)
         for spelled in orders(jk_game_to_json(v)):
             assert parse_jk_game(spelled) == v
+    for n, p in ((1, 1), (1, 3), (2, 2), (3, 3), (4, 2), (7, 3), (13, 1),
+                 (2, 11)):
+        g = random_regular_game(rng, n, p)
+        ints = StepGame(g.disc, n, g.nums, tag=g.tag)
+        int_obj = {**step_game_to_json(ints), "boxes": {
+            k: int(x) for k, x in step_game_to_json(ints)["boxes"].items()}}
+        for expected, obj in ((g, step_game_to_json(g)), (ints, int_obj)):
+            for spelled in orders(obj, "boxes"):
+                assert parse_step_game(spelled) == expected
 
 
 class _Reached(Exception):
@@ -302,8 +359,6 @@ def _general_reader_reached(monkeypatch, read, obj) -> bool:
                                   (2, 2), (3, 3), (5, 2)])
 def test_a_key_holding_a_newline_reaches_the_general_reader(monkeypatch, rng,
                                                             n, j):
-    # one key spelled with the next one after a newline, the key count
-    # unchanged: newline-joined, the block holds one key too few
     if j is None:
         read = parse_coalition_input
         obj = coalition_function_to_json(CoalitionFunction(
@@ -312,34 +367,51 @@ def test_a_key_holding_a_newline_reaches_the_general_reader(monkeypatch, rng,
     else:
         read = parse_jk_game
         obj = jk_game_to_json(random_monotone_jk(rng, n, j, 3))
-    items = list(obj["values"].items())
+    _newline_keys_reach_the_general_reader(monkeypatch, read, obj, "values")
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (2, 2), (4, 3), (2, 11)])
+def test_a_box_key_holding_a_newline_reaches_the_general_reader(monkeypatch,
+                                                                rng, n, p):
+    obj = step_game_to_json(random_regular_game(rng, n, p))
+    _newline_keys_reach_the_general_reader(monkeypatch, parse_step_game, obj,
+                                           "boxes")
+
+
+def _newline_keys_reach_the_general_reader(monkeypatch, read, obj, name):
+    # one key spelled with the next one after a newline, the key count
+    # unchanged: newline-joined, the block holds one key too few
+    items = list(obj[name].items())
     for at in (1, len(items) // 2, len(items) - 2):
         bad = items[at][0] + "\n" + items[at + 1][0]
-        spelled = {**obj, "values": dict(
+        spelled = {**obj, name: dict(
             items[:at] + [(bad, items[at][1])] + items[at + 1:])}
         assert _general_reader_reached(monkeypatch, read, spelled)
         assert _parse_error(spelled, read) == (
-            f"values[{json.dumps(bad)}]: key {bad!r} is not comma-separated "
+            f"{name}[{json.dumps(bad)}]: key {bad!r} is not comma-separated "
             "integers")
 
 
 def test_keys_out_of_block_order_give_the_same_game(monkeypatch, rng):
     # two keys swapped in the last block, or the whole table shuffled: the
     # keys are looked up by their spelling, without the general reader
-    for n, j in ((6, None), (7, None), (4, 3), (5, 2)):
-        if j is None:
-            read, expected = parse_coalition_input, CoalitionFunction(
-                n, [F(rng.randrange(-3, 4), rng.randrange(1, 5))
-                    for _ in range(1 << n)])
-            obj = coalition_function_to_json(expected)
-        else:
-            read = parse_jk_game
-            expected = random_monotone_jk(rng, n, j, 3)
-            obj = jk_game_to_json(expected)
-        items = list(obj["values"].items())
+    cases = []
+    for n in (6, 7):
+        cf = CoalitionFunction(n, [F(rng.randrange(-3, 4), rng.randrange(1, 5))
+                                   for _ in range(1 << n)])
+        cases.append((parse_coalition_input, cf,
+                      coalition_function_to_json(cf), "values"))
+    for n, j in ((4, 3), (5, 2)):
+        v = random_monotone_jk(rng, n, j, 3)
+        cases.append((parse_jk_game, v, jk_game_to_json(v), "values"))
+    for n, p in ((5, 3), (3, 11)):
+        g = random_regular_game(rng, n, p)
+        cases.append((parse_step_game, g, step_game_to_json(g), "boxes"))
+    for read, expected, obj, name in cases:
+        items = list(obj[name].items())
         swapped = items[:-2] + items[:-3:-1]
         for pairs in (swapped, rng.sample(items, len(items))):
-            spelled = {**obj, "values": dict(pairs)}
+            spelled = {**obj, name: dict(pairs)}
             assert not _general_reader_reached(monkeypatch, read, spelled)
             assert read(spelled) == expected
 
