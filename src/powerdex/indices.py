@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
-from math import factorial, prod
-from operator import add, mul
+from math import factorial, gcd, prod
+from operator import add, floordiv, mul, not_
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .budget import check_work
@@ -148,12 +148,12 @@ def _ends_table(flat: list[int], m: int, weights: Sequence[int], n: int,
             # reduce the last axis, whose level h is the slice f[h::m], and
             # put its two entries in front: after n passes the axes are back
             # in their order
-            total = [0] * (len(f) // m)
-            for h, w in enumerate(weights):
+            total = []
+            for h, w in itertools.compress(enumerate(weights), weights):
                 col = f[h::m]
                 if w != 1:
                     col = map(mul, col, itertools.repeat(w))
-                total = list(map(add, total, col))
+                total = list(map(add, total, col)) if total else list(col)
             f = total + f[end::m]
         return f
 
@@ -200,31 +200,43 @@ def jk_ssi_marginal(v: JKGame) -> PowerVector:
 # ---------------------------------------------------------------------------
 # step games
 
-def boundary_averages(g: StepGame) -> BoundaryAverages:
-    """Exact C(v,T) for a step game: for each box of the grid restricted to
-    the free coordinates, its volume times the gap between the face with T
-    pinned to 1 and the face with T pinned to 0.
-
-    Such a face has one adjacent box, whose value the regular completion
-    gives it, so the boxes alone make the table.  The two cube corners and
-    the overrides on faces C reads differ from their box by a known gap,
-    added afterwards.
-    """
-    from .stepfun import box_index
+def boundary_averages(g: StepGame, mass=None) -> BoundaryAverages:
+    """Exact C(v,T) for a step game, the mean gap between the faces with T
+    pinned to 1 and to 0, each free coordinate on face digit e with the
+    integer weight ``mass[e]`` (by default the interval widths, on the odd
+    digits).  The completion reads a face as the mean of its adjacent
+    boxes, so each box takes the weight of its adjacent digits and the
+    boxes alone make the table; the two cube corners and the overrides add
+    their gap from that mean to every C(T) that reads them."""
+    from .stepfun import adjacent_box_sum
 
     n, p, top, alpha = g.n, g.p, 2 * g.p, g.disc.alpha
-    widths, w = on_one_denominator([b - a for a, b in zip(alpha, alpha[1:])])
-    nums, den = _ends_table(g.nums, p, widths, n, g.den)
+    if mass is None:
+        widths, _ = on_one_denominator([b - a for a, b in zip(alpha, alpha[1:])])
+        mass = [0, *itertools.chain.from_iterable(zip(widths, [0] * p))]
+    # each adjacent box's part of a digit: an inner breakpoint has two boxes
+    share = [2 * x for x in mass]
+    share[2:top:2] = mass[2:top:2]
+    share = list(map(floordiv, share, itertools.repeat(gcd(*share))))
+    weights = list(map(add, map(add, share[:top:2], share[1::2]), share[2::2]))
+    nums, den = _ends_table(g.nums, p, weights, n, g.den)
+    s, weightless = sum(weights), set(itertools.compress(range(top + 1),
+                                                          map(not_, share)))
     pinned = {(0,) * n: 0, (top,) * n: g.den, **g.overrides}
-    for d, val in pinned.items():
-        side = {di for di in d if di % 2 == 0}
-        if side == {0} or side == {top}:
-            box = tuple(min(max(di, 1), top - 1) for di in d)
-            t = sum(1 << i for i, di in enumerate(d) if di % 2 == 0)
-            # over g.den * w^n: a width numerator per free axis, w per T axis
-            vol = prod(widths[di // 2] if di % 2 else w for di in d)
-            gap = vol * (val - g.nums[box_index(box, p)])
-            nums[t] += gap if top in side else -gap
+    for end in (0, top):
+        # C(T) reads d at `end` when d sits there on T's axes and every free
+        # digit has weight.  Over g.den * s^n it adds d's gap (over g.den *
+        # 2^k) times each free digit's share, the 2^k halves cancelling, and
+        # s per axis of T; the two ends' reads of the empty T cancel
+        for d in filter((weightless - {end}).isdisjoint, pinned):
+            total, k = adjacent_box_sum(g.nums, p, d)
+            gap = (pinned[d] << k) - total if end else total - (pinned[d] << k)
+            reads = [(0, gap * prod(share[di] for di in d if di != end))]
+            for i in itertools.compress(range(n), map(end.__eq__, d)):
+                reads = [(t | 1 << i, x * s) for t, x in reads] + [
+                    (t, x * share[end]) for t, x in reads if share[end]]
+            for t, x in reads:
+                nums[t] += x
     return BoundaryAverages(n, nums, den)
 
 
@@ -262,25 +274,20 @@ def _as_evaluable(v: EvaluableGame | StepGame) -> EvaluableGame:
 def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
     """The single-profile variant: the ordering-weight sum over the pinned
     table c(T) = v(1_T, a) - v(0_T, a) at the constant profile a = alpha,
-    instead of integrating over profiles.  On a step game alpha's face
-    coordinate is found once, and the pinned faces are read in integers."""
+    instead of integrating over profiles.  On a step game that is the
+    boundary averages with all the weight on alpha's face digit."""
     n = v.n
     # two evaluations of an n-coordinate profile per coalition
     check_work(n << (n + 1), "point variant")
     a = Fraction(alpha)
     if a < 0 or a > 1:
         raise ValueError("alpha must lie in [0, 1]")
-    from .stepfun import StepGame, face_numerator, locate_face
+    from .stepfun import StepGame, locate_face
 
     if isinstance(v, StepGame):
         (at,) = locate_face(v.disc, (a,))
-        top = 2 * v.p
-
-        def face(t: int, side: int) -> tuple[int, ...]:
-            return tuple(side if t >> i & 1 else at for i in range(n))
-        c = [0] + [face_numerator(v, face(t, top)) - face_numerator(v, face(t, 0))
-                   for t in range(1, 1 << n)]
-        return psi_from_c(c, v.den << n, n)
+        c = boundary_averages(v, [0] * at + [1] + [0] * (2 * v.p - at))
+        return psi_from_c(c.nums, c.den, n)
     # the points are built here of Fractions in [0, 1], so eval_exact's
     # conversion and range check of every coordinate are skipped
     exact = _as_evaluable(v).exact_unchecked()

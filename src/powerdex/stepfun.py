@@ -19,7 +19,7 @@ every other face the mean of its adjacent boxes.  A face is read in one of
 two ways, both in integers:
 
 - ``regular_completion(g, d)`` reads one face from its adjacent boxes; the
-  point readers use it (``validate``, the box increments, ``psi_point``);
+  point readers use it (``validate`` and the box increments);
 - ``face_table(g)`` builds every face once per game, by the per-axis stencil
   of the completion; the paths that walk every face use it.
 
@@ -154,15 +154,10 @@ def _boxes_among(faces: Mapping, n: int, top: int) -> list[Face]:
     return list(itertools.compress(faces, map((1).__and__, map(prod, faces))))
 
 
-def _completion(nums: Sequence[int], den: int, p: int, d: Face) -> int:
-    """The regular completion of the boxes ``nums`` / ``den`` at face d, as a
-    numerator over den * 2^n: with k coordinates of d on inner breakpoints,
-    the sum of its 2^k adjacent boxes times 2^(n - k)."""
+def adjacent_box_sum(nums: Sequence[int], p: int, d: Face) -> tuple[int, int]:
+    """The sum of the 2^k boxes ``nums`` adjacent to face d, and k, the
+    number of coordinates of d on inner breakpoints."""
     n, top = len(d), 2 * p
-    if not any(d):
-        return 0
-    if all(di == top for di in d):
-        return den << n
     at, offsets = 0, [0]
     for i, di in enumerate(d):
         # the lower adjacent box on this axis; an inner breakpoint has a
@@ -171,7 +166,15 @@ def _completion(nums: Sequence[int], den: int, p: int, d: Face) -> int:
         if di % 2 == 0 and 0 < di < top:
             up = p ** (n - 1 - i)
             offsets += [o + up for o in offsets]
-    return sum(nums[at + o] for o in offsets) << (n - len(offsets).bit_length() + 1)
+    return sum(nums[at + o] for o in offsets), len(offsets).bit_length() - 1
+
+
+def _completion(nums: Sequence[int], den: int, p: int, d: Face) -> int:
+    """The regular completion of ``nums`` / ``den`` at face d, over den * 2^n."""
+    if not any(d) or min(d) == 2 * p:
+        return den << len(d) if any(d) else 0
+    total, k = adjacent_box_sum(nums, p, d)
+    return total << (len(d) - k)
 
 
 def _completion_table(nums: list[int], den: int, n: int, p: int) -> list[int]:

@@ -148,6 +148,30 @@ def dense_boundary_averages(disc, n: int, values: dict) -> dict:
     return table
 
 
+def dense_weighted_boundary_averages(p: int, n: int, values: dict,
+                                     mass: list) -> dict:
+    """C(v,T) for every coalition bitmask T from the dense face table, each
+    free coordinate on face digit e with weight mass[e]: over every tuple
+    of free digits, its weight times the gap between the face with T
+    pinned to 1 and the face with T pinned to 0, over the total weight."""
+    total = sum(mass)
+    table = {}
+    for t_mask in range(1 << n):
+        free = [i for i in range(n) if not t_mask >> i & 1]
+        acc = Fraction(0)
+        for digits in itertools.product(range(2 * p + 1), repeat=len(free)):
+            hi = [2 * p] * n
+            lo = [0] * n
+            weight = 1
+            for i, e in zip(free, digits):
+                hi[i] = lo[i] = e
+                weight *= mass[e]
+            if weight:
+                acc += weight * (values[tuple(hi)] - values[tuple(lo)])
+        table[t_mask] = acc / total ** len(free)
+    return table
+
+
 def jk_violation(n: int, j: int, k: int, values: dict) -> str | None:
     """The first thing wrong with a (j,k) table, worded as ``JKGame``
     words it, found profile by profile; None for a valid table."""

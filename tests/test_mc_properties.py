@@ -20,7 +20,8 @@ from powerdex.evaluables import (FACE_BLOCK_ROWS, SEARCH_FROM_P,
                                  EvaluableGame, step_game_evaluable)
 from powerdex.families import (counterexample_game, product_power_game,
                                weighted_mean_game, weighted_median_game)
-from powerdex.indices import psi_mc, psi_point
+from powerdex.indices import boundary_averages, psi_from_c, psi_mc, psi_point
+from powerdex.rational import on_one_denominator
 from powerdex.sampling import random_regular_game
 from powerdex.stepfun import Discretization, StepGame, face_table
 from test_stepgame_properties import breakpoint_sampler, dense_games
@@ -218,7 +219,8 @@ def test_families_refuse_points_outside_the_cube_as_eval_exact_does(game,
 
 
 @settings(max_examples=150)
-@given(dense_games(st.integers(1, 4)), st.data())
+@given(dense_games(st.integers(1, 4)) |
+       dense_games(st.integers(1, 4), coprime=True), st.data())
 def test_point_variant_reads_the_pinned_faces(case, data):
     g, _ = case
     alpha = data.draw(st.sampled_from(g.disc.alpha) | st.sampled_from((0, 1))
@@ -240,6 +242,29 @@ def test_point_variant_over_the_budget_keeps_its_diagnostic():
         psi_point(counterexample_game(16), F(1, 3))
     assert str(refused.value) == ("point variant exceeds the work budget of "
                                   "2,000,000 steps")
+
+
+def breakpoint_sampler_mass(alpha) -> list[int]:
+    """The weight breakpoint_sampler gives each face digit of a coordinate:
+    half of each interval's width, and 1/(2(p+1)) to each breakpoint."""
+    p = len(alpha) - 1
+    return on_one_denominator([
+        (alpha[(e + 1) // 2] - alpha[e // 2]) / 2 if e % 2 else F(1, 2 * p + 2)
+        for e in range(2 * p + 1)])[0]
+
+
+@settings(max_examples=40, derandomize=True)
+@given(dense_games())
+def test_psi_mc_under_a_sampler_centres_on_its_exact_expectation(case):
+    # the sampler draws each coordinate's face digit independently, so the
+    # boundary averages with its digit weights are psi_mc's expectation
+    g, _ = case
+    c = boundary_averages(g, breakpoint_sampler_mass(g.disc.alpha))
+    exact = psi_from_c(c.nums, c.den, g.n).shares
+    for seed in (0, 1):
+        pv = psi_mc(g, 16_000, seed, breakpoint_sampler(g.disc.alpha))
+        for x, estimate, err in zip(exact, pv.shares, pv.stderr):
+            assert abs(estimate - x) <= 5 * err + 1e-9
 
 
 def test_psi_mc_memory_is_bounded_by_the_chunk(monkeypatch):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import powerdex.indices as indices
 import powerdex.stepfun as stepfun
 from dense_oracle import (adjacent_boxes, box_dict, dense_boundary_averages,
-                          dense_completion, dense_validate, face_values,
+                          dense_completion, dense_validate,
+                          dense_weighted_boundary_averages, face_values,
                           pairwise_violations)
 from powerdex.axioms import null_extension, square_game
 from powerdex.coalitions import (CoalitionFunction, SimpleGame,
@@ -23,7 +24,7 @@ from powerdex.embeddings import (embed_2k_tau, embed_coalition_semiregular,
                                  embed_jk, embed_simple_semiregular)
 from powerdex.evaluables import EvaluableGame, step_game_evaluable
 from powerdex.his import IncrementError, apply_box_increment, raise_box
-from powerdex.indices import boundary_averages, psi_exact, psi_mc
+from powerdex.indices import boundary_averages, psi_exact, psi_mc, psi_point
 from powerdex.rational import format_rational
 from powerdex.sampling import random_discretization, random_regular_game
 from powerdex.serialize import parse_step_game, step_game_to_json
@@ -257,6 +258,22 @@ def test_boundary_averages_match_dense_table(case, data):
                                                                  table)
 
 
+@settings(max_examples=150)
+@given(dense_games(st.integers(1, 4)) |
+       dense_games(st.integers(1, 4), coprime=True), st.data())
+def test_weighted_boundary_averages_match_dense_table(case, data):
+    # any digit weights, zeros among them, and the one-hot ones of psi_point
+    g, table = case
+    digits = 2 * g.p + 1
+    mass = data.draw(
+        st.lists(st.integers(0, 3), min_size=digits, max_size=digits)
+        | st.integers(0, digits - 1).map(lambda e: [int(d == e) for d in
+                                                    range(digits)]))
+    assume(any(mass))
+    assert boundary_averages(g, mass).table == \
+        dense_weighted_boundary_averages(g.p, g.n, table, mass)
+
+
 def breakpoint_sampler(alpha):
     """Each coordinate is a breakpoint (0 and 1 included) or uniform, so
     samples land on point faces and on faces next to several boxes."""
@@ -332,6 +349,28 @@ def test_psi_exact_derives_no_face(monkeypatch):
     monkeypatch.setattr(stepfun, "_completion_table", derived)
     monkeypatch.setattr(stepfun, "_completion", derived)
     assert psi_exact(g) == expected
+
+
+def test_psi_point_derives_no_face(monkeypatch):
+    # the pinned table is the boundary averages with all the weight on
+    # alpha's digit: the boxes and the stored overrides, no face read alone
+    g = random_regular_game(random.Random(4), 4, 3).with_tag("raw")
+    alphas = (F(0), F(1), g.disc.alpha[1], F(1, 2))
+    top, updates = 6, {}
+    for a in alphas:
+        # faces that C(T) reads at alpha, for T = {0, 3} and T = {1}
+        at = stepfun.locate_face(g.disc, (a,))[0]
+        updates[(top, at, at, top)] = F(9, 10)
+        updates[(at, 0, at, at)] = F(1, 10)
+    g = g.with_values(updates)
+    expected = [psi_point(step_game_evaluable(g), a) for a in alphas]
+
+    def derived(*args):
+        raise AssertionError("a face was derived")
+    for name in ("_completion_table", "_completion", "face_numerator"):
+        monkeypatch.setattr(stepfun, name, derived)
+    assert len(g.overrides) == 8
+    assert [psi_point(g, a) for a in alphas] == expected
 
 
 def test_psi_exact_builds_no_fraction_table(monkeypatch):
