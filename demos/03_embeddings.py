@@ -33,7 +33,7 @@ for tau in (F(1, 4), F(1, 2), F(3, 4)):
 # ... but the underlying boundary-average tables coincide at tau = 1/2 only.
 maj = JKGame.from_simple(SimpleGame.weighted(2, [1, 1]))
 discrete = jk_boundary_averages(maj)
-print("\ndiscrete C({1}):", discrete[0b01])
+print("\ndiscrete C({1}):", discrete.get([1]))
 for tau in (F(1, 2), F(1, 4)):
     table = boundary_averages(embed_2k_tau(maj, tau)).table
     print(f"tau = {tau}: embedded C({{1}}) = {table[0b01]}, "

@@ -11,7 +11,6 @@ their verification and the worked two-player replay are in ``increments``.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from typing import Callable, NamedTuple
@@ -21,7 +20,7 @@ from .rational import on_one_denominator
 # IncrementError is also read from here, as his.IncrementError
 from .stepfun import (Discretization, Face, IncrementError,  # noqa: F401
                       StepGame, TAG_REGULAR, ValidationReport, _step,
-                      box_index, falling_covers, make_regular_step,
+                      box_index, box_keys, falling_covers, make_regular_step,
                       pinned_covers, validate)
 
 
@@ -178,7 +177,7 @@ def build_by_increments(v: StepGame,
     vals, psi, steps = [0], (Fraction(1, v.n),) * v.n, []
     for l in range(1, v.p + 1):
         grid, band = _phase_grid(v.disc.alpha, l), 2 * l - 1
-        boxes = list(itertools.product(range(1, band + 1, 2), repeat=v.n))
+        boxes = box_keys(v.n, l)
         vals = [vals[box_index([min(b, band - 2) for b in e], l - 1)]
                 if l > 1 else 0 for e in boxes]
         for box in order([e for e in boxes if band in e]):

@@ -15,7 +15,7 @@ import itertools
 import sys
 from fractions import Fraction
 from math import factorial, gcd, prod
-from operator import add, floordiv, mul, not_
+from operator import add, floordiv, mul, not_, sub
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .budget import check_work
@@ -75,7 +75,8 @@ class PowerVector:
 
 class BoundaryAverages(NamedTuple):
     """C(v, T), the average outcome gap between coalition T at full and at
-    no support: integer numerators by coalition bitmask over ``den``."""
+    no support: integer numerators by coalition bitmask over ``den``.  The
+    step-game, (j,k), coalition and pinned-point tables all take this form."""
 
     n: int
     nums: list[int]
@@ -92,23 +93,21 @@ class BoundaryAverages(NamedTuple):
         return Fraction(self.nums[mask_of(players, self.n)], self.den)
 
 
-def _exact(shares) -> PowerVector:
-    return PowerVector(tuple(Fraction(s) for s in shares), "exact")
-
-
-def psi_from_c(nums: Sequence[int], den: int, n: int) -> PowerVector:
+def psi_from_c(c: BoundaryAverages) -> PowerVector:
     """Combine a C-table with the ordering weights (s-1)!(n-s)!/n!.
 
     The table is given as integer numerators num[S] = c[S] * den, one for
-    every coalition bitmask S in 0..2^n-1, so the sum runs in integers.
-    With w(s) = (s-1)!(n-s)! and w(0) = w(n+1) = 0, player i's share
-    times n! * den is base plus with_i, the sum over S containing i of
-    num[S] (w(|S|) + w(|S|+1)), where base = -sum over S of num[S] w(|S|+1)
-    (Mann & Shapley's grouping of the terms by coalition size); with_i
-    comes from halving the table once per player.  As s w(s) = (n-s) w(s+1)
-    for 0 < s < n, the shares of any table sum to (num[N] - num[0]) / den
+    every coalition bitmask S in 0..2^n-1, so the sum runs in integers (its
+    ``Fraction`` form is built when ``c_table`` is read).  With w(s) =
+    (s-1)!(n-s)! and w(0) = w(n+1) = 0, player i's share times n! * den is
+    base plus with_i, the sum over S containing i of num[S] (w(|S|) +
+    w(|S|+1)), where base = -sum over S of num[S] w(|S|+1) (Mann &
+    Shapley's grouping of the terms by coalition size); with_i comes from
+    halving the table once per player.  As s w(s) = (n-s) w(s+1) for
+    0 < s < n, the shares of any table sum to (num[N] - num[0]) / den
     (efficiency), so n * base = n! (num[N] - num[0]) - sum of with_i.
     """
+    n, nums, den = c
     w = [0] + [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)] + [0]
     both = list(map(add, w, w[1:]))
     sizes = bytearray(1)  # |S| for every mask S: each player doubles it
@@ -125,7 +124,8 @@ def psi_from_c(nums: Sequence[int], den: int, n: int) -> PowerVector:
         y = list(map(add, y, top))
     base = (factorial(n) * (nums[-1] - nums[0]) - sum(with_i)) // n
     scale = factorial(n) * den
-    return _exact(Fraction(base + t, scale) for t in with_i)
+    return PowerVector(tuple(Fraction(base + t, scale) for t in with_i),
+                       c_table=lambda: c.table)
 
 
 def _ends_table(flat: list[int], m: int, weights: Sequence[int], n: int,
@@ -178,23 +178,19 @@ def ssi_coalition(v: CoalitionFunction | SimpleGame) -> PowerVector:
     from .coalitions import SimpleGame
 
     cf = v.inner if isinstance(v, SimpleGame) else v
-    return psi_from_c(cf.nums, cf.den, cf.n)
+    return psi_from_c(BoundaryAverages(cf.n, cf.nums, cf.den))
 
 
-def _jk_ends(v: JKGame) -> tuple[list[int], int]:
-    return _ends_table(v.levels, v.j, [1] * v.j, v.n, v.k - 1)
-
-
-def jk_boundary_averages(v: JKGame) -> dict[int, Fraction]:
+def jk_boundary_averages(v: JKGame) -> BoundaryAverages:
     """Discrete C(v,T): mean gap between full and zero approval of T, each
     free voter's level uniform on 0..j-1."""
-    nums, den = _jk_ends(v)
-    return {t: Fraction(x, den) for t, x in enumerate(nums)}
+    return BoundaryAverages(v.n, *_ends_table(v.levels, v.j, [1] * v.j, v.n,
+                                              v.k - 1))
 
 
 def jk_ssi_marginal(v: JKGame) -> PowerVector:
     """Same index through the discrete C-table instead of pivot counting."""
-    return psi_from_c(*_jk_ends(v), v.n)
+    return psi_from_c(jk_boundary_averages(v))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +208,9 @@ def boundary_averages(g: StepGame, mass=None) -> BoundaryAverages:
 
     n, p, top, alpha = g.n, g.p, 2 * g.p, g.disc.alpha
     if mass is None:
-        widths, _ = on_one_denominator([b - a for a, b in zip(alpha, alpha[1:])])
-        mass = [0, *itertools.chain.from_iterable(zip(widths, [0] * p))]
+        ends, mass = on_one_denominator(alpha)[0], [0] * (top + 1)
+        mass[1::2] = map(sub, ends[1:], ends)
+        del ends  # grid-sized: not kept while the kernel runs
     # each adjacent box's part of a digit: an inner breakpoint has two boxes
     share = [2 * x for x in mass]
     share[2:top:2] = mass[2:top:2]
@@ -243,10 +240,8 @@ def boundary_averages(g: StepGame, mass=None) -> BoundaryAverages:
 def psi_exact(g: StepGame) -> PowerVector:
     """Exact index of a step game via its boundary averages.  Only values on
     faces touching the cube boundary enter, so raw and semi-regular tables
-    are accepted as-is.  The ``Fraction`` C-table is built when read."""
-    c = boundary_averages(g)
-    return PowerVector(psi_from_c(c.nums, c.den, g.n).shares,
-                       c_table=lambda: c.table)
+    are accepted as-is."""
+    return psi_from_c(boundary_averages(g))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +281,8 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
 
     if isinstance(v, StepGame):
         (at,) = locate_face(v.disc, (a,))
-        c = boundary_averages(v, [0] * at + [1] + [0] * (2 * v.p - at))
-        return psi_from_c(c.nums, c.den, n)
+        return psi_from_c(boundary_averages(
+            v, [0] * at + [1] + [0] * (2 * v.p - at)))
     # the points are built here of Fractions in [0, 1], so eval_exact's
     # conversion and range check of every coordinate are skipped
     exact = _as_evaluable(v).exact_unchecked()
@@ -298,7 +293,7 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
                                     for i in range(n))))
 
     c = [Fraction(0)] + [pinned(t, 1) - pinned(t, 0) for t in range(1, 1 << n)]
-    return psi_from_c(*on_one_denominator(c), n)
+    return psi_from_c(BoundaryAverages(n, *on_one_denominator(c)))
 
 
 def psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,

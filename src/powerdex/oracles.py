@@ -14,12 +14,16 @@ from math import factorial, prod
 from typing import TYPE_CHECKING, Sequence
 
 from .budget import check_work
-from .indices import PowerVector, _exact, boundary_averages
+from .indices import PowerVector, boundary_averages
 from .rational import on_one_denominator
 
 if TYPE_CHECKING:
     from .coalitions import JKGame, SimpleGame
     from .stepfun import StepGame
+
+
+def _exact(shares) -> PowerVector:
+    return PowerVector(tuple(Fraction(s) for s in shares), "exact")
 
 
 def ssi_roll_call(v: SimpleGame, vote_model: str = "all_yes") -> PowerVector:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
-from .stepfun import Discretization, StepGame, check_grid, make_regular_step
+from .stepfun import (Discretization, StepGame, _step, box_keys, check_grid,
+                      make_regular_step)
 
 
 def random_discretization(rng: random.Random, p: int) -> Discretization:
@@ -24,11 +24,8 @@ def random_regular_game(rng: random.Random, n: int, p: int) -> StepGame:
     check_grid(n, p)
     disc = random_discretization(rng, p)
     values: dict[tuple[int, ...], Fraction] = {}
-    boxes = sorted(itertools.product(range(1, 2 * p, 2), repeat=n),
-                   key=lambda b: (sum(b), b))
-    for b in boxes:
+    for b in sorted(box_keys(n, p), key=lambda b: (sum(b), b)):
         raw = Fraction(rng.randrange(0, 13), 12)
-        below = [values[b[:i] + (b[i] - 2,) + b[i + 1:]]
-                 for i in range(n) if b[i] >= 3]
+        below = [values[_step(b, i, -2)] for i in range(n) if b[i] >= 3]
         values[b] = max([raw] + below)
     return make_regular_step(disc, values, n)

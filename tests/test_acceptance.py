@@ -107,11 +107,11 @@ def test_criterion_05_tau_invariance_and_c_tables():
         v = random_monotone_jk(rng, rng.randrange(1, 4), 2, rng.randrange(2, 4))
         shares = {tau: psi_exact(embed_2k_tau(v, tau)).shares for tau in taus}
         assert len(set(shares.values())) == 1
-        discrete = jk_boundary_averages(v)
+        discrete = jk_boundary_averages(v).table
         assert boundary_averages(embed_2k_tau(v, F(1, 2))).table == discrete
     maj = JKGame.from_simple(SimpleGame.weighted(2, [1, 1]))
     skew = boundary_averages(embed_2k_tau(maj, F(1, 4))).table
-    assert skew != jk_boundary_averages(maj)
+    assert skew != jk_boundary_averages(maj).table
     assert psi_exact(embed_2k_tau(maj, F(1, 4))).shares == \
         jk_ssi_marginal(maj).shares
     _report(5, "skew-grid shares are tau-invariant on 50 games; boundary "

@@ -3,16 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from powerdex.axioms import (check_axioms, crafted_his_witnesses,
-                             find_null_players, find_symmetric_pairs,
-                             make_handles, null_extension, separation_demo,
-                             square_game)
+from powerdex.axioms import (IndexHandle, check_axioms,
+                             crafted_his_witnesses, find_null_players,
+                             find_symmetric_pairs, make_handles,
+                             null_extension, separation_demo, square_game)
 from powerdex.coalitions import JKGame, SimpleGame
 from powerdex.embeddings import embed_jk
 from powerdex.increments import check_local_increment
-from powerdex.indices import psi_exact
+from powerdex.indices import PowerVector, psi_exact
 from powerdex.sampling import random_regular_game
 from powerdex.stepfun import validate, zero_game
+from powerdex.transforms import permute_axes
 
 
 def _suite(seed=20260808, count=18):
@@ -75,6 +76,47 @@ def test_independence_handles_fail_exactly_their_axiom():
     for name, axioms in expected.items():
         report = check_axioms(handles[name], suite, seed=11)
         assert report.failed_axioms() == axioms, (name, report.violations)
+
+
+def _foil(name, shares):
+    """A handle whose shares are ``shares(g, psi_exact(g).shares)``."""
+    return IndexHandle(name, lambda g: PowerVector(
+        tuple(shares(g, psi_exact(g).shares)), "exact"))
+
+
+_TILTED = _foil("tilted_to_player_1", lambda g, s: (
+    s[0] + F(1, 1000), s[1] - F(1, 1000), *s[2:]) if g.n > 1 else s)
+
+# test-only foils, not registered in make_handles: each breaks the battery
+# check that its entry names, with that check's first message.  The suite
+# has no null player, so the negative shares of 2 psi - 1/n break
+# positivity alone
+FOILS = [
+    (_foil("twice_psi_less_equal_division",
+           lambda g, s: [2 * x - F(1, g.n) for x in s]),
+     {"positivity"}, "positivity", "game 7: shares (Fraction(-1, 12)"),
+    (_TILTED, {"symmetry", "anonymity"}, "symmetry",
+     "game 0: symmetric players 1,2 get 501/1000 vs 499/1000"),
+    (_TILTED, {"symmetry", "anonymity"}, "anonymity",
+     "game 3: permutation [2, 1] moves share of 1"),
+    (_foil("squared_shares",
+           lambda g, s: [x * x / sum(y * y for y in s) for x in s]),
+     {"transfer", "his"}, "transfer", "pair sums"),
+    # the labels read backwards: a witness's outsiders shift unequally
+    (_foil("reversed_labels", lambda g, s: psi_exact(
+        permute_axes(g, list(range(g.n, 0, -1)))).shares),
+     {"symmetry", "anonymity", "his"}, "his", "S={1}: non-uniform shift"),
+]
+
+
+@pytest.mark.parametrize("foil, failed, axiom, message", FOILS,
+                         ids=[f"{f[0].name}-{f[2]}" for f in FOILS])
+def test_unregistered_foils_trip_each_battery_check(foil, failed, axiom,
+                                                    message):
+    suite = [g for g in _suite() if not find_null_players(g)]
+    report = check_axioms(foil, suite, seed=11)
+    assert report.failed_axioms() == failed, report.violations
+    assert report.violations[axiom][0].startswith(message)
 
 
 def test_phi_two_player_satisfies_its_axioms():

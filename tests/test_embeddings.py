@@ -90,10 +90,10 @@ def test_c_tables_coincide_only_at_half(rng):
     for _ in range(20):
         v = random_monotone_jk(rng, rng.randrange(1, 4), 2, rng.randrange(2, 4))
         emb = embed_2k_tau(v, F(1, 2))
-        assert boundary_averages(emb).table == jk_boundary_averages(v)
+        assert boundary_averages(emb).table == jk_boundary_averages(v).table
     # a skewed grid moves at least one entry while shares stay equal
     maj = JKGame.from_simple(SimpleGame.weighted(2, [1, 1]))
-    discrete = jk_boundary_averages(maj)
+    discrete = jk_boundary_averages(maj).table
     skew = embed_2k_tau(maj, F(1, 4))
     assert boundary_averages(skew).table != discrete
     assert boundary_averages(skew).table[0b01] == F(3, 4) != discrete[0b01]

@@ -112,6 +112,38 @@ def test_check_local_increment_appendix_move(appendix):
     assert not ok and witness["T"] == (2,)
 
 
+def test_check_local_increment_refuses_a_wrong_eps_for_the_grand_coalition(
+        appendix):
+    # S = N raises the game itself on the open domain (1/2, 1)^2, whose
+    # only interior face on this grid is the box (5, 5)
+    v = appendix.with_values({(5, 5): F(1)})
+    domain = Domain.of({1: (F(1, 2), 1), 2: (F(1, 2), 1)})
+    ok, witness = check_local_increment(
+        appendix, v, LocalIncrement(2, frozenset({1, 2}), F(1, 10), domain))
+    assert ok, witness
+    ok, witness = check_local_increment(
+        appendix, v, LocalIncrement(2, frozenset({1, 2}), F(1, 5), domain))
+    assert not ok
+    assert witness == {"T": (1, 2), "face": (5, 5), "point": (F(3, 4), F(3, 4)),
+                       "expected": F(9, 10) + F(1, 5), "got": F(1)}
+
+
+def test_check_local_increment_refuses_a_move_of_another_coalition():
+    grid = Discretization((F(0), F(1, 4), F(1)))
+    u2 = refine(coarsen(appendix_game(), grid), grid)
+    # the claimed +1/10 on the x2 = 1 edge over (0, 1/4), and also +1/10 at
+    # the face (4, 1) on the x1 = 1 edge, which moves the influence of {1}
+    u3 = u2.with_values({(1, 4): regular_completion(u2, (1, 4)) + F(1, 10),
+                         (2, 4): regular_completion(u2, (2, 4)) + F(1, 20),
+                         (4, 1): regular_completion(u2, (4, 1)) + F(1, 10)})
+    inc = LocalIncrement(2, frozenset({2}), F(1, 10), Domain.of({1: (0, F(1, 4))}))
+    ok, witness = check_local_increment(u2, u3, inc)
+    assert not ok
+    before = regular_completion(u2, (4, 1)) - regular_completion(u2, (0, 1))
+    assert witness == {"T": (1,), "face": (4, 1), "point": (F(1), F(1, 8)),
+                       "expected": before, "got": before + F(1, 10)}
+
+
 def test_check_local_increment_identity_needs_zero_eps(appendix):
     zero = LocalIncrement(2, frozenset({1}), F(0), Domain.of({2: (0, 1)}))
     ok, _ = check_local_increment(appendix, appendix, zero)

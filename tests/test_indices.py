@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
 from powerdex.coalitions import (CoalitionFunction, JKGame, SimpleGame,
                                  all_simple_games, random_monotone_jk)
 from powerdex.embeddings import embed_simple_semiregular
-from powerdex.evaluables import EvaluableGame
+from powerdex.evaluables import EvaluableGame, step_game_evaluable
 from powerdex.families import (counterexample_game, product_power_game,
                                weighted_mean_game, weighted_median_game)
 from powerdex.indices import (boundary_averages, jk_boundary_averages,
@@ -15,7 +16,7 @@ from powerdex.indices import (boundary_averages, jk_boundary_averages,
 from powerdex.oracles import (jk_ssi_pivot, phi_two_player,
                               psi_product_oracle, ssi_roll_call)
 from powerdex.sampling import random_regular_game
-from powerdex.stepfun import zero_game
+from powerdex.stepfun import make_regular_step, uniform_grid, zero_game
 
 
 def test_power_vector_compares_with_sequences_only():
@@ -78,7 +79,7 @@ def test_jk_pivot_examples():
 def test_jk_marginal_examples():
     embed = JKGame.from_simple(SimpleGame.weighted(3, [2, 1, 1]))
     assert jk_ssi_marginal(embed).shares == (F(2, 3), F(1, 6), F(1, 6))
-    c = jk_boundary_averages(embed)
+    c = jk_boundary_averages(embed).table
     assert c[0] == 0 and c[0b111] == 1
     sym3 = JKGame(2, 3, 3, list(map(min, itertools.product(range(3), repeat=2))))
     assert jk_ssi_marginal(sym3).shares == (F(1, 2), F(1, 2))
@@ -116,6 +117,38 @@ def test_boundary_averages_monotone_in_coalition(rng):
             for i in range(g.n):
                 if not mask >> i & 1:
                     assert val <= table[mask | 1 << i]
+
+
+def test_psi_exact_takes_the_widths_without_a_fraction_subtraction():
+    # the interval widths are integer differences of the breakpoints over
+    # one denominator; a Fraction subtraction per interval took seconds
+    # at a million intervals
+    p = 10_000
+    g = make_regular_step(uniform_grid(p), {(2 * k + 1,): F(k, p - 1)
+                                            for k in range(p)}, 1)
+    subtract, calls = F.__sub__, []
+
+    def counted(a, b):
+        calls.append(None)
+        return subtract(a, b)
+
+    with mock.patch.object(F, "__sub__", counted):
+        shares = psi_exact(g).shares
+    assert len(calls) == 0 and shares == (1,)
+
+
+def test_every_exact_index_carries_its_c_table(appendix):
+    v = SimpleGame.weighted(3, [2, 1, 1])
+    assert ssi_coalition(v).c_table == dict(enumerate(v.inner.nums))
+    jk = JKGame.from_simple(v)
+    assert jk_ssi_marginal(jk).c_table == jk_boundary_averages(jk).table
+    assert psi_exact(appendix).c_table == boundary_averages(appendix).table
+    # both psi_point branches hold the pinned table c(T) at the profile
+    ev = step_game_evaluable(appendix)
+    for a in (F(0), F(1, 3), F(1, 2), F(1)):
+        step = psi_point(appendix, a).c_table
+        assert step == psi_point(ev, a).c_table
+        assert step[0b01] == ev.eval_exact((1, a)) - ev.eval_exact((0, a))
 
 
 def test_psi_exact_examples(appendix):

@@ -76,6 +76,15 @@ def test_duality_on_the_largest_regular_grids():
     rng = random.Random(31)
     for n, p in ((13, 1), (13, 1), (9, 2), (9, 2)):
         g = random_regular_game(rng, n, p)
+        if p == 1:
+            # one box gives every player 1/n: move a boundary face of
+            # players 2 and 4 at 1 and of player 3 at 0, so that the
+            # shares differ
+            b, face = g.box((1,) * n), (1,) * (n - 1)
+            g = g.with_values({face[:1] + (2,) + face[1:]: (1 + b) / 2,
+                               face[:2] + (0,) + face[2:]: b / 2,
+                               face[:3] + (2,) + face[3:]: (3 + b) / 4})
+            assert len(set(psi_exact(g).shares)) > 1
         assert psi_exact(dual(g)) == psi_exact(g)
         if p == 2:
             for a in (F(0), F(1, 3), g.disc.alpha[1]):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from dense_oracle import dense_ends_table, dense_jk_boundary_averages
 from powerdex.coalitions import CoalitionFunction, SimpleGame, random_monotone_jk
 from powerdex.evaluables import step_game_evaluable
-from powerdex.indices import (_ends_table, jk_boundary_averages,
-                              jk_ssi_marginal, psi_from_c, psi_point,
-                              ssi_coalition)
+from powerdex.indices import (BoundaryAverages, _ends_table,
+                              jk_boundary_averages, jk_ssi_marginal,
+                              psi_from_c, psi_point, ssi_coalition)
 from powerdex.oracles import jk_ssi_pivot, psi_product_oracle, ssi_roll_call
 from powerdex.rational import on_one_denominator
 from powerdex.sampling import random_regular_game
@@ -97,7 +97,7 @@ def test_product_oracle_matches_the_kernel_on_its_c_table(exponents):
             if not t >> j & 1:
                 c[t] /= a + 1
     assert (psi_product_oracle(exponents).shares
-            == psi_from_c(*on_one_denominator(c), n).shares)
+            == psi_from_c(BoundaryAverages(n, *on_one_denominator(c))).shares)
 
 
 @settings(max_examples=80)
@@ -105,7 +105,7 @@ def test_product_oracle_matches_the_kernel_on_its_c_table(exponents):
        st.integers(2, 5))
 def test_jk_c_table_matches_definition(rng, n, j, k):
     v = random_monotone_jk(rng, n, j, k)
-    assert jk_boundary_averages(v) == dense_jk_boundary_averages(v)
+    assert jk_boundary_averages(v).table == dense_jk_boundary_averages(v)
 
 
 @settings(max_examples=100)
@@ -133,7 +133,7 @@ def explicit_shares(nums: list[int], den: int, n: int) -> tuple:
 def test_kernel_matches_the_explicit_sum_and_is_efficient(rng, n, den, size):
     # integer tables with negative entries, not monotone, over den >= 1
     nums = [rng.randrange(-size, size + 1) for _ in range(1 << n)]
-    shares = psi_from_c(nums, den, n).shares
+    shares = psi_from_c(BoundaryAverages(n, nums, den)).shares
     assert shares == explicit_shares(nums, den, n)
     assert sum(shares) == F(nums[-1] - nums[0], den)
 
@@ -148,7 +148,7 @@ def test_kernel_matches_the_explicit_sum_and_roll_call_on_zero_one_tables(
         n, [[i + 1 for i in range(n) if g >> i & 1] for g in generators])
     nums = v.inner.nums
     assert set(nums) <= {0, 1} and v.inner.den == 1
-    shares = psi_from_c(nums, 1, n).shares
+    shares = psi_from_c(BoundaryAverages(n, nums, 1)).shares
     assert shares == explicit_shares(nums, 1, n)
     assert shares == ssi_roll_call(v, "all_yes").shares
     assert sum(shares) == nums[-1] - nums[0]

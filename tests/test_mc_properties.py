@@ -259,8 +259,8 @@ def test_psi_mc_under_a_sampler_centres_on_its_exact_expectation(case):
     # the sampler draws each coordinate's face digit independently, so the
     # boundary averages with its digit weights are psi_mc's expectation
     g, _ = case
-    c = boundary_averages(g, breakpoint_sampler_mass(g.disc.alpha))
-    exact = psi_from_c(c.nums, c.den, g.n).shares
+    exact = psi_from_c(boundary_averages(
+        g, breakpoint_sampler_mass(g.disc.alpha))).shares
     for seed in (0, 1):
         pv = psi_mc(g, 16_000, seed, breakpoint_sampler(g.disc.alpha))
         for x, estimate, err in zip(exact, pv.shares, pv.stderr):
