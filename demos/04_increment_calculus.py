@@ -1,6 +1,7 @@
 """The increment calculus: how local changes of a game move the shares.
 
-Raises single boxes, tabulates the face effects, applies the closed corner
+Verifies one local increment and shows the witness of a wrong claim,
+raises single boxes, tabulates the face effects, applies the closed corner
 formula, rebuilds a game from nothing, and replays the worked two-player
 construction with dual verification.
 """
@@ -8,10 +9,12 @@ construction with dual verification.
 import itertools
 from fractions import Fraction as F
 
-from powerdex import (apply_box_increment, appendix_game,
-                      build_by_increments, corner_increase, his_delta,
-                      make_regular_step, potential_influence, psi_exact,
-                      replay_appendix, table1_rows, uniform_grid)
+from powerdex import (Discretization, apply_box_increment, appendix_game,
+                      build_by_increments, check_local_increment, coarsen,
+                      corner_increase, his_delta, make_regular_step,
+                      potential_influence, psi_exact, refine,
+                      regular_completion, replay_appendix, table1_rows,
+                      uniform_grid)
 from powerdex.increments import Domain, LocalIncrement
 
 v = appendix_game()
@@ -21,6 +24,21 @@ print("potential influence of {1} at x2=1/8:",
 # A local increment shifts shares by +/- constants * eps * vol(D).
 inc = LocalIncrement(2, frozenset({2}), F(1, 10), Domain.of({1: (0, F(1, 4))}))
 print("predicted shift:", his_delta(inc).shares)
+
+# That is the appendix move u2 -> u3: +1/10 on the x2 = 1 edge over
+# (0, 1/4).  The check compares every coalition's influence before and
+# after; a wrong epsilon comes back with the face where it fails.
+grid = Discretization((F(0), F(1, 4), F(1)))
+u2 = refine(coarsen(v, grid), grid)
+u3 = u2.with_values({(1, 4): regular_completion(u2, (1, 4)) + F(1, 10),
+                     (2, 4): regular_completion(u2, (2, 4)) + F(1, 20)})
+print("appendix move verified:", check_local_increment(u2, u3, inc)[0])
+wrong = LocalIncrement(2, frozenset({2}), F(1, 5), inc.domain)
+ok, witness = check_local_increment(u2, u3, wrong)
+print("eps = 1/5 verified:", ok)
+print("  witness: T=%s face=%s point=(%s) expected=%s got=%s"
+      % (witness["T"], witness["face"], ", ".join(map(str, witness["point"])),
+         witness["expected"], witness["got"]))
 
 # Raising one full-dimensional box decomposes into face moves; only faces
 # pinned to the cube boundary matter.

@@ -152,18 +152,14 @@ def suite_his_witnesses(suite: Sequence[StepGame],
         candidates = []
         for player in range(1, g.n + 1):
             for rest in itertools.product(range(1, top, 2), repeat=g.n - 1):
-                for d in (top, 0):
+                for up, d in ((1, top), (-1, 0)):
                     face = rest[:player - 1] + (d,) + rest[player - 1:]
                     at = sum(map(mul, face, strides))
-                    val = table[at]
-                    if d == top:
-                        room = min((table[at + strides[k]] - val
-                                    for k in range(g.n) if face[k] < top),
-                                   default=0)
-                    else:
-                        room = min((val - table[at - strides[k]]
-                                    for k in range(g.n) if face[k] > 0),
-                                   default=0)
+                    # the least gap outwards (up on the top side, down on the
+                    # bottom one) to a neighbour along another axis
+                    room = min((up * (table[at + up * s] - table[at])
+                                for k, s in enumerate(strides) if k != player - 1),
+                               default=0)
                     if room > 0:
                         candidates.append((player, face, Fraction(room, den)))
         rng.shuffle(candidates)

@@ -110,7 +110,7 @@ def step_game_evaluable(g: StepGame) -> EvaluableGame:
         import numpy as np
 
         nums, den = face_table(g)
-        return np.array([x / den for x in nums])
+        return np.fromiter((x / den for x in nums), np.float64, len(nums))
 
     def face_index(pts: np.ndarray) -> np.ndarray:
         import numpy as np

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, lcm
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .indices import PowerVector, _as_evaluable, psi_exact
@@ -130,18 +129,20 @@ def check_local_increment(u: StepGame, v: StepGame,
                           inc: LocalIncrement) -> tuple[bool, dict | None]:
     """Verify u -> v under the claimed (S, epsilon, D).
 
-    On the merged grid: the influence of S gains exactly epsilon inside the
-    open domain and nothing outside its closure, and every other coalition's
-    influence is unchanged at one representative per interior face.  Returns
-    the first violating witness, if any.
+    On the grid of u, v and D's ends, the influence of each coalition T
+    (T's coordinates at 2p against 0, the others' on interior digits) must
+    gain epsilon strictly inside D for T = S, is not checked on D's
+    boundary, and must not move elsewhere.  S empty or N walks the empty
+    coalition alone, whose influence is the game's value: raised on the
+    open cube for S empty (D is ignored), on the open domain for S = N.
+    Returns the first violating witness, if any.
     """
     if u.n != v.n or inc.n != u.n:
         raise ValueError("player counts differ")
     n = u.n
-    extra = [x for _, ab in inc.domain.intervals for x in ab if 0 < x < 1]
-    merged = u.disc.merge(v.disc)
-    if extra:
-        merged = merged.merge(Discretization(tuple(sorted({Fraction(0), Fraction(1), *extra}))))
+    merged = Discretization(sorted({*u.disc.alpha, *v.disc.alpha,
+                                    *(x for _, ab in inc.domain.intervals
+                                      for x in ab)}))
     (old, den_u), (new, den_v) = (face_table(refine(g, merged)) for g in (u, v))
     eps = Fraction(inc.epsilon)
     # both tables and eps as integers over one denominator
@@ -149,66 +150,44 @@ def check_local_increment(u: StepGame, v: StepGame,
     old = [x * (den // den_u) for x in old]
     new = [x * (den // den_v) for x in new]
     e = eps.numerator * (den // eps.denominator)
-    p = merged.p
-    top, interior = 2 * p, range(1, 2 * p)
+    top, interior = 2 * merged.p, range(1, 2 * merged.p)
     strides = [(top + 1) ** (n - 1 - i) for i in range(n)]
     # every domain endpoint is a breakpoint of the merged grid: compare
     # doubled coordinates, a face lying inside the open interval when a < d < b
     # and outside the closed one when d < a or d > b
     ends = {i: (2 * merged.alpha.index(lo), 2 * merged.alpha.index(hi))
             for i, (lo, hi) in inc.domain.intervals}
-
-    def witness(t_players, face, expected, got):
-        return {"T": tuple(sorted(t_players)), "face": face,
-                "point": face_center(merged, face),
-                "expected": Fraction(expected, den), "got": Fraction(got, den)}
-
-    if inc.is_degenerate():
-        use_domain = len(inc.coalition) == n
-        for f in itertools.product(interior, repeat=n):
-            if use_domain and not all(ends[i][0] < fi < ends[i][1]
-                                      for i, fi in enumerate(f, 1)):
-                continue
-            k = sum(map(mul, f, strides))
-            if new[k] != old[k] + e:
-                return False, witness(inc.coalition, f, old[k] + e, new[k])
-        return True, None
-
-    coalition = sorted(inc.coalition)
-    s_idx = [i - 1 for i in coalition]
-    for t_mask in range(1, 1 << n):
-        t_idx = [i for i in range(n) if t_mask >> i & 1]
-        free = [i for i in range(n) if not t_mask >> i & 1]
-        is_s = t_idx == s_idx
-        # T's coordinates at 2p on the upper face, at 0 on the lower one
-        raised = top * sum(strides[i] for i in t_idx)
+    degenerate = inc.is_degenerate()
+    claim = 0 if degenerate else sum(1 << (i - 1) for i in inc.coalition)
+    for t in [0] if degenerate else range(1, 1 << n):
+        free = [i for i in range(n) if not t >> i & 1]
+        raised = top * sum(strides[i] for i in range(n) if t >> i & 1)
         for f in itertools.product(interior, repeat=len(free)):
             lo = sum(strides[i] * fi for i, fi in zip(free, f))
-            dv, du = new[lo + raised] - new[lo], old[lo + raised] - old[lo]
-            if not is_s:
-                if dv != du:
-                    return False, witness([i + 1 for i in t_idx],
-                                          _upper_face(n, top, free, f), du, dv)
-                continue
-            spans = [(fi, *ends[i + 1]) for i, fi in zip(free, f)]
-            if any(d < lo_end or d > hi_end for d, lo_end, hi_end in spans):
-                expected = du  # some coordinate escapes the closed domain
-            elif all(lo_end < d < hi_end for d, lo_end, hi_end in spans):
-                expected = du + e
-            else:
-                continue  # neither fully inside nor fully outside
+            # T's coordinates at 2p; T = {} has no partner at 0
+            dv, du = new[lo + raised], old[lo + raised]
+            if t:
+                dv, du = dv - new[lo], du - old[lo]
+            expected = du
+            if t == claim:
+                # S = {} ignores D
+                spans = [(*ends[i + 1], fi) for i, fi in zip(free, f)
+                         if inc.coalition]
+                if all(a < d < b for a, b, d in spans):
+                    expected += e
+                elif len(inc.coalition) == n or all(a <= d <= b
+                                                    for a, b, d in spans):
+                    continue  # on D's boundary, or outside D for S = N
             if dv != expected:
-                return False, witness(coalition, _upper_face(n, top, free, f),
-                                      expected, dv)
+                rest = iter(f)
+                face = tuple(top if t >> i & 1 else next(rest) for i in range(n))
+                players = (inc.coalition if t == claim
+                           else [i + 1 for i in range(n) if t >> i & 1])
+                return False, {"T": tuple(sorted(players)), "face": face,
+                               "point": face_center(merged, face),
+                               "expected": Fraction(expected, den),
+                               "got": Fraction(dv, den)}
     return True, None
-
-
-def _upper_face(n: int, top: int, free: Sequence[int], f: Face) -> Face:
-    """The face with the free coordinates at f and every other one at top."""
-    hi = [top] * n
-    for i, fi in zip(free, f):
-        hi[i] = fi
-    return tuple(hi)
 
 
 def _box_domain(disc: Discretization, box: Face,

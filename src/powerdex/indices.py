@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from math import factorial, gcd, prod
 from operator import add, floordiv, mul, not_, sub
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .budget import check_work
 from .rational import on_one_denominator
@@ -73,14 +73,16 @@ class PowerVector:
         return NotImplemented
 
 
-class BoundaryAverages(NamedTuple):
+class BoundaryAverages:
     """C(v, T), the average outcome gap between coalition T at full and at
     no support: integer numerators by coalition bitmask over ``den``.  The
-    step-game, (j,k), coalition and pinned-point tables all take this form."""
+    step-game, (j,k), coalition and pinned-point tables all take this form.
+    A record, not a sequence: C(v, T) is read through ``table`` or ``get``."""
 
-    n: int
-    nums: list[int]
-    den: int
+    __slots__ = ("n", "nums", "den")
+
+    def __init__(self, n: int, nums: list[int], den: int) -> None:
+        self.n, self.nums, self.den = n, nums, den
 
     @property
     def table(self) -> dict[int, Fraction]:
@@ -107,7 +109,7 @@ def psi_from_c(c: BoundaryAverages) -> PowerVector:
     0 < s < n, the shares of any table sum to (num[N] - num[0]) / den
     (efficiency), so n * base = n! (num[N] - num[0]) - sum of with_i.
     """
-    n, nums, den = c
+    n, nums, den = c.n, c.nums, c.den
     w = [0] + [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)] + [0]
     both = list(map(add, w, w[1:]))
     sizes = bytearray(1)  # |S| for every mask S: each player doubles it
@@ -285,7 +287,7 @@ def psi_point(v: EvaluableGame | StepGame, alpha) -> PowerVector:
             v, [0] * at + [1] + [0] * (2 * v.p - at)))
     # the points are built here of Fractions in [0, 1], so eval_exact's
     # conversion and range check of every coordinate are skipped
-    exact = _as_evaluable(v).exact_unchecked()
+    exact = v.exact_unchecked()
     sides = (Fraction(0), Fraction(1))
 
     def pinned(t: int, side: int) -> Fraction:

@@ -6,8 +6,9 @@ table; the violation list of a step game, built by comparing every checked
 pair as Fractions; the embedding of a (j,k) game built from a dict of its
 boxes, the boundary averages of a (j,k) game by their definition, and the
 first violation in a (j,k) table found profile by profile; the grid C-table kernel that contracts every axis to three
-entries; and the Monte-Carlo estimator that holds every coalition's pinned
-deltas at once.  ``box_dict`` and ``face_values`` read a game's boxes and
+entries; the Monte-Carlo estimator that holds every coalition's pinned
+deltas at once; and the local-increment check read face by face off its
+definition.  ``box_dict`` and ``face_values`` read a game's boxes and
 faces as ``Fraction`` dicts for the comparisons."""
 
 import itertools
@@ -19,7 +20,9 @@ from powerdex.evaluables import EvaluableGame
 from powerdex.indices import MAX_MC_CELLS, PowerVector, _as_evaluable
 from powerdex.rational import ordering_weight
 from powerdex.rational import on_one_denominator
-from powerdex.stepfun import StepGame, box_keys, face_table, make_regular_step
+from powerdex.stepfun import (Discretization, StepGame, box_keys, face_center,
+                              face_table, make_regular_step, refine,
+                              regular_completion)
 
 
 def adjacent_boxes(d, p: int) -> list:
@@ -302,3 +305,53 @@ def dense_psi_mc(v: EvaluableGame | StepGame, samples: int, seed: int,
     c_est = {m: float(per_sample(d).mean()) for m, d in deltas.items()}
     return PowerVector(tuple(estimates), "mc", tuple(errors),
                        samples=samples, seed=seed, c_table=c_est)
+
+
+def dense_check_local_increment(u, v, inc) -> tuple[bool, dict | None]:
+    """``check_local_increment`` read off ``LocalIncrement``'s definition:
+    v raises the influence v(1_T, x) - v(0_T, x) of the claimed S by
+    epsilon at every profile x of the others strictly inside D, and every
+    other coalition's influence nowhere; S empty raises v itself on the
+    whole open cube, S = N on the open domain.  Each face of u and v on the
+    grid of both and of D's ends is read through ``regular_completion`` as
+    a Fraction.  T runs over the coalitions in mask order (the empty one
+    alone, standing for S, when S is empty or N), the others' digits over
+    the open cube in ``itertools.product`` order; a profile is placed
+    against D by its face's center, and one on D's boundary (or outside D
+    when S = N) proves nothing.  The first influence off its claim is the
+    witness."""
+    n, s = u.n, set(inc.coalition)
+    grid = Discretization(sorted({*u.disc.alpha, *v.disc.alpha,
+                                  *(x for _, ab in inc.domain.intervals
+                                    for x in ab)}))
+    before, after = refine(u, grid), refine(v, grid)
+    top, d_of = 2 * grid.p, dict(inc.domain.intervals)
+    degenerate = len(s) in (0, n)
+    for t in [0] if degenerate else range(1, 1 << n):
+        team = [i for i in range(1, n + 1) if t >> (i - 1) & 1]
+        others = [i for i in range(1, n + 1) if i not in team]
+        for digits in itertools.product(range(1, top), repeat=len(others)):
+            at = dict(zip(others, digits))
+            hi = tuple(at.get(i, top) for i in range(1, n + 1))
+            lo = tuple(at.get(i, 0) for i in range(1, n + 1))
+
+            def influence(g):
+                if not team:
+                    return regular_completion(g, hi)
+                return regular_completion(g, hi) - regular_completion(g, lo)
+
+            expected, got = influence(before), influence(after)
+            claimed = degenerate or set(team) == s
+            if claimed:
+                center = face_center(grid, hi)
+                x = {i: center[i - 1] for i in others} if s else {}
+                if all(d_of[i][0] < xi < d_of[i][1] for i, xi in x.items()):
+                    expected += Fraction(inc.epsilon)
+                elif len(s) == n or all(d_of[i][0] <= xi <= d_of[i][1]
+                                        for i, xi in x.items()):
+                    continue
+            if got != expected:
+                return False, {"T": tuple(sorted(s if claimed else team)),
+                               "face": hi, "point": face_center(grid, hi),
+                               "expected": expected, "got": got}
+    return True, None

@@ -1,4 +1,4 @@
-"""Mutation check for the exact kernels.
+"""Mutation check for the exact kernels and the checks around them.
 
 Each mutant below is one exact text edit to a module under ``src/`` that
 changes a result.  The script copies ``src/``, ``tests/`` and
@@ -26,6 +26,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 INDICES = "src/powerdex/indices.py"
 HIS = "src/powerdex/his.py"
+INCREMENTS = "src/powerdex/increments.py"
+STEPFUN = "src/powerdex/stepfun.py"
+CHECK = "tests/test_his.py::test_check_local_increment_"
 WEIGHTED = ("tests/test_stepgame_properties.py"
             "::test_weighted_boundary_averages_match_dense_table")
 
@@ -93,6 +96,50 @@ MUTANTS = [
     ("_box_shift's lower band takes the top band's width", HIS,
      "(-1, 1, ends[1])", "(-1, 1, den - ends[-2])",
      ["tests/test_his.py"]),
+    ("the empty coalition's influence is read as a difference, always 0",
+     INCREMENTS, "            if t:\n", "            if True:\n",
+     [CHECK + "refuses_a_wrong_eps_for_the_grand_coalition"]),
+    ("S = {} reads D's ends", INCREMENTS,
+     "                         if inc.coalition]", "                         ]",
+     [CHECK + "empty_and_grand_coalition_conventions"]),
+    ("T = S is not checked outside D either", INCREMENTS,
+     "elif len(inc.coalition) == n or all(", "elif True or all(",
+     [CHECK + "refuses_a_raise_beyond_the_claimed_domain"]),
+    ("validate skips the covers at pinned faces", STEPFUN,
+     "falling_covers(g, covers + pinned_covers(g))", "falling_covers(g, covers)",
+     ["tests/test_acceptance.py::test_criterion_10_non_monotone_guard"]),
+    ("validate's range check has no upper end", STEPFUN,
+     "for d, x in stored if not 0 <= x <= den]", "for d, x in stored if not 0 <= x]",
+     ["tests/test_stepfun.py"
+      "::test_validate_flags_every_stored_value_outside_the_unit_range"]),
+    ("validate skips the box covers", STEPFUN,
+     "if all(nondecreasing_along(nums, p ** (n - 1 - i), p) for i in range(n)):",
+     "if True:",
+     ["tests/test_cli.py::test_invalid_game_exits_2"]),
+    ("face_index counts an inner breakpoint below x once, not twice",
+     "src/powerdex/evaluables.py", "                    digit += block >= a\n", "",
+     ["tests/test_indices.py::test_psi_mc_matches_exact_on_step_games"]),
+    ("estimate weighs a coalition of size s as one of size s - 1",
+     "src/powerdex/montecarlo.py",
+     "weight = weight[[t.bit_count() for t in range(coalitions)]]",
+     "weight = weight[[t.bit_count() - 1 for t in range(coalitions)]]",
+     ["tests/test_indices.py::test_psi_mc_weighted_mean_recovers_weights"]),
+    ("the grid charge counts 2p, not 2p + 1, digits per axis", STEPFUN,
+     "check_work((2 * p + 1) ** n", "check_work((2 * p) ** n",
+     ["tests/test_budget.py"
+      "::test_grid_check_admits_the_largest_grid_and_refuses_one_more_player"]),
+    ("_in_key_order compares only how many keys a block holds",
+     "src/powerdex/serialize.py",
+     '"\\n".join(itertools.islice(keys, count)) == b',
+     "len(list(itertools.islice(keys, count))) == count",
+     ["tests/test_serialize.py::test_keys_out_of_block_order_give_the_same_game"]),
+    ("with_values keeps the faces equal to the new completion", STEPFUN,
+     "if d not in touched or x << n != _completion(nums, den, p, d)", "if True",
+     ["tests/test_his.py::test_replay_appendix_golden"]),
+    ("_on_box holds only the box itself", HIS,
+     "return all(abs(di - b) <= 1 for di, b in zip(d, e_bar))",
+     "return all(abs(di - b) <= 0 for di, b in zip(d, e_bar))",
+     ["tests/test_cli.py::test_his_apply_names_the_monotonicity_violations"]),
 ]
 
 

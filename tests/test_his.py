@@ -144,6 +144,41 @@ def test_check_local_increment_refuses_a_move_of_another_coalition():
                        "expected": before, "got": before + F(1, 10)}
 
 
+def test_check_local_increment_empty_and_grand_coalition_conventions(appendix):
+    # the game raised by 1/10 on the open domain (1/2, 1)^2 only
+    domain = Domain.of({1: (F(1, 2), 1), 2: (F(1, 2), 1)})
+    v = appendix.with_values({(5, 5): F(1)})
+    # S = {} ignores D: the game must gain epsilon on the whole open cube
+    ok, witness = check_local_increment(
+        appendix, v, LocalIncrement(2, frozenset(), F(1, 10), domain))
+    assert not ok
+    assert witness == {"T": (), "face": (1, 1), "point": (F(1, 8), F(1, 8)),
+                       "expected": F(1, 5), "got": F(1, 10)}
+    # S = N checks the open domain alone: a raise of the whole open cube
+    # passes for the smaller domain
+    cube = appendix.with_values({
+        d: regular_completion(appendix, d) + F(1, 10)
+        for d in itertools.product(range(1, 6), repeat=2)})
+    ok, witness = check_local_increment(
+        appendix, cube, LocalIncrement(2, frozenset({1, 2}), F(1, 10), domain))
+    assert ok, witness
+
+
+def test_check_local_increment_refuses_a_raise_beyond_the_claimed_domain(
+        appendix):
+    grid = Discretization((F(0), F(1, 4), F(1)))
+    u2 = refine(coarsen(appendix, grid), grid)
+    # +1/10 to the influence of {2} over x1 in (0, 1/4), claimed over
+    # (0, 1/8) only: the faces with x1 in (1/8, 1/4) lie outside the claim
+    u3 = u2.with_values({(1, 4): regular_completion(u2, (1, 4)) + F(1, 10),
+                         (2, 4): regular_completion(u2, (2, 4)) + F(1, 20)})
+    inc = LocalIncrement(2, frozenset({2}), F(1, 10), Domain.of({1: (0, F(1, 8))}))
+    ok, witness = check_local_increment(u2, u3, inc)
+    assert not ok
+    assert witness == {"T": (2,), "face": (3, 6), "point": (F(3, 16), F(1)),
+                       "expected": F(1, 10), "got": F(1, 5)}
+
+
 def test_check_local_increment_identity_needs_zero_eps(appendix):
     zero = LocalIncrement(2, frozenset({1}), F(0), Domain.of({2: (0, 1)}))
     ok, _ = check_local_increment(appendix, appendix, zero)

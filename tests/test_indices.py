@@ -137,6 +137,17 @@ def test_psi_exact_takes_the_widths_without_a_fraction_subtraction():
     assert len(calls) == 0 and shares == (1,)
 
 
+def test_boundary_averages_are_read_by_coalition_not_by_index(appendix):
+    # a record, not a tuple: a coalition mask used as an index does not
+    # quietly return one of its fields
+    maj = JKGame.from_simple(SimpleGame.weighted(2, [1, 1]))
+    for c in (jk_boundary_averages(maj), boundary_averages(appendix)):
+        for mask in (0, 0b01, 0b11):
+            with pytest.raises(TypeError):
+                c[mask]
+    assert jk_boundary_averages(maj).get([1]) == F(1, 2)
+
+
 def test_every_exact_index_carries_its_c_table(appendix):
     v = SimpleGame.weighted(3, [2, 1, 1])
     assert ssi_coalition(v).c_table == dict(enumerate(v.inner.nums))

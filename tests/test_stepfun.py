@@ -145,6 +145,16 @@ def test_validate_flags_constructed_violation():
     assert any("monotonicity" in v for v in report.violations)
 
 
+def test_validate_flags_every_stored_value_outside_the_unit_range():
+    disc = Discretization((F(0), F(1, 2), F(1)))
+    # boxes 0 and 3/2, and 5/4 stored at the breakpoint face between them
+    g = StepGame(disc, 1, [0, 6], 4, {(2,): 5})
+    report = validate(g)
+    assert not report.in_range
+    assert report.violations[:2] == ["value 3/2 at face (3,) outside [0, 1]",
+                                     "value 5/4 at face (2,) outside [0, 1]"]
+
+
 def test_validate_zero_game_semi_regular():
     z = zero_game(2).with_tag("semi_regular")
     report = validate(z)
