@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from operator import eq, mul
+from operator import eq
 from typing import Callable, NamedTuple, Sequence
 
 from .increments import LocalIncrement, _box_domain, check_local_increment
 from .indices import PowerVector, psi_exact, psi_point
 from .oracles import phi_two_player, psi_product_oracle
-from .rational import nondecreasing_along
+from .rational import index_of, nondecreasing_along
 from .stepfun import (Discretization, Face, StepGame, check_grid, face_table,
                       make_regular_step, regular_completion)
 from .transforms import from_face_table, join_meet, permute_axes
@@ -66,9 +66,8 @@ def make_handles() -> dict[str, IndexHandle]:
 def find_null_players(g: StepGame) -> frozenset[int]:
     """Players whose coordinate never changes the value table."""
     table, _ = face_table(g)
-    side = 2 * g.p + 1
-    return frozenset(i + 1 for i in range(g.n) if nondecreasing_along(
-        table, side ** (g.n - 1 - i), side, eq))
+    return frozenset(i + 1 for i, s in enumerate(g.strides)
+                     if nondecreasing_along(table, s, 2 * g.p + 1, eq))
 
 
 def find_symmetric_pairs(g: StepGame) -> set[tuple[int, int]]:
@@ -90,12 +89,11 @@ def null_extension(g: StepGame, position: int) -> StepGame:
         raise ValueError(f"position {position} outside 1..{g.n + 1}")
     check_grid(g.n + 1, g.p)
     table, den = face_table(g)
-    side = 2 * g.p + 1
     # each block of faces that agree before the new axis repeats along it
-    block = side ** (g.n - position + 1)
+    block = [len(table), *g.strides][position - 1]
     return from_face_table(g.disc, g.n + 1, [
         x for k in range(0, len(table), block)
-        for x in table[k:k + block] * side], den, "raw")
+        for x in table[k:k + block] * (2 * g.p + 1)], den, "raw")
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +146,16 @@ def suite_his_witnesses(suite: Sequence[StepGame],
     for g in suite:
         top = 2 * g.p
         table, den = face_table(g)
-        strides = [(top + 1) ** (g.n - 1 - k) for k in range(g.n)]
         candidates = []
         for player in range(1, g.n + 1):
             for rest in itertools.product(range(1, top, 2), repeat=g.n - 1):
                 for up, d in ((1, top), (-1, 0)):
                     face = rest[:player - 1] + (d,) + rest[player - 1:]
-                    at = sum(map(mul, face, strides))
+                    at = index_of(face, g.strides)
                     # the least gap outwards (up on the top side, down on the
                     # bottom one) to a neighbour along another axis
                     room = min((up * (table[at + up * s] - table[at])
-                                for k, s in enumerate(strides) if k != player - 1),
+                                for k, s in enumerate(g.strides) if k != player - 1),
                                default=0)
                     if room > 0:
                         candidates.append((player, face, Fraction(room, den)))

@@ -275,10 +275,23 @@ def run() -> None:
     ``main``, then exit with its code.  Freezing the heap first keeps the
     interpreter's last collection from walking every module's cycles; only
     here, because ``main`` also runs in processes that go on.  ``gc`` is
-    imported here, so that ``import powerdex.cli`` loads nothing more."""
+    imported here, so that ``import powerdex.cli`` loads nothing more.  A
+    closed stdout or pipe ends as an input error does: exit 2 and a
+    diagnostic on stderr."""
     import gc
+    import os
 
-    code = main()
+    try:
+        if sys.stdout is None:  # started with stdout closed
+            raise BrokenPipeError("stdout is closed")
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        if sys.stdout is not None:  # the exit's flush goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(json.dumps({"error": f"cannot write the output: {exc}",
+                          "type": "BrokenPipeError"}), file=sys.stderr)
+        code = 2
     gc.freeze()
     sys.exit(code)
 

@@ -10,25 +10,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .budget import check_work
-from .rational import check_players, nondecreasing_along, on_one_denominator
+from .rational import (check_players, digits_of, index_of,
+                       nondecreasing_along, on_one_denominator, positions,
+                       strides)
 
 Level = tuple[int, ...]
 
 # the eight table entries that one byte of a bit-per-coalition integer holds
 _BYTE_BITS = [[b >> k & 1 for k in range(8)] for b in range(256)]
-
-
-def subset_sums(weights: Sequence[int]) -> list[int]:
-    """The table over 2^N of each coalition's total weight: each player
-    doubles the table, its new half being the old one plus its weight."""
-    sums = [0]
-    for x in weights:
-        sums += [*map(add, sums, itertools.repeat(x))]
-    return sums
 
 
 def mask_of(players: Iterable[int], n: int) -> int:
@@ -157,7 +150,8 @@ class SimpleGame:
         # the quota and weights as numerators over one common denominator
         (q, *w), _ = on_one_denominator(
             [Fraction(x) for x in (quota, *weights)])
-        wins = map(le, itertools.repeat(q), subset_sums(w))
+        # each coalition's total weight, its mask's bits read as digits
+        wins = map(le, itertools.repeat(q), positions([(0, 1)] * n, w[::-1]))
         return cls(CoalitionFunction(n, list(map(int, wins))))
 
     def value(self, coalition: Iterable[int] | int) -> Fraction:
@@ -195,14 +189,15 @@ class SimpleGame:
 class JKGame:
     """Monotone map J^n -> K with J={0..j-1}, K={0..k-1}, fixed extremes,
     stored as ``levels``: the level of every profile in row-major order,
-    first voter slowest.  A list shorter than j^n misses the profile after
-    its last entry."""
+    first voter slowest, ``strides`` apart.  A list shorter than j^n misses
+    the profile after its last entry."""
 
     def __init__(self, n: int, j: int, k: int, levels: list[int]):
         check_players(n)
         if j < 2 or k < 2:
             raise ValueError("need j, k >= 2")
         self.n, self.j, self.k, self.levels = n, j, k, levels
+        self.strides = strides(j, n)
         if levels and not (0 <= min(levels) and max(levels) <= k - 1):
             r = next(r for r, x in enumerate(levels) if not 0 <= x <= k - 1)
             raise ValueError(f"value at {self._profile(r)} outside 0..{k - 1}")
@@ -212,32 +207,25 @@ class JKGame:
                              f"missing value at {self._profile(len(levels))}")
         if levels[0] != 0 or levels[-1] != k - 1:
             raise ValueError("extreme profiles must map to 0 and k-1")
-        strides = [j ** (n - 1 - i) for i in range(n)]
-        if not all(nondecreasing_along(levels, s, j) for s in strides):
+        if not all(nondecreasing_along(levels, s, j) for s in self.strides):
             # the first falling cover, in profile order
             for r, x in enumerate(levels):
-                for s in strides:
-                    if r // s % j + 1 < j and x > levels[r + s]:
+                for d, s in zip(digits_of(r, j, self.strides), self.strides):
+                    if d + 1 < j and x > levels[r + s]:
                         raise ValueError(
                             f"not monotone between {self._profile(r)} and "
                             f"{self._profile(r + s)}")
 
     def _profile(self, r: int) -> Level:
         """The profile in row-major position r."""
-        n, j = self.n, self.j
-        return tuple(r // j ** (n - 1 - i) % j for i in range(n))
+        return tuple(digits_of(r, self.j, self.strides))
 
     def value(self, x: Sequence[int]) -> int:
         """The level at profile x, which must lie in J^n."""
-        j, r = self.j, 0
-        for xi in x:
-            if not 0 <= xi < j:
-                break
-            r = r * j + xi
-        else:
-            if len(x) == self.n:
-                return self.levels[r]
-        raise ValueError(f"profile {tuple(x)} outside {{0..{j - 1}}}^{self.n}")
+        if len(x) == self.n and all(0 <= xi < self.j for xi in x):
+            return self.levels[index_of(x, self.strides)]
+        raise ValueError(f"profile {tuple(x)} outside "
+                         f"{{0..{self.j - 1}}}^{self.n}")
 
     @classmethod
     def from_simple(cls, v: SimpleGame) -> "JKGame":
@@ -261,7 +249,7 @@ def _rows_of_masks(n: int) -> list[int]:
     """The row-major position of each coalition's (2,2) profile, indexed by
     mask: player i's bit moves to place n - 1 - i, so the list is its own
     inverse."""
-    return subset_sums([1 << (n - 1 - i) for i in range(n)])
+    return positions([(0, 1)] * n, strides(2, n)[::-1])
 
 
 def all_simple_games(n: int) -> Iterator[SimpleGame]:
@@ -282,11 +270,10 @@ def random_monotone_jk(rng, n: int, j: int, k: int) -> JKGame:
     """Random monotone (j,k) game: a random table closed upward by maxima."""
     levels = [rng.randrange(k) for _ in range(j ** n)]
     levels[0], levels[-1] = 0, k - 1
-    for i in range(n):
-        # a running max along voter i's axis
-        s = j ** (n - 1 - i)
-        for r in range(s, len(levels)):
-            if r // s % j:
+    for s in strides(j, n):
+        # a running max along each voter's axis, in each block of j rows
+        for lo in range(0, len(levels), s * j):
+            for r in range(lo + s, lo + s * j):
                 levels[r] = max(levels[r], levels[r - s])
     return JKGame(n, j, k, levels)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coalitions import CoalitionFunction, JKGame, SimpleGame
+from .rational import positions
 from .stepfun import (Discretization, StepGame, TAG_REGULAR, TAG_SEMI_REGULAR,
                       check_grid, uniform_grid)
 from .transforms import from_face_table
@@ -45,9 +46,7 @@ def embed_coalition_semiregular(cf: CoalitionFunction) -> StepGame:
     check_grid(n, 1)
     # the coalition pinned at 1 on each face, in row-major order: on each
     # axis the digits 0 and 1 leave the player out, 2 puts it in
-    masks = [0]
-    for i in range(n):
-        masks = [m | bit for m in masks for bit in (0, 0, 1 << i)]
+    masks = positions([(0, 0, 1 << i) for i in range(n)], [1] * n)
     return from_face_table(Discretization((Fraction(0), Fraction(1))), n,
                            list(map(cf.nums.__getitem__, masks)), cf.den,
                            TAG_SEMI_REGULAR)

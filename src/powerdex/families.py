@@ -8,9 +8,11 @@ refuses points outside the cube on both paths, so no family checks them.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .evaluables import EvaluableGame
+from .rational import on_one_denominator
 
 
 def weighted_mean_game(weights: Sequence) -> EvaluableGame:
@@ -18,9 +20,12 @@ def weighted_mean_game(weights: Sequence) -> EvaluableGame:
     w = [Fraction(x) for x in weights]
     if any(x < 0 for x in w) or sum(w) != 1:
         raise ValueError("weights must be nonnegative and sum to 1")
+    w_nums, w_den = on_one_denominator(w)
 
     def exact(x):
-        return sum(wi * xi for wi, xi in zip(w, x))
+        # in integers, over the weights' and the point's denominators
+        x_nums, x_den = on_one_denominator(x)
+        return Fraction(sum(map(mul, w_nums, x_nums)), w_den * x_den)
 
     def array(pts):
         # a running sum over the columns, so each point's value is the same

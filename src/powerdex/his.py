@@ -16,34 +16,36 @@ from math import comb, factorial, lcm, prod
 from typing import Callable, NamedTuple
 
 from .indices import PowerVector
-from .rational import on_one_denominator
+from .rational import (digits_of, index_of, on_one_denominator, positions,
+                       strides)
 # IncrementError is also read from here, as his.IncrementError
 from .stepfun import (Discretization, Face, IncrementError,  # noqa: F401
-                      StepGame, TAG_REGULAR, ValidationReport, _step,
-                      box_index, box_keys, falling_covers, make_regular_step,
-                      pinned_covers, validate)
+                      StepGame, TAG_REGULAR, ValidationReport,
+                      adjacent_box_sum, box_keys, falling_covers,
+                      make_regular_step, pinned_covers, validate)
 
 
 # ---------------------------------------------------------------------------
 # box increments
 
-def adjacent_count(d: Face, p: int) -> int:
-    """The number of full-dimensional boxes whose closure contains face d:
-    two choices on each coordinate pinned to an inner breakpoint."""
-    return 1 << sum(1 for di in d if di % 2 == 0 and 0 < di < 2 * p)
+def _shift_terms(disc: Discretization, n: int) -> tuple:
+    """What ``_box_shift`` reads: the breakpoints over their common
+    denominator D, D, and the weights (s-1)!(n-s)! by s, 0 at s = 0."""
+    return (*on_one_denominator(disc.alpha),
+            [0] + [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)])
 
 
-def _box_shift(disc: Discretization, e_bar: Face) -> tuple[list[int], int]:
+def _box_shift(disc: Discretization, e_bar: Face,
+               terms: tuple) -> tuple[list[int], int]:
     """The summed ``his_delta`` of ``box_increments(disc, e_bar, 1)`` (both
-    in ``increments``), as numerators over n! * D**n, D the grid's common
-    denominator.  A team of s of a band's m players spans D**s * w**(m-s) *
-    rest / D**n (w the band's width) and moves members by weight[s],
-    outsiders by -weight[s + 1]."""
+    in ``increments``), as numerators over n! * D**n.  A team of s of a
+    band's m players spans D**s * w**(m-s) * rest / D**n (w the band's
+    width) and moves members by weight[s], outsiders by -weight[s + 1].
+    ``terms`` is ``_shift_terms(disc, n)``."""
     n, top = len(e_bar), 2 * disc.p - 1
     if any(b % 2 == 0 or not 1 <= b <= top for b in e_bar):
         raise IncrementError(f"{e_bar} is not a full-dimensional box")
-    ends, den = on_one_denominator(disc.alpha)
-    weight = [0] + [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)]
+    ends, den, weight = terms
     shift = [0] * n
     for side, level, w in ((1, top, den - ends[-2]), (-1, 1, ends[1])):
         m = e_bar.count(level)
@@ -85,12 +87,12 @@ def raise_box(u: StepGame, e_bar: Face, eps: Fraction) -> StepGame:
     den = lcm(u.den, eps.denominator << n)
     up, lift = den // u.den, eps.numerator * (den // eps.denominator)
     nums = [x * up for x in u.nums]
-    nums[box_index(e_bar, u.p)] += lift
-    overrides = {d: x * up for d, x in u.overrides.items()}
-    corners = {(0,) * n, (2 * u.p,) * n}
-    for e in overrides:
-        if e not in corners and _on_box(e, e_bar):
-            overrides[e] += lift // adjacent_count(e, u.p)
+    nums[index_of([b // 2 for b in e_bar], u.box_strides)] += lift
+    overrides = {k: x * up for k, x in u.overrides.items()}
+    for k in overrides.keys() - {0, u.corner}:
+        d = digits_of(k, 2 * u.p + 1, u.strides)
+        if _on_box(d, e_bar):  # a share for each of its 2^j adjacent boxes
+            overrides[k] += lift >> adjacent_box_sum(u, d)[1]
     return StepGame(u.disc, n, nums, den, overrides, u.tag)
 
 
@@ -113,11 +115,12 @@ def apply_box_increment(u: StepGame, e_bar: Face,
     e_bar = tuple(e_bar)
     if len(e_bar) != u.n:
         raise IncrementError(f"box {e_bar} does not fit the game's {u.n} players")
-    shift, den = _box_shift(u.disc, e_bar)
-    out = raise_box(u, e_bar, eps)
-    covers = [(e_bar, _step(e_bar, i, 2))
-              for i, b in enumerate(e_bar) if b + 2 < 2 * u.p]
-    covers += [c for c in pinned_covers(out) if _on_box(c[0], e_bar)]
+    shift, den = _box_shift(u.disc, e_bar, _shift_terms(u.disc, u.n))
+    out, side, fs = raise_box(u, e_bar, eps), 2 * u.p + 1, u.strides
+    k = index_of(e_bar, fs)
+    covers = [(k, k + 2 * s) for b, s in zip(e_bar, fs) if b + 2 < side - 1]
+    covers += [c for c in pinned_covers(out)
+               if _on_box(digits_of(c[0], side, fs), e_bar)]
     _refuse(falling_covers(out, covers))
     return out, PowerVector(tuple(Fraction(eps.numerator * x, eps.denominator * den)
                                   for x in shift), "exact")
@@ -177,22 +180,25 @@ def build_by_increments(v: StepGame,
     vals, psi, steps = [0], (Fraction(1, v.n),) * v.n, []
     for l in range(1, v.p + 1):
         grid, band = _phase_grid(v.disc.alpha, l), 2 * l - 1
-        boxes = box_keys(v.n, l)
-        vals = [vals[box_index([min(b, band - 2) for b in e], l - 1)]
-                if l > 1 else 0 for e in boxes]
-        for box in order([e for e in boxes if band in e]):
-            k, target = box_index(box, l), v.nums[box_index(box, v.p)]
+        at, terms = strides(l, v.n), _shift_terms(grid, v.n)
+        # the last phase's boxes, its last band repeated
+        vals = [vals[k] for k in positions(
+            [[*range(l - 1), max(l - 2, 0)]] * v.n, strides(l - 1, v.n))]
+        for box in order([e for e in box_keys(v.n, l) if band in e]):
+            digits = [b // 2 for b in box]
+            k, target = index_of(digits, at), v.nums[index_of(digits, v.box_strides)]
             rise = target - vals[k]
             if rise < 0:
                 raise IncrementError("target game is not monotone")
             eps, delta = Fraction(rise, v.den), (Fraction(0),) * v.n
             if rise:  # else nothing moves: every share stays
                 vals[k] = target
-                ups = [_step(box, i, 2) for i, b in enumerate(box) if b < band]
                 _refuse([f"value {Fraction(target, v.den)} at {box} exceeds "
-                         f"{Fraction(vals[box_index(u, l)], v.den)} at {u}"
-                         for u in ups if vals[box_index(u, l)] < target])
-                shift, d = _box_shift(grid, box)
+                         f"{Fraction(vals[k + s], v.den)} at "
+                         f"{box[:i] + (b + 2,) + box[i + 1:]}"
+                         for i, (b, s) in enumerate(zip(box, at))
+                         if b < band and vals[k + s] < target])
+                shift, d = _box_shift(grid, box, terms)
                 delta = tuple(Fraction(rise * x, v.den * d) for x in shift)
                 psi = tuple(a + x for a, x in zip(psi, delta))
             steps.append(BuildStep(l, box, eps, delta, psi))

@@ -19,10 +19,12 @@ from math import comb, lcm
 from typing import NamedTuple, Sequence
 
 from .indices import PowerVector, _as_evaluable, psi_exact
-from .rational import check_players, loss_constant, ordering_weight
+from .rational import (check_players, index_of, loss_constant,
+                       ordering_weight, strides)
 from .stepfun import (Discretization, Face, IncrementError, StepGame,
-                      TAG_REGULAR, TAG_SEMI_REGULAR, box_faces, face_center,
-                      face_table, refine, regular_completion, zero_game)
+                      TAG_REGULAR, TAG_SEMI_REGULAR, adjacent_box_sum,
+                      box_faces, face_center, face_table, refine,
+                      regular_completion, zero_game)
 
 
 class Domain(NamedTuple):
@@ -132,14 +134,20 @@ def check_local_increment(u: StepGame, v: StepGame,
     On the grid of u, v and D's ends, the influence of each coalition T
     (T's coordinates at 2p against 0, the others' on interior digits) must
     gain epsilon strictly inside D for T = S, is not checked on D's
-    boundary, and must not move elsewhere.  S empty or N walks the empty
-    coalition alone, whose influence is the game's value: raised on the
-    open cube for S empty (D is ignored), on the open domain for S = N.
-    Returns the first violating witness, if any.
+    boundary, and must not move elsewhere.  For S empty or N the empty
+    coalition stands for S, its influence being the game's value: raised on
+    the open cube for S empty (D is ignored), on the open domain D =
+    (c, 1)^n for S = N, which must have one c on every axis.  Under S = N
+    a nonempty T's influence may move, but alike at every face that a
+    permutation of the players maps it to, and not at all for T = N, so
+    that every share stays.  Returns the first violating witness, if any.
     """
     if u.n != v.n or inc.n != u.n:
         raise ValueError("player counts differ")
-    n = u.n
+    n, grand = u.n, len(inc.coalition) == u.n
+    c = inc.domain.intervals[0][1][0]
+    if grand and any(ab != (c, 1) for _, ab in inc.domain.intervals):
+        return False, {"T": tuple(range(1, n + 1)), "domain": inc.domain}
     merged = Discretization(sorted({*u.disc.alpha, *v.disc.alpha,
                                     *(x for _, ab in inc.domain.intervals
                                       for x in ab)}))
@@ -151,7 +159,7 @@ def check_local_increment(u: StepGame, v: StepGame,
     new = [x * (den // den_v) for x in new]
     e = eps.numerator * (den // eps.denominator)
     top, interior = 2 * merged.p, range(1, 2 * merged.p)
-    strides = [(top + 1) ** (n - 1 - i) for i in range(n)]
+    fs = strides(top + 1, n)
     # every domain endpoint is a breakpoint of the merged grid: compare
     # doubled coordinates, a face lying inside the open interval when a < d < b
     # and outside the closed one when d < a or d > b
@@ -159,11 +167,15 @@ def check_local_increment(u: StepGame, v: StepGame,
             for i, (lo, hi) in inc.domain.intervals}
     degenerate = inc.is_degenerate()
     claim = 0 if degenerate else sum(1 << (i - 1) for i in inc.coalition)
-    for t in [0] if degenerate else range(1, 1 << n):
+    # under S = N, the move of T's influence keyed by |T| and the sorted
+    # free digits, which a permutation of the players keeps
+    alike = {(n,): 0}
+    for t in range(0 if degenerate else 1, 1 << n):
         free = [i for i in range(n) if not t >> i & 1]
-        raised = top * sum(strides[i] for i in range(n) if t >> i & 1)
+        raised = top * sum(fs[i] for i in range(n) if t >> i & 1)
+        free_fs = [fs[i] for i in free]
         for f in itertools.product(interior, repeat=len(free)):
-            lo = sum(strides[i] * fi for i, fi in zip(free, f))
+            lo = index_of(f, free_fs)
             # T's coordinates at 2p; T = {} has no partner at 0
             dv, du = new[lo + raised], old[lo + raised]
             if t:
@@ -175,9 +187,10 @@ def check_local_increment(u: StepGame, v: StepGame,
                          if inc.coalition]
                 if all(a < d < b for a, b, d in spans):
                     expected += e
-                elif len(inc.coalition) == n or all(a <= d <= b
-                                                    for a, b, d in spans):
+                elif grand or all(a <= d <= b for a, b, d in spans):
                     continue  # on D's boundary, or outside D for S = N
+            elif grand:
+                expected += alike.setdefault((n - len(free), *sorted(f)), dv - du)
             if dv != expected:
                 rest = iter(f)
                 face = tuple(top if t >> i & 1 else next(rest) for i in range(n))
@@ -338,7 +351,7 @@ def replay_appendix() -> ReplayResult:
     claimed (S, eps, D), and scored twice: by accumulated deltas and by an
     independent exact recomputation of the index of the rebuilt game.
     """
-    from .his import _phase_grid, adjacent_count, appendix_game
+    from .his import _phase_grid, appendix_game
 
     target = appendix_game()
     n = target.n
@@ -354,9 +367,10 @@ def replay_appendix() -> ReplayResult:
             eps = target.box(box) - game.box(box)
             for inc, faces in _submoves_for_box(n, phase, box, eps):
                 prev = game
+                # a share of eps for each of the face's 2^j adjacent boxes
                 game = game.with_values({
                     e: regular_completion(game, e)
-                    + eps / adjacent_count(e, phase.p) for e in faces})
+                    + eps / (1 << adjacent_box_sum(game, e)[1]) for e in faces})
                 shift = his_delta(inc)
                 psi = [a + b for a, b in zip(psi, shift.shares)]
                 ok, _ = check_local_increment(prev, game, inc)

@@ -19,7 +19,7 @@ from operator import add, floordiv, mul, not_, sub
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .budget import check_work
-from .rational import on_one_denominator
+from .rational import digits_of, on_one_denominator, positions, strides
 
 if TYPE_CHECKING:
     from .coalitions import CoalitionFunction, JKGame, SimpleGame
@@ -160,10 +160,9 @@ def _ends_table(flat: list[int], m: int, weights: Sequence[int], n: int,
         return f
 
     last, first = contract(m - 1), contract(0)
-    # T's entry has the end digit 1 on T's axes, axis i at place 2^(n-1-i)
-    spots = [0]
-    for i in range(n):
-        spots += [s + (1 << (n - 1 - i)) for s in spots]
+    # T's entry has the end digit 1 on T's axes, axis 0 slowest; the axes
+    # run last first, so that the spots come in coalition-mask order
+    spots = positions([(0, 1)] * n, strides(2, n)[::-1])
     # over den * W^n, with W = sum(weights), C(T)'s gap gains W^|T|
     w_sum = sum(weights)
     powers = [w_sum ** size for size in range(n + 1)]
@@ -221,15 +220,18 @@ def boundary_averages(g: StepGame, mass=None) -> BoundaryAverages:
     nums, den = _ends_table(g.nums, p, weights, n, g.den)
     s, weightless = sum(weights), set(itertools.compress(range(top + 1),
                                                           map(not_, share)))
-    pinned = {(0,) * n: 0, (top,) * n: g.den, **g.overrides}
-    for end in (0, top):
-        # C(T) reads d at `end` when d sits there on T's axes and every free
-        # digit has weight.  Over g.den * s^n it adds d's gap (over g.den *
-        # 2^k) times each free digit's share, the 2^k halves cancelling, and
-        # s per axis of T; the two ends' reads of the empty T cancel
-        for d in filter((weightless - {end}).isdisjoint, pinned):
-            total, k = adjacent_box_sum(g.nums, p, d)
-            gap = (pinned[d] << k) - total if end else total - (pinned[d] << k)
+    # C(T) reads a face d at `end` when d sits there on T's axes and every
+    # free digit has weight.  Over g.den * s^n it adds d's gap (over g.den *
+    # 2^k) times each free digit's share, the 2^k halves cancelling, and s
+    # per axis of T; the two ends' reads of the empty T cancel
+    ends = [(end, weightless - {end}) for end in (0, top)]
+    for at, value in {0: 0, g.corner: g.den, **g.overrides}.items():
+        d = digits_of(at, top + 1, g.strides)
+        for end, unread in ends:
+            if not unread.isdisjoint(d):
+                continue
+            total, k = adjacent_box_sum(g, d)
+            gap = (value << k) - total if end else total - (value << k)
             reads = [(0, gap * prod(share[di] for di in d if di != end))]
             for i in itertools.compress(range(n), map(end.__eq__, d)):
                 reads = [(t | 1 << i, x * s) for t, x in reads] + [

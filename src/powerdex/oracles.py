@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .budget import check_work
 from .indices import PowerVector, boundary_averages
-from .rational import on_one_denominator
+from .rational import on_one_denominator, strides
 
 if TYPE_CHECKING:
     from .coalitions import JKGame, SimpleGame
@@ -73,11 +73,11 @@ def jk_ssi_pivot(v: JKGame) -> PowerVector:
     # n! orderings times j^n approval profiles, n votes each
     check_work(factorial(n) * j ** n * n, "pivot enumeration")
     counts = [0] * n
-    levels, strides = v.levels, [j ** (n - 1 - i) for i in range(n)]
+    levels, at = v.levels, strides(j, n)
     top, orders = j ** n - 1, list(itertools.permutations(range(n)))
     for x in itertools.product(range(j), repeat=n):
-        up = [xi * s for xi, s in zip(x, strides)]
-        down = [(j - 1 - xi) * s for xi, s in zip(x, strides)]
+        up = [xi * s for xi, s in zip(x, at)]
+        down = [(j - 1 - xi) * s for xi, s in zip(x, at)]
         for pi in orders:
             # the rows with the uncast votes at the lowest and highest level
             lo_row, hi_row, gap = 0, top, k - 1

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic helpers.
+"""Exact rational arithmetic helpers and row-major table addressing.
 
 Grid coordinates, step-game values and exact index shares in this package
 are `fractions.Fraction` values, which are always stored in lowest terms with
@@ -11,11 +11,12 @@ point appears only in the Monte-Carlo estimator.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from math import factorial, lcm
-from operator import le
-from typing import Sequence
+from operator import add, le, mul
+from typing import Iterable, Sequence
 
 MAX_PLAYERS = 20
 
@@ -64,6 +65,31 @@ def on_one_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:
         return list(xs), 1
     den = lcm(*{x.denominator for x in xs})
     return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def strides(size: int, n: int) -> list[int]:
+    """The strides of a (size,)^n table stored row-major, first coordinate
+    slowest: the entry with digits d sits at ``index_of(d, strides)``, and
+    ``digits_of`` reads the digits of a position back."""
+    return [size ** (n - 1 - i) for i in range(n)]
+
+
+def index_of(digits: Iterable[int], strides: Sequence[int]) -> int:
+    return sum(map(mul, digits, strides))
+
+
+def digits_of(k: int, size: int, strides: Sequence[int]) -> list[int]:
+    return [k // s % size for s in strides]
+
+
+def positions(axes: Iterable[Sequence[int]], strides: Sequence[int]) -> list[int]:
+    """``index_of`` of every digit tuple of ``itertools.product(*axes)``:
+    from the last axis on, each repeats the table shifted once per digit."""
+    at = [0]
+    for axis, s in reversed([*zip(axes, strides)]):
+        at = [*itertools.chain.from_iterable(
+            map(add, at, itertools.repeat(d * s)) for d in axis)]
+    return at
 
 
 def nondecreasing_along(nums: Sequence[int], stride: int, size: int,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .stepfun import (Discretization, StepGame, _step, box_keys, check_grid,
+from .stepfun import (Discretization, StepGame, box_keys, check_grid,
                       make_regular_step)
 
 
@@ -26,6 +26,7 @@ def random_regular_game(rng: random.Random, n: int, p: int) -> StepGame:
     values: dict[tuple[int, ...], Fraction] = {}
     for b in sorted(box_keys(n, p), key=lambda b: (sum(b), b)):
         raw = Fraction(rng.randrange(0, 13), 12)
-        below = [values[_step(b, i, -2)] for i in range(n) if b[i] >= 3]
+        below = [values[b[:i] + (bi - 2,) + b[i + 1:]]
+                 for i, bi in enumerate(b) if bi >= 3]
         values[b] = max([raw] + below)
     return make_regular_step(disc, values, n)

@@ -21,8 +21,8 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .rational import (MAX_PLAYERS, check_players, format_rational,
-                       on_one_denominator, parse_rational)
+from .rational import (MAX_PLAYERS, check_players, digits_of, format_rational,
+                       index_of, on_one_denominator, parse_rational, strides)
 
 if TYPE_CHECKING:
     from .coalitions import CoalitionFunction, JKGame, SimpleGame
@@ -125,7 +125,7 @@ def _table(obj: dict, name: str, lo: int, hi: int, value, key=tuple,
     memo: dict[str, object] = {}
     for text, raw in _member(obj, name, dict).items():
         try:
-            coords = tuple(map(int, text.split(","))) if text.strip() else ()
+            coords = [*map(int, text.split(","))] if text.strip() else []
         except ValueError:
             raise _error((name, text), f"key {text!r} is not comma-separated "
                          "integers") from None
@@ -300,9 +300,9 @@ def parse_jk_game(obj: dict) -> JKGame:
             return JKGame(n, j, k, levels)
     # keyed by row-major position; the rows up to the first missing one,
     # which a short table lacks among its first len(table)
+    at = strides(j, n) if 1 <= n <= MAX_PLAYERS else None  # refused below
     table = _table(obj, "values", 0, j - 1, arity=n,
-                   key=lambda x: functools.reduce(lambda r, xi: r * j + xi,
-                                                  x, 0),
+                   key=tuple if at is None else lambda x: index_of(x, at),
                    value=lambda x, path: _typed(x, int, path))
     return JKGame(n, j, k, list(map(table.__getitem__, itertools.takewhile(
         table.__contains__, range(len(table))))))
@@ -322,8 +322,8 @@ def step_game_to_json(g: StepGame) -> dict:
     out = {"n": g.n, "alpha": [format_rational(a) for a in g.disc.alpha],
            "tag": g.tag, "boxes": dict(zip(keys, map(text, g.nums)))}
     if g.overrides:
-        out["faces"] = {_key(d): text(g.overrides[d])
-                        for d in sorted(g.overrides)}
+        out["faces"] = {_key(digits_of(k, 2 * g.p + 1, g.strides)):
+                        text(g.overrides[k]) for k in sorted(g.overrides)}
     return out
 
 
@@ -345,13 +345,15 @@ def parse_step_game(obj: dict) -> StepGame:
         obj, "boxes", dict), p ** n, _profile_blocks, n, range(1, p + 1)))
     boxes = {} if total else _table(obj, "boxes", 1, p, _rational, arity=n,
                                     key=lambda b: tuple(2 * i - 1 for i in b))
-    faces = "faces" in obj and _table(obj, "faces", 0, 2 * p, _rational,
-                                      arity=n)
+    at = strides(2 * p + 1, n) if 1 <= n <= MAX_PLAYERS else None  # as boxes
+    faces = "faces" in obj and _table(
+        obj, "faces", 0, 2 * p, _rational, arity=n,
+        key=tuple if at is None else lambda d: index_of(d, at))
     # nothing grid-sized is built before the grid is checked
     check_grid(n, p)
     check_tag(tag)
     g = StepGame(disc, n, *(total or box_numerators(boxes, n, p)), tag=tag)
-    return g.with_values(faces) if faces else g
+    return g._with_positions(faces) if faces else g
 
 
 # ---------------------------------------------------------------------------

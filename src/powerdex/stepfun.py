@@ -13,12 +13,12 @@ intervals open), so monotonicity reduces to cover relations d -> d + e_i.
 
 A step game stores one form, integer numerators over one denominator: every
 box value in row-major order (first coordinate slowest), and the overrides,
-the faces whose value differs from the regular completion of the boxes.
-The completion gives the all-zeros corner 0, the all-ones corner 1 and
-every other face the mean of its adjacent boxes.  A face is read in one of
-two ways, both in integers:
+the faces whose value differs from the regular completion of the boxes, by
+row-major face position.  The completion gives the all-zeros corner 0, the
+all-ones corner 1 and every other face the mean of its adjacent boxes.  A
+face is read in one of two ways, both in integers:
 
-- ``regular_completion(g, d)`` reads one face from its adjacent boxes; the
+- ``face_numerator(g, k)`` reads one face from its adjacent boxes; the
   point readers use it (``validate`` and the box increments);
 - ``face_table(g)`` builds every face once per game, by the per-axis stencil
   of the completion; the paths that walk every face use it.
@@ -37,12 +37,13 @@ import itertools
 from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import add, mul
+from math import gcd, lcm
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .budget import check_work
-from .rational import check_players, nondecreasing_along, on_one_denominator
+from .rational import (check_players, digits_of, index_of, nondecreasing_along,
+                       on_one_denominator, positions, strides)
 
 Face = tuple[int, ...]
 
@@ -117,12 +118,9 @@ def box_keys(n: int, p: int) -> list[Face]:
     return list(itertools.product(range(1, 2 * p, 2), repeat=n))
 
 
-def box_index(b: Face, p: int) -> int:
-    """The position of box b in the row-major box table."""
-    k = 0
-    for bi in b:
-        k = k * p + bi // 2
-    return k
+def box_positions(n: int, p: int) -> list[int]:
+    """The row-major face position of every box, in row-major box order."""
+    return positions([range(1, 2 * p, 2)] * n, strides(2 * p + 1, n))
 
 
 def box_numerators(boxes: Mapping[Face, Fraction], n: int,
@@ -140,41 +138,26 @@ def box_faces(e_bar: Face) -> list[Face]:
     return list(itertools.product(*((b + 1, b, b - 1) for b in e_bar)))
 
 
-def _boxes_among(faces: Mapping, n: int, top: int) -> list[Face]:
-    """The keys of ``faces`` that are boxes, whose coordinates (so their
-    product) are all odd; refuses the first key that is not a face of n
-    coordinates in 0..top."""
-    # every key's coordinates at once; a malformed key adds -1
-    coords = set(itertools.chain.from_iterable(
-        d if isinstance(d, tuple) and len(d) == n else (-1,) for d in faces))
-    if coords and (min(coords) < 0 or max(coords) > top):
-        bad = next(d for d in faces if not isinstance(d, tuple) or len(d) != n
-                   or min(d) < 0 or max(d) > top)
-        raise ValueError(f"face {bad} invalid for this grid")
-    return list(itertools.compress(faces, map((1).__and__, map(prod, faces))))
-
-
-def adjacent_box_sum(nums: Sequence[int], p: int, d: Face) -> tuple[int, int]:
-    """The sum of the 2^k boxes ``nums`` adjacent to face d, and k, the
-    number of coordinates of d on inner breakpoints."""
-    n, top = len(d), 2 * p
-    at, offsets = 0, [0]
-    for i, di in enumerate(d):
+def adjacent_box_sum(g: StepGame, d: Sequence[int]) -> tuple[int, int]:
+    """The sum of g's 2^k boxes adjacent to the face with digits d, and k,
+    the number of its digits on inner breakpoints."""
+    top, at, offsets, nums = 2 * g.p, 0, [0], g.nums
+    for di, up in zip(d, g.box_strides):
         # the lower adjacent box on this axis; an inner breakpoint has a
         # second one a row up
-        at = at * p + (di - (di > 0)) // 2
+        at += (di - (di > 0)) // 2 * up
         if di % 2 == 0 and 0 < di < top:
-            up = p ** (n - 1 - i)
             offsets += [o + up for o in offsets]
     return sum(nums[at + o] for o in offsets), len(offsets).bit_length() - 1
 
 
-def _completion(nums: Sequence[int], den: int, p: int, d: Face) -> int:
-    """The regular completion of ``nums`` / ``den`` at face d, over den * 2^n."""
-    if not any(d) or min(d) == 2 * p:
-        return den << len(d) if any(d) else 0
-    total, k = adjacent_box_sum(nums, p, d)
-    return total << (len(d) - k)
+def _completion(g: StepGame, k: int) -> int:
+    """The regular completion of g's boxes at face position k, over
+    ``g.den << g.n``."""
+    if k == 0 or k == g.corner:
+        return g.den << g.n if k else 0
+    total, j = adjacent_box_sum(g, digits_of(k, 2 * g.p + 1, g.strides))
+    return total << (g.n - j)
 
 
 def _completion_table(nums: list[int], den: int, n: int, p: int) -> list[int]:
@@ -204,8 +187,9 @@ class StepGame:
     """A step function stored as integer numerators over its least
     denominator ``den``: ``nums``, every full-dimensional box in row-major
     order, and ``overrides``, only the faces whose value differs from the
-    regular completion of the boxes, so equal functions on one grid store
-    equal forms.
+    regular completion of the boxes, by row-major face position (``strides``
+    and ``box_strides`` address the two tables; ``corner`` is the all-ones
+    corner's), so equal functions on one grid store equal forms.
 
     The constructor takes that form and reduces it to the least
     denominator.  It does not compare an override with the completion:
@@ -215,31 +199,49 @@ class StepGame:
     """
 
     def __init__(self, disc: Discretization, n: int, nums: list[int],
-                 den: int = 1, overrides: dict[Face, int] | None = None,
+                 den: int = 1, overrides: dict[int, int] | None = None,
                  tag: str = TAG_RAW):
         check_grid(n, disc.p)
         check_tag(tag)
         if len(nums) != disc.p ** n:
             raise ValueError(f"{len(nums)} box values for {disc.p ** n} boxes")
+        self.disc, self.n, self.p, self.tag = disc, n, disc.p, tag
+        self.strides = strides(2 * disc.p + 1, n)
+        self.box_strides = strides(disc.p, n)
+        self.corner = (2 * disc.p + 1) ** n - 1
         overrides = {} if overrides is None else overrides
-        for b in _boxes_among(overrides, n, 2 * disc.p):
-            raise ValueError(f"face {b} is a box: its value goes in nums")
+        if overrides and (set(map(type, overrides)) != {int} or min(overrides)
+                          < 0 or max(overrides) > self.corner):
+            bad = next(k for k in overrides
+                       if type(k) is not int or not 0 <= k <= self.corner)
+            raise ValueError(f"face {bad} invalid for this grid")
+        boxes = set(box_positions(n, disc.p)) if overrides else set()
+        for k in boxes.intersection(overrides):
+            raise ValueError(f"face {self.face(k)} is a box: its value goes in nums")
         common = gcd(den, *nums, *overrides.values())
         if common > 1:
             nums = [x // common for x in nums]
-            overrides = {d: x // common for d, x in overrides.items()}
+            overrides = {k: x // common for k, x in overrides.items()}
             den //= common
-        self.disc, self.n, self.tag = disc, n, tag
         self.nums, self.den, self.overrides = nums, den, overrides
         self._table = None
 
-    @property
-    def p(self) -> int:
-        return self.disc.p
+    def face(self, k: int) -> Face:
+        """The doubled coordinates of the face at row-major position k."""
+        return tuple(digits_of(k, 2 * self.p + 1, self.strides))
+
+    def position(self, d: Face) -> int:
+        """The row-major position of face d: its digits must come back from
+        it, else d is not a face of the grid."""
+        k = index_of(d, self.strides) if type(d) is tuple else -1
+        if k < 0 or self.face(k) != d:
+            raise ValueError(f"face {d} invalid for this grid")
+        return k
 
     def box(self, b: Face) -> Fraction:
         """The value of the full-dimensional box b."""
-        return Fraction(self.nums[box_index(b, self.p)], self.den)
+        return Fraction(self.nums[index_of([bi // 2 for bi in b], self.box_strides)],
+                        self.den)
 
     @property
     def values(self) -> Mapping[Face, Fraction]:
@@ -256,30 +258,33 @@ class StepGame:
         """The same game with the given face values; every other face keeps
         its value.  A value on a box key moves that box alone: its other
         faces keep their values, as overrides where the moved box's
-        completion no longer gives them.  Of the faces touched, those equal
-        to the new completion are dropped."""
-        n, p = self.n, self.p
-        boxes = _boxes_among(updates, n, 2 * p)
-        # over den << n every face value of this game is a whole numerator
-        den = lcm(self.den, *{v.denominator for v in updates.values()}) << n
-        up = den // self.den
-        nums = [x * up for x in self.nums]
-        faces = {d: x * up for d, x in self.overrides.items()}
-        faces.update((d, v.numerator * (den // v.denominator))
-                     for d, v in updates.items())
-        moved = {}
-        for b in boxes:
-            x, k = faces.pop(b), box_index(b, p)
-            if x != nums[k]:
-                moved[b] = nums[k] = x
-        for f in ({f for b in moved for f in box_faces(b)}
-                  - faces.keys() - moved.keys()):
-            faces[f] = face_numerator(self, f) * (up >> n)
-        touched = set(updates).union(*map(box_faces, moved))
-        return StepGame(self.disc, n, nums, den, {
-            d: x for d, x in faces.items()
-            if d not in touched or x << n != _completion(nums, den, p, d)},
-            self.tag)
+        completion no longer gives them.  No face equal to the new
+        completion is stored."""
+        return self._with_positions({self.position(d): v
+                                     for d, v in updates.items()})
+
+    def _with_positions(self, updates: Mapping[int, Fraction]) -> "StepGame":
+        """``with_values`` with each face given by its row-major position.
+        Updates on faces alone touch only those faces' overrides; once one
+        lands on a box, the face table with the values is read back."""
+        n, dens = self.n, {v.denominator for v in updates.values()}
+        if not set(box_positions(n, self.p)).isdisjoint(updates):
+            from .transforms import from_face_table
+            table, den = face_table(self)
+            new = lcm(den, *dens)
+            table = [x * (new // den) for x in table]
+            for k, v in updates.items():
+                table[k] = v.numerator * (new // v.denominator)
+            return from_face_table(self.disc, n, table, new, self.tag)
+        new = lcm(self.den, *dens)
+        up = new // self.den
+        overrides = {k: x * up for k, x in self.overrides.items()}
+        for k, v in updates.items():
+            overrides[k] = x = v.numerator * (new // v.denominator)
+            if x << n == _completion(self, k) * up:
+                del overrides[k]
+        return StepGame(self.disc, n, [x * up for x in self.nums], new,
+                        overrides, self.tag)
 
     def same_values(self, other: "StepGame") -> bool:
         """Whether both games take the same value at every face of one
@@ -309,17 +314,17 @@ class _FaceReader(Mapping):
         return (2 * self._g.p + 1) ** self._g.n
 
 
-def face_numerator(g: StepGame, d: Face) -> int:
-    """The value of g at face d as a numerator over ``g.den << g.n``: its
-    override, or the regular completion of its adjacent boxes."""
-    x = g.overrides.get(d)
-    return _completion(g.nums, g.den, g.p, d) if x is None else x << g.n
+def face_numerator(g: StepGame, k: int) -> int:
+    """The value of g at face position k as a numerator over ``g.den <<
+    g.n``: its override, or the regular completion of its adjacent boxes."""
+    x = g.overrides.get(k)
+    return _completion(g, k) if x is None else x << g.n
 
 
 def regular_completion(g: StepGame, d: Face) -> Fraction:
     """The value of g at face d, read on its own: its override, or the
     regular completion of its adjacent boxes."""
-    return Fraction(face_numerator(g, d), g.den << g.n)
+    return Fraction(face_numerator(g, g.position(d)), g.den << g.n)
 
 
 def face_table(g: StepGame) -> tuple[list[int], int]:
@@ -328,12 +333,9 @@ def face_table(g: StepGame) -> tuple[list[int], int]:
     the overrides.  Built on first call and kept; callers must not change
     the list."""
     if g._table is None:
-        n, side = g.n, 2 * g.p + 1
-        strides = [side ** (n - 1 - i) for i in range(n)]
-        table = _completion_table(g.nums, g.den, n, g.p)
-        for d, x in g.overrides.items():
-            table[sum(map(mul, d, strides))] = x << n
-        g._table = table
+        g._table = _completion_table(g.nums, g.den, g.n, g.p)
+        for k, x in g.overrides.items():
+            g._table[k] = x << g.n
     return g._table, g.den << g.n
 
 
@@ -387,12 +389,10 @@ def refine(g: StepGame, disc2: Discretization) -> StepGame:
     # on every fine face, so only the fine faces inside an override carry it
     inside = [[d2 for d2, d in enumerate(coord_map) if d == d1]
               for d1 in range(2 * g.p + 1)]
-    at = [0]
-    for _ in range(g.n):
-        at = [k * g.p + coord_map[b] // 2 for k in at
-              for b in range(1, 2 * disc2.p, 2)]
-    overrides = {d2: x for d, x in g.overrides.items()
-                 for d2 in itertools.product(*(inside[di] for di in d))}
+    at = positions([[d // 2 for d in coord_map[1::2]]] * g.n, g.box_strides)
+    fine = strides(2 * disc2.p + 1, g.n)
+    overrides = {k2: x for k, x in g.overrides.items() for k2 in positions(
+        map(inside.__getitem__, digits_of(k, 2 * g.p + 1, g.strides)), fine)}
     return StepGame(disc2, g.n, [g.nums[k] for k in at], g.den, overrides)
 
 
@@ -413,35 +413,32 @@ class IncrementError(ValueError):
     """An increment would break monotonicity or violates a precondition."""
 
 
-def _step(d: Face, i: int, by: int) -> Face:
-    return d[:i] + (d[i] + by,) + d[i + 1:]
-
-
-def pinned_covers(g: StepGame) -> list[tuple[Face, Face]]:
-    """The cover pairs d -> d + e_i that touch a pinned face (an override
-    or a cube corner): for each pinned face in sorted order, its covers
-    upward, then its covers from below by faces that are not pinned."""
-    n, top = g.n, 2 * g.p
-    pinned = set(g.overrides) | {(0,) * n, (top,) * n}
+def pinned_covers(g: StepGame) -> list[tuple[int, int]]:
+    """The cover pairs k -> k + stride of face positions that touch a pinned
+    face (an override or a cube corner): for each pinned face in order, its
+    covers upward, then its covers from below by faces that are not pinned."""
+    top, fs = 2 * g.p, g.strides
+    pinned = {*g.overrides, 0, g.corner}
     # up to n covers from above and n from below per pinned face
-    check_work(2 * n * len(pinned),
+    check_work(2 * g.n * len(pinned),
                f"listing the cover pairs of {len(pinned):,} pinned faces")
     covers = []
-    for d in sorted(pinned):
-        covers += [(d, _step(d, i, 1)) for i in range(n) if d[i] < top]
-        covers += [(_step(d, i, -1), d) for i in range(n)
-                   if d[i] > 0 and _step(d, i, -1) not in pinned]
+    for k in sorted(pinned):
+        d = digits_of(k, top + 1, fs)
+        covers += [(k, k + s) for di, s in zip(d, fs) if di < top]
+        covers += [(k - s, k) for di, s in zip(d, fs)
+                   if di and k - s not in pinned]
     return covers
 
 
 def falling_covers(g: StepGame, covers) -> list[str]:
-    """A description of each cover pair on which the game falls."""
+    """Describe each cover pair of face positions on which the game falls."""
     den, out = g.den << g.n, []
     for lo, hi in covers:
         a, b = face_numerator(g, lo), face_numerator(g, hi)
         if a > b:
-            out.append(f"value {Fraction(a, den)} at {lo} exceeds "
-                       f"{Fraction(b, den)} at {hi}")
+            out.append(f"value {Fraction(a, den)} at {g.face(lo)} exceeds "
+                       f"{Fraction(b, den)} at {g.face(hi)}")
     return out
 
 
@@ -455,29 +452,30 @@ def validate(g: StepGame) -> ValidationReport:
     The boxes are checked as integer numerators along each axis of the
     row-major box table; a pair is described only when the check fails.
     """
-    n, p, top = g.n, g.p, 2 * g.p
+    n, p, top, fs = g.n, g.p, 2 * g.p, g.strides
     nums, den = g.nums, g.den
     boxes_in_range = 0 <= min(nums) and max(nums) <= den
     stored = itertools.chain(
-        () if boxes_in_range else zip(box_keys(n, p), nums),
+        () if boxes_in_range else zip(box_positions(n, p), nums),
         g.overrides.items())
-    violations = [f"value {Fraction(x, den)} at face {d} outside [0, 1]"
-                  for d, x in stored if not 0 <= x <= den]
+    violations = [f"value {Fraction(x, den)} at face {g.face(k)} outside [0, 1]"
+                  for k, x in stored if not 0 <= x <= den]
     in_range = not violations
 
-    if all(nondecreasing_along(nums, p ** (n - 1 - i), p) for i in range(n)):
+    if all(nondecreasing_along(nums, s, p) for s in g.box_strides):
         covers = []
     else:
-        covers = [(b, _step(b, i, 2)) for b in box_keys(n, p) for i in range(n)
-                  if b[i] + 2 < top]
+        covers = [(k, k + 2 * s) for k in box_positions(n, p)
+                  for d, s in zip(digits_of(k, top + 1, fs), fs) if d + 2 < top]
     broken = [f"monotonicity: {v}"
               for v in falling_covers(g, covers + pinned_covers(g))]
     # regular games follow the completion on every face, semi-regular ones
     # on every face off the cube boundary
-    off_tag = [d for d in sorted(g.overrides) if g.tag == TAG_REGULAR or (
-        g.tag == TAG_SEMI_REGULAR and not any(di in (0, top) for di in d))]
+    off_tag = [k for k in sorted(g.overrides) if g.tag == TAG_REGULAR or (
+        g.tag == TAG_SEMI_REGULAR
+        and all(0 < d < top for d in digits_of(k, top + 1, fs)))]
     violations += broken + [
-        f"{g.tag}: face {d} has {Fraction(g.overrides[d], den)}, the regular "
-        f"completion gives {Fraction(_completion(nums, den, p, d), den << n)}"
-        for d in off_tag]
+        f"{g.tag}: face {g.face(k)} has {Fraction(g.overrides[k], den)}, the regular "
+        f"completion gives {Fraction(_completion(g, k), den << n)}"
+        for k in off_tag]
     return ValidationReport(not broken, not off_tag, in_range, violations)

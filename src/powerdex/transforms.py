@@ -11,8 +11,9 @@ import itertools
 from operator import ne
 from typing import Sequence
 
-from .stepfun import (Discretization, Face, StepGame, TAG_RAW, TAG_REGULAR,
-                      _completion_table, box_index, box_keys, face_table,
+from .rational import digits_of, index_of, positions
+from .stepfun import (Discretization, StepGame, TAG_RAW, TAG_REGULAR,
+                      _completion_table, box_keys, box_positions, face_table,
                       refine)
 
 
@@ -21,16 +22,12 @@ def from_face_table(disc: Discretization, n: int, table: list[int], den: int,
     """The game with value table[k] / den at the k-th face in row-major
     order: its boxes, and the faces where it differs from their
     completion."""
-    p, side = disc.p, 2 * disc.p + 1
-    at = [0]
-    for _ in range(n):
-        at = [k * side + b for k in at for b in range(1, side, 2)]
-    nums = [table[k] for k in at]
+    nums = [table[k] for k in box_positions(n, disc.p)]
     off = list(map(ne, [x << n for x in table],
-                   _completion_table(nums, den, n, p)))
-    faces = itertools.product(range(side), repeat=n)
+                   _completion_table(nums, den, n, disc.p)))
     return StepGame(disc, n, nums, den, dict(zip(
-        itertools.compress(faces, off), itertools.compress(table, off))), tag)
+        itertools.compress(range(len(table)), off),
+        itertools.compress(table, off))), tag)
 
 
 def pointwise_equal(u: StepGame, v: StepGame) -> bool:
@@ -57,9 +54,9 @@ def coarsen(v: StepGame, disc2: Discretization) -> StepGame:
     if not v.disc.is_refinement_of(disc2):
         raise ValueError("target breakpoints must be a subset of the source")
     cuts = [v.disc.alpha.index(a) for a in disc2.alpha]
-    spans = [range(2 * lo + 1, 2 * hi, 2) for lo, hi in zip(cuts, cuts[1:])]
-    nums = [min(v.nums[box_index(b, v.p)]
-                for b in itertools.product(*(spans[c // 2] for c in cb)))
+    spans = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    nums = [min(v.nums[k] for k in positions((spans[c // 2] for c in cb),
+                                             v.box_strides))
             for cb in box_keys(v.n, disc2.p)]
     return StepGame(disc2, v.n, nums, v.den, tag=TAG_REGULAR)
 
@@ -68,12 +65,12 @@ def permute_axes(g: StepGame, pi: Sequence[int]) -> StepGame:
     """(pi g)(x) = g(pi(x)) with pi(x)_i = x_{pi(i)}; pi is 1-based."""
     if sorted(pi) != list(range(1, g.n + 1)):
         raise ValueError("pi must be a permutation of 1..n")
-    inverse = sorted(range(g.n), key=lambda i: pi[i])
-
-    def image(d: Face) -> Face:
-        return tuple(d[i] for i in inverse)
+    # digit i of g lands on axis pi(i), so it moves by that axis' stride
+    fs = [g.strides[i - 1] for i in pi]
     nums = [0] * len(g.nums)
-    for b, x in zip(box_keys(g.n, g.p), g.nums):
-        nums[box_index(image(b), g.p)] = x
-    return StepGame(g.disc, g.n, nums, g.den,
-                    {image(d): x for d, x in g.overrides.items()}, g.tag)
+    for k, x in zip(positions([range(g.p)] * g.n,
+                              [g.box_strides[i - 1] for i in pi]), g.nums):
+        nums[k] = x
+    return StepGame(g.disc, g.n, nums, g.den, {
+        index_of(digits_of(k, 2 * g.p + 1, g.strides), fs): x
+        for k, x in g.overrides.items()}, g.tag)

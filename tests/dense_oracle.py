@@ -101,7 +101,7 @@ def pairwise_violations(g) -> list[str]:
     pair at a pinned face, then every face off the claimed tag, each pair
     compared as Fractions."""
     n, top, boxes = g.n, 2 * g.p, box_dict(g)
-    faces = {d: Fraction(x, g.den) for d, x in g.overrides.items()}
+    faces = {g.face(k): Fraction(x, g.den) for k, x in g.overrides.items()}
     values = {**dense_completion(g.p, n, boxes), **faces}
     stored = itertools.chain(boxes.items(), faces.items())
     found = [f"value {val} at face {d} outside [0, 1]"
@@ -312,22 +312,28 @@ def dense_check_local_increment(u, v, inc) -> tuple[bool, dict | None]:
     v raises the influence v(1_T, x) - v(0_T, x) of the claimed S by
     epsilon at every profile x of the others strictly inside D, and every
     other coalition's influence nowhere; S empty raises v itself on the
-    whole open cube, S = N on the open domain.  Each face of u and v on the
-    grid of both and of D's ends is read through ``regular_completion`` as
-    a Fraction.  T runs over the coalitions in mask order (the empty one
-    alone, standing for S, when S is empty or N), the others' digits over
-    the open cube in ``itertools.product`` order; a profile is placed
-    against D by its face's center, and one on D's boundary (or outside D
-    when S = N) proves nothing.  The first influence off its claim is the
-    witness."""
+    whole open cube, S = N on the open domain D = (c, 1)^n, one c on every
+    axis, where every nonempty T's influence may move, but by the same at
+    every face that a permutation of the players maps it to, and T = N's
+    not at all.  Each face of u and v on the grid of both and of D's ends
+    is read through ``regular_completion`` as a Fraction.  T runs over the
+    coalitions in mask order (the empty one standing for S when S is empty
+    or N, and left out otherwise), the others' digits over the open cube in
+    ``itertools.product`` order; a profile is placed against D by its
+    face's center, and one on D's boundary (or outside D when S = N) proves
+    nothing.  The first influence off its claim is the witness."""
     n, s = u.n, set(inc.coalition)
+    shapes = set(dict(inc.domain.intervals).values())
+    if len(s) == n and (len(shapes) > 1 or shapes.pop()[1] != 1):
+        return False, {"T": tuple(range(1, n + 1)), "domain": inc.domain}
     grid = Discretization(sorted({*u.disc.alpha, *v.disc.alpha,
                                   *(x for _, ab in inc.domain.intervals
                                     for x in ab)}))
     before, after = refine(u, grid), refine(v, grid)
     top, d_of = 2 * grid.p, dict(inc.domain.intervals)
     degenerate = len(s) in (0, n)
-    for t in [0] if degenerate else range(1, 1 << n):
+    moves = {(n,): 0}  # under S = N: by |T| and the sorted digits of others
+    for t in range(0 if degenerate else 1, 1 << n):
         team = [i for i in range(1, n + 1) if t >> (i - 1) & 1]
         others = [i for i in range(1, n + 1) if i not in team]
         for digits in itertools.product(range(1, top), repeat=len(others)):
@@ -341,7 +347,7 @@ def dense_check_local_increment(u, v, inc) -> tuple[bool, dict | None]:
                 return regular_completion(g, hi) - regular_completion(g, lo)
 
             expected, got = influence(before), influence(after)
-            claimed = degenerate or set(team) == s
+            claimed = set(team) == (set() if len(s) == n else s)
             if claimed:
                 center = face_center(grid, hi)
                 x = {i: center[i - 1] for i in others} if s else {}
@@ -350,6 +356,9 @@ def dense_check_local_increment(u, v, inc) -> tuple[bool, dict | None]:
                 elif len(s) == n or all(d_of[i][0] <= xi <= d_of[i][1]
                                         for i, xi in x.items()):
                     continue
+            elif len(s) == n:
+                expected += moves.setdefault((len(team), *sorted(digits)),
+                                             got - expected)
             if got != expected:
                 return False, {"T": tuple(sorted(s if claimed else team)),
                                "face": hi, "point": face_center(grid, hi),

@@ -10,17 +10,25 @@ fails the check.  pytest does not collect this file (its name does not
 start with ``test_``).  Run it from anywhere:
 
     python tests/mutation_check.py
+
+pytest and hypothesis are imported once, here; each run is a forked child
+that calls ``pytest.main`` and imports powerdex and the tests afresh from
+the copy, one child at a time.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
+
+import hypothesis  # noqa: F401  (imported once, before the children fork)
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,6 +36,7 @@ INDICES = "src/powerdex/indices.py"
 HIS = "src/powerdex/his.py"
 INCREMENTS = "src/powerdex/increments.py"
 STEPFUN = "src/powerdex/stepfun.py"
+RATIONAL = "src/powerdex/rational.py"
 CHECK = "tests/test_his.py::test_check_local_increment_"
 WEIGHTED = ("tests/test_stepgame_properties.py"
             "::test_weighted_boundary_averages_match_dense_table")
@@ -50,16 +59,16 @@ MUTANTS = [
      "(t, x * s) for t, x in reads if share[end]]",
      [WEIGHTED]),
     ("a pinned face's gap lacks the 2^k shift", INDICES,
-     "gap = (pinned[d] << k) - total if end else total - (pinned[d] << k)",
-     "gap = pinned[d] - total if end else total - pinned[d]",
+     "gap = (value << k) - total if end else total - (value << k)",
+     "gap = value - total if end else total - value",
      ["tests/test_invariants.py"]),
     ("the lower end's gap has the upper end's sign", INDICES,
-     "gap = (pinned[d] << k) - total if end else total - (pinned[d] << k)",
-     "gap = (pinned[d] << k) - total",
+     "gap = (value << k) - total if end else total - (value << k)",
+     "gap = (value << k) - total",
      ["tests/test_indices.py"]),
     ("a weightless end digit is no longer excused", INDICES,
-     "filter((weightless - {end}).isdisjoint, pinned)",
-     "filter(weightless.isdisjoint, pinned)",
+     "ends = [(end, weightless - {end}) for end in (0, top)]",
+     "ends = [(end, weightless) for end in (0, top)]",
      ["tests/test_indices.py"]),
     ("a box row loses its lower breakpoint's weight", INDICES,
      "weights = list(map(add, map(add, share[:top:2], share[1::2]), share[2::2]))",
@@ -103,17 +112,17 @@ MUTANTS = [
      "                         if inc.coalition]", "                         ]",
      [CHECK + "empty_and_grand_coalition_conventions"]),
     ("T = S is not checked outside D either", INCREMENTS,
-     "elif len(inc.coalition) == n or all(", "elif True or all(",
+     "elif grand or all(", "elif True or all(",
      [CHECK + "refuses_a_raise_beyond_the_claimed_domain"]),
     ("validate skips the covers at pinned faces", STEPFUN,
      "falling_covers(g, covers + pinned_covers(g))", "falling_covers(g, covers)",
      ["tests/test_acceptance.py::test_criterion_10_non_monotone_guard"]),
     ("validate's range check has no upper end", STEPFUN,
-     "for d, x in stored if not 0 <= x <= den]", "for d, x in stored if not 0 <= x]",
+     "for k, x in stored if not 0 <= x <= den]", "for k, x in stored if not 0 <= x]",
      ["tests/test_stepfun.py"
       "::test_validate_flags_every_stored_value_outside_the_unit_range"]),
     ("validate skips the box covers", STEPFUN,
-     "if all(nondecreasing_along(nums, p ** (n - 1 - i), p) for i in range(n)):",
+     "if all(nondecreasing_along(nums, s, p) for s in g.box_strides):",
      "if True:",
      ["tests/test_cli.py::test_invalid_game_exits_2"]),
     ("face_index counts an inner breakpoint below x once, not twice",
@@ -133,51 +142,106 @@ MUTANTS = [
      '"\\n".join(itertools.islice(keys, count)) == b',
      "len(list(itertools.islice(keys, count))) == count",
      ["tests/test_serialize.py::test_keys_out_of_block_order_give_the_same_game"]),
-    ("with_values keeps the faces equal to the new completion", STEPFUN,
-     "if d not in touched or x << n != _completion(nums, den, p, d)", "if True",
+    ("with_values leaves the other faces over the old denominator", STEPFUN,
+     "table = [x * (new // den) for x in table]", "table = list(table)",
      ["tests/test_his.py::test_replay_appendix_golden"]),
+    ("with_values compares a face with the completion over the old "
+     "denominator", STEPFUN,
+     "if x << n == _completion(self, k) * up:",
+     "if x << n == _completion(self, k):",
+     ["tests/test_serialize.py::test_a_few_faces_on_a_large_grid_are_set_"
+      "without_its_face_table"]),
+    ("with_values builds the face table for faces alone", STEPFUN,
+     "if not set(box_positions(n, self.p)).isdisjoint(updates):", "if True:",
+     ["tests/test_serialize.py::test_a_few_faces_on_a_large_grid_are_set_"
+      "without_its_face_table"]),
     ("_on_box holds only the box itself", HIS,
      "return all(abs(di - b) <= 1 for di, b in zip(d, e_bar))",
      "return all(abs(di - b) <= 0 for di, b in zip(d, e_bar))",
      ["tests/test_cli.py::test_his_apply_names_the_monotonicity_violations"]),
+    ("row-major strides put the first coordinate fastest", RATIONAL,
+     "return [size ** (n - 1 - i) for i in range(n)]",
+     "return [size ** i for i in range(n)]",
+     ["tests/test_rational.py"
+      "::test_row_major_addressing_follows_product_order"]),
+    ("positions steps every axis by the first one's stride", RATIONAL,
+     "map(add, at, itertools.repeat(d * s)) for d in axis)]",
+     "map(add, at, itertools.repeat(d * strides[0])) for d in axis)]",
+     ["tests/test_rational.py"
+      "::test_row_major_addressing_follows_product_order"]),
+    ("S = {} walks the empty coalition alone", INCREMENTS,
+     "for t in range(0 if degenerate else 1, 1 << n):",
+     "for t in [0] if degenerate else range(1, 1 << n):",
+     [CHECK + "refuses_an_open_cube_claim_that_moves_a_side"]),
+    ("S = N takes any domain", INCREMENTS,
+     "if grand and any(ab != (c, 1) for _, ab in inc.domain.intervals):",
+     "if False:",
+     [CHECK + "holds_the_grand_coalition_to_even_moves"]),
+    ("S = N lets no nonempty T's influence move", INCREMENTS,
+     "            elif grand:\n", "            elif False:\n",
+     [CHECK + "holds_the_grand_coalition_to_even_moves"]),
+    ("the build raises a box above its upper neighbours", HIS,
+     "if b < band and vals[k + s] < target])", "if False])",
+     ["tests/test_his.py"
+      "::test_build_refuses_a_raise_above_an_upper_neighbour"]),
 ]
 
 
 def pytest_fails(work: Path, tests: list[str]) -> bool:
-    """Run the test files in the copy; True when one fails, False when all
-    pass, and an error on any other pytest outcome."""
-    # no bytecode cache: a mutant and the restored text may share a size
-    # and an mtime second, and a stale .pyc would then run the wrong text
-    env = {**os.environ, "PYTHONPATH": str(work / "src"),
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    # one hypothesis seed, so that a mutant is killed or survives on every
-    # run alike
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *tests],
-        cwd=work, env=env, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):
-        sys.exit(f"pytest exited {proc.returncode} on {tests}:\n"
-                 f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    return proc.returncode == 1
+    """Run the test files of the copy in a forked child; True when one
+    fails, False when all pass, and an error on any other pytest outcome.
+    The child's output goes to a log that is shown only on an error."""
+    log = work / "pytest.log"
+    pid = os.fork()
+    if pid == 0:  # the child: it must not return into the parent's code
+        code = 3
+        try:
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+            os.dup2(fd, 1)
+            os.dup2(fd, 2)
+            # one hypothesis seed, so that a mutant is killed or survives
+            # on every run alike; hypothesis' plugin module was imported
+            # before pytest could mark it for assertion rewriting, which
+            # pytest warns of
+            code = pytest.main([
+                "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                "-W", "ignore::pytest.PytestAssertRewriteWarning", *tests])
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(int(code))
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code not in (0, 1):
+        sys.exit(f"pytest exited {code} on {tests}:\n"
+                 f"{log.read_text()[-4000:]}")
+    return code == 1
 
 
 def main() -> int:
     for _, path, old, _, _ in MUTANTS:
         found = (ROOT / path).read_text().count(old)
         assert found == 1, f"{path}: the old text occurs {found} times: {old!r}"
+    assert "powerdex" not in sys.modules  # each child imports it afresh
+    # no bytecode cache: a mutant and the restored text may share a size and
+    # an mtime second, and a stale .pyc would then run the wrong text
+    sys.dont_write_bytecode = True
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", work)
-        # the copy, not an installed powerdex, is what the tests import
-        env = {**os.environ, "PYTHONPATH": str(work / "src")}
-        imported = subprocess.run(
-            [sys.executable, "-c", "import powerdex; print(powerdex.__file__)"],
-            cwd=work, env=env, capture_output=True, text=True).stdout.strip()
-        assert Path(imported).resolve().is_relative_to(work.resolve()), imported
+        # the copy, not an installed powerdex, is what the tests import,
+        # and what the processes they start import
+        os.chdir(work)
+        sys.path[:0] = [str(work / "src")]
+        os.environ.update(PYTHONPATH=str(work / "src"),
+                          PYTHONDONTWRITEBYTECODE="1")
+        found = importlib.util.find_spec("powerdex").origin
+        assert Path(found).resolve().is_relative_to(work.resolve()), found
         listed = sorted({t for *_, tests in MUTANTS for t in tests})
         if pytest_fails(work, listed):
             sys.exit(f"the listed tests fail without a mutant: {listed}")
@@ -185,15 +249,17 @@ def main() -> int:
         for what, path, old, new, tests in MUTANTS:
             original = (work / path).read_text()
             (work / path).write_text(original.replace(old, new))
-            start = time.perf_counter()
+            took = time.perf_counter()
             killed = pytest_fails(work, tests)
-            took = time.perf_counter() - start
+            took = time.perf_counter() - took
             (work / path).write_text(original)
             print(f"{'killed' if killed else 'SURVIVED'} in {took:.1f} s: "
                   f"{what} ({path}; {' '.join(tests)})", flush=True)
             if not killed:
                 survivors.append(what)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+        os.chdir(ROOT)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 
 

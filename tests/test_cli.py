@@ -10,9 +10,10 @@ import pytest
 import powerdex.stepfun as stepfun
 from powerdex import budget
 from powerdex.cli import main
-from powerdex.coalitions import SimpleGame, subset_sums
+from powerdex.coalitions import SimpleGame
 from powerdex.embeddings import embed_simple_semiregular
 from powerdex.indices import ssi_coalition
+from powerdex.rational import positions
 from powerdex.serialize import parse_step_game, step_game_to_json
 from powerdex.stepfun import validate
 
@@ -470,7 +471,7 @@ def test_override_heavy_game_exits_2_before_listing_covers(tmp_path, capsys,
     # validate charges 2n steps per pinned face (the overrides and the two
     # corners) before it lists a cover pair, for psi and his-apply alike
     g = embed_simple_semiregular(SimpleGame.weighted(3, [2, 1, 1, 1]))
-    pinned = len(set(g.overrides) | {(0,) * 4, (2,) * 4})
+    pinned = len(set(g.overrides) | {0, 3 ** 4 - 1})
     path = write(tmp_path, "g.json", step_game_to_json(g))
     monkeypatch.setattr(budget, "MAX_STEPS", 8 * pinned - 1)
     for argv in (["psi", path],
@@ -491,7 +492,7 @@ def test_jk_ssi_marginal_at_18_players_under_memory_limit(tmp_path):
     # memory after 42 s; its shares are the classical index of the game
     weights = [5, 5, 4, 4, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1]
     # the profile in row-major position r has player i's level on bit 17 - i
-    sums = subset_sums(weights[::-1])
+    sums = positions([(0, 1)] * 18, weights)
     values = {",".join(map(str, x)): int(s >= 22)
               for x, s in zip(itertools.product((0, 1), repeat=18), sums)}
     path = tmp_path / "jk18.json"
@@ -1157,3 +1158,35 @@ def test_python_m_missing_file_exits_2_with_the_diagnostic(tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-m", "powerdex.cli", "psi", path],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+
+
+def test_python_m_into_a_closed_pipe_exits_2_with_the_diagnostic(tmp_path):
+    # the reader is gone before anything is written, as when `| head`
+    # exits early: the write fails with a broken pipe
+    import os
+
+    path = _small_step_game(tmp_path)
+    read, write_end = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "powerdex.cli", "psi",
+                               path], stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr == json.dumps({
+        "error": "cannot write the output: [Errno 32] Broken pipe",
+        "type": "BrokenPipeError"}) + "\n"
+
+
+def test_python_m_with_stdout_closed_exits_2_with_the_diagnostic(tmp_path):
+    # `>&-`: the interpreter starts without a stdout, so sys.stdout is None
+    path = _small_step_game(tmp_path)
+    proc = subprocess.run(["sh", "-c", '"$0" -m powerdex.cli psi "$1" >&-',
+                           sys.executable, path], stderr=subprocess.PIPE,
+                          text=True, timeout=60)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr == json.dumps({
+        "error": "cannot write the output: stdout is closed",
+        "type": "BrokenPipeError"}) + "\n"

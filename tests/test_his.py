@@ -164,6 +164,50 @@ def test_check_local_increment_empty_and_grand_coalition_conventions(appendix):
     assert ok, witness
 
 
+def test_check_local_increment_refuses_an_open_cube_claim_that_moves_a_side(
+        appendix):
+    # the game raised by 1/10 on the open cube and also at the face (6, 1)
+    # on the x1 = 1 side: psi moves, so (S = {}, 1/10, cube) must fail there
+    faces = {d: regular_completion(appendix, d) + F(1, 10)
+             for d in itertools.product(range(1, 6), repeat=2)}
+    faces[(6, 1)] = regular_completion(appendix, (6, 1)) + F(1, 10)
+    v = appendix.with_values(faces)
+    assert psi_exact(appendix).shares == (F(9, 16), F(7, 16))
+    assert psi_exact(v).shares == (F(23, 40), F(17, 40))
+    ok, witness = check_local_increment(appendix, v, LocalIncrement(
+        2, frozenset(), F(1, 10), Domain.unit_cube([1, 2])))
+    assert not ok
+    assert witness == {"T": (1,), "face": (6, 1), "point": (F(1), F(1, 8)),
+                       "expected": F(2, 5), "got": F(1, 2)}
+
+
+def test_check_local_increment_holds_the_grand_coalition_to_even_moves(
+        appendix):
+    # S = N on (1/2, 1)^2, with the face (6, 1) on the x1 = 1 side also
+    # raised: psi moves, and the raise of {1}'s influence there has no
+    # match at the mirror face (1, 6), so the claim fails
+    grand = frozenset({1, 2})
+    domain = Domain.of({1: (F(1, 2), 1), 2: (F(1, 2), 1)})
+    side = {(5, 5): F(1), (6, 1): regular_completion(appendix, (6, 1)) + F(1, 10)}
+    v = appendix.with_values(side)
+    assert psi_exact(v) != psi_exact(appendix)
+    ok, witness = check_local_increment(
+        appendix, v, LocalIncrement(2, grand, F(1, 10), domain))
+    assert not ok and (witness["T"], witness["face"]) == ((2,), (1, 6))
+    # raising the mirror face as well keeps every share, and passes
+    even = v.with_values({(1, 6): regular_completion(v, (1, 6)) + F(1, 10)})
+    assert psi_exact(even) == psi_exact(appendix)
+    ok, witness = check_local_increment(
+        appendix, even, LocalIncrement(2, grand, F(1, 10), domain))
+    assert ok, witness
+    # a grand-coalition domain is (c, 1)^n, one c on every axis
+    skew = Domain.of({1: (F(1, 4), 1), 2: (F(1, 2), 1)})
+    for other in (skew, Domain.of({1: (F(1, 2), F(3, 4)), 2: (F(1, 2), F(3, 4))})):
+        assert check_local_increment(
+            appendix, even, LocalIncrement(2, grand, F(1, 10), other)) == (
+                False, {"T": (1, 2), "domain": other})
+
+
 def test_check_local_increment_refuses_a_raise_beyond_the_claimed_domain(
         appendix):
     grid = Discretization((F(0), F(1, 4), F(1)))
@@ -186,6 +230,18 @@ def test_check_local_increment_identity_needs_zero_eps(appendix):
     nonzero = LocalIncrement(2, frozenset({1}), F(1, 10), Domain.of({2: (0, 1)}))
     ok, witness = check_local_increment(appendix, appendix, nonzero)
     assert not ok and witness is not None
+
+
+def test_build_refuses_a_raise_above_an_upper_neighbour():
+    # box (3, 1) is worth more than the box (3, 3) above it; a report that
+    # hides the fault lets the build reach its own cover check
+    game = make_regular_step(uniform_grid(2), {
+        (1, 1): F(0), (1, 3): F(0), (3, 1): F(1), (3, 3): F(1, 2)}, 2)
+    assert not validate(game).monotone
+    hidden = stepfun.ValidationReport(True, True, True, [])
+    with pytest.raises(IncrementError, match="value 1 at \\(3, 1\\) exceeds "
+                                             "1/2 at \\(3, 3\\)"):
+        build_by_increments(game, report=hidden)
 
 
 def test_apply_box_increment_table_case():
@@ -466,7 +522,7 @@ def test_box_shift_sums_the_local_increments(g, eps):
     # the integer kernel against the per-increment Fraction path, on
     # every box of the grid
     for box in box_keys(g.n, g.p):
-        shift, den = his._box_shift(g.disc, box)
+        shift, den = his._box_shift(g.disc, box, his._shift_terms(g.disc, g.n))
         expected = [F(0)] * g.n
         for _, inc in box_increments(g.disc, box, eps):
             expected = [a + b for a, b in zip(expected, his_delta(inc).shares)]

@@ -30,12 +30,12 @@ from test_stepgame_properties import dense_games
 def dual(g: StepGame) -> StepGame:
     """v*(x) = 1 - v(1 - x): the grid reflected, each box and override
     moved to its mirror image (the row-major box list reversed, face d to
-    2p - d) and each numerator x to den - x."""
-    top = 2 * g.p
+    2p - d, so face position k to the last position minus k) and each
+    numerator x to den - x."""
     disc = Discretization(tuple(1 - a for a in reversed(g.disc.alpha)))
     return StepGame(disc, g.n, [g.den - x for x in reversed(g.nums)], g.den,
-                    {tuple(top - di for di in d): g.den - x
-                     for d, x in g.overrides.items()}, g.tag)
+                    {g.corner - k: g.den - x for k, x in g.overrides.items()},
+                    g.tag)
 
 
 def alphas(g: StepGame):

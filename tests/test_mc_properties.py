@@ -219,6 +219,17 @@ def test_families_refuse_points_outside_the_cube_as_eval_exact_does(game,
 
 
 @settings(max_examples=150)
+@given(st.lists(st.fractions(0, 1, max_denominator=50), min_size=1,
+                max_size=20).filter(any),
+       st.lists(st.fractions(0, 1, max_denominator=1000), min_size=20,
+                max_size=20))
+def test_weighted_mean_exact_is_the_fraction_sum(raw, x):
+    # weights over unrelated denominators, normalized to sum to 1
+    w, x = [r / sum(raw) for r in raw], tuple(x[:len(raw)])
+    assert weighted_mean_game(w).eval_exact(x) == sum(
+        wi * xi for wi, xi in zip(w, x))
+
+
 @given(dense_games(st.integers(1, 4)) |
        dense_games(st.integers(1, 4), coprime=True), st.data())
 def test_point_variant_reads_the_pinned_faces(case, data):

@@ -1,12 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from powerdex.rational import (format_rational, loss_constant,
-                               nondecreasing_along, ordering_weight,
-                               parse_rational)
+from powerdex.rational import (digits_of, format_rational, index_of,
+                               loss_constant, nondecreasing_along,
+                               ordering_weight, parse_rational, positions,
+                               strides)
 
 
 def test_parse_and_format_round_trip():
@@ -87,3 +89,17 @@ def test_nondecreasing_along_matches_pairwise_oracle(shape):
             expected = all(nums[k] <= nums[k + stride] for k in range(size)
                            if k // stride % m < m - 1)
             assert nondecreasing_along(nums, stride, m) == expected
+
+
+@pytest.mark.parametrize("size, n", [(1, 3), (2, 1), (2, 4), (3, 3), (5, 2)])
+def test_row_major_addressing_follows_product_order(size, n):
+    # first coordinate slowest: itertools.product's order is 0, 1, 2, ...
+    at = strides(size, n)
+    rows = list(itertools.product(range(size), repeat=n))
+    assert [index_of(d, at) for d in rows] == list(range(size ** n))
+    assert [tuple(digits_of(k, size, at)) for k in range(size ** n)] == rows
+    assert positions([range(size)] * n, at) == list(range(size ** n))
+    # a sub-grid of digits, in product order
+    axes = [[d for d in range(size) if d % 2 == i % 2] for i in range(n)]
+    assert positions(axes, at) == [index_of(d, at)
+                                   for d in itertools.product(*axes)]

@@ -133,6 +133,58 @@ def test_diagnostics_name_the_json_path(reader, obj, message):
         reader(obj)
     assert str(caught.value) == message
 
+
+@pytest.mark.parametrize("reader, obj, message", [
+    # a faces fault is found before the grid, the tag and the boxes are
+    # checked, as a (j,k) key fault is before the player count
+    (parse_step_game, {"n": 2, "alpha": ["0", "1"], "tag": "semi",
+                       "boxes": {"1,1": "1/2"}, "faces": {"3,0": "1/2"}},
+     """faces["3,0"]: key '3,0' has an integer outside 0..2"""),
+    (parse_step_game, {"n": 2, "alpha": ["0", "1"], "boxes": {},
+                       "faces": {"0,0": "x"}},
+     """faces["0,0"]: 'x' is not a rational: write p/q, an integer or a """
+     "plain decimal"),
+    (parse_step_game, {"n": 0, "alpha": ["0", "1"], "boxes": {},
+                       "faces": {"": "1", " ": "1"}},
+     """faces[" "]: key ' ' repeats an earlier key"""),
+    (parse_step_game, {"n": 25, "alpha": ["0", "1"], "boxes": {},
+                       "faces": {",".join("0" * 25): "1",
+                                 ",".join("1" * 25): "1"}},
+     "player count must be in 1..20"),
+    (parse_jk_game, {"n": 21, "j": 2, "k": 2, "values": {"0": 1}},
+     """values["0"]: key '0' needs 21 comma-separated integers, not 1"""),
+    (parse_jk_game, {"n": 22, "j": 2, "k": 2,
+                     "values": {",".join("0" * 22): 0,
+                                ",".join("1" * 22): 1}},
+     "player count must be in 1..20"),
+])
+def test_a_game_with_two_faults_names_the_first_read(reader, obj, message):
+    with pytest.raises((TypeError, ValueError)) as caught:
+        reader(obj)
+    assert str(caught.value) == message
+
+
+def test_a_few_faces_on_a_large_grid_are_set_without_its_face_table(
+        monkeypatch):
+    # 3^13 faces and one box: setting three faces reads each one's
+    # completion, and no grid-sized completion table is built
+    import powerdex.stepfun as stepfun
+
+    def refuse(*args):
+        raise AssertionError("the face table was built")
+
+    monkeypatch.setattr(stepfun, "_completion_table", refuse)
+    faces = {(0,) * 12 + (1,): "1/4", (1,) * 12 + (2,): "3/4",
+             (1,) * 12 + (0,): "1/2"}  # the last one is its completion
+    g = parse_step_game({"n": 13, "alpha": ["0", "1"], "tag": "raw",
+                         "boxes": {",".join("1" * 13): "1/2"},
+                         "faces": {",".join(map(str, d)): x
+                                   for d, x in faces.items()}})
+    assert sorted(map(g.face, g.overrides)) == [(0,) * 12 + (1,),
+                                                (1,) * 12 + (2,)]
+    assert [stepfun.regular_completion(g, d) for d in faces] == [
+        F(1, 4), F(3, 4), F(1, 2)]
+
 @st.composite
 def coalition_tables(draw, max_players=6):
     """A coalition table as coalition_function_to_json writes it, with its

@@ -31,6 +31,13 @@ def test_regular_completion_examples(appendix):
     assert regular_completion(appendix, (4, 1)) == F(2, 5)
 
 
+def test_regular_completion_refuses_a_tuple_off_the_grid(appendix):
+    # a digit past 2p = 6 or below 0, or the wrong number of digits
+    for d in ((7, 0), (0, 7), (-1, 3), (1,), (1, 1, 1), [1, 1]):
+        with pytest.raises(ValueError, match="invalid for this grid"):
+            regular_completion(appendix, d)
+
+
 def test_make_regular_step_rejects_bad_input():
     disc = Discretization((F(0), F(1)))
     with pytest.raises(ValueError):
@@ -44,11 +51,13 @@ def test_constructor_refuses_a_malformed_stored_form():
     nums = [0, 1, 1, 2]
     with pytest.raises(ValueError, match="3 box values for 4 boxes"):
         StepGame(disc, 2, nums[:3], 2)
+    # overrides are keyed by row-major face position: face (3, 1) at 16
     with pytest.raises(ValueError, match=r"face \(3, 1\) is a box"):
-        StepGame(disc, 2, nums, 2, {(0, 1): 1, (3, 1): 1})
-    for off in ((5, 0), (0, -1), (1,), (0, 1, 2), "0,1"):
+        StepGame(disc, 2, nums, 2, {1: 1, 16: 1})
+    for off in (25, -1, (0, 1), "0,1", 2.0):
         with pytest.raises(ValueError, match="invalid for this grid"):
-            StepGame(disc, 2, nums, 2, {(0, 1): 1, off: 1})
+            StepGame(disc, 2, nums, 2, {1: 1, off: 1})
+    for off in ((5, 0), (0, -1), (1,), (0, 1, 2), "0,1", 1):
         with pytest.raises(ValueError, match="invalid for this grid"):
             StepGame(disc, 2, nums, 2).with_values({off: F(1, 2)})
     with pytest.raises(ValueError, match="unknown tag 'semi'"):
@@ -57,8 +66,8 @@ def test_constructor_refuses_a_malformed_stored_form():
 
 def test_constructor_reduces_to_the_least_denominator():
     disc = Discretization((F(0), F(1, 2), F(1)))
-    g = StepGame(disc, 2, [0, 2, 2, 4], 4, {(0, 1): 2})
-    assert (g.nums, g.den, g.overrides) == ([0, 1, 1, 2], 2, {(0, 1): 1})
+    g = StepGame(disc, 2, [0, 2, 2, 4], 4, {1: 2})
+    assert (g.nums, g.den, g.overrides) == ([0, 1, 1, 2], 2, {1: 1})
     assert g.box((3, 3)) == 1 and regular_completion(g, (0, 1)) == F(1, 2)
 
 
@@ -148,7 +157,7 @@ def test_validate_flags_constructed_violation():
 def test_validate_flags_every_stored_value_outside_the_unit_range():
     disc = Discretization((F(0), F(1, 2), F(1)))
     # boxes 0 and 3/2, and 5/4 stored at the breakpoint face between them
-    g = StepGame(disc, 1, [0, 6], 4, {(2,): 5})
+    g = StepGame(disc, 1, [0, 6], 4, {2: 5})
     report = validate(g)
     assert not report.in_range
     assert report.violations[:2] == ["value 3/2 at face (3,) outside [0, 1]",
