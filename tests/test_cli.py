@@ -893,6 +893,22 @@ AXIOMS_PSI_SQUARE_STDOUT = (
     '23/72) across witnesses (eps=1/12, vol=25/576)", '
     '"S={1}: constants (Fraction(19, 48), Fraction(19, 96)) vs (67/144, '
     '67/288) across witnesses (eps=1/16, vol=9/64)"]}}\n')
+CORNER_STDOUT = (
+    '{"L": [2], "U": [1, 3], "delta": {"1": "1/6", "2": "-1/3", "3": "1/6"}, '
+    '"eps": "1", "l": 2}\n')
+SEPARATION_DEMO_STDOUT = (
+    '{"classical_axioms_insufficient": true, "differs": {"0": true, '
+    '"1": true, "1/2": true, "1/4": true}, "equality_brackets": '
+    '[{"interval": ["1/5", "1/4"], "sign_change": true}, '
+    '{"interval": ["3/4", "4/5"], "sign_change": true}], '
+    '"psi": ["5/12", "7/12"], "psi_point": {"0": ["1/2", "1/2"], '
+    '"1": ["1/2", "1/2"], "1/2": ["3/8", "5/8"], '
+    '"1/4": ["13/32", "19/32"]}}\n')
+AXIOMS_MARKDOWN_STDOUT = (
+    "# axiom report: psi_exact (5 games)\n"
+    + "".join(f"- {a}: PASS\n" for a in (
+        "efficiency", "positivity", "null_player", "symmetry", "anonymity",
+        "transfer", "his")))
 PSI_REJECTED_STDERR = (
     '{"error": "invalid step game: 6 violations, '
     'first 5: monotonicity: value 3/8 at (0, 2) exceeds 1/3 at (0, '
@@ -971,6 +987,10 @@ JK_RESPELLED = _respelled(JK_GAME, lambda k: " " + k.replace(",", " , ") + " ")
     (["replay-appendix"], None, REPLAY_APPENDIX_STDOUT),
     (["axioms", "--index", "psi_square", "--players", "3", "--random", "2"],
      None, AXIOMS_PSI_SQUARE_STDOUT),
+    (["axioms", "--index", "psi_exact", "--random", "3", "--format",
+      "markdown"], None, AXIOMS_MARKDOWN_STDOUT),
+    (["corner", "--L", "2", "--U", "1,3", "--l", "2"], None, CORNER_STDOUT),
+    (["separation-demo"], None, SEPARATION_DEMO_STDOUT),
     (["ssi", "{game}"], SSI_GAME, SSI_STDOUT),
     (["ssi", "{game}"], SSI_INT_GAME, SSI_INT_STDOUT),
     (["ssi", "{game}"], _reversed_keys(SSI_GAME), SSI_STDOUT),
@@ -985,7 +1005,8 @@ JK_RESPELLED = _respelled(JK_GAME, lambda k: " " + k.replace(",", " , ") + " ")
         "table1-eps-1", "his-apply", "embed-semiregular", "embed-jk",
         "embed-tau", "coarsen", "faces-psi", "faces-psi-point",
         "faces-his-apply", "faces-coarsen", "his-build", "replay-appendix",
-        "axioms", "ssi-canonical", "ssi-int",
+        "axioms", "axioms-markdown", "corner", "separation-demo",
+        "ssi-canonical", "ssi-int",
         "ssi-reversed", "ssi-respelled",
         *[f"jk-ssi-{form}-{spelling}" for form in ("marginal", "pivot")
           for spelling in ("canonical", "reversed", "respelled")],
