@@ -291,7 +291,7 @@ def separation_demo() -> dict:
                    (Fraction(3, 4), Fraction(4, 5))):
         d_lo = psi_point(game, lo).shares[0] - psi[0]
         d_hi = psi_point(game, hi).shares[0] - psi[0]
-        brackets.append({"interval": (lo, hi), "signs": (d_lo > 0, d_hi > 0),
+        brackets.append({"interval": (lo, hi),
                          "sign_change": (d_lo > 0) != (d_hi > 0)})
     return {
         "psi": psi,

@@ -63,7 +63,9 @@ def _read_json(path: str) -> dict:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    """Print ``obj`` as one JSON line, every ``Fraction`` in it as its "p/q"
+    string; any other value json cannot write raises TypeError."""
+    print(json.dumps(obj, sort_keys=True, default=format_rational))
 
 
 def _valid_report(g: StepGame) -> ValidationReport:
@@ -113,12 +115,9 @@ def _cmd_his_build(args) -> None:
     g = parse_step_game(_read_json(args.game))
     result = his.build_by_increments(g, report=_valid_report(g))
     for step in result.steps:
-        _emit({"phase": step.phase,
-               "box": [(d + 1) // 2 for d in step.box],
-               "eps": format_rational(step.eps),
-               "delta": [format_rational(x) for x in step.delta],
-               "psi": [format_rational(x) for x in step.psi]})
-    _emit({"final": True, "psi": [format_rational(x) for x in result.psi]})
+        _emit({"phase": step.phase, "box": [(d + 1) // 2 for d in step.box],
+               "eps": step.eps, "delta": step.delta, "psi": step.psi})
+    _emit({"final": True, "psi": result.psi})
 
 
 # ---------------------------------------------------------------------------

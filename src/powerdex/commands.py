@@ -8,18 +8,12 @@ each handler imports the modules it uses.
 
 from __future__ import annotations
 
-import json
-from typing import TYPE_CHECKING
-
 from .cli import InputError, _emit, _read_json, _validated_step_game
 from .indices import jk_ssi_marginal, psi_exact
-from .rational import check_players, format_rational, parse_rational
+from .rational import check_players, parse_rational
 from .serialize import (json_type, parse_coalition_input, parse_jk_game,
                         parse_simple_game, power_vector_to_json,
                         step_game_to_json)
-
-if TYPE_CHECKING:
-    from .increments import Domain
 
 
 def _parse_players(text: str, option: str) -> list[int]:
@@ -48,11 +42,6 @@ def _validated_suite(path: str) -> list:
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"suite[{k}]: {exc}") from None
     return games
-
-
-def _domain_json(domain: Domain) -> list[list[str]]:
-    return [[format_rational(a), format_rational(b)]
-            for _, (a, b) in domain.intervals]
 
 
 def _cmd_rollcall(args) -> None:
@@ -108,10 +97,8 @@ def _cmd_his_apply(args) -> None:
     box = tuple(2 * i - 1 for i in idx)
     before = psi_exact(g).shares
     out, delta = apply_box_increment(g, box, parse_rational(args.eps))
-    _emit({"delta": [format_rational(x) for x in delta.shares],
-           "psi_before": [format_rational(x) for x in before],
-           "psi_after": [format_rational(x) for x in psi_exact(out).shares],
-           "game": step_game_to_json(out)})
+    _emit({"delta": delta.shares, "psi_before": before,
+           "psi_after": psi_exact(out).shares, "game": step_game_to_json(out)})
 
 
 def _cmd_replay_appendix(args) -> None:
@@ -120,22 +107,13 @@ def _cmd_replay_appendix(args) -> None:
     result = replay_appendix()
     for m in result.moves:
         inc = m.increment
-        print(json.dumps({
-            "move": m.index,
-            "S": sorted(inc.coalition),
-            "eps": format_rational(inc.epsilon),
-            "D": _domain_json(inc.domain),
-            "psi_his": [format_rational(x) for x in m.psi_his],
-            "psi_exact": [format_rational(x) for x in m.psi_exact],
-            "verified": m.check_ok,
-        }, sort_keys=True))
-    final = result.moves[-1]
-    print(json.dumps({
-        "move": "final",
-        "shares": [format_rational(x) for x in final.psi_his],
-        "matches_target": result.final_matches_target,
-        "tracks_agree": result.tracks_agree,
-    }, sort_keys=True))
+        _emit({"move": m.index, "S": sorted(inc.coalition),
+               "eps": inc.epsilon, "D": [ab for _, ab in inc.domain.intervals],
+               "psi_his": m.psi_his, "psi_exact": m.psi_exact,
+               "verified": m.check_ok})
+    _emit({"move": "final", "shares": result.moves[-1].psi_his,
+           "matches_target": result.final_matches_target,
+           "tracks_agree": result.tracks_agree})
 
 
 def _table_rows_to_output(rows: list[dict], fmt: str, headers: list[str]) -> None:
@@ -156,17 +134,9 @@ def _cmd_table1(args) -> None:
     from .increments import table1_rows
 
     eps = parse_rational(args.eps)
-    rows = table1_rows(args.l, eps)
-    flat = []
-    for row in rows:
-        flat.append({
-            "face": row["face"],
-            "S": "{" + ",".join(map(str, row["S"])) + "}",
-            "vol": format_rational(row["vol"]),
-            "d1": format_rational(row["delta"][0]),
-            "d2": format_rational(row["delta"][1]),
-            "d3": format_rational(row["delta"][2]),
-        })
+    flat = [{"face": row["face"], "S": "{" + ",".join(map(str, row["S"])) + "}",
+             "vol": row["vol"], **dict(zip(("d1", "d2", "d3"), row["delta"]))}
+            for row in table1_rows(args.l, eps)]
     _table_rows_to_output(flat, args.format, ["face", "S", "vol", "d1", "d2", "d3"])
 
 
@@ -178,10 +148,9 @@ def _cmd_corner(args) -> None:
     eps = parse_rational(args.eps)
     n = len(L) + len(U)
     check_players(n)
-    deltas = {str(i): format_rational(corner_increase(L, U, eps, args.l, i))
+    deltas = {str(i): corner_increase(L, U, eps, args.l, i)
               for i in range(1, n + 1)}
-    _emit({"L": L, "U": U, "l": args.l, "eps": format_rational(eps),
-           "delta": deltas})
+    _emit({"L": L, "U": U, "l": args.l, "eps": eps, "delta": deltas})
 
 
 def _cmd_axioms(args) -> None:
@@ -210,12 +179,6 @@ def _cmd_axioms(args) -> None:
             suite.append(ax.null_extension(base, 1))
         suite.append(zero_game(args.players))
     report = ax.check_axioms(handles[args.index], suite, seed=args.seed)
-    payload = {
-        "index": report.handle,
-        "games": report.games,
-        "passed": sorted(a for a in ax.AXIOMS if report.passed(a)),
-        "violations": {a: v for a, v in sorted(report.violations.items())},
-    }
     if args.format == "markdown":
         print(f"# axiom report: {report.handle} ({report.games} games)")
         for a in ax.AXIOMS:
@@ -224,22 +187,16 @@ def _cmd_axioms(args) -> None:
             for v in report.violations.get(a, [])[:5]:
                 print(f"    - {v}")
     else:
-        _emit(payload)
+        _emit({"index": report.handle, "games": report.games,
+               "passed": sorted(a for a in ax.AXIOMS if report.passed(a)),
+               "violations": report.violations})
 
 
 def _cmd_separation_demo(args) -> None:
     from . import axioms as ax
 
     report = ax.separation_demo()
-    _emit({
-        "psi": [format_rational(x) for x in report["psi"]],
-        "psi_point": {format_rational(a): [format_rational(x) for x in sh]
-                      for a, sh in report["psi_point"].items()},
-        "differs": {format_rational(a): d for a, d in report["differs"].items()},
-        "equality_brackets": [
-            {"interval": [format_rational(b["interval"][0]),
-                          format_rational(b["interval"][1])],
-             "sign_change": b["sign_change"]}
-            for b in report["equality_brackets"]],
-        "classical_axioms_insufficient": report["classical_axioms_insufficient"],
-    })
+    # json calls ``default`` for values, never for keys
+    _emit({**report,
+           "psi_point": {str(a): sh for a, sh in report["psi_point"].items()},
+           "differs": {str(a): d for a, d in report["differs"].items()}})
