@@ -15,6 +15,7 @@ from fractions import Fraction
 from operator import eq
 from typing import Callable, NamedTuple, Sequence
 
+from .budget import check_work
 from .increments import LocalIncrement, _box_domain, check_local_increment
 from .indices import PowerVector, psi_exact, psi_point
 from .oracles import phi_two_player, psi_product_oracle
@@ -187,9 +188,21 @@ class AxiomReport(NamedTuple):
         return not self.failed_axioms()
 
 
+def battery_steps(n: int, p: int) -> int:
+    """The work-budget steps of one game of n players on p intervals per
+    axis in the battery: 2,400 for the index calls and the witness checks
+    that any game costs (up to 2.4 ms at n = 2, with ``psi_square``), and
+    n per face for the scans and permutations that walk its face table
+    once per player."""
+    check_grid(n, p)
+    return 2400 + n * (2 * p + 1) ** n
+
+
 def check_axioms(handle: IndexHandle, suite: Sequence[StepGame],
                  seed: int = 0) -> AxiomReport:
-    """Run the axiom battery for one handle over a suite of games."""
+    """Run the axiom battery for one handle over a suite of games, refused
+    before any game is checked when it would exceed the work budget."""
+    check_work(sum(battery_steps(g.n, g.p) for g in suite), "the axiom battery")
     rng = random.Random(seed)
     viol = {a: [] for a in AXIOMS}
 

@@ -8,6 +8,7 @@ each handler imports the modules it uses.
 
 from __future__ import annotations
 
+from .budget import check_work
 from .cli import InputError, _emit, _read_json, _validated_step_game
 from .indices import jk_ssi_marginal, psi_exact
 from .rational import check_players, parse_rational
@@ -94,6 +95,9 @@ def _cmd_his_apply(args) -> None:
 
     g = _validated_step_game(_read_json(args.game))
     idx = _parse_players(args.box, "--box")
+    for i in idx:
+        if not 1 <= i <= g.p:
+            raise InputError(f"--box: {i} is outside 1..{g.p}")
     box = tuple(2 * i - 1 for i in idx)
     before = psi_exact(g).shares
     out, delta = apply_box_increment(g, box, parse_rational(args.eps))
@@ -169,6 +173,9 @@ def _cmd_axioms(args) -> None:
     else:
         if args.random < 0:
             raise InputError(f"--random must be >= 0, got {args.random}")
+        # drawn on at most 3 intervals per axis, and up to two salted in
+        check_work((args.random + 2) * ax.battery_steps(args.players, 3),
+                   "the axiom battery")
         rng = random.Random(args.seed)
         suite = [random_regular_game(rng, args.players, rng.randrange(1, 4))
                  for _ in range(args.random)]

@@ -8,6 +8,7 @@ refuses points outside the cube on both paths, so no family checks them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -48,12 +49,12 @@ def product_power_game(exponents: Sequence) -> EvaluableGame:
     n = len(exps)
     all_int = all(e.denominator == 1 for e in exps)
     floats = [float(e) for e in exps]
+    ints = list(map(int, exps))
 
     def exact(x):
-        out = Fraction(1)
-        for e, xi in zip(exps, x):
-            out *= Fraction(xi) ** int(e)
-        return out
+        # in integers: the powers' numerators over their denominators
+        return Fraction(prod(map(pow, (xi.numerator for xi in x), ints)),
+                        prod(map(pow, (xi.denominator for xi in x), ints)))
 
     def array(pts):
         import numpy as np

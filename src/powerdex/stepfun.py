@@ -20,8 +20,8 @@ face is read in one of two ways, both in integers:
 
 - ``face_numerator(g, k)`` reads one face from its adjacent boxes; the
   point readers use it (``validate`` and the box increments);
-- ``face_table(g)`` builds every face once per game, by the per-axis stencil
-  of the completion; the paths that walk every face use it.
+- ``face_table(g)`` builds every face, by the per-axis stencil of the
+  completion; the paths that walk every face use it.
 
 A grid is admitted when its (2p+1)^n faces fit the work budget
 (``check_grid``), so every path that walks all faces is bounded by that one
@@ -224,7 +224,6 @@ class StepGame:
             overrides = {k: x // common for k, x in overrides.items()}
             den //= common
         self.nums, self.den, self.overrides = nums, den, overrides
-        self._table = None
 
     def face(self, k: int) -> Face:
         """The doubled coordinates of the face at row-major position k."""
@@ -330,13 +329,11 @@ def regular_completion(g: StepGame, d: Face) -> Fraction:
 def face_table(g: StepGame) -> tuple[list[int], int]:
     """The value of g at every face in row-major order, as numerators over
     the returned denominator ``g.den << g.n``: the completion stencil, then
-    the overrides.  Built on first call and kept; callers must not change
-    the list."""
-    if g._table is None:
-        g._table = _completion_table(g.nums, g.den, g.n, g.p)
-        for k, x in g.overrides.items():
-            g._table[k] = x << g.n
-    return g._table, g.den << g.n
+    the overrides.  A new list on every call."""
+    table = _completion_table(g.nums, g.den, g.n, g.p)
+    for k, x in g.overrides.items():
+        table[k] = x << g.n
+    return table, g.den << g.n
 
 
 def locate_face(disc: Discretization, x: Sequence) -> Face:

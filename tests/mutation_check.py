@@ -37,6 +37,9 @@ HIS = "src/powerdex/his.py"
 INCREMENTS = "src/powerdex/increments.py"
 STEPFUN = "src/powerdex/stepfun.py"
 RATIONAL = "src/powerdex/rational.py"
+CLI = "src/powerdex/cli.py"
+COMMANDS = "src/powerdex/commands.py"
+FAMILIES = "src/powerdex/families.py"
 CHECK = "tests/test_his.py::test_check_local_increment_"
 WEIGHTED = ("tests/test_stepgame_properties.py"
             "::test_weighted_boundary_averages_match_dense_table")
@@ -184,6 +187,19 @@ MUTANTS = [
      "if b < band and vals[k + s] < target])", "if False])",
      ["tests/test_his.py"
       "::test_build_refuses_a_raise_above_an_upper_neighbour"]),
+    ("stdout spells an exact number as a float", CLI,
+     "default=format_rational))", "default=float))",
+     ["tests/test_cli.py::test_pinned_stdout"]),
+    ("product_power_game's exact path drops the denominator's exponent",
+     FAMILIES, "prod(map(pow, (xi.denominator for xi in x), ints))",
+     "prod(xi.denominator for xi in x)",
+     ["tests/test_mc_properties.py"
+      "::test_product_power_exact_is_the_fraction_product"]),
+    ("the axiom battery is charged one game, whatever --random", COMMANDS,
+     "check_work((args.random + 2) * ax.battery_steps(args.players, 3),",
+     "check_work(ax.battery_steps(args.players, 3),",
+     ["tests/test_budget.py::test_axiom_battery_admits_its_largest_draw_and_"
+      "refuses_one_more_game"]),
 ]
 
 

@@ -1,17 +1,23 @@
 """The one work budget: every exhaustive enumeration counts its elementary
 steps and checks them against ``budget.MAX_STEPS`` before it starts."""
 
+import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
+import powerdex.axioms as axioms
+from powerdex.axioms import (AxiomReport, IndexHandle, battery_steps,
+                             check_axioms)
 from powerdex.budget import MAX_STEPS, check_work
+from powerdex.cli import main
 from powerdex.coalitions import SimpleGame, all_simple_games
 from powerdex.evaluables import EvaluableGame
 from powerdex.families import counterexample_game
 from powerdex.indices import psi_mc, psi_point
 from powerdex.oracles import psi_product_oracle, ssi_roll_call
+from powerdex.sampling import random_regular_game
 from powerdex.stepfun import check_grid
 
 
@@ -104,3 +110,29 @@ def test_grid_check_admits_the_largest_grid_and_refuses_one_more_player(
 def test_grid_check_refuses_a_player_count_outside_the_range(n):
     with pytest.raises(ValueError, match="player count must be in 1..20"):
         check_grid(n, 1)
+
+
+@pytest.mark.parametrize("players", [1, 2, 3, 4, 5])
+def test_axiom_battery_admits_its_largest_draw_and_refuses_one_more_game(
+        players, capsys, monkeypatch):
+    # charged for p = 3, the most intervals a drawn game has, and for two
+    # salted games; --random 2000 at 3 players ran for 2.5 s uncharged
+    largest = MAX_STEPS // battery_steps(players, 3) - 2
+    argv = ["axioms", "--index", "psi_exact", "--players", str(players)]
+    start = time.perf_counter()
+    assert main(argv + ["--random", str(largest + 1)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "the axiom battery exceeds the work budget" in capsys.readouterr().err
+    checked = []
+    monkeypatch.setattr(axioms, "check_axioms", lambda handle, suite, seed: (
+        checked.append(len(suite)) or AxiomReport(handle.name, len(suite), {})))
+    assert main(argv + ["--random", str(largest)]) == 0
+    assert checked == [largest + (2 if players > 1 else 1)]
+
+
+def test_axiom_battery_refuses_a_given_suite_before_it_checks_a_game():
+    g = random_regular_game(random.Random(0), 2, 3)
+    games = MAX_STEPS // battery_steps(2, 3)
+    unused = IndexHandle("unused", lambda g: pytest.fail("a game was checked"))
+    with pytest.raises(ValueError, match="the axiom battery exceeds the work"):
+        check_axioms(unused, [g] * (games + 1))

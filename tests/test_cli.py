@@ -271,6 +271,15 @@ def test_axioms_cli(capsys):
     assert json.loads(out)["violations"] == {}
 
 
+def test_axioms_unknown_index_names_the_registered_ones(capsys):
+    code, out, err = run_cli(["axioms", "--index", "psi"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "unknown index 'psi'; choose from "
+                               "['half_psi_half_ed', 'phi_two_player', "
+                               "'psi_exact', 'psi_point', 'psi_square', "
+                               "'two_psi']", "type": "InputError"}
+
+
 def test_separation_demo_cli(capsys):
     code, out, _ = run_cli(["separation-demo"], capsys)
     payload = json.loads(out)
@@ -442,6 +451,9 @@ sys.exit(code)
     ("psi", {"n": 1, "alpha": ["0", "1"], "tag": "regular",
              "boxes": {"1": "1/2"}}, ["--mc", "--samples", str(1 << 26)],
      "Monte-Carlo cap"),
+    # nothing charged the battery: --random 2000 ran for 2.5 s at 3 players
+    ("axioms", None, ["--index", "psi_exact", "--random", "1000000000"],
+     "work budget"),
 ])
 def test_bad_input_exits_2_fast_under_memory_limit(tmp_path, command, game,
                                                    extra, needle):
@@ -616,6 +628,11 @@ def test_corner_names_a_repeated_player(capsys):
      "--U: '3.0' is not a player number"),
     (["corner", "--L", "two", "--U", "1,3", "--l", "2"],
      "--L: 'two' is not a player number"),
+    # refused in the box numbers as written, not in doubled coordinates
+    (["his-apply", "{game}", "--box", "9,9", "--eps", "0"],
+     "--box: 9 is outside 1..1"),
+    (["his-apply", "{game}", "--box", "0,1", "--eps", "0"],
+     "--box: 0 is outside 1..1"),
 ])
 def test_player_lists_name_the_option_and_the_item(tmp_path, capsys, argv,
                                                   message):

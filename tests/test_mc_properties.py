@@ -230,6 +230,17 @@ def test_weighted_mean_exact_is_the_fraction_sum(raw, x):
         wi * xi for wi, xi in zip(w, x))
 
 
+@given(st.lists(st.tuples(st.integers(0, 4),
+                          st.fractions(0, 1, max_denominator=1000)),
+                min_size=1, max_size=12))
+def test_product_power_exact_is_the_fraction_product(pairs):
+    exps, x = zip(*pairs)
+    expected = F(1)
+    for e, xi in pairs:
+        expected *= xi ** e
+    assert product_power_game(exps).eval_exact(x) == expected
+
+
 @given(dense_games(st.integers(1, 4)) |
        dense_games(st.integers(1, 4), coprime=True), st.data())
 def test_point_variant_reads_the_pinned_faces(case, data):

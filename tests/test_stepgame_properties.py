@@ -328,14 +328,16 @@ def count_calls(monkeypatch, name: str) -> list:
 
 
 def test_psi_mc_builds_the_face_table_once(monkeypatch):
-    # the float path converts the integer face table, built once by the
-    # stencil, and reads no face on its own
+    # the float path converts the integer face table, built once per
+    # estimate by the stencil (a game caches nothing), and reads no face on
+    # its own
     g = random_regular_game(random.Random(1), 5, 4)
     builds = count_calls(monkeypatch, "_completion_table")
     reads = count_calls(monkeypatch, "_completion")
     psi_mc(g, 20_000, 0)
+    assert len(builds) == 1
     psi_mc(g, 5_000, 1)
-    assert len(builds) == 1 and reads == []
+    assert len(builds) == 2 and reads == []
 
 
 def test_psi_exact_derives_no_face(monkeypatch):
